@@ -13,14 +13,11 @@ from .baselines import (PairValue, centralized_pu_optimal, centralized_su_rate,
                         pair_optimum_continuous, pair_optimum_discrete, rmbn)
 from .bench import (AggregateMetrics, SweepRow, TrialMetrics, emit_csv, p90,
                     read_csv, run_trials, scenario_id, sweep)
-from .dda import (EngineTrace, Grids, MatchingOutcome, Offer, concession_grids,
+from .dda import (EngineTrace, Grids, MatchingOutcome, concession_grids,
                   init_state, run, step)
 from .errors import GuardError
-from .prefs import build_pulist, build_sulist, su_prefers
-from .radio import (LinkSnrs, PairRates, PairThresholds, Requirements,
-                    af_relay_snr, compute_snrs, direct_rate, expected_rate_pu,
-                    make_pair_rates, pair_thresholds, rate_pu, rate_su,
-                    requirements_for, utility_pu, utility_su)
+from .radio import (LinkSnrs, PairRates, Requirements, af_relay_snr, compute_snrs,
+                    make_pair_rates, requirements_for)
 from .topology import (DEFAULTS, ChannelRealization, Placement, ScenarioParams,
                        draw_channels, load_params, make_realization,
                        params_from_dict, place_users)
@@ -32,18 +29,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggregateMetrics", "ChannelRealization", "DEFAULTS", "EngineTrace",
-    "Grids", "GuardError", "LinkSnrs", "MatchingOutcome", "Offer",
-    "PairRates", "PairThresholds", "PairValue", "Placement", "Requirements",
-    "ScenarioParams", "StabilityReport", "SweepRow", "TrialMetrics",
-    "af_relay_snr", "build_pulist", "build_sulist", "centralized_pu_optimal",
-    "centralized_su_rate", "check_weak_pareto", "complexity_estimates",
-    "compute_snrs", "concession_grids", "direct_rate", "draw_channels",
-    "emit_csv", "enumerate_stable_matchings", "expected_rate_pu",
-    "init_state", "is_stable", "iteration_bound", "load_params",
-    "make_pair_rates", "make_realization", "p90", "packet_bound",
-    "pair_optimum_continuous", "pair_optimum_discrete", "pair_thresholds",
-    "params_from_dict", "per_pu_puu_bounds", "place_users", "pu_utilities",
-    "rate_pu", "rate_su", "read_csv", "requirements_for", "rmbn", "run",
-    "run_trials", "scenario_id", "step", "su_prefers", "sweep", "utility_pu",
-    "utility_su",
+    "Grids", "GuardError", "LinkSnrs", "MatchingOutcome", "PairRates",
+    "PairValue", "Placement", "Requirements", "ScenarioParams",
+    "StabilityReport", "SweepRow", "TrialMetrics", "af_relay_snr",
+    "centralized_pu_optimal", "centralized_su_rate", "check_weak_pareto",
+    "complexity_estimates", "compute_snrs", "concession_grids",
+    "draw_channels", "emit_csv", "enumerate_stable_matchings", "init_state",
+    "is_stable", "iteration_bound", "load_params", "make_pair_rates",
+    "make_realization", "p90", "packet_bound", "pair_optimum_continuous",
+    "pair_optimum_discrete", "params_from_dict", "per_pu_puu_bounds",
+    "place_users", "pu_utilities", "read_csv", "requirements_for", "rmbn",
+    "run", "run_trials", "scenario_id", "step", "sweep",
 ]

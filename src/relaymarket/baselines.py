@@ -171,14 +171,8 @@ def _assignment_by_solver(values, feasible):
 
 
 def _outcome_from(l_pu, l_su, assign, terms):
-    m = np.zeros((l_pu, l_su), dtype=int)
-    g = np.zeros((l_pu, l_su))
-    b = np.zeros((l_pu, l_su))
-    for l, q in enumerate(assign):
-        if q >= 0:
-            m[l, q] = 1
-            g[l, q], b[l, q] = terms[l]
-    return MatchingOutcome(m=m, g=g, b=b)
+    return MatchingOutcome.from_terms(
+        l_pu, l_su, [(l, q, *terms[l]) for l, q in enumerate(assign) if q >= 0])
 
 
 def centralized_pu_optimal(realization, requirements, params, mode="continuous",
@@ -264,9 +258,7 @@ def rmbn(realization, requirements, params, rng):
         chosen = rng.permutation(l_pu)[:l_su]
         pairs = [(int(chosen[q]), q) for q in range(l_su)]
 
-    m = np.zeros((l_pu, l_su), dtype=int)
-    g = np.zeros((l_pu, l_su))
-    b = np.zeros((l_pu, l_su))
+    matched = []
     events = []
     offers = 0
     puu_counts = np.zeros(l_pu, dtype=int)
@@ -280,9 +272,7 @@ def rmbn(realization, requirements, params, rng):
             offers += 1
             events.append(("offer", l, q, best.xi, best.beta, offers))
             events.append(("accept", l, q, best.xi, best.beta, offers))
-            m[l, q] = 1
-            g[l, q] = best.xi
-            b[l, q] = best.beta
+            matched.append((l, q, best.xi, best.beta))
             continue
         m_x, m_b = 0, 0
         floor = requirements.r_pu_req[l]
@@ -296,9 +286,7 @@ def rmbn(realization, requirements, params, rng):
             events.append(("offer", l, q, xi, beta, offers))
             if rates.rate_su(l, q, beta) >= r_su and rates.u_su(l, q, beta, xi) >= 0.0:
                 events.append(("accept", l, q, xi, beta, offers))
-                m[l, q] = 1
-                g[l, q] = xi
-                b[l, q] = beta
+                matched.append((l, q, xi, beta))
                 break
             events.append(("reject", l, q, xi, beta, offers))
             m_x, m_b = concession_step(m_x, m_b, rates.pu_coef[l, q], floor,
@@ -308,7 +296,7 @@ def rmbn(realization, requirements, params, rng):
             events.append(("puu", l, q, float(grids.xi_values[m_x]),
                            grids.beta_at(m_b), offers))
 
-    outcome = MatchingOutcome(m=m, g=g, b=b)
+    outcome = MatchingOutcome.from_terms(l_pu, l_su, matched)
     trace = EngineTrace(events=events, offers=offers, responses=offers,
                         packets=2 * offers, iterations=offers,
                         puu_counts=puu_counts)

@@ -110,10 +110,8 @@ def run_trials(params, algos, n_trials, centralized_mode="continuous"):
     per_algo = {a: [] for a in algos}
     for i in range(n_trials):
         ss = np.random.SeedSequence([params.seed, i])
-        place_ss, chan_ss, rmbn_ss = ss.spawn(3)
-        placement = topology.place_users(build_params, np.random.default_rng(place_ss))
-        realization = topology.draw_channels(build_params, placement,
-                                             np.random.default_rng(chan_ss))
+        realization = topology.make_realization(build_params, ss)
+        rmbn_ss, = ss.spawn(1)   # the third child, after placement and channels
         requirements = radio.requirements_for(params, realization.snr)
         rates_real = radio.make_pair_rates(complete_params, realization)
         for algo in algos:

@@ -85,11 +85,8 @@ def _load_params(args, extra=None):
 
 
 def _instance(params, trial):
-    ss = np.random.SeedSequence([params.seed, trial])
-    place_ss, chan_ss, _ = ss.spawn(3)
-    placement = topology.place_users(params, np.random.default_rng(place_ss))
-    realization = topology.draw_channels(params, placement,
-                                         np.random.default_rng(chan_ss))
+    realization = topology.make_realization(
+        params, np.random.SeedSequence([params.seed, trial]))
     requirements = radio.requirements_for(params, realization.snr)
     return realization, requirements
 

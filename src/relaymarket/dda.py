@@ -6,12 +6,17 @@ licensed pair. "contracts" runs licensed-proposing deferred acceptance over
 the grid contracts (q, xi, beta); see run_contracts.
 
 Ladder rule. Licensed pairs wait in a queue. The head pair offers its
-current (xi, beta) terms to the best relay still on its list; the relay
-takes the offer if it clears both relay-side conditions and beats whatever
-the relay currently holds. A turned-down (or displaced) pair concedes
-exactly one grid step, rebuilds its list at the new terms, and requeues at
-the tail. Pairs whose list empties leave for good, and the run ends when
-the queue drains.
+current (xi, beta) terms to its best relay; the relay takes the offer if
+it clears both relay-side conditions and beats whatever the relay
+currently holds. A turned-down (or displaced) pair concedes exactly one
+grid step and requeues at the tail. A pair whose best relay misses its
+rate floor leaves for good, and the run ends when the queue drains.
+
+A pair values relay q at pu_coef[l, q] * beta + c * xi. The money term is
+the same for every relay, so the best relay is always the one with the
+steepest slope, and when that one misses the floor every other relay
+does too. Each pair therefore keeps one fixed relay order, by falling
+slope, and offers to its head (see _best_relay for rounding ties).
 
 Terms live on the concession grids {init - m*step}. The engine tracks the
 integer step counts and converts to real values only for rate and utility
@@ -20,6 +25,7 @@ evaluation, so grid membership is exact and runs replay bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections import deque
@@ -28,7 +34,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import radio
-from .prefs import build_pulist
 
 
 @dataclass(frozen=True)
@@ -60,14 +65,6 @@ def concession_grids(params):
     return Grids(xi_values=xi, beta_values=beta, last_positive_xi=last_pos)
 
 
-@dataclass(frozen=True)
-class Offer:
-    l: int
-    q: int
-    xi: float
-    beta: float
-
-
 @dataclass
 class MatchingOutcome:
     """Matching matrix plus the agreed terms, zero wherever unmatched.
@@ -82,6 +79,19 @@ class MatchingOutcome:
     b: np.ndarray
     final_xi_steps: np.ndarray | None = None
     final_beta_steps: np.ndarray | None = None
+
+    @classmethod
+    def from_terms(cls, l_pu, l_su, terms, **steps):
+        """Outcome holding the matched (l, q, xi, beta) terms; keyword
+        arguments fill the concession-step fields."""
+        m = np.zeros((l_pu, l_su), dtype=int)
+        g = np.zeros((l_pu, l_su))
+        b = np.zeros((l_pu, l_su))
+        for l, q, xi, beta in terms:
+            m[l, q] = 1
+            g[l, q] = xi
+            b[l, q] = beta
+        return cls(m=m, g=g, b=b, **steps)
 
     def su_of(self, l):
         hits = np.nonzero(self.m[l])[0]
@@ -119,17 +129,11 @@ class EngineState:
     requirements: radio.Requirements
     grids: Grids
     queue: deque
-    match_of_pu: np.ndarray
-    match_of_su: np.ndarray
-    accepted: list            # per relay: (l, xi, beta) or None
+    relay_order: list         # per licensed pair: relays by falling pu_coef
+    accepted: list            # per relay: (l, xi, beta) held, or None
     m_xi: np.ndarray
     m_beta: np.ndarray
-    removed: np.ndarray
-    pulists: list
-    stored_offers: list       # per relay: {l: (xi, beta)}, the offer book
     offers: int = 0
-    responses: int = 0
-    iterations: int = 0
     puu_counts: np.ndarray = None
     events: list = field(default_factory=list)
 
@@ -152,24 +156,38 @@ def init_state(params, realization, requirements):
         raise ValueError(
             "negotiation needs positive licensed rate floors; a zero floor "
             "makes the zero-time state acceptable forever and the run never ends")
-    grids = concession_grids(params)
     l_pu, l_su = params.l_pu, params.l_su
-    xi0, b0 = float(grids.xi_values[0]), float(grids.beta_values[0])
-    pulists = [build_pulist(l, xi0, b0, rates, requirements).order
-               for l in range(l_pu)]
     return EngineState(
-        params=params, rates=rates, requirements=requirements, grids=grids,
+        params=params, rates=rates, requirements=requirements,
+        grids=concession_grids(params),
         queue=deque(range(l_pu)),
-        match_of_pu=np.full(l_pu, -1, dtype=int),
-        match_of_su=np.full(l_su, -1, dtype=int),
+        relay_order=np.argsort(-rates.pu_coef, axis=1, kind="stable").tolist(),
         accepted=[None] * l_su,
         m_xi=np.zeros(l_pu, dtype=int),
         m_beta=np.zeros(l_pu, dtype=int),
-        removed=np.zeros(l_pu, dtype=bool),
-        pulists=pulists,
-        stored_offers=[{l: (xi0, b0) for l in range(l_pu)} for _ in range(l_su)],
         puu_counts=np.zeros(l_pu, dtype=int),
     )
+
+
+def _best_relay(state, l, xi, beta):
+    """The relay pair l offers to at (xi, beta), or -1 when none clears its
+    floor: the best by licensed utility, ties to the smaller index.
+
+    Slopes fall along the relay order, so rates and utilities never rise
+    along it. Rounding can still give a shallower relay the head's exact
+    utility; those ties are walked and the smallest index taken.
+    """
+    rates, floor = state.rates, state.requirements.r_pu_req[l]
+    order = state.relay_order[l]
+    best = order[0]
+    if rates.rate_pu(l, best, beta) < floor:
+        return -1
+    top = rates.u_pu(l, best, beta, xi)
+    for q in itertools.islice(order, 1, None):
+        if rates.u_pu(l, q, beta, xi) != top or rates.rate_pu(l, q, beta) < floor:
+            break
+        best = min(best, q)
+    return best
 
 
 def concession_step(m_xi, m_beta, coef, rate_floor, c_cost, grids):
@@ -192,88 +210,72 @@ def concession_step(m_xi, m_beta, coef, rate_floor, c_cost, grids):
 
 
 def puu(state, l, q):
-    """Concede one step after relay q refused (or displaced) pair l, then
-    rebuild the pair's list at the new terms. The caller requeues l."""
-    rates, req, grids = state.rates, state.requirements, state.grids
+    """Concede one step after relay q refused (or displaced) pair l. The
+    caller requeues l."""
+    rates, grids = state.rates, state.grids
     m_x, m_b = concession_step(
         int(state.m_xi[l]), int(state.m_beta[l]),
-        rates.pu_coef[l, q], req.r_pu_req[l], rates.c_cost, grids)
+        rates.pu_coef[l, q], state.requirements.r_pu_req[l], rates.c_cost, grids)
     # cap the time step one past the grid; the value is pinned at zero there
     state.m_xi[l] = m_x
     state.m_beta[l] = min(m_b, len(grids.beta_values))
-    xi, beta = _xi_of(state, l), _beta_of(state, l)
     state.puu_counts[l] += 1
-    state.events.append(("puu", l, q, xi, beta, state.iterations))
-    state.pulists[l] = build_pulist(l, xi, beta, rates, req).order
+    state.events.append(("puu", l, q, _xi_of(state, l), _beta_of(state, l),
+                         state.offers))
 
 
 def step(state):
-    """One engine iteration. The queue head either exits (empty list) or
-    makes one offer and absorbs the response. No-op on a terminal state."""
+    """One engine iteration. The queue head either exits (no relay clears
+    its floor) or makes one offer and absorbs the response. No-op on a
+    terminal state."""
     if state.terminal:
         return state
     l = state.queue.popleft()
-    if not state.pulists[l]:
-        state.removed[l] = True
-        state.events.append(("prune", l, -1, _xi_of(state, l), _beta_of(state, l),
-                             state.iterations))
+    xi, beta = _xi_of(state, l), _beta_of(state, l)
+    q = _best_relay(state, l, xi, beta)
+    if q < 0:
+        state.events.append(("prune", l, -1, xi, beta, state.offers))
         return state
 
-    q = state.pulists[l][0]
-    xi, beta = _xi_of(state, l), _beta_of(state, l)
     state.offers += 1
-    state.iterations += 1
-    state.events.append(("offer", l, q, xi, beta, state.iterations))
-    state.stored_offers[q][l] = (xi, beta)
+    state.events.append(("offer", l, q, xi, beta, state.offers))
 
     rates, req = state.rates, state.requirements
     acceptable = (rates.rate_su(l, q, beta) >= req.r_su_req
                   and rates.u_su(l, q, beta, xi) >= 0.0)
-    incumbent = int(state.match_of_su[q])
-    if acceptable and incumbent >= 0:
-        il, (ixi, ibeta) = incumbent, state.accepted[q][1:]
+    held = state.accepted[q]
+    if acceptable and held is not None:
+        il, ixi, ibeta = held
         acceptable = rates.u_su(l, q, beta, xi) > rates.u_su(il, q, ibeta, ixi)
 
-    state.responses += 1
     if acceptable:
-        state.match_of_su[q] = l
-        state.match_of_pu[l] = q
         state.accepted[q] = (l, xi, beta)
-        state.events.append(("accept", l, q, xi, beta, state.iterations))
-        if incumbent >= 0:
-            state.match_of_pu[incumbent] = -1
-            state.events.append(("displace", incumbent, q, xi, beta, state.iterations))
-            puu(state, incumbent, q)
-            state.queue.append(incumbent)
+        state.events.append(("accept", l, q, xi, beta, state.offers))
+        if held is not None:
+            state.events.append(("displace", held[0], q, xi, beta, state.offers))
+            puu(state, held[0], q)
+            state.queue.append(held[0])
     else:
-        state.events.append(("reject", l, q, xi, beta, state.iterations))
+        state.events.append(("reject", l, q, xi, beta, state.offers))
         puu(state, l, q)
         state.queue.append(l)
     return state
 
 
 def finish(state):
-    l_pu, l_su = state.params.l_pu, state.params.l_su
-    m = np.zeros((l_pu, l_su), dtype=int)
-    g = np.zeros((l_pu, l_su))
-    b = np.zeros((l_pu, l_su))
-    for q in range(l_su):
-        if state.accepted[q] is not None and state.match_of_su[q] >= 0:
-            l, xi, beta = state.accepted[q]
-            m[l, q] = 1
-            g[l, q] = xi
-            b[l, q] = beta
-    outcome = MatchingOutcome(
-        m=m, g=g, b=b,
+    outcome = MatchingOutcome.from_terms(
+        state.params.l_pu, state.params.l_su,
+        [(held[0], q, held[1], held[2])
+         for q, held in enumerate(state.accepted) if held is not None],
         final_xi_steps=state.m_xi.copy(),
         final_beta_steps=state.m_beta.copy(),
     )
     trace = EngineTrace(
         events=list(state.events),
         offers=state.offers,
-        responses=state.responses,
-        packets=state.offers + state.responses,
-        iterations=state.iterations,
+        responses=state.offers,
+        packets=2 * state.offers,
+        iterations=state.offers,
         puu_counts=state.puu_counts.copy(),
     )
     return outcome, trace
@@ -384,14 +386,10 @@ def run_contracts(params, realization, requirements):
             events.append(("reject", l, q, xi, beta, offers))
             queue.append(l)
 
-    m = np.zeros((l_pu, l_su), dtype=int)
-    g = np.zeros((l_pu, l_su))
-    b = np.zeros((l_pu, l_su))
-    for q in range(l_su):
-        if holder[q] >= 0:
-            m[holder[q], q] = 1
-            g[holder[q], q], b[holder[q], q] = held_terms[q]
+    outcome = MatchingOutcome.from_terms(
+        l_pu, l_su, [(holder[q], q, *held_terms[q])
+                     for q in range(l_su) if holder[q] >= 0])
     trace = EngineTrace(events=events, offers=offers, responses=offers,
                         packets=2 * offers, iterations=offers,
                         puu_counts=turned_down)
-    return MatchingOutcome(m=m, g=g, b=b), trace
+    return outcome, trace

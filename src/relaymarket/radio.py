@@ -1,4 +1,4 @@
-"""Link SNRs, rates, utilities, and per-pair feasibility thresholds.
+"""Link SNRs, rates, utilities, and per-pair rate floors.
 
 Index conventions: per-pair matrices are [l, q] with l the licensed (PU)
 pair and q the relay (SU) pair, except LinkSnrs.gamma_sr which keeps the
@@ -78,36 +78,7 @@ def compute_snrs(params, realization):
 
 
 # ---------------------------------------------------------------------------
-# rates and utilities
-
-def rate_pu(l, q, beta, snrs, params):
-    """Licensed-pair rate when relay q carries it for a beta share of the frame.
-
-    The licensed transmission spends half its share broadcasting and half
-    being relayed, and the receiver combines both copies, hence the half
-    factor together with the summed SNRs.
-    """
-    log_term = log2_1p(snrs.gamma_dir[l] + snrs.gamma_relay[l, q])
-    return 0.5 * beta * params.t_frame * float(log_term)
-
-
-def rate_su(q, l, beta, snrs, params):
-    """Relay pair q's own rate in licensed band l over its (1 - beta) share."""
-    return (1.0 - beta) * params.t_frame * float(log2_1p(snrs.gamma_sr[q, l]))
-
-
-def utility_pu(l, q, beta, xi, snrs, params):
-    return rate_pu(l, q, beta, snrs, params) + params.c_bar * xi * params.capital_c
-
-
-def utility_su(q, l, beta, xi, snrs, params):
-    return rate_su(q, l, beta, snrs, params) - params.k_bar * xi * params.capital_c
-
-
-def direct_rate(l, snrs, params):
-    """Rate of the unassisted licensed link; the default per-pair rate floor."""
-    return params.t_frame * float(log2_1p(snrs.gamma_dir[l]))
-
+# partial knowledge
 
 def mean_relay_log_term(gamma_dir, gamma_first_hop, mean_forward_gain, params, rng):
     """Average log2(1 + direct + relayed) over the unknown forward-hop fading.
@@ -125,22 +96,8 @@ def mean_relay_log_term(gamma_dir, gamma_first_hop, mean_forward_gain, params, r
     return float(np.mean(log2_1p(gamma_dir + relayed)))
 
 
-def expected_rate_pu(l, q, beta, realization, params, rng):
-    """Licensed rate the pair expects when the relay's forward hop is unknown.
-
-    Holds the direct SNR and the transmitter-to-relay hop at their
-    instantaneous values and averages over the forward hop, which is all a
-    negotiating pair can do without the relay reporting its channel.
-    """
-    snrs = realization.snr
-    gain = float(db_to_linear(params.gamma_su_db)) / realization.d_st_pr[l, q] ** params.alpha
-    mean_log = mean_relay_log_term(
-        snrs.gamma_dir[l], snrs.gamma_pt_st[l, q], gain, params, rng)
-    return 0.5 * beta * params.t_frame * mean_log
-
-
 # ---------------------------------------------------------------------------
-# working view used by the engine, baselines, and checks
+# rates and utilities, as used by the engine, baselines, and checks
 
 @dataclass(frozen=True)
 class PairRates:
@@ -191,7 +148,7 @@ def make_pair_rates(params, realization, knowledge=None):
 
 
 # ---------------------------------------------------------------------------
-# requirements and thresholds
+# rate floors
 
 @dataclass(frozen=True)
 class Requirements:
@@ -212,76 +169,3 @@ def requirements_for(params, snrs):
         raise ValueError(f"unknown pu_req_mode {params.pu_req_mode!r}")
     return Requirements(r_pu_req=np.asarray(floors, dtype=float),
                         r_su_req=float(params.r_su_req))
-
-
-@dataclass(frozen=True)
-class PairThresholds:
-    """Feasibility box of every pair: the smallest beta clearing the licensed
-    floor, the largest beta keeping the relay above its own floor (clamped
-    into [0, 1] for reporting), and whether the interval is nonempty."""
-    beta_min: np.ndarray
-    beta_max: np.ndarray
-    feasible: np.ndarray
-    _su_coef: np.ndarray
-    _k_cost: float
-
-    def xi_cap(self, l, q, beta):
-        """Largest price the relay can pay at beta without going negative."""
-        if self._k_cost <= 0.0:
-            return 1.0
-        return min(1.0, self._su_coef[l, q] * (1.0 - beta) / self._k_cost)
-
-
-def build_thresholds(params, rates, requirements):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bmin = np.where(rates.pu_coef > 0.0,
-                        requirements.r_pu_req[:, None] / rates.pu_coef,
-                        np.where(requirements.r_pu_req[:, None] <= 0.0, 0.0, np.inf))
-        bmax_raw = np.where(rates.su_coef > 0.0,
-                            1.0 - requirements.r_su_req / rates.su_coef,
-                            np.where(requirements.r_su_req <= 0.0, 1.0, -np.inf))
-    feasible = bmin <= np.minimum(bmax_raw, 1.0)
-    return PairThresholds(
-        beta_min=bmin,
-        beta_max=np.clip(bmax_raw, 0.0, 1.0),
-        feasible=feasible,
-        _su_coef=rates.su_coef,
-        _k_cost=rates.k_cost,
-    )
-
-
-@dataclass(frozen=True)
-class ThresholdEntry:
-    beta_min: float
-    beta_max: float
-    feasible: bool
-    xi_cap: object   # callable beta -> price cap
-
-
-def pair_thresholds(l, q, snrs, requirements, params):
-    """Single-pair view of the feasibility box, from instantaneous SNRs."""
-    log_term = float(log2_1p(snrs.gamma_dir[l] + snrs.gamma_relay[l, q]))
-    coef = 0.5 * params.t_frame * log_term
-    su_coef = params.t_frame * float(log2_1p(snrs.gamma_sr[q, l]))
-    req = float(requirements.r_pu_req[l])
-    if coef > 0.0:
-        bmin = req / coef
-    else:
-        bmin = 0.0 if req <= 0.0 else math.inf
-    if su_coef > 0.0:
-        bmax_raw = 1.0 - requirements.r_su_req / su_coef
-    else:
-        bmax_raw = 1.0 if requirements.r_su_req <= 0.0 else -math.inf
-    k_cost = params.k_bar * params.capital_c
-
-    def cap(beta):
-        if k_cost <= 0.0:
-            return 1.0
-        return min(1.0, su_coef * (1.0 - beta) / k_cost)
-
-    return ThresholdEntry(
-        beta_min=bmin,
-        beta_max=min(max(bmax_raw, 0.0), 1.0),
-        feasible=bmin <= min(bmax_raw, 1.0),
-        xi_cap=cap,
-    )

@@ -208,7 +208,13 @@ def draw_channels(params, placement, rng):
 
 
 def make_realization(params, seed_seq):
-    """Placement plus channels from one seed; accepts an int or SeedSequence."""
+    """Placement plus channels from one seed; accepts an int or SeedSequence.
+
+    Trial i of a run with master seed s is built from
+    SeedSequence([s, i]). Placement and channels take its first two spawned
+    children, so a caller needing another stream for the same trial (the
+    random baseline) spawns the next one from the same sequence.
+    """
     if isinstance(seed_seq, (int, np.integer)):
         seed_seq = np.random.SeedSequence(seed_seq)
     place_ss, chan_ss = seed_seq.spawn(2)

@@ -117,18 +117,6 @@ def brute_pulist(l, xi, beta, rates, requirements):
     return [q for _, q in scored]
 
 
-def brute_sulist(q, offers, rates, requirements):
-    scored = []
-    for l, (xi, beta) in offers.items():
-        if rates.rate_su(l, q, beta) < requirements.r_su_req:
-            continue
-        if rates.u_su(l, q, beta, xi) < 0.0:
-            continue
-        scored.append((rates.u_su(l, q, beta, xi), l))
-    scored.sort(key=lambda t: (-t[0], t[1]))
-    return [l for _, l in scored]
-
-
 def all_injective_matchings(l_pu, l_su):
     """Every partial matching of licensed users onto distinct relays,
     generated from itertools primitives rather than recursion."""
@@ -200,3 +188,62 @@ def contract_deferred_acceptance(rates, requirements, grids):
         else:
             queue.append(l)
     return {l: (q, xi, beta) for q, (l, xi, beta, _) in held.items()}
+
+
+def ladder_reference(rates, requirements, grids):
+    """The ladder rule as first written: before every offer the licensed
+    user ranks its relays afresh with brute_pulist at its current terms.
+
+    The head user offers to the top of that ranking or exits when it is
+    empty. The relay holds the offer when it meets the relay's rate floor
+    with nonnegative utility and pays strictly more than the offer held.
+    The refused or displaced user concedes by concession_reference, its
+    time step capped one past the grid, and rejoins the queue. Returns
+    the engine's event list, {relay: (licensed user, xi, beta)} for the
+    held offers, and the final price and time steps.
+    """
+    l_pu = rates.pu_coef.shape[0]
+    n_beta = len(grids.beta_values)
+    xi_step = [0] * l_pu
+    beta_step = [0] * l_pu
+    held = {}
+    events = []
+    offers = 0
+
+    def terms(l):
+        beta = float(grids.beta_values[beta_step[l]]) if beta_step[l] < n_beta else 0.0
+        return float(grids.xi_values[xi_step[l]]), beta
+
+    def concede(l, q):
+        xi_step[l], beta_step[l] = concession_reference(
+            xi_step[l], beta_step[l], rates.pu_coef[l, q],
+            requirements.r_pu_req[l], rates.c_cost, grids)
+        beta_step[l] = min(beta_step[l], n_beta)
+        events.append(("puu", l, q, *terms(l), offers))
+
+    queue = list(range(l_pu))
+    while queue:
+        l = queue.pop(0)
+        xi, beta = terms(l)
+        ranked = brute_pulist(l, xi, beta, rates, requirements)
+        if not ranked:
+            events.append(("prune", l, -1, xi, beta, offers))
+            continue
+        q = ranked[0]
+        offers += 1
+        events.append(("offer", l, q, xi, beta, offers))
+        u = rates.u_su(l, q, beta, xi)
+        better = q not in held or u > rates.u_su(held[q][0], q, held[q][2], held[q][1])
+        if rates.rate_su(l, q, beta) >= requirements.r_su_req and u >= 0.0 and better:
+            loser = held[q][0] if q in held else None
+            held[q] = (l, xi, beta)
+            events.append(("accept", l, q, xi, beta, offers))
+            if loser is not None:
+                events.append(("displace", loser, q, xi, beta, offers))
+                concede(loser, q)
+                queue.append(loser)
+        else:
+            events.append(("reject", l, q, xi, beta, offers))
+            concede(l, q)
+            queue.append(l)
+    return events, held, xi_step, beta_step

@@ -18,7 +18,8 @@ from relaymarket import dda, radio, topology, verify
 
 from conftest import assert_outcome_well_formed
 from helpers import handmade_realization, single_pair_scenario
-from oracles import concession_reference, contract_deferred_acceptance
+from oracles import (concession_reference, contract_deferred_acceptance,
+                     ladder_reference)
 
 
 class TestGrids:
@@ -200,6 +201,67 @@ class TestEngineMechanics:
         assert outcome.m.sum() == 1
         kinds = [e[0] for e in trace.events]
         assert "displace" in kinds or "reject" in kinds
+
+
+class TestLadderRule:
+    """The engine's fixed relay order against the list rebuilt per offer."""
+
+    @staticmethod
+    def _assert_equals_reference(params, real, req):
+        outcome, trace = dda.run(params, real, req)
+        events, held, xi_steps, beta_steps = ladder_reference(
+            radio.make_pair_rates(params, real), req, dda.concession_grids(params))
+        assert trace.events == events
+        assert {q: (l, outcome.g[l, q], outcome.b[l, q])
+                for l, q in outcome.matched_pairs()} == held
+        assert outcome.final_xi_steps.tolist() == xi_steps
+        assert outcome.final_beta_steps.tolist() == beta_steps
+
+    @pytest.mark.parametrize("formula", ["paper", "standard"])
+    def test_equals_rebuilt_list_reference_on_tiny_markets(self, formula):
+        params = topology.params_from_dict({
+            "l_pu": 2, "l_su": 2, "xi_init": 1.0, "beta_init": 1.0,
+            "delta": 0.25, "epsilon": 0.25, "af_formula": formula})
+        for seed in range(40):
+            real = topology.make_realization(params, seed)
+            self._assert_equals_reference(
+                params, real, radio.requirements_for(params, real.snr))
+
+    def test_equals_rebuilt_list_reference_on_mixed_markets(self):
+        for i in range(60):
+            params = topology.params_from_dict({
+                "l_pu": 2 + i % 5, "l_su": 2 + i % 3,
+                "snr_knowledge": ("complete", "partial")[i // 2 % 2],
+                "af_formula": ("paper", "standard")[i // 4 % 2],
+                "c_bar": (1.0, 1e15)[i // 8 % 2],
+            })
+            real = topology.make_realization(params, i)
+            self._assert_equals_reference(
+                params, real, radio.requirements_for(params, real.snr))
+
+    @pytest.mark.parametrize("floor, relay", [(0.2, 0), (1.5, 1)])
+    def test_rounding_tie_keeps_the_smaller_index(self, floor, relay):
+        # Licensed slopes are exactly 1 (relay 0) and 2 (relay 1). With a
+        # money weight of 1e17 the utilities at the opening offer,
+        # slope * 0.99 + 0.99e17, round to the same double, so the old
+        # ranking tied them and put relay 0 first whenever it clears the
+        # floor; at floor 1.5 only relay 1 does.
+        params = topology.params_from_dict({
+            "l_pu": 1, "l_su": 2, "gamma_pu_db": 0.0, "gamma_su_db": 0.0,
+            "pu_req_mode": "explicit", "r_pu_req": [floor], "r_su_req": 0.1,
+            "af_formula": "standard", "c_bar": 1e17,
+        })
+        real = handmade_realization(
+            params, gamma_dir=[0.0],
+            gamma_pt_st=[[4.0, 20.0]], gamma_st_pr=[[15.0, 63.0]],
+            gamma_sr=[[3.0], [3.0]])
+        rates = radio.make_pair_rates(params, real)
+        assert rates.pu_coef.tolist() == [[1.0, 2.0]]
+        assert rates.u_pu(0, 0, 0.99, 0.99) == rates.u_pu(0, 1, 0.99, 0.99)
+        req = radio.requirements_for(params, real.snr)
+        _, trace = dda.run(params, real, req)
+        assert trace.events[0][:3] == ("offer", 0, relay)
+        self._assert_equals_reference(params, real, req)
 
 
 class TestContractRule:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from relaymarket import radio, topology
+from relaymarket import baselines, radio, topology, verify
 
 from helpers import handmade_realization, single_pair_scenario
 
@@ -54,53 +54,74 @@ class TestRatesOnHandmadeChannels:
 
     def test_licensed_rate(self, pair):
         params, real = pair
+        rates = radio.make_pair_rates(params, real)
         # half of beta*T at log2(1 + 1 + 10/11)
         expected = 0.5 * 0.8 * 1.5405683813627027
-        assert radio.rate_pu(0, 0, 0.8, real.snr, params) == pytest.approx(expected)
+        assert rates.rate_pu(0, 0, 0.8) == pytest.approx(expected)
 
     def test_licensed_rate_standard_form(self):
         params, real = single_pair_scenario(
             gamma_dir=1.0, gamma_relay_hops=(2.0, 5.0), gamma_sr=3.0,
             r_pu_req=[0.3], r_su_req=0.2, af_formula="standard")
         expected = 0.5 * 0.8 * 1.7004397181410922
-        assert radio.rate_pu(0, 0, 0.8, real.snr, params) == pytest.approx(expected)
+        rates = radio.make_pair_rates(params, real)
+        assert rates.rate_pu(0, 0, 0.8) == pytest.approx(expected)
 
     def test_relay_pair_rate(self, pair):
         params, real = pair
         # (1 - beta) T log2(1 + 3) with T = 1
-        assert radio.rate_su(0, 0, 0.25, real.snr, params) == pytest.approx(1.5)
+        rates = radio.make_pair_rates(params, real)
+        assert rates.rate_su(0, 0, 0.25) == pytest.approx(1.5)
 
     def test_utilities_are_rate_plus_money(self, pair):
         params, real = pair
-        r = radio.rate_pu(0, 0, 0.8, real.snr, params)
-        assert radio.utility_pu(0, 0, 0.8, 0.3, real.snr, params) == pytest.approx(r + 0.3)
-        assert radio.utility_su(0, 0, 0.25, 0.3, real.snr, params) == pytest.approx(1.5 - 0.3)
+        rates = radio.make_pair_rates(params, real)
+        assert rates.u_pu(0, 0, 0.8, 0.3) == pytest.approx(0.4 * 1.5405683813627027 + 0.3)
+        assert rates.u_su(0, 0, 0.25, 0.3) == pytest.approx(1.5 - 0.3)
 
-    def test_direct_rate(self, pair):
-        params, real = pair
-        assert radio.direct_rate(0, real.snr, params) == pytest.approx(1.0)
+    def test_direct_rate(self):
+        # the default licensed floor is T log2(1 + 1)
+        params, real = single_pair_scenario(
+            gamma_dir=1.0, gamma_relay_hops=(2.0, 5.0), gamma_sr=3.0,
+            pu_req_mode="direct-rate")
+        req = radio.requirements_for(params, real.snr)
+        assert req.r_pu_req[0] == pytest.approx(1.0)
 
     def test_money_weights_scale_utilities(self):
         params, real = single_pair_scenario(
             gamma_dir=1.0, gamma_relay_hops=(2.0, 5.0), gamma_sr=3.0,
             r_pu_req=[0.3], r_su_req=0.2, c_bar=2.0, k_bar=3.0, capital_c=4.0)
-        r_pu = radio.rate_pu(0, 0, 0.5, real.snr, params)
-        r_su = radio.rate_su(0, 0, 0.5, real.snr, params)
-        assert radio.utility_pu(0, 0, 0.5, 0.25, real.snr, params) == pytest.approx(r_pu + 2.0)
-        assert radio.utility_su(0, 0, 0.5, 0.25, real.snr, params) == pytest.approx(r_su - 3.0)
+        rates = radio.make_pair_rates(params, real)
+        # money slopes c_bar * C = 8 and k_bar * C = 12, at price 0.25
+        assert rates.u_pu(0, 0, 0.5, 0.25) == pytest.approx(0.25 * 1.5405683813627027 + 2.0)
+        assert rates.u_su(0, 0, 0.5, 0.25) == pytest.approx(1.0 - 3.0)
 
 
 class TestPairRates:
     def test_slopes_reproduce_pointwise_rates(self, default_params):
+        # the closed forms restated from the SNRs, gamma_sr read as [q, l]
         real = topology.make_realization(default_params, 9)
         rates = radio.make_pair_rates(default_params, real)
+        snr = real.snr
         for l in range(default_params.l_pu):
             for q in range(default_params.l_su):
                 for beta in (0.2, 0.7, 0.99):
                     assert rates.rate_pu(l, q, beta) == pytest.approx(
-                        radio.rate_pu(l, q, beta, real.snr, default_params))
+                        0.5 * beta * np.log2(1 + snr.gamma_dir[l] + snr.gamma_relay[l, q]))
                     assert rates.rate_su(l, q, beta) == pytest.approx(
-                        radio.rate_su(q, l, beta, real.snr, default_params))
+                        (1 - beta) * np.log2(1 + snr.gamma_sr[q, l]))
+
+    def test_relay_slopes_read_gamma_sr_as_relay_by_band(self):
+        # relay 0 sees SNR 3 in band 0 and 15 in band 1; relay 1 sees 255
+        # and 1: su_coef[l, q] must be log2(1 + gamma_sr[q, l])
+        params = topology.params_from_dict({
+            "l_pu": 2, "l_su": 2, "gamma_pu_db": 0.0, "gamma_su_db": 0.0,
+            "pu_req_mode": "explicit", "r_pu_req": [0.1, 0.1]})
+        real = handmade_realization(
+            params, gamma_dir=[1.0, 1.0], gamma_pt_st=np.ones((2, 2)),
+            gamma_st_pr=np.ones((2, 2)), gamma_sr=[[3.0, 15.0], [255.0, 1.0]])
+        rates = radio.make_pair_rates(params, real)
+        assert rates.su_coef.tolist() == [[2.0, 8.0], [4.0, 1.0]]
 
     def test_partial_mode_needs_precomputed_terms(self, default_params):
         real = topology.make_realization(default_params, 9)
@@ -158,7 +179,7 @@ class TestRequirements:
         req = radio.requirements_for(default_params, real.snr)
         for l in range(default_params.l_pu):
             assert req.r_pu_req[l] == pytest.approx(
-                radio.direct_rate(l, real.snr, default_params))
+                np.log2(1 + real.snr.gamma_dir[l]))
         assert req.r_su_req == 0.1
 
     def test_explicit_floors_pass_through(self):
@@ -177,19 +198,22 @@ class TestRequirements:
 
 
 class TestThresholds:
+    """The feasible time-share interval of a pair, in its two remaining
+    forms: per pair in baselines, as a floor matrix in verify."""
+
     def test_feasibility_box_on_handmade_pair(self):
         params, real = single_pair_scenario(
             gamma_dir=2.5, gamma_relay_hops=(1.0, 1.0), gamma_sr=3.0,
             r_pu_req=[0.3], r_su_req=0.2)
         rates = radio.make_pair_rates(params, real)
         req = radio.requirements_for(params, real.snr)
-        box = radio.build_thresholds(params, rates, req)
         # slopes are exactly 1 and 2, so the box is exact
-        assert box.beta_min[0, 0] == pytest.approx(0.3)
-        assert box.beta_max[0, 0] == pytest.approx(0.9)
-        assert box.feasible[0, 0]
-        assert box.xi_cap(0, 0, 0.5) == pytest.approx(1.0)
-        assert box.xi_cap(0, 0, 0.8) == pytest.approx(0.4)
+        lo, hi = baselines._feasible_beta_interval(rates, req, 0, 0)
+        assert (lo, hi) == (pytest.approx(0.3), pytest.approx(0.9))
+        assert verify._beta_floor_matrix(params, real, req)[0, 0] == pytest.approx(0.3)
+        # the relay's price cap 2(1 - beta) stops clipping at 1 at beta 0.5
+        best = baselines.pair_optimum_continuous(0, 0, rates, req, params)
+        assert (best.xi, best.beta) == (pytest.approx(1.0), pytest.approx(0.5))
 
     def test_infeasible_when_floor_exceeds_reach(self):
         params, real = single_pair_scenario(
@@ -197,22 +221,19 @@ class TestThresholds:
             r_pu_req=[1.3], r_su_req=0.2)
         rates = radio.make_pair_rates(params, real)
         req = radio.requirements_for(params, real.snr)
-        box = radio.build_thresholds(params, rates, req)
-        assert not box.feasible[0, 0]
+        lo, hi = baselines._feasible_beta_interval(rates, req, 0, 0)
+        assert lo > hi
+        assert not baselines.pair_optimum_continuous(0, 0, rates, req, params).feasible
 
     def test_single_pair_view_agrees_with_matrix_view(self, default_params):
         real = topology.make_realization(default_params, 13)
         rates = radio.make_pair_rates(default_params, real)
         req = radio.requirements_for(default_params, real.snr)
-        box = radio.build_thresholds(default_params, rates, req)
+        floors = verify._beta_floor_matrix(default_params, real, req)
         for l in range(default_params.l_pu):
             for q in range(default_params.l_su):
-                entry = radio.pair_thresholds(l, q, real.snr, req, default_params)
-                assert entry.beta_min == pytest.approx(box.beta_min[l, q])
-                assert entry.beta_max == pytest.approx(box.beta_max[l, q])
-                assert entry.feasible == box.feasible[l, q]
-                for beta in (0.3, 0.6, 0.9):
-                    assert entry.xi_cap(beta) == pytest.approx(box.xi_cap(l, q, beta))
+                lo, _ = baselines._feasible_beta_interval(rates, req, l, q)
+                assert lo == pytest.approx(max(floors[l, q], 0.0))
 
 
 def test_handmade_realizations_need_unit_gains(default_params):
