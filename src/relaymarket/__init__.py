@@ -16,11 +16,11 @@ from .bench import (AggregateMetrics, SweepRow, TrialMetrics, emit_csv, p90,
 from .dda import (EngineTrace, Grids, MatchingOutcome, concession_grids,
                   init_state, run, step)
 from .errors import GuardError
-from .radio import (LinkSnrs, PairRates, Requirements, af_relay_snr, compute_snrs,
-                    make_pair_rates, requirements_for)
+from .radio import (LinkSnrs, PairRates, Requirements, af_relay_snr, beta_interval,
+                    compute_snrs, make_pair_rates, requirements_for)
 from .topology import (DEFAULTS, ChannelRealization, Placement, ScenarioParams,
-                       draw_channels, load_params, make_realization,
-                       params_from_dict, place_users)
+                       draw_channels, make_realization, params_from_dict,
+                       place_users)
 from .verify import (StabilityReport, check_weak_pareto, complexity_estimates,
                      enumerate_stable_matchings, is_stable, iteration_bound,
                      packet_bound, per_pu_puu_bounds, pu_utilities)
@@ -32,12 +32,13 @@ __all__ = [
     "Grids", "GuardError", "LinkSnrs", "MatchingOutcome", "PairRates",
     "PairValue", "Placement", "Requirements", "ScenarioParams",
     "StabilityReport", "SweepRow", "TrialMetrics", "af_relay_snr",
-    "centralized_pu_optimal", "centralized_su_rate", "check_weak_pareto",
-    "complexity_estimates", "compute_snrs", "concession_grids",
-    "draw_channels", "emit_csv", "enumerate_stable_matchings", "init_state",
-    "is_stable", "iteration_bound", "load_params", "make_pair_rates",
-    "make_realization", "p90", "packet_bound", "pair_optimum_continuous",
-    "pair_optimum_discrete", "params_from_dict", "per_pu_puu_bounds",
-    "place_users", "pu_utilities", "read_csv", "requirements_for", "rmbn",
-    "run", "run_trials", "scenario_id", "step", "sweep",
+    "beta_interval", "centralized_pu_optimal", "centralized_su_rate",
+    "check_weak_pareto", "complexity_estimates", "compute_snrs",
+    "concession_grids", "draw_channels", "emit_csv",
+    "enumerate_stable_matchings", "init_state", "is_stable",
+    "iteration_bound", "make_pair_rates", "make_realization", "p90",
+    "packet_bound", "pair_optimum_continuous", "pair_optimum_discrete",
+    "params_from_dict", "per_pu_puu_bounds", "place_users", "pu_utilities",
+    "read_csv", "requirements_for", "rmbn", "run", "run_trials",
+    "scenario_id", "step", "sweep",
 ]

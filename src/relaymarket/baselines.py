@@ -2,11 +2,10 @@
 
 The centralized solver decomposes into per-pair term optimization plus an
 assignment over pairs; it is exhaustive by design and guarded to desk
-scale, with an optional rectangular-assignment path for larger instances.
-The random baseline (rmbn) matches sides uniformly at random and lets each
-matched pair haggle bilaterally with the same concession rule the engine
-uses, which isolates the value of market-wide matching from the value of
-concession itself.
+scale. The random baseline (rmbn) matches sides uniformly at random and
+lets each matched pair haggle bilaterally with the same concession rule
+the engine uses, which isolates the value of market-wide matching from
+the value of concession itself.
 """
 
 from __future__ import annotations
@@ -21,17 +20,17 @@ from .dda import EngineTrace, MatchingOutcome, concession_grids, concession_step
 from .errors import GuardError
 
 # Exhaustive assignment costs roughly exp(small_side * log(big_side));
-# refuse anything costlier than the 8x8 point unless the solver is enabled.
+# refuse anything costlier than the 8x8 point.
 ASSIGNMENT_GUARD = 8 * math.log(8)
 
 
-def _check_assignment_guard(l_pu, l_su, use_assignment_solver):
+def _check_assignment_guard(l_pu, l_su):
     cost = min(l_pu, l_su) * math.log(max(l_pu, l_su))
-    if cost > ASSIGNMENT_GUARD + 1e-9 and not use_assignment_solver:
+    if cost > ASSIGNMENT_GUARD + 1e-9:
         raise GuardError(
             f"centralized enumeration refuses {l_pu}x{l_su}: cost indicator "
-            f"min*log(max) = {cost:.2f} exceeds {ASSIGNMENT_GUARD:.2f}; "
-            "enable the assignment solver")
+            f"min*log(max) = {cost:.2f} exceeds {ASSIGNMENT_GUARD:.2f}, "
+            "the cost at 8x8")
 
 
 @dataclass(frozen=True)
@@ -42,54 +41,44 @@ class PairValue:
     xi: float
     beta: float
     u_pu: float      # -inf when infeasible
-    su_rate: float
 
 
-def _feasible_beta_interval(rates, requirements, l, q):
-    coef = rates.pu_coef[l, q]
-    su = rates.su_coef[l, q]
-    r_pu = requirements.r_pu_req[l]
-    r_su = requirements.r_su_req
-    if coef > 0.0:
-        lo = r_pu / coef
-    else:
-        lo = 0.0 if r_pu <= 0.0 else math.inf
-    if su > 0.0:
-        hi = 1.0 - r_su / su
-    else:
-        hi = 1.0 if r_su <= 0.0 else -math.inf
-    return max(lo, 0.0), min(hi, 1.0)
+def pair_optimum_continuous(rates, requirements):
+    """Best (xi, beta) of every pair alone, terms free in the unit square.
 
-
-def pair_optimum_continuous(l, q, rates, requirements, params):
-    """Best (xi, beta) for the pair alone, terms free in the unit square.
-
-    The licensed utility rises in xi, so the optimal price is the relay's
-    affordability cap min(1, relay_rate(beta) / money_slope). Substituting
-    the cap leaves a piecewise-linear objective in beta whose maximum sits
-    at an interval end or at the beta where the cap stops clipping at 1,
-    so those candidates are evaluated directly. Ties keep the smaller beta.
+    Returns arrays (feasible, xi, beta, u_pu), each [l, q]; infeasible
+    pairs hold zero terms and u_pu = -inf. The licensed utility rises in
+    xi, so the optimal price is the relay's affordability cap
+    min(1, relay_rate(beta) / money_slope). Substituting the cap leaves a
+    piecewise-linear objective in beta whose maximum sits at an interval
+    end or at the beta where the cap stops clipping at 1, so those
+    candidates are evaluated directly. Ties keep the smaller beta.
     """
-    lo, hi = _feasible_beta_interval(rates, requirements, l, q)
-    if not lo <= hi:
-        return PairValue(l, q, False, 0.0, 0.0, -math.inf, 0.0)
-    k = rates.k_cost
-    su = rates.su_coef[l, q]
-    candidates = [lo, hi]
-    if k > 0.0 and su > 0.0:
+    lo, hi = radio.beta_interval(rates, requirements)
+    feasible = lo <= hi
+    k, su = rates.k_cost, rates.su_coef
+    with np.errstate(divide="ignore", invalid="ignore"):
         crossover = 1.0 - k / su
-        if lo < crossover < hi:
-            candidates.append(crossover)
-    best = None
-    for beta in sorted(candidates):
+    has_crossover = (k > 0.0) & (su > 0.0) & (lo < crossover) & (crossover < hi)
+
+    def at(beta):
         if k <= 0.0:
-            xi = 1.0
+            xi = np.ones_like(beta)
         else:
-            xi = min(1.0, max(0.0, rates.rate_su(l, q, beta) / k))
-        u = rates.u_pu(l, q, beta, xi)
-        if best is None or u > best.u_pu:
-            best = PairValue(l, q, True, xi, beta, u, rates.rate_su(l, q, beta))
-    return best
+            xi = np.minimum(1.0, np.maximum(0.0, su * (1.0 - beta) / k))
+        return xi, rates.pu_coef * beta + rates.c_cost * xi
+
+    beta = np.where(feasible, lo, 0.0)
+    xi, u_pu = at(beta)
+    for cand, valid in ((crossover, has_crossover), (hi, feasible)):
+        cand = np.where(valid, cand, 0.0)
+        c_xi, c_u = at(cand)
+        better = valid & (c_u > u_pu)
+        beta = np.where(better, cand, beta)
+        xi = np.where(better, c_xi, xi)
+        u_pu = np.where(better, c_u, u_pu)
+    return (feasible, np.where(feasible, xi, 0.0), beta,
+            np.where(feasible, u_pu, -np.inf))
 
 
 def pair_optimum_discrete(l, q, rates, requirements, params, grids=None):
@@ -112,10 +101,9 @@ def pair_optimum_discrete(l, q, rates, requirements, params, grids=None):
         xi = float(affordable[0])   # grid is descending, first fit is largest
         u = rates.u_pu(l, q, beta, xi)
         if best is None or u > best.u_pu:
-            best = PairValue(l, q, True, xi, float(beta), u,
-                             rates.rate_su(l, q, beta))
+            best = PairValue(l, q, True, xi, float(beta), u)
     if best is None:
-        return PairValue(l, q, False, 0.0, 0.0, -math.inf, 0.0)
+        return PairValue(l, q, False, 0.0, 0.0, -math.inf)
     return best
 
 
@@ -153,60 +141,27 @@ def _best_assignment(values, feasible):
     return best_total, best_assign
 
 
-def _assignment_by_solver(values, feasible):
-    from scipy.optimize import linear_sum_assignment
-
-    l_pu, l_su = values.shape
-    n = max(l_pu, l_su)
-    padded = np.zeros((n, n))
-    padded[:l_pu, :l_su] = np.where(feasible, values, 0.0)
-    rows, cols = linear_sum_assignment(padded, maximize=True)
-    assign = [-1] * l_pu
-    total = 0.0
-    for r, c in zip(rows, cols):
-        if r < l_pu and c < l_su and feasible[r, c] and values[r, c] > 0.0:
-            assign[r] = c
-            total += values[r, c]
-    return total, assign
-
-
-def _outcome_from(l_pu, l_su, assign, terms):
+def _outcome_from(l_pu, l_su, assign, xi, beta):
     return MatchingOutcome.from_terms(
-        l_pu, l_su, [(l, q, *terms[l]) for l, q in enumerate(assign) if q >= 0])
+        l_pu, l_su,
+        [(l, q, xi[l, q], beta[l, q]) for l, q in enumerate(assign) if q >= 0])
 
 
-def centralized_pu_optimal(realization, requirements, params, mode="continuous",
-                           use_assignment_solver=False):
+def centralized_pu_optimal(realization, requirements, params):
     """Matching and terms maximizing total licensed utility.
 
     Exhaustive over injective partial matchings with per-pair optimal
-    terms; refuses sides larger than the guard unless the assignment-solver
-    path is requested explicitly.
+    continuous terms; refuses sides larger than the guard.
     """
     l_pu, l_su = params.l_pu, params.l_su
-    _check_assignment_guard(l_pu, l_su, use_assignment_solver)
+    _check_assignment_guard(l_pu, l_su)
     rates = radio.make_pair_rates(params, realization, knowledge="complete")
-    grids = concession_grids(params) if mode == "discrete" else None
-    if mode == "continuous":
-        opt = [[pair_optimum_continuous(l, q, rates, requirements, params)
-                for q in range(l_su)] for l in range(l_pu)]
-    elif mode == "discrete":
-        opt = [[pair_optimum_discrete(l, q, rates, requirements, params, grids)
-                for q in range(l_su)] for l in range(l_pu)]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    values = np.array([[pv.u_pu if pv.feasible else 0.0 for pv in row] for row in opt])
-    feasible = np.array([[pv.feasible for pv in row] for row in opt])
-    if use_assignment_solver:
-        _, assign = _assignment_by_solver(values, feasible)
-    else:
-        _, assign = _best_assignment(values, feasible)
-    terms = [(opt[l][assign[l]].xi, opt[l][assign[l]].beta) if assign[l] >= 0 else (0.0, 0.0)
-             for l in range(l_pu)]
-    return _outcome_from(l_pu, l_su, assign, terms)
+    feasible, xi, beta, u_pu = pair_optimum_continuous(rates, requirements)
+    _, assign = _best_assignment(np.where(feasible, u_pu, 0.0), feasible)
+    return _outcome_from(l_pu, l_su, assign, xi, beta)
 
 
-def centralized_su_rate(realization, requirements, params, use_assignment_solver=False):
+def centralized_su_rate(realization, requirements, params):
     """Matching maximizing total relay rate instead.
 
     Per pair the relay rate falls in beta, so the best terms are the
@@ -214,25 +169,13 @@ def centralized_su_rate(realization, requirements, params, use_assignment_solver
     feasible price would do; zero leaves the relay best off).
     """
     l_pu, l_su = params.l_pu, params.l_su
-    _check_assignment_guard(l_pu, l_su, use_assignment_solver)
+    _check_assignment_guard(l_pu, l_su)
     rates = radio.make_pair_rates(params, realization, knowledge="complete")
-    values = np.zeros((l_pu, l_su))
-    feasible = np.zeros((l_pu, l_su), dtype=bool)
-    beta_of = np.zeros((l_pu, l_su))
-    for l in range(l_pu):
-        for q in range(l_su):
-            lo, hi = _feasible_beta_interval(rates, requirements, l, q)
-            if lo <= hi:
-                feasible[l, q] = True
-                beta_of[l, q] = lo
-                values[l, q] = rates.rate_su(l, q, lo)
-    if use_assignment_solver:
-        _, assign = _assignment_by_solver(values, feasible)
-    else:
-        _, assign = _best_assignment(values, feasible)
-    terms = [(0.0, beta_of[l, assign[l]]) if assign[l] >= 0 else (0.0, 0.0)
-             for l in range(l_pu)]
-    return _outcome_from(l_pu, l_su, assign, terms)
+    lo, hi = radio.beta_interval(rates, requirements)
+    feasible = lo <= hi
+    beta = np.where(feasible, lo, 0.0)
+    _, assign = _best_assignment(rates.su_coef * (1.0 - beta), feasible)
+    return _outcome_from(l_pu, l_su, assign, np.zeros_like(beta), beta)
 
 
 def rmbn(realization, requirements, params, rng):
@@ -297,7 +240,5 @@ def rmbn(realization, requirements, params, rng):
                            grids.beta_at(m_b), offers))
 
     outcome = MatchingOutcome.from_terms(l_pu, l_su, matched)
-    trace = EngineTrace(events=events, offers=offers, responses=offers,
-                        packets=2 * offers, iterations=offers,
-                        puu_counts=puu_counts)
+    trace = EngineTrace(events=events, offers=offers, puu_counts=puu_counts)
     return outcome, trace

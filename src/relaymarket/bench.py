@@ -92,7 +92,7 @@ def _realized_sums(outcome, rates):
     return u, r_pu, r_su, len(pairs)
 
 
-def run_trials(params, algos, n_trials, centralized_mode="continuous"):
+def run_trials(params, algos, n_trials):
     """Run every requested algorithm on n_trials shared realizations.
 
     Returns {algo tag: AggregateMetrics}. Centralized tags report zero
@@ -118,21 +118,21 @@ def run_trials(params, algos, n_trials, centralized_mode="continuous"):
             packets = iterations = 0
             if algo == "dda-complete":
                 outcome, trace = dda.run(complete_params, realization, requirements)
-                packets, iterations = trace.packets, trace.iterations
+                packets, iterations = trace.packets, trace.offers
             elif algo == "dda-partial":
                 outcome, trace = dda.run(replace(params, snr_knowledge="partial"),
                                          realization, requirements)
-                packets, iterations = trace.packets, trace.iterations
+                packets, iterations = trace.packets, trace.offers
             elif algo == "centralized":
                 outcome = baselines.centralized_pu_optimal(
-                    realization, requirements, complete_params, mode=centralized_mode)
+                    realization, requirements, complete_params)
             elif algo == "centralized-su":
                 outcome = baselines.centralized_su_rate(
                     realization, requirements, complete_params)
             else:
                 outcome, trace = baselines.rmbn(realization, requirements, params,
                                                 np.random.default_rng(rmbn_ss))
-                packets, iterations = trace.packets, trace.iterations
+                packets, iterations = trace.packets, trace.offers
             u, r_pu, r_su, count = _realized_sums(outcome, rates_real)
             per_algo[algo].append(TrialMetrics(
                 algo=algo, trial=i, sum_utility_pu=u, sum_rate_pu=r_pu,
@@ -194,8 +194,7 @@ def _apply_axis(params, axis, value, tie_delta):
     raise ValueError(f"unknown sweep axis {axis!r}; valid: {SWEEP_AXES}")
 
 
-def sweep(params, axis, values, algos, n_trials, centralized_mode="continuous",
-          tie_delta=True):
+def sweep(params, axis, values, algos, n_trials, tie_delta=True):
     """One aggregate row per (axis value, algo); epsilon sweeps tie delta."""
     values = list(values)
     if not values:
@@ -203,7 +202,7 @@ def sweep(params, axis, values, algos, n_trials, centralized_mode="continuous",
     rows = []
     for value in values:
         swept = _apply_axis(params, axis, value, tie_delta)
-        aggs = run_trials(swept, algos, n_trials, centralized_mode=centralized_mode)
+        aggs = run_trials(swept, algos, n_trials)
         for algo in algos:
             rows.append(SweepRow(scenario_id=scenario_id(swept), algo=algo,
                                  axis_name=axis, axis_value=float(value),

@@ -93,14 +93,6 @@ class MatchingOutcome:
             b[l, q] = beta
         return cls(m=m, g=g, b=b, **steps)
 
-    def su_of(self, l):
-        hits = np.nonzero(self.m[l])[0]
-        return int(hits[0]) if len(hits) else -1
-
-    def pu_of(self, q):
-        hits = np.nonzero(self.m[:, q])[0]
-        return int(hits[0]) if len(hits) else -1
-
     def matched_pairs(self):
         return [(int(l), int(q)) for l, q in zip(*np.nonzero(self.m))]
 
@@ -111,10 +103,12 @@ class EngineTrace:
     with kind one of offer/accept/reject/displace/puu/prune."""
     events: list
     offers: int
-    responses: int
-    packets: int
-    iterations: int
     puu_counts: np.ndarray
+
+    @property
+    def packets(self):
+        """Control packets: each offer and the response it draws."""
+        return 2 * self.offers
 
     def to_jsonl(self, fp):
         for kind, l, q, xi, beta, it in self.events:
@@ -273,9 +267,6 @@ def finish(state):
     trace = EngineTrace(
         events=list(state.events),
         offers=state.offers,
-        responses=state.offers,
-        packets=2 * state.offers,
-        iterations=state.offers,
         puu_counts=state.puu_counts.copy(),
     )
     return outcome, trace
@@ -389,7 +380,5 @@ def run_contracts(params, realization, requirements):
     outcome = MatchingOutcome.from_terms(
         l_pu, l_su, [(holder[q], q, *held_terms[q])
                      for q in range(l_su) if holder[q] >= 0])
-    trace = EngineTrace(events=events, offers=offers, responses=offers,
-                        packets=2 * offers, iterations=offers,
-                        puu_counts=turned_down)
+    trace = EngineTrace(events=events, offers=offers, puu_counts=turned_down)
     return outcome, trace

@@ -147,6 +147,23 @@ def make_pair_rates(params, realization, knowledge=None):
     )
 
 
+def beta_interval(rates, requirements):
+    """Feasible time shares of every pair: (lo, hi), both [l, q].
+
+    beta in [lo, hi] meets the licensed floor (pu_coef * beta) and the
+    relay floor (su_coef * (1 - beta)) inside [0, 1]; lo > hi when no
+    beta does. A zero slope meets its floor everywhere when the floor is
+    not positive and nowhere otherwise.
+    """
+    coef, su = rates.pu_coef, rates.su_coef
+    r_pu = requirements.r_pu_req[:, None]
+    r_su = requirements.r_su_req
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lo = np.where(coef > 0.0, r_pu / coef, np.where(r_pu <= 0.0, 0.0, np.inf))
+        hi = np.where(su > 0.0, 1.0 - r_su / su, 1.0 if r_su <= 0.0 else -np.inf)
+    return np.maximum(lo, 0.0), np.minimum(hi, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # rate floors
 

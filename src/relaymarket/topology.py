@@ -9,7 +9,6 @@ unit-mean exponentials, redrawn fresh per trial and constant within it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,6 @@ DEFAULTS = {
     "beta_init": 0.99,
     "delta": 0.05,
     "epsilon": 0.05,
-    "tau": 0.5,
     "snr_knowledge": "complete",
     "af_formula": "paper",
     "negotiation": "ladder",
@@ -61,7 +59,6 @@ class ScenarioParams:
     beta_init: float = 0.99
     delta: float = 0.05             # price concession step
     epsilon: float = 0.05           # time-slot concession step
-    tau: float = 0.5                # licensed broadcast fraction, equal split only
     snr_knowledge: str = "complete"     # or "partial"
     af_formula: str = "paper"           # or "standard"
     negotiation: str = "ladder"         # or "contracts"
@@ -84,10 +81,6 @@ class ScenarioParams:
             raise ValueError("monetary weights must be nonnegative")
         if self.r_su_req < 0.0:
             raise ValueError("r_su_req must be nonnegative")
-        if not (0.0 < self.tau < 1.0):
-            raise ValueError("tau must lie in (0, 1)")
-        if self.tau != 0.5:
-            raise ValueError("only the equal two-phase split tau=0.5 is supported")
         if self.snr_knowledge not in ("complete", "partial"):
             raise ValueError(f"unknown snr_knowledge {self.snr_knowledge!r}")
         if self.af_formula not in ("paper", "standard"):
@@ -112,11 +105,6 @@ def params_from_dict(d):
     if isinstance(merged["r_pu_req"], list):
         merged["r_pu_req"] = tuple(merged["r_pu_req"])
     return ScenarioParams(**merged)
-
-
-def load_params(path):
-    with open(path) as f:
-        return params_from_dict(json.load(f))
 
 
 @dataclass(frozen=True)

@@ -245,15 +245,12 @@ def check_weak_pareto(outcome, realization, requirements, params, grids=None):
     return True, None
 
 
-def _beta_floor_matrix(params, realization, requirements):
+def _beta_floors(params, realization, requirements):
+    """Smallest feasible time share of every pair, [l, q]."""
     rates = radio.make_pair_rates(params, realization)
     if requirements is None:
         requirements = radio.requirements_for(params, realization.snr)
-    coef = rates.pu_coef
-    with np.errstate(divide="ignore"):
-        floors = np.where(coef > 0.0, requirements.r_pu_req[:, None]
-                          / np.where(coef > 0.0, coef, 1.0), np.inf)
-    return floors
+    return radio.beta_interval(rates, requirements)[0]
 
 
 def iteration_bound(params, realization=None, requirements=None, beta_min=None):
@@ -264,14 +261,14 @@ def iteration_bound(params, realization=None, requirements=None, beta_min=None):
     Pass beta_min to substitute a known floor without a realization.
     """
     if beta_min is None:
-        beta_min = float(_beta_floor_matrix(params, realization, requirements).min())
+        beta_min = float(_beta_floors(params, realization, requirements).min())
     beta_min = min(max(beta_min, 0.0), params.beta_init)
     return params.xi_init / params.delta + (params.beta_init - beta_min) / params.epsilon
 
 
 def per_pu_puu_bounds(params, realization, requirements=None):
     """Per licensed user ceiling on concession invocations (integer)."""
-    floors = _beta_floor_matrix(params, realization, requirements)
+    floors = _beta_floors(params, realization, requirements)
     per_pu = np.clip(floors.min(axis=1), 0.0, params.beta_init)
     raw = params.xi_init / params.delta + (params.beta_init - per_pu) / params.epsilon
     return np.array([math.ceil(v) + 1 for v in raw], dtype=int)

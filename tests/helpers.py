@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from relaymarket import radio, topology
+from relaymarket import baselines, radio, topology
+
+from oracles import all_injective_matchings
 
 
 def handmade_realization(params, gamma_dir, gamma_pt_st, gamma_st_pr, gamma_sr):
@@ -55,3 +57,15 @@ def single_pair_scenario(gamma_dir, gamma_relay_hops, gamma_sr, **overrides):
         gamma_sr=[[gamma_sr]],
     )
     return params, real
+
+
+def discrete_assignment_optimum(rates, requirements, params):
+    """Best total licensed utility over every partial matching, each pair at
+    its best grid terms (pair_optimum_discrete); 0 for the empty matching."""
+    best = 0.0
+    for matching in all_injective_matchings(params.l_pu, params.l_su):
+        values = [baselines.pair_optimum_discrete(l, q, rates, requirements, params)
+                  for l, q in matching.items()]
+        if all(v.feasible for v in values):
+            best = max(best, sum(v.u_pu for v in values))
+    return best

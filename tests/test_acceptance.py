@@ -278,21 +278,21 @@ def test_11_analytic_pair_optimizer_matches_lattice_search():
         real = topology.make_realization(params, seed)
         req = radio.requirements_for(params, real.snr)
         rates = radio.make_pair_rates(params, real)
+        feasible, xi, beta, u_pu = baselines.pair_optimum_continuous(rates, req)
         for l in range(params.l_pu):
             for q in range(params.l_su):
                 if checked >= 500:
                     break
-                best = baselines.pair_optimum_continuous(l, q, rates, req, params)
-                if not best.feasible:
+                if not feasible[l, q]:
                     continue
                 got = grid_pair_optimum(rates.pu_coef[l, q], rates.su_coef[l, q],
                                         req.r_pu_req[l], req.r_su_req,
                                         rates.c_cost, rates.k_cost)
                 assert got is not None, f"lattice found pair ({l},{q}) infeasible"
-                assert best.u_pu >= got[0] - 1e-9, "lattice beat the analytic optimum"
-                worst = max(worst, best.u_pu - got[0])
-                relay_slack = rates.u_su(l, q, best.beta, best.xi)
-                if not (best.xi == 1.0 or abs(relay_slack) <= 1e-9):
+                assert u_pu[l, q] >= got[0] - 1e-9, "lattice beat the analytic optimum"
+                worst = max(worst, u_pu[l, q] - got[0])
+                relay_slack = rates.u_su(l, q, beta[l, q], xi[l, q])
+                if not (xi[l, q] == 1.0 or abs(relay_slack) <= 1e-9):
                     boundary_bad += 1
                 checked += 1
         seed += 1

@@ -10,7 +10,7 @@ import pytest
 from relaymarket import baselines, dda, radio, topology
 from relaymarket.baselines import GuardError
 
-from helpers import single_pair_scenario
+from helpers import discrete_assignment_optimum, single_pair_scenario
 from oracles import all_injective_matchings, grid_pair_optimum
 
 def rates_and_req(params, seed):
@@ -25,20 +25,19 @@ class TestPairOptimumContinuous:
         checked = 0
         for seed in range(12):
             real, rates, req = rates_and_req(default_params, seed)
+            feasible, _, _, u_pu = baselines.pair_optimum_continuous(rates, req)
             for l in range(default_params.l_pu):
                 for q in range(default_params.l_su):
-                    got = baselines.pair_optimum_continuous(
-                        l, q, rates, req, default_params)
                     want = grid_pair_optimum(
                         rates.pu_coef[l, q], rates.su_coef[l, q],
                         req.r_pu_req[l], req.r_su_req,
                         rates.c_cost, rates.k_cost, n=800, zoom_passes=2)
                     if want is None:
-                        assert not got.feasible
+                        assert not feasible[l, q]
                         continue
                     checked += 1
-                    assert got.feasible
-                    assert got.u_pu == pytest.approx(want[0], abs=1e-6)
+                    assert feasible[l, q]
+                    assert u_pu[l, q] == pytest.approx(want[0], abs=1e-6)
         assert checked > 30
 
     def test_price_saturates_or_drains_the_relay(self, default_params):
@@ -46,15 +45,11 @@ class TestPairOptimumContinuous:
         # is left with exactly zero utility
         for seed in range(12):
             real, rates, req = rates_and_req(default_params, seed)
-            for l in range(default_params.l_pu):
-                for q in range(default_params.l_su):
-                    got = baselines.pair_optimum_continuous(
-                        l, q, rates, req, default_params)
-                    if not got.feasible:
-                        continue
-                    u_su = rates.u_su(l, q, got.beta, got.xi)
-                    assert got.xi == pytest.approx(1.0, abs=1e-9) \
-                        or abs(u_su) <= 1e-9
+            feasible, xi, beta, _ = baselines.pair_optimum_continuous(rates, req)
+            for l, q in zip(*np.nonzero(feasible)):
+                u_su = rates.u_su(l, q, beta[l, q], xi[l, q])
+                assert xi[l, q] == pytest.approx(1.0, abs=1e-9) \
+                    or abs(u_su) <= 1e-9
 
     def test_infeasible_pair_reports_minus_infinity(self):
         params, real = single_pair_scenario(
@@ -62,9 +57,9 @@ class TestPairOptimumContinuous:
             r_pu_req=[5.0], r_su_req=0.2)
         rates = radio.make_pair_rates(params, real)
         req = radio.requirements_for(params, real.snr)
-        got = baselines.pair_optimum_continuous(0, 0, rates, req, params)
-        assert not got.feasible
-        assert got.u_pu == -math.inf
+        feasible, xi, beta, u_pu = baselines.pair_optimum_continuous(rates, req)
+        assert not feasible[0, 0]
+        assert (xi[0, 0], beta[0, 0], u_pu[0, 0]) == (0.0, 0.0, -math.inf)
 
     def test_exact_hand_case(self):
         # slopes 1 (licensed) and 2 (relay), floors 0.3 and 0.2, unit money:
@@ -75,25 +70,50 @@ class TestPairOptimumContinuous:
             r_pu_req=[0.3], r_su_req=0.2)
         rates = radio.make_pair_rates(params, real)
         req = radio.requirements_for(params, real.snr)
-        got = baselines.pair_optimum_continuous(0, 0, rates, req, params)
-        assert got.beta == pytest.approx(0.5)
-        assert got.xi == pytest.approx(1.0)
-        assert got.u_pu == pytest.approx(1.5)
+        _, xi, beta, u_pu = baselines.pair_optimum_continuous(rates, req)
+        assert beta[0, 0] == pytest.approx(0.5)
+        assert xi[0, 0] == pytest.approx(1.0)
+        assert u_pu[0, 0] == pytest.approx(1.5)
+
+    @pytest.mark.parametrize("slopes, money, floors, want", [
+        # k = 0: the price is pinned at 1, so the longest time wins
+        ((1.0, 2.0), (1.0, 0.0), (0.3, 0.2), (True, 1.0, 0.9, 1.9)),
+        # no money at all: likewise, and the price adds nothing
+        ((1.0, 2.0), (0.0, 0.0), (0.3, 0.2), (True, 1.0, 0.9, 0.9)),
+        # lo == hi = 0.5, where the relay can still pay 2 >= 1
+        ((2.0, 4.0), (1.0, 1.0), (1.0, 2.0), (True, 1.0, 0.5, 2.0)),
+        # zero licensed slope, zero floor: time is worthless, the price
+        # tops out from beta 0 to 0.5 and the tie keeps beta 0
+        ((0.0, 2.0), (1.0, 1.0), (0.0, 0.2), (True, 1.0, 0.0, 1.0)),
+        # zero licensed slope, positive floor: unreachable
+        ((0.0, 2.0), (1.0, 1.0), (0.5, 0.2), (False, 0.0, 0.0, -math.inf)),
+        # zero relay slope, zero floor: the relay pays nothing, take it all
+        ((1.0, 0.0), (1.0, 1.0), (0.3, 0.0), (True, 0.0, 1.0, 1.0)),
+        # zero relay slope, positive floor: unreachable
+        ((1.0, 0.0), (1.0, 1.0), (0.3, 0.2), (False, 0.0, 0.0, -math.inf)),
+    ])
+    def test_edge_cases_by_hand(self, slopes, money, floors, want):
+        rates = radio.PairRates(pu_coef=np.array([[slopes[0]]]),
+                                su_coef=np.array([[slopes[1]]]),
+                                c_cost=money[0], k_cost=money[1])
+        req = radio.Requirements(r_pu_req=np.array([floors[0]]), r_su_req=floors[1])
+        got = tuple(a[0, 0] for a in baselines.pair_optimum_continuous(rates, req))
+        assert got[0] == want[0]
+        assert got[1:] == pytest.approx(want[1:])
 
 
 class TestPairOptimumDiscrete:
     def test_never_beats_continuous(self, default_params):
         for seed in range(12):
             real, rates, req = rates_and_req(default_params, seed)
+            feasible, _, _, u_pu = baselines.pair_optimum_continuous(rates, req)
             for l in range(default_params.l_pu):
                 for q in range(default_params.l_su):
-                    cont = baselines.pair_optimum_continuous(
-                        l, q, rates, req, default_params)
                     disc = baselines.pair_optimum_discrete(
                         l, q, rates, req, default_params)
-                    assert disc.u_pu <= cont.u_pu + 1e-12
+                    assert disc.u_pu <= u_pu[l, q] + 1e-12
                     if disc.feasible:
-                        assert cont.feasible
+                        assert feasible[l, q]
 
     def test_matches_exhaustive_grid_scan(self, default_params):
         grids = dda.concession_grids(default_params)
@@ -133,7 +153,7 @@ class TestPairOptimumDiscrete:
             r_pu_req=[0.3], r_su_req=0.2)
         rates = radio.make_pair_rates(params, real)
         req = radio.requirements_for(params, real.snr)
-        cont = baselines.pair_optimum_continuous(0, 0, rates, req, params)
+        cont_u = baselines.pair_optimum_continuous(rates, req)[3][0, 0]
         gaps = []
         for step in (0.2, 0.05, 0.01):
             p = topology.params_from_dict({
@@ -142,10 +162,15 @@ class TestPairOptimumDiscrete:
                 "xi_init": 1.0, "beta_init": 1.0, "delta": step, "epsilon": step,
             })
             disc = baselines.pair_optimum_discrete(0, 0, rates, req, p)
-            gaps.append(cont.u_pu - disc.u_pu)
+            gaps.append(cont_u - disc.u_pu)
         assert all(g >= -1e-12 for g in gaps)
         assert gaps[-1] < gaps[0]
         assert gaps[-1] < 0.05
+
+
+def total_pu_utility(rates, outcome):
+    return sum(rates.u_pu(l, q, outcome.b[l, q], outcome.g[l, q])
+               for l, q in outcome.matched_pairs())
 
 
 class TestCentralizedAssignment:
@@ -154,58 +179,51 @@ class TestCentralizedAssignment:
         for seed in range(10):
             real, rates, req = rates_and_req(p, seed)
             out = baselines.centralized_pu_optimal(real, req, p)
-            got = sum(rates.u_pu(l, q, out.b[l, q], out.g[l, q])
-                      for l, q in out.matched_pairs())
+            feasible, _, _, u_pu = baselines.pair_optimum_continuous(rates, req)
             best = 0.0
             for matching in all_injective_matchings(2, 3):
+                if all(feasible[l, q] for l, q in matching.items()):
+                    best = max(best, sum(u_pu[l, q] for l, q in matching.items()))
+            assert total_pu_utility(rates, out) == pytest.approx(best)
+
+    def test_solver_path_matches_recursion(self, default_params):
+        # the relay-rate assignment equals a brute-force maximum over every
+        # injective matching, each pair at the least time its licensed
+        # floor allows
+        for seed in range(10):
+            real, rates, req = rates_and_req(default_params, seed)
+            out = baselines.centralized_su_rate(real, req, default_params)
+            got = sum(rates.rate_su(l, q, out.b[l, q]) for l, q in out.matched_pairs())
+            best = 0.0
+            for matching in all_injective_matchings(default_params.l_pu,
+                                                    default_params.l_su):
                 total = 0.0
-                ok = True
                 for l, q in matching.items():
-                    pv = baselines.pair_optimum_continuous(l, q, rates, req, p)
-                    if not pv.feasible:
-                        ok = False
+                    beta = req.r_pu_req[l] / rates.pu_coef[l, q]
+                    if beta > 1.0 or rates.rate_su(l, q, beta) < req.r_su_req:
                         break
-                    total += pv.u_pu
-                if ok:
+                    total += rates.rate_su(l, q, beta)
+                else:
                     best = max(best, total)
             assert got == pytest.approx(best)
 
-    def test_solver_path_matches_recursion(self, default_params):
-        for seed in range(10):
-            real, rates, req = rates_and_req(default_params, seed)
-            a = baselines.centralized_pu_optimal(real, req, default_params)
-            b = baselines.centralized_pu_optimal(
-                real, req, default_params, use_assignment_solver=True)
-            ua = sum(rates.u_pu(l, q, a.b[l, q], a.g[l, q])
-                     for l, q in a.matched_pairs())
-            ub = sum(rates.u_pu(l, q, b.b[l, q], b.g[l, q])
-                     for l, q in b.matched_pairs())
-            assert ua == pytest.approx(ub)
-
     def test_dominates_negotiated_outcome(self, default_params):
+        # continuous optimum >= best grid assignment >= what negotiation finds
         for seed in range(15):
             real, rates, req = rates_and_req(default_params, seed)
             negotiated, _ = dda.run(default_params, real, req)
-            for mode in ("continuous", "discrete"):
-                central = baselines.centralized_pu_optimal(
-                    real, req, default_params, mode=mode)
-                u_c = sum(rates.u_pu(l, q, central.b[l, q], central.g[l, q])
-                          for l, q in central.matched_pairs())
-                u_n = sum(rates.u_pu(l, q, negotiated.b[l, q], negotiated.g[l, q])
-                          for l, q in negotiated.matched_pairs())
-                assert u_c >= u_n - 1e-9
+            central = baselines.centralized_pu_optimal(real, req, default_params)
+            on_grid = discrete_assignment_optimum(rates, req, default_params)
+            u_n = total_pu_utility(rates, negotiated)
+            assert total_pu_utility(rates, central) >= u_n - 1e-9
+            assert on_grid >= u_n - 1e-9
 
     def test_continuous_dominates_discrete(self, default_params):
         for seed in range(15):
             real, rates, req = rates_and_req(default_params, seed)
             cont = baselines.centralized_pu_optimal(real, req, default_params)
-            disc = baselines.centralized_pu_optimal(
-                real, req, default_params, mode="discrete")
-            u_cont = sum(rates.u_pu(l, q, cont.b[l, q], cont.g[l, q])
-                         for l, q in cont.matched_pairs())
-            u_disc = sum(rates.u_pu(l, q, disc.b[l, q], disc.g[l, q])
-                         for l, q in disc.matched_pairs())
-            assert u_cont >= u_disc - 1e-9
+            u_disc = discrete_assignment_optimum(rates, req, default_params)
+            assert total_pu_utility(rates, cont) >= u_disc - 1e-9
 
     def test_size_guard(self):
         p_big = topology.params_from_dict({"l_pu": 9, "l_su": 9})
@@ -221,12 +239,17 @@ class TestCentralizedAssignment:
         baselines.centralized_pu_optimal(real, req, p_thin)
 
     def test_solver_flag_bypasses_guard(self):
+        # both centralized baselines refuse past 8x8 and name the size
         p_big = topology.params_from_dict({"l_pu": 9, "l_su": 9})
         real = topology.make_realization(p_big, 0)
         req = radio.requirements_for(p_big, real.snr)
-        out = baselines.centralized_pu_optimal(
-            real, req, p_big, use_assignment_solver=True)
-        assert out.m.sum() >= 0
+        for solve in (baselines.centralized_pu_optimal, baselines.centralized_su_rate):
+            with pytest.raises(GuardError, match="refuses 9x9"):
+                solve(real, req, p_big)
+        p_edge = topology.params_from_dict({"l_pu": 8, "l_su": 8})
+        real = topology.make_realization(p_edge, 0)
+        req = radio.requirements_for(p_edge, real.snr)
+        assert baselines.centralized_su_rate(real, req, p_edge).m.sum() >= 0
 
 
 class TestCentralizedRelayRate:

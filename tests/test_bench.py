@@ -7,8 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from relaymarket import bench, topology
+from relaymarket import bench, radio, topology
 from relaymarket.bench import CSV_COLUMNS, p90
+
+from helpers import discrete_assignment_optimum
 
 
 @pytest.fixture(name="small_params")
@@ -68,12 +70,25 @@ class TestRunTrials:
             assert aggs[algo].mean_packets == 0.0
             assert aggs[algo].mean_iterations == 0.0
 
+    def test_iterations_count_offers(self, small_params):
+        # one offer and one response per iteration
+        aggs = bench.run_trials(small_params, ["dda-complete", "rmbn"], 12)
+        for agg in aggs.values():
+            assert agg.mean_iterations > 0.0
+            assert agg.mean_iterations == agg.mean_packets / 2
+
     def test_centralized_mean_dominates_negotiation(self, small_params):
-        aggs = bench.run_trials(
-            small_params, ["dda-complete", "centralized"], 60,
-            centralized_mode="discrete")
-        assert (aggs["centralized"].mean_sum_utility_pu
-                >= aggs["dda-complete"].mean_sum_utility_pu - 1e-12)
+        # continuous optimum >= best grid assignment >= negotiation, in the mean
+        aggs = bench.run_trials(small_params, ["dda-complete", "centralized"], 60)
+        on_grid = []
+        for i in range(60):
+            real = topology.make_realization(
+                small_params, np.random.SeedSequence([small_params.seed, i]))
+            req = radio.requirements_for(small_params, real.snr)
+            rates = radio.make_pair_rates(small_params, real)
+            on_grid.append(discrete_assignment_optimum(rates, req, small_params))
+        assert aggs["centralized"].mean_sum_utility_pu >= np.mean(on_grid) - 1e-12
+        assert np.mean(on_grid) >= aggs["dda-complete"].mean_sum_utility_pu - 1e-12
 
     def test_match_pct_counts_against_capacity(self, small_params):
         # 3 licensed users but only 2 relays: a full book is 2 matches

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -116,6 +120,22 @@ class TestVerifyCommand:
              "--af-formula", "standard"], capsys)
         assert code == 0
         assert "stability: 10/10 ok" in out
+
+
+def test_baselines_run_without_scipy():
+    # numpy is the only runtime dependency; importing scipy.optimize would
+    # add about 50 MB of resident memory to every run
+    script = (
+        "import os, sys\n"
+        "from relaymarket import cli\n"
+        "code = cli.main(['run', '--algo', 'centralized,centralized-su,rmbn',\n"
+        "                 '--trials', '2', '--out', os.devnull])\n"
+        "print(code, 'scipy' in sys.modules)\n")
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["0", "False"]
 
 
 class TestOracleCommand:

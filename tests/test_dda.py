@@ -128,9 +128,7 @@ class TestSinglePairWalkthrough:
         params, real = pair
         _, trace = dda.run(params, real)
         assert trace.offers == 4
-        assert trace.responses == 4
         assert trace.packets == 8
-        assert trace.iterations == 4
         assert trace.puu_counts.tolist() == [3]
 
     def test_trace_serializes_as_json_lines(self, pair):
@@ -370,7 +368,7 @@ def test_default_scenario_invariants(default_params):
             assert np.min(np.abs(grids.xi_values - xi)) < 1e-9
             assert np.min(np.abs(grids.beta_values - beta)) < 1e-9
 
-        assert trace.packets == trace.offers + trace.responses
+        assert trace.packets == 2 * trace.offers
         bounds = verify.per_pu_puu_bounds(default_params, real, req)
         assert np.all(trace.puu_counts <= bounds)
         assert trace.packets <= verify.packet_bound(default_params, real, req)

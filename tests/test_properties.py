@@ -131,7 +131,7 @@ class TestEngineInvariants:
             assert rates.u_su(l, q, beta, xi) >= -1e-12
             assert any(math.isclose(xi, v, abs_tol=1e-12) for v in grids.xi_values)
 
-        assert trace.packets == trace.offers + trace.responses
+        assert trace.packets == 2 * trace.offers
         bounds = verify.per_pu_puu_bounds(params, realization, requirements)
         assert np.all(trace.puu_counts <= bounds)
         assert trace.packets <= verify.packet_bound(params, realization,

@@ -8,6 +8,8 @@ rather than a self-consistent wrong value.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -198,8 +200,7 @@ class TestRequirements:
 
 
 class TestThresholds:
-    """The feasible time-share interval of a pair, in its two remaining
-    forms: per pair in baselines, as a floor matrix in verify."""
+    """The feasible time-share interval of a pair, radio.beta_interval."""
 
     def test_feasibility_box_on_handmade_pair(self):
         params, real = single_pair_scenario(
@@ -208,12 +209,14 @@ class TestThresholds:
         rates = radio.make_pair_rates(params, real)
         req = radio.requirements_for(params, real.snr)
         # slopes are exactly 1 and 2, so the box is exact
-        lo, hi = baselines._feasible_beta_interval(rates, req, 0, 0)
-        assert (lo, hi) == (pytest.approx(0.3), pytest.approx(0.9))
-        assert verify._beta_floor_matrix(params, real, req)[0, 0] == pytest.approx(0.3)
+        lo, hi = radio.beta_interval(rates, req)
+        assert (lo[0, 0], hi[0, 0]) == (pytest.approx(0.3), pytest.approx(0.9))
+        # the concession budget stops at the box's floor
+        assert verify.iteration_bound(params, real, req) == pytest.approx(
+            0.99 / 0.05 + (0.99 - 0.3) / 0.05)
         # the relay's price cap 2(1 - beta) stops clipping at 1 at beta 0.5
-        best = baselines.pair_optimum_continuous(0, 0, rates, req, params)
-        assert (best.xi, best.beta) == (pytest.approx(1.0), pytest.approx(0.5))
+        _, xi, beta, _ = baselines.pair_optimum_continuous(rates, req)
+        assert (xi[0, 0], beta[0, 0]) == (pytest.approx(1.0), pytest.approx(0.5))
 
     def test_infeasible_when_floor_exceeds_reach(self):
         params, real = single_pair_scenario(
@@ -221,19 +224,63 @@ class TestThresholds:
             r_pu_req=[1.3], r_su_req=0.2)
         rates = radio.make_pair_rates(params, real)
         req = radio.requirements_for(params, real.snr)
-        lo, hi = baselines._feasible_beta_interval(rates, req, 0, 0)
-        assert lo > hi
-        assert not baselines.pair_optimum_continuous(0, 0, rates, req, params).feasible
+        lo, hi = radio.beta_interval(rates, req)
+        assert lo[0, 0] > hi[0, 0]
+        feasible, _, _, _ = baselines.pair_optimum_continuous(rates, req)
+        assert not feasible[0, 0]
 
     def test_single_pair_view_agrees_with_matrix_view(self, default_params):
+        # each entry is where that pair's own rates meet their floors, and
+        # the concession bounds read the matrix's row minima
         real = topology.make_realization(default_params, 13)
         rates = radio.make_pair_rates(default_params, real)
         req = radio.requirements_for(default_params, real.snr)
-        floors = verify._beta_floor_matrix(default_params, real, req)
+        lo, hi = radio.beta_interval(rates, req)
+        assert lo.shape == hi.shape == (default_params.l_pu, default_params.l_su)
         for l in range(default_params.l_pu):
             for q in range(default_params.l_su):
-                lo, _ = baselines._feasible_beta_interval(rates, req, l, q)
-                assert lo == pytest.approx(max(floors[l, q], 0.0))
+                assert rates.rate_pu(l, q, lo[l, q]) == pytest.approx(req.r_pu_req[l])
+                assert rates.rate_su(l, q, hi[l, q]) == pytest.approx(req.r_su_req)
+        p = default_params
+        floors = np.clip(lo.min(axis=1), 0.0, p.beta_init)
+        want = [math.ceil(p.xi_init / p.delta + (p.beta_init - f) / p.epsilon) + 1
+                for f in floors]
+        assert verify.per_pu_puu_bounds(p, real, req).tolist() == want
+
+
+def one_pair(pu_coef, su_coef, r_pu, r_su):
+    """PairRates and Requirements of a single pair with the given slopes."""
+    rates = radio.PairRates(pu_coef=np.array([[pu_coef]]),
+                            su_coef=np.array([[su_coef]]), c_cost=1.0, k_cost=1.0)
+    return rates, radio.Requirements(r_pu_req=np.array([r_pu]), r_su_req=r_su)
+
+
+class TestBetaInterval:
+    """Edge rules of the interval, on slopes chosen to divide exactly."""
+
+    @pytest.mark.parametrize("pu_coef, su_coef, r_pu, r_su, want", [
+        (2.0, 4.0, 0.5, 1.0, (0.25, 0.75)),
+        (2.0, 4.0, -1.0, 0.0, (0.0, 1.0)),            # floors below the box
+        (0.0, 4.0, 0.5, 1.0, (np.inf, 0.75)),         # zero slope, floor > 0
+        (0.0, 4.0, 0.0, 1.0, (0.0, 0.75)),            # zero slope, floor 0
+        (0.0, 4.0, -0.5, 1.0, (0.0, 0.75)),           # zero slope, floor < 0
+        (2.0, 0.0, 0.5, 1.0, (0.25, -np.inf)),        # zero relay slope, floor > 0
+        (2.0, 0.0, 0.5, 0.0, (0.25, 1.0)),            # zero relay slope, floor 0
+        (2.0, 4.0, 1.0, 2.0, (0.5, 0.5)),             # lo == hi
+        (2.0, 4.0, 4.0, 1.0, (2.0, 0.75)),            # floor past the frame: empty
+    ])
+    def test_hand_cases(self, pu_coef, su_coef, r_pu, r_su, want):
+        lo, hi = radio.beta_interval(*one_pair(pu_coef, su_coef, r_pu, r_su))
+        assert (lo[0, 0], hi[0, 0]) == want
+
+    def test_rows_take_their_own_floor(self):
+        rates = radio.PairRates(pu_coef=np.array([[1.0, 2.0], [4.0, 0.0]]),
+                                su_coef=np.array([[1.0, 2.0], [4.0, 8.0]]),
+                                c_cost=1.0, k_cost=1.0)
+        req = radio.Requirements(r_pu_req=np.array([0.5, 1.0]), r_su_req=0.5)
+        lo, hi = radio.beta_interval(rates, req)
+        assert lo.tolist() == [[0.5, 0.25], [0.25, np.inf]]
+        assert hi.tolist() == [[0.5, 0.75], [0.875, 0.9375]]
 
 
 def test_handmade_realizations_need_unit_gains(default_params):

@@ -31,7 +31,8 @@ class TestParams:
             topology.params_from_dict({"negotiation": "auction"})
 
     def test_time_split_is_pinned(self):
-        with pytest.raises(ValueError):
+        # the rates hard-code the equal two-phase split; there is no key
+        with pytest.raises(ValueError, match="unknown config keys"):
             topology.params_from_dict({"tau": 0.4})
 
     @pytest.mark.parametrize("overrides", [
