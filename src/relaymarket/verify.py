@@ -5,11 +5,18 @@ dominance over enumerated stable matchings, weak Pareto optimality,
 the concession-count and packet-count ceilings, and closed-form
 scaling estimates. Enumerative checks are guarded to tiny instances;
 everything here is a pure function of an outcome plus the scenario.
+
+The blocking-pair rule lives in one array core, _blocking_pairs, over a
+leading axis of stacked outcomes: is_stable audits one outcome through
+it, and enumeration audits every grid candidate through it in blocks of
+AUDIT_BLOCK stacked m/g/b arrays (_candidate_blocks), which the
+weak-Pareto check reads too. The core first drops every pair that could
+not block even at each side's best price, then searches the full grid
+of the rest a bounded number of cells at a time.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -50,8 +57,87 @@ class StabilityReport:
         return "\n".join(lines)
 
 
-def _on_grid(value, grid_values, tol=1e-9):
-    return bool(np.min(np.abs(grid_values - value)) <= tol)
+# Candidates per audited block and grid cells per witness-search chunk.
+# Both bound the audit's memory: a 3x3 market on 6-point grids can have
+# up to 303,589 candidates, and a 25x50 market on the default grids has
+# 500,000 (pair, xi, beta) cells.
+AUDIT_BLOCK = 256
+AUDIT_CELLS = 1 << 12
+
+
+def _on_grid(values, grid_values, tol=1e-9):
+    return np.abs(grid_values - values[:, None]).min(axis=1) <= tol
+
+
+def _acceptable(rates, requirements, l, q, xi, beta):
+    """Whether terms (xi, beta) of pair (l, q) meet the licensed rate floor,
+    the relay rate floor and the relay's zero utility; broadcasts."""
+    su_rate = rates.su_coef[l, q] * (1.0 - beta)
+    return (rates.pu_coef[l, q] * beta >= requirements.r_pu_req[l],
+            su_rate >= requirements.r_su_req,
+            su_rate - rates.k_cost * xi >= 0.0)
+
+
+def _utilities(rates, m, g, b):
+    """Utilities held under outcomes m/g/b [..., l, q], stacked or not:
+    licensed [..., l] and relay [..., q], zero for anyone unmatched."""
+    held = m != 0
+    u_pu = np.where(held, rates.pu_coef * b + rates.c_cost * g, 0.0).sum(axis=-1)
+    u_su = np.where(held, rates.su_coef * (1.0 - b) - rates.k_cost * g, 0.0).sum(axis=-2)
+    return u_pu, u_su
+
+
+def _witness(rates, requirements, l, q, u_pu, u_su, beta, xi_pu, xi_su):
+    """The blocking rule: at time share beta pair (l, q) meets both rate
+    floors, the licensed user beats u_pu at price xi_pu and the relay
+    beats u_su at price xi_su. Broadcasts."""
+    pu_rate = rates.pu_coef[l, q] * beta
+    su_rate = rates.su_coef[l, q] * (1.0 - beta)
+    return ((pu_rate >= requirements.r_pu_req[l])
+            & (su_rate >= requirements.r_su_req)
+            & (pu_rate + rates.c_cost * xi_pu > u_pu)
+            & (su_rate - rates.k_cost * xi_su > u_su))
+
+
+def _blocking_pairs(rates, requirements, grids, u_pu, u_su, open_pairs, xi_lo, beta_lo):
+    """Blocking pairs of n stacked outcomes, each with its first witness.
+
+    u_pu [n, l] and u_su [n, q] are the utilities held, open_pairs
+    [n, l, q] marks the cross pairs that may block, and xi_lo, beta_lo
+    [n, l] are each licensed user's first grid steps still on the table.
+    Returns index arrays (n, l, q, i, j) in (n, l, q) order: the pair's
+    first witness in xi-major grid order is (xi_values[i], beta_values[j]).
+    """
+    xis, betas = grids.xi_values, grids.beta_values
+    n_xi, n_beta = len(xis), len(betas)
+    nn, ll, qq = np.nonzero(open_pairs & (xi_lo < n_xi)[..., None]
+                            & (beta_lo < n_beta)[..., None])
+    u_pu, u_su = u_pu[nn, ll], u_su[nn, qq]
+    xi_lo, beta_lo = xi_lo[nn, ll], beta_lo[nn, ll]
+
+    # The licensed utility rises with the price and the relay's falls
+    # (c_cost, k_cost >= 0), so a pair can block only at a time share where
+    # each side gains at the price it likes best: the top of the licensed
+    # user's envelope for one, the bottom of the grid for the other.
+    maybe = (_witness(rates, requirements, ll[:, None], qq[:, None],
+                      u_pu[:, None], u_su[:, None], betas, xis[xi_lo, None], xis[-1])
+             & (np.arange(n_beta) >= beta_lo[:, None])).any(axis=1)
+    cand = np.flatnonzero(maybe)
+
+    per_chunk = max(1, AUDIT_CELLS // (n_xi * n_beta))
+    found, first = [cand[:0]], [cand[:0]]
+    for start in range(0, len(cand), per_chunk):
+        k = cand[start:start + per_chunk]
+        hit = (_witness(rates, requirements, ll[k, None, None], qq[k, None, None],
+                        u_pu[k, None, None], u_su[k, None, None],
+                        betas, xis[:, None], xis[:, None])
+               & (np.arange(n_xi)[:, None] >= xi_lo[k, None, None])
+               & (np.arange(n_beta) >= beta_lo[k, None, None])).reshape(len(k), -1)
+        blocks = hit.any(axis=1)
+        found.append(k[blocks])
+        first.append(hit[blocks].argmax(axis=1))
+    k, first = np.concatenate(found), np.concatenate(first)
+    return nn[k], ll[k], qq[k], first // n_beta, first % n_beta
 
 
 def is_stable(outcome, realization, requirements, params, grids=None,
@@ -74,64 +160,47 @@ def is_stable(outcome, realization, requirements, params, grids=None,
     if grids is None:
         grids = concession_grids(params)
     rates = radio.make_pair_rates(params, realization)
-    l_pu, l_su = params.l_pu, params.l_su
-    matched = outcome.matched_pairs()
+    ls, qs = np.nonzero(outcome.m)
+    xi, beta = outcome.g[ls, qs], outcome.b[ls, qs]
+    ls, qs = ls.tolist(), qs.tolist()
 
     if not continuous_domain:
-        for l, q in matched:
-            if not _on_grid(outcome.g[l, q], grids.xi_values):
+        xi_ok = _on_grid(xi, grids.xi_values)
+        beta_ok = _on_grid(beta, grids.beta_values)
+        for l, q, on_xi, on_beta in zip(ls, qs, xi_ok, beta_ok):
+            if not on_xi:
                 raise ValueError(
                     f"price allocation {outcome.g[l, q]!r} for pair ({l},{q}) "
                     "is off the concession grid")
-            if not _on_grid(outcome.b[l, q], grids.beta_values):
+            if not on_beta:
                 raise ValueError(
                     f"time-slot allocation {outcome.b[l, q]!r} for pair ({l},{q}) "
                     "is off the concession grid")
 
-    u_pu_cur = np.zeros(l_pu)
-    u_su_cur = np.zeros(l_su)
+    pu_ok, su_rate_ok, su_util_ok = _acceptable(rates, requirements, ls, qs, xi, beta)
     blocked = []
-    for l, q in matched:
-        beta = outcome.b[l, q]
-        xi = outcome.g[l, q]
-        if rates.rate_pu(l, q, beta) < requirements.r_pu_req[l]:
+    open_pairs = outcome.m != 1
+    for l, q, pu_fine, rate_fine, util_fine in zip(ls, qs, pu_ok, su_rate_ok, su_util_ok):
+        if not pu_fine:
             blocked.append(("pu", l, "pu-rate"))
-        if rates.rate_su(l, q, beta) < requirements.r_su_req:
+            open_pairs[l, :] = False
+        if not rate_fine:
             blocked.append(("su", q, "su-rate"))
-        if rates.u_su(l, q, beta, xi) < 0.0:
+        if not util_fine:
             blocked.append(("su", q, "su-utility"))
-        u_pu_cur[l] = rates.u_pu(l, q, beta, xi)
-        u_su_cur[q] = rates.u_su(l, q, beta, xi)
+        if not (rate_fine and util_fine):
+            open_pairs[:, q] = False
 
-    blocked_pu = {idx for side, idx, _ in blocked if side == "pu"}
-    blocked_su = {idx for side, idx, _ in blocked if side == "su"}
-
-    pairs = []
-    for l in range(l_pu):
-        if l in blocked_pu:
-            continue
-        xi_lo, beta_lo = 0, 0
-        if outcome.final_xi_steps is not None:
-            xi_lo = int(outcome.final_xi_steps[l])
-            beta_lo = int(outcome.final_beta_steps[l])
-        xis = grids.xi_values[xi_lo:]
-        betas = grids.beta_values[beta_lo:]
-        if xis.size == 0 or betas.size == 0:
-            continue
-        xi_col = xis[:, None]
-        beta_row = betas[None, :]
-        for q in range(l_su):
-            if q in blocked_su or outcome.m[l, q] == 1:
-                continue
-            coef = rates.pu_coef[l, q]
-            su = rates.su_coef[l, q]
-            witness = ((coef * beta_row >= requirements.r_pu_req[l])
-                       & (su * (1.0 - beta_row) >= requirements.r_su_req)
-                       & (coef * beta_row + rates.c_cost * xi_col > u_pu_cur[l])
-                       & (su * (1.0 - beta_row) - rates.k_cost * xi_col > u_su_cur[q]))
-            if witness.any():
-                i, j = np.argwhere(witness)[0]
-                pairs.append((l, q, (float(xis[i]), float(betas[j]))))
+    if outcome.final_xi_steps is None:
+        xi_lo = beta_lo = np.zeros(params.l_pu, dtype=int)
+    else:
+        xi_lo = np.asarray(outcome.final_xi_steps, dtype=int)
+        beta_lo = np.asarray(outcome.final_beta_steps, dtype=int)
+    u_pu, u_su = _utilities(rates, outcome.m, outcome.g, outcome.b)
+    _, pl, pq, i, j = _blocking_pairs(rates, requirements, grids, u_pu[None], u_su[None],
+                                      open_pairs[None], xi_lo[None], beta_lo[None])
+    pairs = [(l, q, (float(grids.xi_values[xi_i]), float(grids.beta_values[beta_j])))
+             for l, q, xi_i, beta_j in zip(pl.tolist(), pq.tolist(), i, j)]
     return StabilityReport(blocked_individuals=blocked, blocking_pairs=pairs)
 
 
@@ -165,37 +234,49 @@ def _injective_maps(l_pu, l_su):
     yield from rec(0, set(), [])
 
 
-def _feasible_outcomes(realization, requirements, params, grids):
-    """Generate every feasible (matching, allocation) combination on the grids."""
-    rates = radio.make_pair_rates(params, realization)
-    l_pu, l_su = params.l_pu, params.l_su
-    allocs = {}
-    for l in range(l_pu):
-        for q in range(l_su):
-            pts = []
-            for beta in grids.beta_values:
-                if rates.rate_pu(l, q, beta) < requirements.r_pu_req[l]:
-                    continue
-                if rates.rate_su(l, q, beta) < requirements.r_su_req:
-                    continue
-                for xi in grids.xi_values:
-                    if rates.u_su(l, q, beta, xi) >= 0.0:
-                        pts.append((float(xi), float(beta)))
-            allocs[l, q] = pts
+def _candidate_blocks(rates, requirements, grids):
+    """Every feasible (matching, allocation) on the grids, as stacked
+    m/g/b arrays [n, l, q] of at most AUDIT_BLOCK candidates each.
+
+    Candidates come assignment by assignment in _injective_maps order;
+    within one, the matched pairs' terms vary like itertools.product over
+    the pairs in licensed order, each pair's terms by falling time share,
+    then falling price. Only individually acceptable terms are used, so
+    no candidate has a blocked individual.
+    """
+    l_pu, l_su = rates.pu_coef.shape
+    ls, qs = np.indices((l_pu, l_su))[..., None, None]
+    pu_ok, su_rate_ok, su_util_ok = _acceptable(
+        rates, requirements, ls, qs, grids.xi_values, grids.beta_values[:, None])
+    ok = pu_ok & su_rate_ok & su_util_ok
+    terms = {}
+    for l, q in np.ndindex(l_pu, l_su):
+        j, i = np.nonzero(ok[l, q])
+        terms[l, q] = (grids.xi_values[i], grids.beta_values[j])
+    plans = []   # (first candidate number, matched pairs, term counts)
+    total = 0
     for assign in _injective_maps(l_pu, l_su):
-        pair_choices = [allocs[l, q] for l, q in enumerate(assign) if q >= 0]
-        if any(not c for c in pair_choices):
-            continue
-        matched = [(l, q) for l, q in enumerate(assign) if q >= 0]
-        for combo in itertools.product(*pair_choices):
-            m = np.zeros((l_pu, l_su), dtype=int)
-            g = np.zeros((l_pu, l_su))
-            b = np.zeros((l_pu, l_su))
-            for (l, q), (xi, beta) in zip(matched, combo):
-                m[l, q] = 1
-                g[l, q] = xi
-                b[l, q] = beta
-            yield MatchingOutcome(m=m, g=g, b=b)
+        pairs = [(l, q) for l, q in enumerate(assign) if q >= 0]
+        counts = [len(terms[pair][0]) for pair in pairs]
+        if all(counts):
+            plans.append((total, pairs, counts))
+            total += math.prod(counts)
+    for start in range(0, total, AUDIT_BLOCK):
+        stop = min(start + AUDIT_BLOCK, total)
+        m = np.zeros((stop - start, l_pu, l_su), dtype=int)
+        g = np.zeros(m.shape)
+        b = np.zeros(m.shape)
+        for first, pairs, counts in plans:
+            lo, hi = max(first, start), min(first + math.prod(counts), stop)
+            if lo >= hi or not pairs:
+                continue
+            picks = np.unravel_index(np.arange(lo - first, hi - first), counts)
+            rows = slice(lo - start, hi - start)
+            for (l, q), pick in zip(pairs, picks):
+                m[rows, l, q] = 1
+                g[rows, l, q] = terms[l, q][0][pick]
+                b[rows, l, q] = terms[l, q][1][pick]
+        yield m, g, b
 
 
 def enumerate_stable_matchings(realization, requirements, params, grids=None):
@@ -207,11 +288,16 @@ def enumerate_stable_matchings(realization, requirements, params, grids=None):
     if grids is None:
         grids = concession_grids(params)
     _check_enum_guard(params, grids)
+    rates = radio.make_pair_rates(params, realization)
     stable = []
-    for cand in _feasible_outcomes(realization, requirements, params, grids):
-        report = is_stable(cand, realization, requirements, params, grids)
-        if report.stable:
-            stable.append(cand)
+    for m, g, b in _candidate_blocks(rates, requirements, grids):
+        u_pu, u_su = _utilities(rates, m, g, b)
+        steps = np.zeros((len(m), params.l_pu), dtype=int)
+        blocked = np.zeros(len(m), dtype=bool)
+        blocked[_blocking_pairs(rates, requirements, grids, u_pu, u_su,
+                                m == 0, steps, steps)[0]] = True
+        stable.extend(MatchingOutcome(m=m[n].copy(), g=g[n].copy(), b=b[n].copy())
+                      for n in np.flatnonzero(~blocked))
     return stable
 
 
@@ -237,11 +323,12 @@ def check_weak_pareto(outcome, realization, requirements, params, grids=None):
     matched = [l for l, _ in outcome.matched_pairs()]
     if not matched:
         return True, None
-    base = pu_utilities(outcome, rates)
-    for alt in _feasible_outcomes(realization, requirements, params, grids):
-        alt_u = pu_utilities(alt, rates)
-        if all(alt_u[l] > base[l] for l in matched):
-            return False, alt
+    base = pu_utilities(outcome, rates)[matched]
+    for m, g, b in _candidate_blocks(rates, requirements, grids):
+        better = (_utilities(rates, m, g, b)[0][:, matched] > base).all(axis=1)
+        if better.any():
+            n = int(np.argmax(better))
+            return False, MatchingOutcome(m=m[n].copy(), g=g[n].copy(), b=b[n].copy())
     return True, None
 
 
@@ -261,6 +348,8 @@ def iteration_bound(params, realization=None, requirements=None, beta_min=None):
     Pass beta_min to substitute a known floor without a realization.
     """
     if beta_min is None:
+        if realization is None:
+            raise ValueError("iteration_bound needs a realization or beta_min")
         beta_min = float(_beta_floors(params, realization, requirements).min())
     beta_min = min(max(beta_min, 0.0), params.beta_init)
     return params.xi_init / params.delta + (params.beta_init - beta_min) / params.epsilon
@@ -282,6 +371,8 @@ def packet_bound(params, realization=None, requirements=None, i_max=None):
     one round of slack for the terminal no-op.
     """
     if i_max is None:
+        if realization is None:
+            raise ValueError("packet_bound needs a realization or i_max")
         i_max = math.ceil(iteration_bound(params, realization, requirements)) + 1
     f = max(params.l_pu, params.l_su)
     return float((params.l_pu + f) * i_max)

@@ -61,50 +61,132 @@ def grid_pair_optimum(coef, su_coef, pu_floor, su_floor, c_cost, k_cost,
     return best_u, best_xi, best_beta
 
 
-def scan_blocking_pairs(outcome, rates, requirements, grids):
-    """Blocking-pair scan as four nested plain loops.
+def stability_reference(outcome, rates, requirements, grids):
+    """Stability audit as plain loops: (blocked individuals, blocking pairs).
 
-    Honors the same witness envelope as the shipped checker: when the
-    outcome carries terminal concession steps, a licensed user's candidate
-    terms start at those steps; otherwise the whole grid is in play.
+    Each matched pair, in (l, q) order, can block its licensed user on the
+    licensed rate floor, then its relay on the relay rate floor and on a
+    negative relay utility, listed as (side, index, reason). Blocked users
+    form no pairs. Any other cross pair blocks when some grid terms meet
+    both rate floors and strictly raise both users' utilities; its first
+    witness in xi-major grid order is listed as (l, q, (xi, beta)). When
+    the outcome carries terminal concession steps, a licensed user's
+    candidate terms start at those steps; otherwise the whole grid is in
+    play. Plain floats carry the same double-precision arithmetic.
     """
     l_pu, l_su = rates.pu_coef.shape
+    pu_coef = rates.pu_coef.tolist()
+    su_coef = rates.su_coef.tolist()
+    r_pu = requirements.r_pu_req.tolist()
+    r_su = requirements.r_su_req
+    c_cost, k_cost = rates.c_cost, rates.k_cost
     u_pu = [0.0] * l_pu
     u_su = [0.0] * l_su
-    matched_to = {}
+    blocked = []
     for l in range(l_pu):
         for q in range(l_su):
-            if outcome.m[l, q] == 1:
-                matched_to[l] = q
-                u_pu[l] = rates.u_pu(l, q, outcome.b[l, q], outcome.g[l, q])
-                u_su[q] = rates.u_su(l, q, outcome.b[l, q], outcome.g[l, q])
-    found = []
+            if outcome.m[l, q] != 1:
+                continue
+            xi, beta = float(outcome.g[l, q]), float(outcome.b[l, q])
+            if pu_coef[l][q] * beta < r_pu[l]:
+                blocked.append(("pu", l, "pu-rate"))
+            if su_coef[l][q] * (1.0 - beta) < r_su:
+                blocked.append(("su", q, "su-rate"))
+            if su_coef[l][q] * (1.0 - beta) - k_cost * xi < 0.0:
+                blocked.append(("su", q, "su-utility"))
+            u_pu[l] = pu_coef[l][q] * beta + c_cost * xi
+            u_su[q] = su_coef[l][q] * (1.0 - beta) - k_cost * xi
+    out_pu = {idx for side, idx, _ in blocked if side == "pu"}
+    out_su = {idx for side, idx, _ in blocked if side == "su"}
+    pairs = []
     for l in range(l_pu):
+        if l in out_pu:
+            continue
         xi_start = beta_start = 0
         if outcome.final_xi_steps is not None:
             xi_start = int(outcome.final_xi_steps[l])
             beta_start = int(outcome.final_beta_steps[l])
         for q in range(l_su):
-            if matched_to.get(l) == q:
+            if q in out_su or outcome.m[l, q] == 1:
                 continue
             hit = None
-            for xi in grids.xi_values[xi_start:]:
-                for beta in grids.beta_values[beta_start:]:
-                    if rates.rate_pu(l, q, beta) < requirements.r_pu_req[l]:
+            for xi in grids.xi_values[xi_start:].tolist():
+                for beta in grids.beta_values[beta_start:].tolist():
+                    if pu_coef[l][q] * beta < r_pu[l]:
                         continue
-                    if rates.rate_su(l, q, beta) < requirements.r_su_req:
+                    if su_coef[l][q] * (1.0 - beta) < r_su:
                         continue
-                    if rates.u_pu(l, q, beta, xi) <= u_pu[l]:
+                    if pu_coef[l][q] * beta + c_cost * xi <= u_pu[l]:
                         continue
-                    if rates.u_su(l, q, beta, xi) <= u_su[q]:
+                    if su_coef[l][q] * (1.0 - beta) - k_cost * xi <= u_su[q]:
                         continue
-                    hit = (float(xi), float(beta))
+                    hit = (xi, beta)
                     break
                 if hit:
                     break
             if hit:
-                found.append((l, q, hit))
+                pairs.append((l, q, hit))
+    return blocked, pairs
+
+
+def grid_candidates(rates, requirements, grids):
+    """Every feasible (matching, allocation) on the grids as (m, g, b).
+
+    Matchings run over the tuples (relay of user 0, relay of user 1, ...)
+    in lexicographic order with -1 for unmatched; a pair's terms are the
+    grid points, time share falling first, then price, that meet both rate
+    floors with a nonnegative relay utility; the matched pairs' terms
+    combine in itertools.product order.
+    """
+    l_pu, l_su = rates.pu_coef.shape
+    terms = {}
+    for l in range(l_pu):
+        for q in range(l_su):
+            terms[l, q] = [
+                (xi, beta)
+                for beta in grids.beta_values.tolist()
+                for xi in grids.xi_values.tolist()
+                if rates.rate_pu(l, q, beta) >= requirements.r_pu_req[l]
+                and rates.rate_su(l, q, beta) >= requirements.r_su_req
+                and rates.u_su(l, q, beta, xi) >= 0.0]
+    found = []
+    for assign in itertools.product(range(-1, l_su), repeat=l_pu):
+        relays = [q for q in assign if q >= 0]
+        if len(set(relays)) < len(relays):
+            continue
+        pairs = [(l, q) for l, q in enumerate(assign) if q >= 0]
+        for combo in itertools.product(*(terms[pair] for pair in pairs)):
+            m = np.zeros((l_pu, l_su), dtype=int)
+            g = np.zeros((l_pu, l_su))
+            b = np.zeros((l_pu, l_su))
+            for (l, q), (xi, beta) in zip(pairs, combo):
+                m[l, q] = 1
+                g[l, q] = xi
+                b[l, q] = beta
+            found.append((m, g, b))
     return found
+
+
+def lp_pair_optimum(coef, su_coef, pu_floor, su_floor, c_cost, k_cost):
+    """Best licensed utility for one pair as a linear program in (xi, beta).
+
+    Maximizes coef*beta + c_cost*xi over 0 <= xi, beta <= 1 subject to
+    coef*beta >= pu_floor, su_coef*(1 - beta) >= su_floor and
+    su_coef*(1 - beta) - k_cost*xi >= 0, with HiGHS. Returns
+    (utility, xi, beta) or None when infeasible.
+    """
+    from scipy.optimize import linprog   # scipy is a test-only dependency
+
+    res = linprog(c=[-c_cost, -coef],
+                  A_ub=[[0.0, -coef], [0.0, su_coef], [k_cost, su_coef]],
+                  b_ub=[-pu_floor, su_coef - su_floor, su_coef],
+                  bounds=[(0.0, 1.0), (0.0, 1.0)], method="highs")
+    if res.status == 2:
+        return None
+    if res.status != 0:
+        raise RuntimeError(f"linprog failed: {res.message}")
+    xi, beta = (float(v) for v in res.x)
+    return coef * beta + c_cost * xi, xi, beta
 
 
 def brute_pulist(l, xi, beta, rates, requirements):

@@ -5,12 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from relaymarket import dda, radio, topology, verify
+from relaymarket import baselines, dda, radio, topology, verify
 from relaymarket.dda import MatchingOutcome
 from relaymarket.verify import GuardError
 
 from helpers import handmade_realization
-from oracles import all_injective_matchings, scan_blocking_pairs
+from oracles import (all_injective_matchings, grid_candidates,
+                     stability_reference)
 
 
 def build_outcome(l_pu, l_su, matches):
@@ -43,6 +44,31 @@ def two_by_two():
     return params, real, req
 
 
+def tiny_markets():
+    """Enumerable markets: 2x2, 2x3 and 3x2 on 3x5 grids, with partial
+    knowledge and the standard formula mixed in."""
+    shapes = [(2, 2, {}), (2, 3, {}), (3, 2, {}),
+              (2, 2, {"snr_knowledge": "partial"}), (2, 3, {"af_formula": "standard"}),
+              (3, 2, {"snr_knowledge": "partial", "af_formula": "standard"})]
+    for l_pu, l_su, overrides in shapes:
+        params = topology.params_from_dict({
+            "l_pu": l_pu, "l_su": l_su, "xi_init": 1.0, "beta_init": 1.0,
+            "delta": 0.5, "epsilon": 0.25, **overrides})
+        for seed in range(4):
+            real = topology.make_realization(params, seed)
+            yield params, real, radio.requirements_for(params, real.snr)
+
+
+def plain_pu_utilities(m, g, b, rates):
+    """Licensed utilities of one outcome by a plain loop, zero when unmatched."""
+    u = [0.0] * m.shape[0]
+    for l in range(m.shape[0]):
+        for q in range(m.shape[1]):
+            if m[l, q] == 1:
+                u[l] = rates.u_pu(l, q, b[l, q], g[l, q])
+    return u
+
+
 class TestStabilityAudit:
     def test_engine_outcomes_audit_clean(self, default_params):
         for seed in range(30):
@@ -52,30 +78,50 @@ class TestStabilityAudit:
             report = verify.is_stable(outcome, real, req, default_params)
             assert report.stable, report.describe()
 
-    def test_agrees_with_plain_loop_scan(self, default_params):
-        grids = dda.concession_grids(default_params)
+    def test_agrees_with_plain_loop_scan(self):
+        """The whole report, witnesses included, equals the plain-loop
+        reference on ladder outcomes with and without their envelope,
+        contract and random-partner outcomes, and random on-grid outcomes
+        with and without a random envelope."""
+        variants = [({}, 6), ({"l_pu": 3, "l_su": 3}, 4), ({"l_pu": 6, "l_su": 2}, 4),
+                    ({"snr_knowledge": "partial"}, 4), ({"c_bar": 1e15}, 4),
+                    ({"k_bar": 0.0}, 4), ({"negotiation": "contracts"}, 4),
+                    ({"l_pu": 25, "l_su": 50}, 2)]
         rng = np.random.default_rng(31)
-        for seed in range(15):
-            real = topology.make_realization(default_params, seed)
-            req = radio.requirements_for(default_params, real.snr)
-            rates = radio.make_pair_rates(default_params, real)
-
-            # engine outcome and a random on-grid outcome both count
-            engine_out, _ = dda.run(default_params, real, req)
-            q0, q1 = rng.choice(default_params.l_su, size=2, replace=False)
-            random_out = build_outcome(2, default_params.l_su, {
-                0: (int(q0), float(rng.choice(grids.xi_values)),
-                    float(rng.choice(grids.beta_values))),
-                1: (int(q1), float(rng.choice(grids.xi_values)),
-                    float(rng.choice(grids.beta_values))),
-            })
-            for outcome in (engine_out, random_out):
-                report = verify.is_stable(outcome, real, req, default_params)
-                naive = scan_blocking_pairs(outcome, rates, req, grids)
-                if report.blocked_individuals:
-                    continue   # the loop oracle only covers the pair scan
-                assert sorted(p[:2] for p in report.blocking_pairs) \
-                    == sorted(p[:2] for p in naive)
+        seen_blocked = seen_pairs = 0
+        for overrides, seeds in variants:
+            for seed in range(seeds):
+                params = topology.params_from_dict(overrides)
+                grids = dda.concession_grids(params)
+                real = topology.make_realization(params, seed)
+                req = radio.requirements_for(params, real.snr)
+                rates = radio.make_pair_rates(params, real)
+                engine_out, _ = dda.run(params, real, req)
+                random_partner, _ = baselines.rmbn(real, req, params,
+                                                   np.random.default_rng(seed))
+                outcomes = [engine_out, random_partner,
+                            MatchingOutcome(m=engine_out.m, g=engine_out.g, b=engine_out.b)]
+                for r in range(4):
+                    k = rng.integers(0, min(params.l_pu, params.l_su) + 1)
+                    terms = [(int(l), int(q), float(rng.choice(grids.xi_values)),
+                              float(rng.choice(grids.beta_values)))
+                             for l, q in zip(rng.permutation(params.l_pu)[:k],
+                                             rng.permutation(params.l_su)[:k])]
+                    steps = {}
+                    if r % 2:
+                        steps = {"final_xi_steps": rng.integers(0, len(grids.xi_values),
+                                                                params.l_pu),
+                                 "final_beta_steps": rng.integers(
+                                     0, len(grids.beta_values) + 1, params.l_pu)}
+                    outcomes.append(MatchingOutcome.from_terms(
+                        params.l_pu, params.l_su, terms, **steps))
+                for outcome in outcomes:
+                    report = verify.is_stable(outcome, real, req, params)
+                    want = stability_reference(outcome, rates, req, grids)
+                    assert (report.blocked_individuals, report.blocking_pairs) == want
+                    seen_blocked += bool(report.blocked_individuals)
+                    seen_pairs += bool(report.blocking_pairs)
+        assert seen_blocked > 20 and seen_pairs > 20
 
     def test_unmet_floor_flags_the_individual(self):
         params, real, req = two_by_two()
@@ -175,7 +221,26 @@ class TestEnumeration:
         rates = radio.make_pair_rates(params, real)
         stable = verify.enumerate_stable_matchings(real, req, params)
         for cand in stable[:50]:
-            assert not scan_blocking_pairs(cand, rates, req, grids)
+            assert stability_reference(cand, rates, req, grids) == ([], [])
+
+    def test_matches_the_filtered_candidate_list(self):
+        """Completeness and order: the enumeration equals every grid
+        candidate that the plain-loop audit passes, in candidate order."""
+        found = 0
+        for params, real, req in tiny_markets():
+            grids = dda.concession_grids(params)
+            rates = radio.make_pair_rates(params, real)
+            want = [(m, g, b) for m, g, b in grid_candidates(rates, req, grids)
+                    if stability_reference(MatchingOutcome(m=m, g=g, b=b),
+                                           rates, req, grids) == ([], [])]
+            got = verify.enumerate_stable_matchings(real, req, params)
+            found += len(got)
+            assert len(got) == len(want)
+            for s, (m, g, b) in zip(got, want):
+                assert s.m.dtype == m.dtype
+                assert np.array_equal(s.m, m)
+                assert np.array_equal(s.g, g) and np.array_equal(s.b, b)
+        assert found > 24
 
     def test_side_guard(self):
         p = topology.params_from_dict({
@@ -234,6 +299,31 @@ class TestWeakPareto:
             1.2596846078494428)
         assert verify.pu_utilities(witness, rates)[1] > 1.38
 
+    def test_matches_a_plain_loop_over_the_candidates(self):
+        """Same verdict and same witness as the first grid candidate, in
+        candidate order, that strictly improves every matched licensed user."""
+        fails = 0
+        for params, real, req in tiny_markets():
+            grids = dda.concession_grids(params)
+            rates = radio.make_pair_rates(params, real)
+            candidates = grid_candidates(rates, req, grids)
+            contracts, _ = dda.run_contracts(params, real, req)
+            ladder, _ = dda.run(params, real, req)
+            for outcome in (ladder, contracts,
+                            MatchingOutcome(*candidates[len(candidates) // 2])):
+                base = plain_pu_utilities(outcome.m, outcome.g, outcome.b, rates)
+                matched = [l for l in range(params.l_pu) if outcome.m[l].any()]
+                want = next((c for c in candidates if matched and all(
+                    plain_pu_utilities(*c, rates)[l] > base[l] for l in matched)), None)
+                ok, witness = verify.check_weak_pareto(outcome, real, req, params)
+                assert ok == (want is None)
+                if want is not None:
+                    fails += 1
+                    assert np.array_equal(witness.m, want[0])
+                    assert np.array_equal(witness.g, want[1])
+                    assert np.array_equal(witness.b, want[2])
+        assert fails > 5
+
     def test_empty_matching_passes_vacuously(self):
         params, real, req = two_by_two()
         ok, witness = verify.check_weak_pareto(
@@ -287,6 +377,12 @@ class TestBounds:
         i_max = math.ceil(verify.iteration_bound(default_params, real, req)) + 1
         assert verify.packet_bound(default_params, real, req) \
             == pytest.approx(8 * i_max)
+
+    def test_bounds_without_a_market_name_the_missing_argument(self, default_params):
+        with pytest.raises(ValueError, match="realization or i_max"):
+            verify.packet_bound(default_params)
+        with pytest.raises(ValueError, match="realization or beta_min"):
+            verify.iteration_bound(default_params)
 
     def test_scaling_estimates_by_hand(self):
         assert verify.complexity_estimates(2, 2) == {
