@@ -13,14 +13,13 @@ from .baselines import (PairValue, centralized_pu_optimal, centralized_su_rate,
                         pair_optimum_continuous, pair_optimum_discrete, rmbn)
 from .bench import (AggregateMetrics, SweepRow, TrialMetrics, emit_csv, p90,
                     read_csv, run_trials, scenario_id, sweep)
-from .dda import (EngineTrace, Grids, MatchingOutcome, concession_grids,
-                  init_state, run, step)
+from .dda import (EngineTrace, Grids, Market, MatchingOutcome, concession_grids,
+                  init_state, market, negotiate, run, step)
 from .errors import GuardError
 from .radio import (LinkSnrs, PairRates, Requirements, af_relay_snr, beta_interval,
                     compute_snrs, make_pair_rates, requirements_for)
-from .topology import (DEFAULTS, ChannelRealization, Placement, ScenarioParams,
-                       draw_channels, make_realization, params_from_dict,
-                       place_users)
+from .topology import (ChannelRealization, Placement, ScenarioParams, draw_channels,
+                       make_realization, params_from_dict, place_users)
 from .verify import (StabilityReport, check_weak_pareto, complexity_estimates,
                      enumerate_stable_matchings, is_stable, iteration_bound,
                      packet_bound, per_pu_puu_bounds, pu_utilities)
@@ -28,17 +27,17 @@ from .verify import (StabilityReport, check_weak_pareto, complexity_estimates,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregateMetrics", "ChannelRealization", "DEFAULTS", "EngineTrace",
-    "Grids", "GuardError", "LinkSnrs", "MatchingOutcome", "PairRates",
+    "AggregateMetrics", "ChannelRealization", "EngineTrace", "Grids",
+    "GuardError", "LinkSnrs", "Market", "MatchingOutcome", "PairRates",
     "PairValue", "Placement", "Requirements", "ScenarioParams",
     "StabilityReport", "SweepRow", "TrialMetrics", "af_relay_snr",
     "beta_interval", "centralized_pu_optimal", "centralized_su_rate",
     "check_weak_pareto", "complexity_estimates", "compute_snrs",
     "concession_grids", "draw_channels", "emit_csv",
     "enumerate_stable_matchings", "init_state", "is_stable",
-    "iteration_bound", "make_pair_rates", "make_realization", "p90",
-    "packet_bound", "pair_optimum_continuous", "pair_optimum_discrete",
-    "params_from_dict", "per_pu_puu_bounds", "place_users", "pu_utilities",
-    "read_csv", "requirements_for", "rmbn", "run", "run_trials",
-    "scenario_id", "step", "sweep",
+    "iteration_bound", "make_pair_rates", "make_realization", "market",
+    "negotiate", "p90", "packet_bound", "pair_optimum_continuous",
+    "pair_optimum_discrete", "params_from_dict", "per_pu_puu_bounds",
+    "place_users", "pu_utilities", "read_csv", "requirements_for", "rmbn",
+    "run", "run_trials", "scenario_id", "step", "sweep",
 ]

@@ -2,10 +2,11 @@
 
 The centralized solver decomposes into per-pair term optimization plus an
 assignment over pairs; it is exhaustive by design and guarded to desk
-scale. The random baseline (rmbn) matches sides uniformly at random and
-lets each matched pair haggle bilaterally with the same concession rule
-the engine uses, which isolates the value of market-wide matching from
-the value of concession itself.
+scale; it solves on the market's complete-knowledge rates_real. The
+random baseline (rmbn) matches sides uniformly at random and lets each
+matched pair haggle bilaterally with the same concession rule the engine
+uses, which isolates the value of market-wide matching from the value of
+concession itself.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import radio
-from .dda import EngineTrace, MatchingOutcome, concession_grids, concession_step
+from .dda import EngineTrace, MatchingOutcome, concession_step
 from .errors import GuardError
 
 # Exhaustive assignment costs roughly exp(small_side * log(big_side));
@@ -81,12 +82,12 @@ def pair_optimum_continuous(rates, requirements):
             np.where(feasible, u_pu, -np.inf))
 
 
-def pair_optimum_discrete(l, q, rates, requirements, params, grids=None):
-    """Same problem restricted to the concession grids; exhaustive scan."""
-    if grids is None:
-        grids = concession_grids(params)
-    r_pu = requirements.r_pu_req[l]
-    r_su = requirements.r_su_req
+def pair_optimum_discrete(market, l, q):
+    """Pair (l, q)'s best terms on the market's grids, under the rates it
+    negotiates with; exhaustive scan."""
+    rates, grids = market.rates, market.grids
+    r_pu = market.requirements.r_pu_req[l]
+    r_su = market.requirements.r_su_req
     k = rates.k_cost
     best = None
     for beta in sorted(grids.beta_values):
@@ -147,38 +148,38 @@ def _outcome_from(l_pu, l_su, assign, xi, beta):
         [(l, q, xi[l, q], beta[l, q]) for l, q in enumerate(assign) if q >= 0])
 
 
-def centralized_pu_optimal(realization, requirements, params):
+def centralized_pu_optimal(market):
     """Matching and terms maximizing total licensed utility.
 
     Exhaustive over injective partial matchings with per-pair optimal
     continuous terms; refuses sides larger than the guard.
     """
-    l_pu, l_su = params.l_pu, params.l_su
+    l_pu, l_su = market.params.l_pu, market.params.l_su
     _check_assignment_guard(l_pu, l_su)
-    rates = radio.make_pair_rates(params, realization, knowledge="complete")
-    feasible, xi, beta, u_pu = pair_optimum_continuous(rates, requirements)
+    feasible, xi, beta, u_pu = pair_optimum_continuous(market.rates_real,
+                                                       market.requirements)
     _, assign = _best_assignment(np.where(feasible, u_pu, 0.0), feasible)
     return _outcome_from(l_pu, l_su, assign, xi, beta)
 
 
-def centralized_su_rate(realization, requirements, params):
+def centralized_su_rate(market):
     """Matching maximizing total relay rate instead.
 
     Per pair the relay rate falls in beta, so the best terms are the
     smallest beta clearing the licensed floor with a zero price (any
     feasible price would do; zero leaves the relay best off).
     """
-    l_pu, l_su = params.l_pu, params.l_su
+    l_pu, l_su = market.params.l_pu, market.params.l_su
     _check_assignment_guard(l_pu, l_su)
-    rates = radio.make_pair_rates(params, realization, knowledge="complete")
-    lo, hi = radio.beta_interval(rates, requirements)
+    rates = market.rates_real
+    lo, hi = radio.beta_interval(rates, market.requirements)
     feasible = lo <= hi
     beta = np.where(feasible, lo, 0.0)
     _, assign = _best_assignment(rates.su_coef * (1.0 - beta), feasible)
     return _outcome_from(l_pu, l_su, assign, np.zeros_like(beta), beta)
 
 
-def rmbn(realization, requirements, params, rng):
+def rmbn(market, rng):
     """Random matching with basic negotiation.
 
     The smaller side is matched uniformly at random onto the larger (the
@@ -189,11 +190,10 @@ def rmbn(realization, requirements, params, rng):
     "contracts" the pair settles on its best bilateral grid contract
     (pair_optimum_discrete): one offer and one accept per feasible pair.
     """
-    if np.any(requirements.r_pu_req <= 0.0):
+    params, rates, grids = market.params, market.rates, market.grids
+    if np.any(market.requirements.r_pu_req <= 0.0):
         raise ValueError("bilateral negotiation needs positive licensed rate floors")
     l_pu, l_su = params.l_pu, params.l_su
-    rates = radio.make_pair_rates(params, realization)
-    grids = concession_grids(params)
     if l_pu <= l_su:
         chosen = rng.permutation(l_su)[:l_pu]
         pairs = [(l, int(chosen[l])) for l in range(l_pu)]
@@ -205,10 +205,10 @@ def rmbn(realization, requirements, params, rng):
     events = []
     offers = 0
     puu_counts = np.zeros(l_pu, dtype=int)
-    r_su = requirements.r_su_req
+    r_su = market.requirements.r_su_req
     for l, q in pairs:
         if params.negotiation == "contracts":
-            best = pair_optimum_discrete(l, q, rates, requirements, params, grids)
+            best = pair_optimum_discrete(market, l, q)
             if not best.feasible:
                 events.append(("prune", l, q, 0.0, 0.0, offers))
                 continue
@@ -218,7 +218,7 @@ def rmbn(realization, requirements, params, rng):
             matched.append((l, q, best.xi, best.beta))
             continue
         m_x, m_b = 0, 0
-        floor = requirements.r_pu_req[l]
+        floor = market.requirements.r_pu_req[l]
         while True:
             beta = grids.beta_at(m_b)
             if rates.rate_pu(l, q, beta) < floor:

@@ -3,9 +3,9 @@
 Each trial owns a seed derived from (master seed, trial index), so any
 subset of trials can be reproduced in isolation and the aggregate never
 depends on execution order. All requested algorithms see the identical
-channel realization within a trial. Reported rates and utilities are
-always computed from the realized channels, whatever knowledge model
-the negotiation itself ran under.
+channel realization within a trial, held in one dda.Market. Reported
+rates and utilities are always computed from the realized channels (its
+rates_real), whatever knowledge model the negotiation itself ran under.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import baselines, dda, radio, topology
+from . import baselines, dda, topology
 
 ALGO_TAGS = ("dda-complete", "dda-partial", "centralized", "centralized-su", "rmbn")
 
@@ -103,8 +103,14 @@ def run_trials(params, algos, n_trials):
     unknown = [a for a in algos if a not in ALGO_TAGS]
     if unknown:
         raise ValueError(f"unknown algorithm tags {unknown}; valid: {ALGO_TAGS}")
-    need_partial = "dda-partial" in algos
-    build_params = replace(params, snr_knowledge="partial" if need_partial else "complete")
+    repeated = [a for a in ALGO_TAGS if algos.count(a) > 1]
+    if repeated:
+        raise ValueError(f"algorithm tag {repeated[0]!r} requested more than once")
+    # tags negotiating under partial knowledge (rmbn follows the scenario); the
+    # rate estimates are drawn only when one of them is requested
+    partial = {"dda-partial"} | ({"rmbn"} if params.snr_knowledge == "partial" else set())
+    build_params = replace(
+        params, snr_knowledge="partial" if partial & set(algos) else "complete")
     complete_params = replace(params, snr_knowledge="complete")
 
     per_algo = {a: [] for a in algos}
@@ -112,28 +118,22 @@ def run_trials(params, algos, n_trials):
         ss = np.random.SeedSequence([params.seed, i])
         realization = topology.make_realization(build_params, ss)
         rmbn_ss, = ss.spawn(1)   # the third child, after placement and channels
-        requirements = radio.requirements_for(params, realization.snr)
-        rates_real = radio.make_pair_rates(complete_params, realization)
+        built = dda.market(build_params, realization)
+        complete = replace(built, params=complete_params, rates=built.rates_real)
         for algo in algos:
+            market = built if algo in partial else complete
             packets = iterations = 0
-            if algo == "dda-complete":
-                outcome, trace = dda.run(complete_params, realization, requirements)
-                packets, iterations = trace.packets, trace.offers
-            elif algo == "dda-partial":
-                outcome, trace = dda.run(replace(params, snr_knowledge="partial"),
-                                         realization, requirements)
+            if algo in ("dda-complete", "dda-partial"):
+                outcome, trace = dda.negotiate(market)
                 packets, iterations = trace.packets, trace.offers
             elif algo == "centralized":
-                outcome = baselines.centralized_pu_optimal(
-                    realization, requirements, complete_params)
+                outcome = baselines.centralized_pu_optimal(market)
             elif algo == "centralized-su":
-                outcome = baselines.centralized_su_rate(
-                    realization, requirements, complete_params)
+                outcome = baselines.centralized_su_rate(market)
             else:
-                outcome, trace = baselines.rmbn(realization, requirements, params,
-                                                np.random.default_rng(rmbn_ss))
+                outcome, trace = baselines.rmbn(market, np.random.default_rng(rmbn_ss))
                 packets, iterations = trace.packets, trace.offers
-            u, r_pu, r_su, count = _realized_sums(outcome, rates_real)
+            u, r_pu, r_su, count = _realized_sums(outcome, market.rates_real)
             per_algo[algo].append(TrialMetrics(
                 algo=algo, trial=i, sum_utility_pu=u, sum_rate_pu=r_pu,
                 sum_rate_su=r_su, matched_pu_count=count,

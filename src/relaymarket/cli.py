@@ -100,8 +100,7 @@ def _cmd_run(args):
             for algo in algos]
     bench.emit_csv(rows, args.out)
     if args.trace:
-        realization, requirements = _instance(params, 0)
-        _, trace = dda.run(params, realization, requirements)
+        _, trace = dda.run(params, *_instance(params, 0))
         with open(args.trace, "w") as fp:
             trace.to_jsonl(fp)
     return 0

@@ -3,7 +3,8 @@
 Two rules, selected by the scenario's `negotiation` key. The default,
 "ladder", is the concession engine below: one global concession state per
 licensed pair. "contracts" runs licensed-proposing deferred acceptance over
-the grid contracts (q, xi, beta); see run_contracts.
+the grid contracts (q, xi, beta); see run_contracts. Both read one Market
+(floors, rates and grids of a channel draw), built by market().
 
 Ladder rule. Licensed pairs wait in a queue. The head pair offers its
 current (xi, beta) terms to its best relay; the relay takes the offer if
@@ -29,7 +30,7 @@ import itertools
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -63,6 +64,30 @@ def concession_grids(params):
     positive = np.nonzero(xi > 1e-12)[0]
     last_pos = int(positive[-1]) if len(positive) else 0
     return Grids(xi_values=xi, beta_values=beta, last_positive_xi=last_pos)
+
+
+@dataclass(frozen=True)
+class Market:
+    """One channel draw's market, built by market()."""
+    params: object
+    realization: object
+    requirements: radio.Requirements
+    rates: radio.PairRates        # negotiated with, under params.snr_knowledge
+    rates_real: radio.PairRates   # complete knowledge, to score outcomes with;
+                                  # the rates object itself when knowledge is complete
+    grids: Grids
+
+
+def market(params, realization, requirements=None):
+    """The market of one realization; floors default to radio.requirements_for."""
+    if requirements is None:
+        requirements = radio.requirements_for(params, realization.snr)
+    rates = rates_real = radio.make_pair_rates(params, realization)
+    if params.snr_knowledge != "complete":
+        rates_real = radio.make_pair_rates(
+            replace(params, snr_knowledge="complete"), realization)
+    return Market(params, realization, requirements, rates, rates_real,
+                  concession_grids(params))
 
 
 @dataclass
@@ -118,10 +143,7 @@ class EngineTrace:
 
 @dataclass
 class EngineState:
-    params: object
-    rates: radio.PairRates
-    requirements: radio.Requirements
-    grids: Grids
+    market: Market
     queue: deque
     relay_order: list         # per licensed pair: relays by falling pu_coef
     accepted: list            # per relay: (l, xi, beta) held, or None
@@ -137,25 +159,23 @@ class EngineState:
 
 
 def _xi_of(state, l):
-    return float(state.grids.xi_values[state.m_xi[l]])
+    return float(state.market.grids.xi_values[state.m_xi[l]])
 
 
 def _beta_of(state, l):
-    return state.grids.beta_at(state.m_beta[l])
+    return state.market.grids.beta_at(state.m_beta[l])
 
 
-def init_state(params, realization, requirements):
-    rates = radio.make_pair_rates(params, realization)
-    if np.any(requirements.r_pu_req <= 0.0):
+def init_state(market):
+    if np.any(market.requirements.r_pu_req <= 0.0):
         raise ValueError(
             "negotiation needs positive licensed rate floors; a zero floor "
             "makes the zero-time state acceptable forever and the run never ends")
-    l_pu, l_su = params.l_pu, params.l_su
+    l_pu, l_su = market.params.l_pu, market.params.l_su
     return EngineState(
-        params=params, rates=rates, requirements=requirements,
-        grids=concession_grids(params),
+        market=market,
         queue=deque(range(l_pu)),
-        relay_order=np.argsort(-rates.pu_coef, axis=1, kind="stable").tolist(),
+        relay_order=np.argsort(-market.rates.pu_coef, axis=1, kind="stable").tolist(),
         accepted=[None] * l_su,
         m_xi=np.zeros(l_pu, dtype=int),
         m_beta=np.zeros(l_pu, dtype=int),
@@ -171,7 +191,7 @@ def _best_relay(state, l, xi, beta):
     along it. Rounding can still give a shallower relay the head's exact
     utility; those ties are walked and the smallest index taken.
     """
-    rates, floor = state.rates, state.requirements.r_pu_req[l]
+    rates, floor = state.market.rates, state.market.requirements.r_pu_req[l]
     order = state.relay_order[l]
     best = order[0]
     if rates.rate_pu(l, best, beta) < floor:
@@ -206,10 +226,10 @@ def concession_step(m_xi, m_beta, coef, rate_floor, c_cost, grids):
 def puu(state, l, q):
     """Concede one step after relay q refused (or displaced) pair l. The
     caller requeues l."""
-    rates, grids = state.rates, state.grids
+    rates, grids = state.market.rates, state.market.grids
     m_x, m_b = concession_step(
         int(state.m_xi[l]), int(state.m_beta[l]),
-        rates.pu_coef[l, q], state.requirements.r_pu_req[l], rates.c_cost, grids)
+        rates.pu_coef[l, q], state.market.requirements.r_pu_req[l], rates.c_cost, grids)
     # cap the time step one past the grid; the value is pinned at zero there
     state.m_xi[l] = m_x
     state.m_beta[l] = min(m_b, len(grids.beta_values))
@@ -234,7 +254,7 @@ def step(state):
     state.offers += 1
     state.events.append(("offer", l, q, xi, beta, state.offers))
 
-    rates, req = state.rates, state.requirements
+    rates, req = state.market.rates, state.market.requirements
     acceptable = (rates.rate_su(l, q, beta) >= req.r_su_req
                   and rates.u_su(l, q, beta, xi) >= 0.0)
     held = state.accepted[q]
@@ -258,7 +278,7 @@ def step(state):
 
 def finish(state):
     outcome = MatchingOutcome.from_terms(
-        state.params.l_pu, state.params.l_su,
+        state.market.params.l_pu, state.market.params.l_su,
         [(held[0], q, held[1], held[2])
          for q, held in enumerate(state.accepted) if held is not None],
         final_xi_steps=state.m_xi.copy(),
@@ -274,11 +294,14 @@ def finish(state):
 
 def run(params, realization, requirements=None):
     """Run the scenario's negotiation rule to termination on one realization."""
-    if requirements is None:
-        requirements = radio.requirements_for(params, realization.snr)
-    if params.negotiation == "contracts":
-        return run_contracts(params, realization, requirements)
-    state = init_state(params, realization, requirements)
+    return negotiate(market(params, realization, requirements))
+
+
+def negotiate(market):
+    """Run the market's negotiation rule to termination."""
+    if market.params.negotiation == "contracts":
+        return run_contracts(market)
+    state = init_state(market)
     while not state.terminal:
         step(state)
     return finish(state)
@@ -317,7 +340,7 @@ def _contract_lists(rates, requirements, grids):
     return lists
 
 
-def run_contracts(params, realization, requirements):
+def run_contracts(market):
     """Licensed-proposing deferred acceptance over the grid contracts.
 
     Each licensed user keeps one bar per relay, minus infinity until that
@@ -334,10 +357,9 @@ def run_contracts(params, realization, requirements):
     stability audits it on the full grid. puu_counts holds, per user, the
     refusals and displacements it absorbed.
     """
-    rates = radio.make_pair_rates(params, realization)
-    grids = concession_grids(params)
-    l_pu, l_su = params.l_pu, params.l_su
-    lists = _contract_lists(rates, requirements, grids)
+    grids = market.grids
+    l_pu, l_su = market.params.l_pu, market.params.l_su
+    lists = _contract_lists(market.rates, market.requirements, grids)
     pointer = np.zeros(l_pu, dtype=int)
     bar = np.full((l_pu, l_su), -np.inf)
     held_u = np.full(l_su, -np.inf)

@@ -87,9 +87,7 @@ def mean_relay_log_term(gamma_dir, gamma_first_hop, mean_forward_gain, params, r
     average path gain. Stratified uniforms keep the estimator's error well
     under a plain Monte Carlo draw at the same sample count.
     """
-    n = int(params.partial_expectation_samples)
-    if n < 1:
-        raise ValueError("partial_expectation_samples must be >= 1")
+    n = params.partial_expectation_samples
     u = (np.arange(n) + rng.random(n)) / n
     h2 = -np.log1p(-u)
     relayed = af_relay_snr(gamma_first_hop, mean_forward_gain * h2, params.af_formula)
@@ -126,17 +124,15 @@ class PairRates:
         return self.su_coef[l, q] * (1.0 - beta) - self.k_cost * xi
 
 
-def make_pair_rates(params, realization, knowledge=None):
-    mode = knowledge if knowledge is not None else params.snr_knowledge
+def make_pair_rates(params, realization):
+    """Rate and utility slopes of every pair under params.snr_knowledge."""
     snrs = realization.snr
-    if mode == "complete":
+    if params.snr_knowledge == "complete":
         log_term = log2_1p(snrs.gamma_dir[:, None] + snrs.gamma_relay)
-    elif mode == "partial":
-        if realization.partial_mean_log is None:
-            raise ValueError("realization carries no partial-knowledge rate estimates")
-        log_term = realization.partial_mean_log
+    elif realization.partial_mean_log is None:
+        raise ValueError("realization carries no partial-knowledge rate estimates")
     else:
-        raise ValueError(f"unknown snr knowledge mode {mode!r}")
+        log_term = realization.partial_mean_log
     pu_coef = 0.5 * params.t_frame * log_term
     su_coef = params.t_frame * log2_1p(snrs.gamma_sr.T)
     return PairRates(

@@ -9,37 +9,12 @@ unit-mean exponentials, redrawn fresh per trial and constant within it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import radio
-
-DEFAULTS = {
-    "l_pu": 2,
-    "l_su": 6,
-    "gamma_pu_db": 5.0,
-    "gamma_su_db": 25.0,
-    "alpha": 4.0,
-    "t_frame": 1.0,
-    "capital_c": 1.0,
-    "c_bar": 1.0,
-    "k_bar": 1.0,
-    "r_su_req": 0.1,
-    "pu_req_mode": "direct-rate",
-    "r_pu_req": None,
-    "xi_init": 0.99,
-    "beta_init": 0.99,
-    "delta": 0.05,
-    "epsilon": 0.05,
-    "snr_knowledge": "complete",
-    "af_formula": "paper",
-    "negotiation": "ladder",
-    "partial_expectation_samples": 256,
-    "su_channel_per_band": True,
-    "seed": 0,
-}
-
 
 @dataclass(frozen=True)
 class ScenarioParams:
@@ -67,6 +42,19 @@ class ScenarioParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, float, np.integer, np.floating))
+                    or not math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if not isinstance(self.su_channel_per_band, bool):
+            raise ValueError("su_channel_per_band must be true or false, "
+                             f"got {self.su_channel_per_band!r}")
         if self.l_pu < 1 or self.l_su < 1:
             raise ValueError("need at least one pair on each side")
         if not (0.0 < self.xi_init <= 1.0 and 0.0 < self.beta_init <= 1.0):
@@ -97,14 +85,17 @@ class ScenarioParams:
             raise ValueError("seed must be a nonnegative integer")
 
 
+_INT_FIELDS = tuple(f.name for f in fields(ScenarioParams) if f.type == "int")
+_FLOAT_FIELDS = tuple(f.name for f in fields(ScenarioParams) if f.type == "float")
+
+
 def params_from_dict(d):
-    unknown = set(d) - set(DEFAULTS)
+    unknown = set(d) - {f.name for f in fields(ScenarioParams)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    merged = {**DEFAULTS, **d}
-    if isinstance(merged["r_pu_req"], list):
-        merged["r_pu_req"] = tuple(merged["r_pu_req"])
-    return ScenarioParams(**merged)
+    if isinstance(d.get("r_pu_req"), list):
+        d = {**d, "r_pu_req": tuple(d["r_pu_req"])}
+    return ScenarioParams(**d)
 
 
 @dataclass(frozen=True)

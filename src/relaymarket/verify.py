@@ -4,7 +4,8 @@ Covers matching stability (no blocked individual, no blocking pair),
 dominance over enumerated stable matchings, weak Pareto optimality,
 the concession-count and packet-count ceilings, and closed-form
 scaling estimates. Enumerative checks are guarded to tiny instances;
-everything here is a pure function of an outcome plus the scenario.
+everything here is a pure function of an outcome plus the scenario, and
+each check builds the draw's dda.Market (rates, floors, grids) on entry.
 
 The blocking-pair rule lives in one array core, _blocking_pairs, over a
 leading axis of stacked outcomes: is_stable audits one outcome through
@@ -22,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import radio
-from .dda import MatchingOutcome, concession_grids
+from . import dda, radio
+from .dda import MatchingOutcome
 from .errors import GuardError
 
 ENUM_SIDE_GUARD = 3
@@ -99,7 +100,7 @@ def _witness(rates, requirements, l, q, u_pu, u_su, beta, xi_pu, xi_su):
             & (su_rate - rates.k_cost * xi_su > u_su))
 
 
-def _blocking_pairs(rates, requirements, grids, u_pu, u_su, open_pairs, xi_lo, beta_lo):
+def _blocking_pairs(market, u_pu, u_su, open_pairs, xi_lo, beta_lo):
     """Blocking pairs of n stacked outcomes, each with its first witness.
 
     u_pu [n, l] and u_su [n, q] are the utilities held, open_pairs
@@ -108,7 +109,8 @@ def _blocking_pairs(rates, requirements, grids, u_pu, u_su, open_pairs, xi_lo, b
     Returns index arrays (n, l, q, i, j) in (n, l, q) order: the pair's
     first witness in xi-major grid order is (xi_values[i], beta_values[j]).
     """
-    xis, betas = grids.xi_values, grids.beta_values
+    rates, requirements = market.rates, market.requirements
+    xis, betas = market.grids.xi_values, market.grids.beta_values
     n_xi, n_beta = len(xis), len(betas)
     nn, ll, qq = np.nonzero(open_pairs & (xi_lo < n_xi)[..., None]
                             & (beta_lo < n_beta)[..., None])
@@ -140,8 +142,7 @@ def _blocking_pairs(rates, requirements, grids, u_pu, u_su, open_pairs, xi_lo, b
     return nn[k], ll[k], qq[k], first // n_beta, first % n_beta
 
 
-def is_stable(outcome, realization, requirements, params, grids=None,
-              continuous_domain=False):
+def is_stable(outcome, realization, requirements, params, continuous_domain=False):
     """Audit an outcome for blocked individuals and blocking pairs.
 
     Individual check: every matched licensed user clears its rate floor
@@ -157,9 +158,8 @@ def is_stable(outcome, realization, requirements, params, grids=None,
     over that region the engine's offer order rules witnesses out.
     Outcomes without concession states are searched over the full grid.
     """
-    if grids is None:
-        grids = concession_grids(params)
-    rates = radio.make_pair_rates(params, realization)
+    market = dda.market(params, realization, requirements)
+    rates, requirements, grids = market.rates, market.requirements, market.grids
     ls, qs = np.nonzero(outcome.m)
     xi, beta = outcome.g[ls, qs], outcome.b[ls, qs]
     ls, qs = ls.tolist(), qs.tolist()
@@ -197,7 +197,7 @@ def is_stable(outcome, realization, requirements, params, grids=None,
         xi_lo = np.asarray(outcome.final_xi_steps, dtype=int)
         beta_lo = np.asarray(outcome.final_beta_steps, dtype=int)
     u_pu, u_su = _utilities(rates, outcome.m, outcome.g, outcome.b)
-    _, pl, pq, i, j = _blocking_pairs(rates, requirements, grids, u_pu[None], u_su[None],
+    _, pl, pq, i, j = _blocking_pairs(market, u_pu[None], u_su[None],
                                       open_pairs[None], xi_lo[None], beta_lo[None])
     pairs = [(l, q, (float(grids.xi_values[xi_i]), float(grids.beta_values[beta_j])))
              for l, q, xi_i, beta_j in zip(pl.tolist(), pq.tolist(), i, j)]
@@ -234,7 +234,7 @@ def _injective_maps(l_pu, l_su):
     yield from rec(0, set(), [])
 
 
-def _candidate_blocks(rates, requirements, grids):
+def _candidate_blocks(market):
     """Every feasible (matching, allocation) on the grids, as stacked
     m/g/b arrays [n, l, q] of at most AUDIT_BLOCK candidates each.
 
@@ -244,10 +244,11 @@ def _candidate_blocks(rates, requirements, grids):
     then falling price. Only individually acceptable terms are used, so
     no candidate has a blocked individual.
     """
+    rates, grids = market.rates, market.grids
     l_pu, l_su = rates.pu_coef.shape
     ls, qs = np.indices((l_pu, l_su))[..., None, None]
     pu_ok, su_rate_ok, su_util_ok = _acceptable(
-        rates, requirements, ls, qs, grids.xi_values, grids.beta_values[:, None])
+        rates, market.requirements, ls, qs, grids.xi_values, grids.beta_values[:, None])
     ok = pu_ok & su_rate_ok & su_util_ok
     terms = {}
     for l, q in np.ndindex(l_pu, l_su):
@@ -279,23 +280,20 @@ def _candidate_blocks(rates, requirements, grids):
         yield m, g, b
 
 
-def enumerate_stable_matchings(realization, requirements, params, grids=None):
+def enumerate_stable_matchings(realization, requirements, params):
     """Every stable (matching, allocation) on the grids, by exhaustion.
 
     Tiny instances only; stability here is full-grid (candidates carry no
     negotiation history, so every allocation is a potential witness).
     """
-    if grids is None:
-        grids = concession_grids(params)
-    _check_enum_guard(params, grids)
-    rates = radio.make_pair_rates(params, realization)
+    market = dda.market(params, realization, requirements)
+    _check_enum_guard(params, market.grids)
     stable = []
-    for m, g, b in _candidate_blocks(rates, requirements, grids):
-        u_pu, u_su = _utilities(rates, m, g, b)
+    for m, g, b in _candidate_blocks(market):
+        u_pu, u_su = _utilities(market.rates, m, g, b)
         steps = np.zeros((len(m), params.l_pu), dtype=int)
         blocked = np.zeros(len(m), dtype=bool)
-        blocked[_blocking_pairs(rates, requirements, grids, u_pu, u_su,
-                                m == 0, steps, steps)[0]] = True
+        blocked[_blocking_pairs(market, u_pu, u_su, m == 0, steps, steps)[0]] = True
         stable.extend(MatchingOutcome(m=m[n].copy(), g=g[n].copy(), b=b[n].copy())
                       for n in np.flatnonzero(~blocked))
     return stable
@@ -309,35 +307,25 @@ def pu_utilities(outcome, rates):
     return out
 
 
-def check_weak_pareto(outcome, realization, requirements, params, grids=None):
+def check_weak_pareto(outcome, realization, requirements, params):
     """No feasible alternative strictly improves every matched licensed user.
 
     Quantifies over the users the outcome actually matched; an empty
     matching passes vacuously. Returns (True, None) or (False, witness
     outcome) with the first strictly-dominating alternative found.
     """
-    if grids is None:
-        grids = concession_grids(params)
-    _check_enum_guard(params, grids)
-    rates = radio.make_pair_rates(params, realization)
+    market = dda.market(params, realization, requirements)
+    _check_enum_guard(params, market.grids)
     matched = [l for l, _ in outcome.matched_pairs()]
     if not matched:
         return True, None
-    base = pu_utilities(outcome, rates)[matched]
-    for m, g, b in _candidate_blocks(rates, requirements, grids):
-        better = (_utilities(rates, m, g, b)[0][:, matched] > base).all(axis=1)
+    base = pu_utilities(outcome, market.rates)[matched]
+    for m, g, b in _candidate_blocks(market):
+        better = (_utilities(market.rates, m, g, b)[0][:, matched] > base).all(axis=1)
         if better.any():
             n = int(np.argmax(better))
             return False, MatchingOutcome(m=m[n].copy(), g=g[n].copy(), b=b[n].copy())
     return True, None
-
-
-def _beta_floors(params, realization, requirements):
-    """Smallest feasible time share of every pair, [l, q]."""
-    rates = radio.make_pair_rates(params, realization)
-    if requirements is None:
-        requirements = radio.requirements_for(params, realization.snr)
-    return radio.beta_interval(rates, requirements)[0]
 
 
 def iteration_bound(params, realization=None, requirements=None, beta_min=None):
@@ -350,14 +338,16 @@ def iteration_bound(params, realization=None, requirements=None, beta_min=None):
     if beta_min is None:
         if realization is None:
             raise ValueError("iteration_bound needs a realization or beta_min")
-        beta_min = float(_beta_floors(params, realization, requirements).min())
+        market = dda.market(params, realization, requirements)
+        beta_min = float(radio.beta_interval(market.rates, market.requirements)[0].min())
     beta_min = min(max(beta_min, 0.0), params.beta_init)
     return params.xi_init / params.delta + (params.beta_init - beta_min) / params.epsilon
 
 
 def per_pu_puu_bounds(params, realization, requirements=None):
     """Per licensed user ceiling on concession invocations (integer)."""
-    floors = _beta_floors(params, realization, requirements)
+    market = dda.market(params, realization, requirements)
+    floors = radio.beta_interval(market.rates, market.requirements)[0]
     per_pu = np.clip(floors.min(axis=1), 0.0, params.beta_init)
     raw = params.xi_init / params.delta + (params.beta_init - per_pu) / params.epsilon
     return np.array([math.ceil(v) + 1 for v in raw], dtype=int)

@@ -59,12 +59,12 @@ def single_pair_scenario(gamma_dir, gamma_relay_hops, gamma_sr, **overrides):
     return params, real
 
 
-def discrete_assignment_optimum(rates, requirements, params):
+def discrete_assignment_optimum(market):
     """Best total licensed utility over every partial matching, each pair at
     its best grid terms (pair_optimum_discrete); 0 for the empty matching."""
     best = 0.0
-    for matching in all_injective_matchings(params.l_pu, params.l_su):
-        values = [baselines.pair_optimum_discrete(l, q, rates, requirements, params)
+    for matching in all_injective_matchings(market.params.l_pu, market.params.l_su):
+        values = [baselines.pair_optimum_discrete(market, l, q)
                   for l, q in matching.items()]
         if all(v.feasible for v in values):
             best = max(best, sum(v.u_pu for v in values))

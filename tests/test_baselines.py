@@ -20,6 +20,11 @@ def rates_and_req(params, seed):
     return real, rates, req
 
 
+def market_at(params, seed):
+    real = topology.make_realization(params, seed)
+    return dda.market(params, real, radio.requirements_for(params, real.snr))
+
+
 class TestPairOptimumContinuous:
     def test_matches_grid_search(self, default_params):
         checked = 0
@@ -107,10 +112,10 @@ class TestPairOptimumDiscrete:
         for seed in range(12):
             real, rates, req = rates_and_req(default_params, seed)
             feasible, _, _, u_pu = baselines.pair_optimum_continuous(rates, req)
+            market = dda.market(default_params, real, req)
             for l in range(default_params.l_pu):
                 for q in range(default_params.l_su):
-                    disc = baselines.pair_optimum_discrete(
-                        l, q, rates, req, default_params)
+                    disc = baselines.pair_optimum_discrete(market, l, q)
                     assert disc.u_pu <= u_pu[l, q] + 1e-12
                     if disc.feasible:
                         assert feasible[l, q]
@@ -119,10 +124,10 @@ class TestPairOptimumDiscrete:
         grids = dda.concession_grids(default_params)
         for seed in range(8):
             real, rates, req = rates_and_req(default_params, seed)
+            market = dda.market(default_params, real, req)
             for l in range(default_params.l_pu):
                 for q in range(default_params.l_su):
-                    got = baselines.pair_optimum_discrete(
-                        l, q, rates, req, default_params, grids)
+                    got = baselines.pair_optimum_discrete(market, l, q)
                     best = -math.inf
                     for beta in grids.beta_values:
                         for xi in grids.xi_values:
@@ -138,11 +143,10 @@ class TestPairOptimumDiscrete:
 
     def test_terms_lie_on_the_grids(self, default_params):
         grids = dda.concession_grids(default_params)
-        real, rates, req = rates_and_req(default_params, 3)
+        market = market_at(default_params, 3)
         for l in range(default_params.l_pu):
             for q in range(default_params.l_su):
-                got = baselines.pair_optimum_discrete(
-                    l, q, rates, req, default_params, grids)
+                got = baselines.pair_optimum_discrete(market, l, q)
                 if got.feasible:
                     assert np.min(np.abs(grids.xi_values - got.xi)) < 1e-12
                     assert np.min(np.abs(grids.beta_values - got.beta)) < 1e-12
@@ -161,7 +165,7 @@ class TestPairOptimumDiscrete:
                 "pu_req_mode": "explicit", "r_pu_req": [0.3], "r_su_req": 0.2,
                 "xi_init": 1.0, "beta_init": 1.0, "delta": step, "epsilon": step,
             })
-            disc = baselines.pair_optimum_discrete(0, 0, rates, req, p)
+            disc = baselines.pair_optimum_discrete(dda.market(p, real, req), 0, 0)
             gaps.append(cont_u - disc.u_pu)
         assert all(g >= -1e-12 for g in gaps)
         assert gaps[-1] < gaps[0]
@@ -178,7 +182,7 @@ class TestCentralizedAssignment:
         p = topology.params_from_dict({"l_pu": 2, "l_su": 3})
         for seed in range(10):
             real, rates, req = rates_and_req(p, seed)
-            out = baselines.centralized_pu_optimal(real, req, p)
+            out = baselines.centralized_pu_optimal(dda.market(p, real, req))
             feasible, _, _, u_pu = baselines.pair_optimum_continuous(rates, req)
             best = 0.0
             for matching in all_injective_matchings(2, 3):
@@ -192,7 +196,7 @@ class TestCentralizedAssignment:
         # floor allows
         for seed in range(10):
             real, rates, req = rates_and_req(default_params, seed)
-            out = baselines.centralized_su_rate(real, req, default_params)
+            out = baselines.centralized_su_rate(dda.market(default_params, real, req))
             got = sum(rates.rate_su(l, q, out.b[l, q]) for l, q in out.matched_pairs())
             best = 0.0
             for matching in all_injective_matchings(default_params.l_pu,
@@ -211,32 +215,33 @@ class TestCentralizedAssignment:
         # continuous optimum >= best grid assignment >= what negotiation finds
         for seed in range(15):
             real, rates, req = rates_and_req(default_params, seed)
+            market = dda.market(default_params, real, req)
             negotiated, _ = dda.run(default_params, real, req)
-            central = baselines.centralized_pu_optimal(real, req, default_params)
-            on_grid = discrete_assignment_optimum(rates, req, default_params)
+            central = baselines.centralized_pu_optimal(market)
+            on_grid = discrete_assignment_optimum(market)
             u_n = total_pu_utility(rates, negotiated)
             assert total_pu_utility(rates, central) >= u_n - 1e-9
             assert on_grid >= u_n - 1e-9
 
     def test_continuous_dominates_discrete(self, default_params):
         for seed in range(15):
-            real, rates, req = rates_and_req(default_params, seed)
-            cont = baselines.centralized_pu_optimal(real, req, default_params)
-            u_disc = discrete_assignment_optimum(rates, req, default_params)
-            assert total_pu_utility(rates, cont) >= u_disc - 1e-9
+            market = market_at(default_params, seed)
+            cont = baselines.centralized_pu_optimal(market)
+            u_disc = discrete_assignment_optimum(market)
+            assert total_pu_utility(market.rates, cont) >= u_disc - 1e-9
 
     def test_size_guard(self):
         p_big = topology.params_from_dict({"l_pu": 9, "l_su": 9})
         real = topology.make_realization(p_big, 0)
         req = radio.requirements_for(p_big, real.snr)
         with pytest.raises(GuardError):
-            baselines.centralized_pu_optimal(real, req, p_big)
+            baselines.centralized_pu_optimal(dda.market(p_big, real, req))
         # the guard is about enumeration cost, not raw side length: a thin
         # two-row instance enumerates fine
         p_thin = topology.params_from_dict({"l_pu": 2, "l_su": 10})
         real = topology.make_realization(p_thin, 0)
         req = radio.requirements_for(p_thin, real.snr)
-        baselines.centralized_pu_optimal(real, req, p_thin)
+        baselines.centralized_pu_optimal(dda.market(p_thin, real, req))
 
     def test_solver_flag_bypasses_guard(self):
         # both centralized baselines refuse past 8x8 and name the size
@@ -245,17 +250,17 @@ class TestCentralizedAssignment:
         req = radio.requirements_for(p_big, real.snr)
         for solve in (baselines.centralized_pu_optimal, baselines.centralized_su_rate):
             with pytest.raises(GuardError, match="refuses 9x9"):
-                solve(real, req, p_big)
+                solve(dda.market(p_big, real, req))
         p_edge = topology.params_from_dict({"l_pu": 8, "l_su": 8})
         real = topology.make_realization(p_edge, 0)
         req = radio.requirements_for(p_edge, real.snr)
-        assert baselines.centralized_su_rate(real, req, p_edge).m.sum() >= 0
+        assert baselines.centralized_su_rate(dda.market(p_edge, real, req)).m.sum() >= 0
 
 
 class TestCentralizedRelayRate:
     def test_matched_terms_are_floor_beta_at_zero_price(self, default_params):
         real, rates, req = rates_and_req(default_params, 5)
-        out = baselines.centralized_su_rate(real, req, default_params)
+        out = baselines.centralized_su_rate(dda.market(default_params, real, req))
         assert out.m.sum() > 0
         for l, q in out.matched_pairs():
             assert out.g[l, q] == 0.0
@@ -265,7 +270,7 @@ class TestCentralizedRelayRate:
         for seed in range(15):
             real, rates, req = rates_and_req(default_params, seed)
             negotiated, _ = dda.run(default_params, real, req)
-            central = baselines.centralized_su_rate(real, req, default_params)
+            central = baselines.centralized_su_rate(dda.market(default_params, real, req))
             s_c = sum(rates.rate_su(l, q, central.b[l, q])
                       for l, q in central.matched_pairs())
             s_n = sum(rates.rate_su(l, q, negotiated.b[l, q])
@@ -281,7 +286,7 @@ class TestRandomBaseline:
             xi_init=0.8, beta_init=0.9, delta=0.2, epsilon=0.1,
             r_pu_req=[0.3], r_su_req=0.2)
         req = radio.requirements_for(params, real.snr)
-        out, trace = baselines.rmbn(real, req, params, np.random.default_rng(0))
+        out, trace = baselines.rmbn(dda.market(params, real, req), np.random.default_rng(0))
         assert out.m.tolist() == [[1]]
         assert out.g[0, 0] == pytest.approx(0.8)
         assert out.b[0, 0] == pytest.approx(0.9)
@@ -293,7 +298,7 @@ class TestRandomBaseline:
             gamma_dir=2.5, gamma_relay_hops=(1.0, 1.0), gamma_sr=3.0,
             r_pu_req=[0.3], r_su_req=2.5)
         req = radio.requirements_for(params, real.snr)
-        out, trace = baselines.rmbn(real, req, params, np.random.default_rng(0))
+        out, trace = baselines.rmbn(dda.market(params, real, req), np.random.default_rng(0))
         assert out.m.sum() == 0
         assert trace.events[-1][0] == "prune"
 
@@ -303,22 +308,21 @@ class TestRandomBaseline:
             real = topology.make_realization(p1, seed)
             req = radio.requirements_for(p1, real.snr)
             engine_out, _ = dda.run(p1, real, req)
-            random_out, _ = baselines.rmbn(real, req, p1, np.random.default_rng(seed))
+            random_out, _ = baselines.rmbn(dda.market(p1, real, req),
+                                           np.random.default_rng(seed))
             assert np.array_equal(engine_out.m, random_out.m)
             assert np.allclose(engine_out.g, random_out.g)
             assert np.allclose(engine_out.b, random_out.b)
 
     def test_contract_rule_takes_each_pair_optimum(self):
         params = topology.params_from_dict({"negotiation": "contracts"})
-        grids = dda.concession_grids(params)
         for seed in range(20):
-            real, rates, req = rates_and_req(params, seed)
-            out, trace = baselines.rmbn(real, req, params, np.random.default_rng(seed))
+            market = market_at(params, seed)
+            out, trace = baselines.rmbn(market, np.random.default_rng(seed))
             pairs = np.random.default_rng(seed).permutation(params.l_su)[:params.l_pu]
             feasible = 0
             for l, q in enumerate(pairs):
-                best = baselines.pair_optimum_discrete(l, int(q), rates, req,
-                                                       params, grids)
+                best = baselines.pair_optimum_discrete(market, l, int(q))
                 assert out.m[l, q] == int(best.feasible)
                 if best.feasible:
                     feasible += 1
@@ -327,23 +331,23 @@ class TestRandomBaseline:
             assert trace.offers == feasible and trace.packets == 2 * feasible
 
     def test_packet_count_is_two_per_offer(self, default_params):
-        real, _, req = rates_and_req(default_params, 6)
-        _, trace = baselines.rmbn(real, req, default_params, np.random.default_rng(1))
+        _, trace = baselines.rmbn(market_at(default_params, 6), np.random.default_rng(1))
         assert trace.packets == 2 * trace.offers
 
     def test_draw_is_seeded(self, default_params):
-        real, _, req = rates_and_req(default_params, 6)
-        a, _ = baselines.rmbn(real, req, default_params, np.random.default_rng(9))
-        b, _ = baselines.rmbn(real, req, default_params, np.random.default_rng(9))
+        market = market_at(default_params, 6)
+        a, _ = baselines.rmbn(market, np.random.default_rng(9))
+        b, _ = baselines.rmbn(market, np.random.default_rng(9))
         assert np.array_equal(a.m, b.m)
 
     def test_never_beats_centralized_on_average(self, default_params):
         rng = np.random.default_rng(123)
         u_random, u_central = [], []
         for seed in range(150):
-            real, rates, req = rates_and_req(default_params, seed)
-            out_r, _ = baselines.rmbn(real, req, default_params, rng)
-            out_c = baselines.centralized_pu_optimal(real, req, default_params)
+            market = market_at(default_params, seed)
+            rates = market.rates
+            out_r, _ = baselines.rmbn(market, rng)
+            out_c = baselines.centralized_pu_optimal(market)
             u_random.append(sum(rates.u_pu(l, q, out_r.b[l, q], out_r.g[l, q])
                                 for l, q in out_r.matched_pairs()))
             u_central.append(sum(rates.u_pu(l, q, out_c.b[l, q], out_c.g[l, q])

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+from collections import Counter
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from relaymarket import bench, radio, topology
+from relaymarket import baselines, bench, dda, radio, topology, verify
 from relaymarket.bench import CSV_COLUMNS, p90
 
 from helpers import discrete_assignment_optimum
@@ -84,9 +85,7 @@ class TestRunTrials:
         for i in range(60):
             real = topology.make_realization(
                 small_params, np.random.SeedSequence([small_params.seed, i]))
-            req = radio.requirements_for(small_params, real.snr)
-            rates = radio.make_pair_rates(small_params, real)
-            on_grid.append(discrete_assignment_optimum(rates, req, small_params))
+            on_grid.append(discrete_assignment_optimum(dda.market(small_params, real)))
         assert aggs["centralized"].mean_sum_utility_pu >= np.mean(on_grid) - 1e-12
         assert np.mean(on_grid) >= aggs["dda-complete"].mean_sum_utility_pu - 1e-12
 
@@ -96,6 +95,48 @@ class TestRunTrials:
         aggs = bench.run_trials(lopsided, ["dda-complete", "rmbn"], 30)
         for agg in aggs.values():
             assert 0.0 <= agg.match_pct <= 100.0
+
+    def test_repeated_tag_rejected(self, small_params):
+        with pytest.raises(ValueError, match="'rmbn'"):
+            bench.run_trials(small_params, ["rmbn", "dda-complete", "rmbn"], 2)
+        with pytest.raises(ValueError, match="'centralized'"):
+            bench.sweep(small_params, "epsilon", [0.2], ["centralized"] * 2, 2)
+
+    def test_rmbn_alone_negotiates_under_partial_knowledge(self, small_params):
+        # rmbn follows the scenario's knowledge mode, so the partial-knowledge
+        # estimates must be drawn for it even without dda-partial
+        partial = replace(small_params, snr_knowledge="partial",
+                          partial_expectation_samples=32)
+        want = bench.run_trials(partial, ["dda-partial", "rmbn"], 6)["rmbn"]
+        for algos in (["rmbn"], ["dda-complete", "rmbn"]):
+            got = bench.run_trials(partial, algos, 6)["rmbn"]
+            for field in fields(want):
+                assert np.array_equal(getattr(got, field.name), getattr(want, field.name))
+
+    @pytest.mark.parametrize("algos, builds", [
+        (("dda-complete", "centralized", "centralized-su", "rmbn"),
+         {"complete": 1, "grids": 1}),
+        (bench.ALGO_TAGS, {"complete": 1, "partial": 1, "grids": 1}),
+    ])
+    def test_one_market_per_trial(self, small_params, monkeypatch, algos, builds):
+        counts = Counter()
+        make_rates, make_grids = radio.make_pair_rates, dda.concession_grids
+
+        def counted_rates(params, realization):
+            counts[params.snr_knowledge] += 1
+            return make_rates(params, realization)
+
+        def counted_grids(params):
+            counts["grids"] += 1
+            return make_grids(params)
+
+        for module in (radio, dda, baselines, verify, bench):
+            for name, fn in (("make_pair_rates", counted_rates),
+                             ("concession_grids", counted_grids)):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, fn)
+        bench.run_trials(small_params, algos, 3)
+        assert counts == {kind: 3 * n for kind, n in builds.items()}
 
     def test_partial_knowledge_tag_runs(self, small_params):
         agg = bench.run_trials(small_params, ["dda-partial"], 5)["dda-partial"]

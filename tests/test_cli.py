@@ -49,6 +49,12 @@ class TestRunCommand:
         assert code == 1
         assert "error:" in err
 
+    def test_repeated_algo_exits_one(self, capsys):
+        code, out, err = run_cli(
+            ["run", "--seed", "1", "--trials", "2", "--algo", "rmbn,rmbn"], capsys)
+        assert code == 1
+        assert "'rmbn'" in err and out == ""
+
     def test_zero_trials_exits_one(self, capsys):
         code, _, err = run_cli(["run", "--seed", "1", "--trials", "0"], capsys)
         assert code == 1
@@ -79,6 +85,14 @@ class TestConfigHandling:
                                capsys)
         assert code == 1
         assert "l_puu" in err
+
+    def test_ill_typed_config_value_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps({"l_su": 2.5}))
+        code, _, err = run_cli(["run", "--config", str(cfg), "--trials", "2"],
+                               capsys)
+        assert code == 1
+        assert "l_su must be an integer" in err
 
     def test_non_object_config_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.json"

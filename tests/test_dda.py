@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -46,6 +47,21 @@ class TestGrids:
         assert grids.beta_at(3) == pytest.approx(0.6)
         assert grids.beta_at(10) == 0.0
         assert grids.beta_at(1000) == 0.0
+
+
+class TestMarket:
+    def test_partial_market_scores_on_complete_knowledge_rates(self):
+        params = topology.params_from_dict(
+            {"snr_knowledge": "partial", "partial_expectation_samples": 32})
+        real = topology.make_realization(params, 5)
+        partial = dda.market(params, real)
+        full = dda.market(replace(params, snr_knowledge="complete"), real)
+        assert full.rates is full.rates_real
+        assert np.array_equal(partial.rates.pu_coef, 0.5 * real.partial_mean_log)
+        assert np.array_equal(partial.rates.su_coef, full.rates.su_coef)
+        assert np.array_equal(partial.rates_real.pu_coef, full.rates.pu_coef)
+        assert np.array_equal(partial.requirements.r_pu_req, full.requirements.r_pu_req)
+        assert np.array_equal(partial.grids.beta_values, full.grids.beta_values)
 
 
 class TestConcessionRule:
@@ -150,7 +166,7 @@ class TestEngineMechanics:
             r_pu_req=[0.0], r_su_req=0.1)
         req = radio.requirements_for(params, real.snr)
         with pytest.raises(ValueError, match="positive"):
-            dda.init_state(params, real, req)
+            dda.init_state(dda.market(params, real, req))
 
     def test_infeasible_pair_prunes(self):
         # licensed floor above anything the relay can deliver
@@ -165,7 +181,7 @@ class TestEngineMechanics:
     def test_stepping_matches_run(self, default_params):
         real = topology.make_realization(default_params, 17)
         req = radio.requirements_for(default_params, real.snr)
-        state = dda.init_state(default_params, real, req)
+        state = dda.init_state(dda.market(default_params, real, req))
         while not state.terminal:
             dda.step(state)
         by_hand = dda.finish(state)
@@ -177,7 +193,7 @@ class TestEngineMechanics:
     def test_step_is_a_noop_once_terminal(self, default_params):
         real = topology.make_realization(default_params, 17)
         req = radio.requirements_for(default_params, real.snr)
-        state = dda.init_state(default_params, real, req)
+        state = dda.init_state(dda.market(default_params, real, req))
         while not state.terminal:
             dda.step(state)
         offers_before = state.offers

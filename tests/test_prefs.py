@@ -74,9 +74,9 @@ def market_draws(default_params):
 class TestLicensedSideList:
     def test_orders_by_utility_at_the_offer(self):
         params, real, req = three_relay_setup()
-        state = dda.init_state(params, real, req)
+        state = dda.init_state(dda.market(params, real, req))
         # slopes 1, 2, 4: at any shared offer the steepest relay wins
-        assert state.rates.pu_coef.tolist() == [[1.0, 2.0, 4.0]]
+        assert state.market.rates.pu_coef.tolist() == [[1.0, 2.0, 4.0]]
         assert state.relay_order == [[2, 1, 0]]
         dda.step(state)
         assert state.events[0] == ("offer", 0, 2, 0.99, 0.99, 1)
@@ -107,12 +107,12 @@ class TestLicensedSideList:
 
     def test_matches_brute_force_on_random_draws(self, default_params):
         for params, real, req in market_draws(default_params):
-            state = dda.init_state(params, real, req)
+            state = dda.init_state(dda.market(params, real, req))
             while not state.terminal:
                 l = state.queue[0]
-                xi = float(state.grids.xi_values[state.m_xi[l]])
-                beta = state.grids.beta_at(state.m_beta[l])
-                ranked = brute_pulist(l, xi, beta, state.rates, req)
+                xi = float(state.market.grids.xi_values[state.m_xi[l]])
+                beta = state.market.grids.beta_at(state.m_beta[l])
+                ranked = brute_pulist(l, xi, beta, state.market.rates, req)
                 seen = len(state.events)
                 dda.step(state)
                 kind, who, q = state.events[seen][:3]
@@ -149,7 +149,7 @@ class TestRelaySideList:
 
     def test_matches_brute_force_on_random_offer_books(self, default_params):
         for params, real, req in market_draws(default_params):
-            state = dda.init_state(params, real, req)
+            state = dda.init_state(dda.market(params, real, req))
             rates = radio.make_pair_rates(params, real)
             while not state.terminal:
                 held = list(state.accepted)
@@ -200,11 +200,11 @@ class TestChallengeRule:
             gamma_pt_st=[[1.0], [1.0]], gamma_st_pr=[[1.0], [1.0]],
             gamma_sr=[[15.0, 3.0]])
         req = radio.requirements_for(params, real.snr)
-        state = dda.init_state(params, real, req)
+        state = dda.init_state(dda.market(params, real, req))
         state.accepted[0] = (0, 0.5, 0.8)
         state.queue = deque([1])
         state.m_xi[1], state.m_beta[1] = 4, 1
-        rates = state.rates
+        rates = state.market.rates
         assert rates.u_su(1, 0, 0.8, 0.0) > rates.u_su(0, 0, 0.8, 0.5)
         dda.step(state)
         assert [e[:2] for e in state.events[:2]] == [("offer", 1), ("reject", 1)]

@@ -9,6 +9,7 @@ rather than a self-consistent wrong value.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -128,7 +129,7 @@ class TestPairRates:
     def test_partial_mode_needs_precomputed_terms(self, default_params):
         real = topology.make_realization(default_params, 9)
         with pytest.raises(ValueError, match="partial"):
-            radio.make_pair_rates(default_params, real, knowledge="partial")
+            radio.make_pair_rates(replace(default_params, snr_knowledge="partial"), real)
 
     def test_partial_slope_is_the_expected_log(self):
         p = topology.params_from_dict(

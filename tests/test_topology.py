@@ -47,6 +47,29 @@ class TestParams:
         with pytest.raises(ValueError):
             topology.params_from_dict(overrides)
 
+    @pytest.mark.parametrize("overrides", [
+        {"l_su": 2.5},
+        {"l_pu": True},
+        {"seed": "3"},
+        {"partial_expectation_samples": 2.5},
+        {"alpha": "4"},
+        {"c_bar": float("nan")},
+        {"t_frame": float("inf")},
+        {"gamma_su_db": True},
+        {"r_su_req": None},
+        {"su_channel_per_band": 1},
+    ])
+    def test_ill_typed_values_rejected(self, overrides):
+        (name, _), = overrides.items()
+        with pytest.raises(ValueError, match=name):
+            topology.params_from_dict(overrides)
+
+    def test_python_and_numpy_numbers_accepted(self):
+        p = topology.params_from_dict({
+            "l_su": np.int64(3), "seed": np.uint32(4), "alpha": np.float32(3.5),
+            "c_bar": 2, "epsilon": np.float64(0.1)})
+        assert (p.l_su, p.seed, p.alpha, p.c_bar, p.epsilon) == (3, 4, 3.5, 2, 0.1)
+
     def test_explicit_floor_mode_needs_floors(self):
         with pytest.raises(ValueError):
             topology.params_from_dict({"pu_req_mode": "explicit"})

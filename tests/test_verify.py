@@ -97,7 +97,7 @@ class TestStabilityAudit:
                 req = radio.requirements_for(params, real.snr)
                 rates = radio.make_pair_rates(params, real)
                 engine_out, _ = dda.run(params, real, req)
-                random_partner, _ = baselines.rmbn(real, req, params,
+                random_partner, _ = baselines.rmbn(dda.market(params, real, req),
                                                    np.random.default_rng(seed))
                 outcomes = [engine_out, random_partner,
                             MatchingOutcome(m=engine_out.m, g=engine_out.g, b=engine_out.b)]
@@ -307,7 +307,7 @@ class TestWeakPareto:
             grids = dda.concession_grids(params)
             rates = radio.make_pair_rates(params, real)
             candidates = grid_candidates(rates, req, grids)
-            contracts, _ = dda.run_contracts(params, real, req)
+            contracts, _ = dda.run_contracts(dda.market(params, real, req))
             ladder, _ = dda.run(params, real, req)
             for outcome in (ladder, contracts,
                             MatchingOutcome(*candidates[len(candidates) // 2])):
