@@ -9,8 +9,8 @@ guarantees (stability, dominance, Pareto optimality, bounded signaling),
 and a seeded Monte Carlo harness with CSV output.
 """
 
-from .baselines import (PairValue, centralized_pu_optimal, centralized_su_rate,
-                        pair_optimum_continuous, pair_optimum_discrete, rmbn)
+from .baselines import (centralized_pu_optimal, centralized_su_rate,
+                        pair_optimum_continuous, rmbn)
 from .bench import (AggregateMetrics, SweepRow, TrialMetrics, emit_csv, p90,
                     read_csv, run_trials, scenario_id, sweep)
 from .dda import (EngineTrace, Grids, Market, MatchingOutcome, concession_grids,
@@ -29,15 +29,15 @@ __version__ = "0.1.0"
 __all__ = [
     "AggregateMetrics", "ChannelRealization", "EngineTrace", "Grids",
     "GuardError", "LinkSnrs", "Market", "MatchingOutcome", "PairRates",
-    "PairValue", "Placement", "Requirements", "ScenarioParams",
-    "StabilityReport", "SweepRow", "TrialMetrics", "af_relay_snr",
+    "Placement", "Requirements", "ScenarioParams", "StabilityReport",
+    "SweepRow", "TrialMetrics", "af_relay_snr",
     "beta_interval", "centralized_pu_optimal", "centralized_su_rate",
     "check_weak_pareto", "complexity_estimates", "compute_snrs",
     "concession_grids", "draw_channels", "emit_csv",
     "enumerate_stable_matchings", "init_state", "is_stable",
     "iteration_bound", "make_pair_rates", "make_realization", "market",
     "negotiate", "p90", "packet_bound", "pair_optimum_continuous",
-    "pair_optimum_discrete", "params_from_dict", "per_pu_puu_bounds",
-    "place_users", "pu_utilities", "read_csv", "requirements_for", "rmbn",
+    "params_from_dict", "per_pu_puu_bounds", "place_users", "pu_utilities",
+    "read_csv", "requirements_for", "rmbn",
     "run", "run_trials", "scenario_id", "step", "sweep",
 ]

@@ -3,21 +3,20 @@
 The centralized solver decomposes into per-pair term optimization plus an
 assignment over pairs; it is exhaustive by design and guarded to desk
 scale; it solves on the market's complete-knowledge rates_real. The
-random baseline (rmbn) matches sides uniformly at random and lets each
-matched pair haggle bilaterally with the same concession rule the engine
-uses, which isolates the value of market-wide matching from the value of
-concession itself.
+random baseline (rmbn) matches sides uniformly at random and runs the
+scenario's own negotiation rule on those pairs alone, which isolates the
+value of market-wide matching from the value of negotiation itself.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
 from . import radio
-from .dda import EngineTrace, MatchingOutcome, concession_step
+from .dda import MatchingOutcome, negotiate
 from .errors import GuardError
 
 # Exhaustive assignment costs roughly exp(small_side * log(big_side));
@@ -32,16 +31,6 @@ def _check_assignment_guard(l_pu, l_su):
             f"centralized enumeration refuses {l_pu}x{l_su}: cost indicator "
             f"min*log(max) = {cost:.2f} exceeds {ASSIGNMENT_GUARD:.2f}, "
             "the cost at 8x8")
-
-
-@dataclass(frozen=True)
-class PairValue:
-    l: int
-    q: int
-    feasible: bool
-    xi: float
-    beta: float
-    u_pu: float      # -inf when infeasible
 
 
 def pair_optimum_continuous(rates, requirements):
@@ -80,32 +69,6 @@ def pair_optimum_continuous(rates, requirements):
         u_pu = np.where(better, c_u, u_pu)
     return (feasible, np.where(feasible, xi, 0.0), beta,
             np.where(feasible, u_pu, -np.inf))
-
-
-def pair_optimum_discrete(market, l, q):
-    """Pair (l, q)'s best terms on the market's grids, under the rates it
-    negotiates with; exhaustive scan."""
-    rates, grids = market.rates, market.grids
-    r_pu = market.requirements.r_pu_req[l]
-    r_su = market.requirements.r_su_req
-    k = rates.k_cost
-    best = None
-    for beta in sorted(grids.beta_values):
-        if rates.rate_pu(l, q, beta) < r_pu:
-            continue
-        if rates.rate_su(l, q, beta) < r_su:
-            continue
-        cap = 1.0 if k <= 0.0 else rates.rate_su(l, q, beta) / k
-        affordable = grids.xi_values[grids.xi_values <= cap]
-        if len(affordable) == 0:
-            continue   # no grid price keeps the relay whole at this beta
-        xi = float(affordable[0])   # grid is descending, first fit is largest
-        u = rates.u_pu(l, q, beta, xi)
-        if best is None or u > best.u_pu:
-            best = PairValue(l, q, True, xi, float(beta), u)
-    if best is None:
-        return PairValue(l, q, False, 0.0, 0.0, -math.inf)
-    return best
 
 
 def _best_assignment(values, feasible):
@@ -183,62 +146,18 @@ def rmbn(market, rng):
     """Random matching with basic negotiation.
 
     The smaller side is matched uniformly at random onto the larger (the
-    excess sits out), then each matched pair haggles alone under the
-    scenario's negotiation rule. Under "ladder" the licensed side opens at
-    the initial terms and concedes by the engine's own rule until the
-    relay's conditions hold or the pair stops being workable. Under
-    "contracts" the pair settles on its best bilateral grid contract
-    (pair_optimum_discrete): one offer and one accept per feasible pair.
+    excess sits out), then each licensed user runs the scenario's
+    negotiation rule (dda.negotiate) with its drawn relay alone, so no
+    offer ever meets a rival one. The outcome carries no concession steps,
+    so stability audits it on the full grid.
     """
-    params, rates, grids = market.params, market.rates, market.grids
     if np.any(market.requirements.r_pu_req <= 0.0):
         raise ValueError("bilateral negotiation needs positive licensed rate floors")
-    l_pu, l_su = params.l_pu, params.l_su
+    l_pu, l_su = market.params.l_pu, market.params.l_su
     if l_pu <= l_su:
-        chosen = rng.permutation(l_su)[:l_pu]
-        pairs = [(l, int(chosen[l])) for l in range(l_pu)]
+        partners = rng.permutation(l_su)[:l_pu]
     else:
-        chosen = rng.permutation(l_pu)[:l_su]
-        pairs = [(int(chosen[q]), q) for q in range(l_su)]
-
-    matched = []
-    events = []
-    offers = 0
-    puu_counts = np.zeros(l_pu, dtype=int)
-    r_su = market.requirements.r_su_req
-    for l, q in pairs:
-        if params.negotiation == "contracts":
-            best = pair_optimum_discrete(market, l, q)
-            if not best.feasible:
-                events.append(("prune", l, q, 0.0, 0.0, offers))
-                continue
-            offers += 1
-            events.append(("offer", l, q, best.xi, best.beta, offers))
-            events.append(("accept", l, q, best.xi, best.beta, offers))
-            matched.append((l, q, best.xi, best.beta))
-            continue
-        m_x, m_b = 0, 0
-        floor = market.requirements.r_pu_req[l]
-        while True:
-            beta = grids.beta_at(m_b)
-            if rates.rate_pu(l, q, beta) < floor:
-                events.append(("prune", l, q, float(grids.xi_values[m_x]), beta, offers))
-                break
-            xi = float(grids.xi_values[m_x])
-            offers += 1
-            events.append(("offer", l, q, xi, beta, offers))
-            if rates.rate_su(l, q, beta) >= r_su and rates.u_su(l, q, beta, xi) >= 0.0:
-                events.append(("accept", l, q, xi, beta, offers))
-                matched.append((l, q, xi, beta))
-                break
-            events.append(("reject", l, q, xi, beta, offers))
-            m_x, m_b = concession_step(m_x, m_b, rates.pu_coef[l, q], floor,
-                                       rates.c_cost, grids)
-            m_b = min(m_b, len(grids.beta_values))
-            puu_counts[l] += 1
-            events.append(("puu", l, q, float(grids.xi_values[m_x]),
-                           grids.beta_at(m_b), offers))
-
-    outcome = MatchingOutcome.from_terms(l_pu, l_su, matched)
-    trace = EngineTrace(events=events, offers=offers, puu_counts=puu_counts)
-    return outcome, trace
+        partners = np.full(l_pu, -1)
+        partners[rng.permutation(l_pu)[:l_su]] = np.arange(l_su)
+    outcome, trace = negotiate(market, partners)
+    return replace(outcome, final_xi_steps=None, final_beta_steps=None), trace

@@ -22,6 +22,10 @@ slope, and offers to its head (see _best_relay for rounding ties).
 Terms live on the concession grids {init - m*step}. The engine tracks the
 integer step counts and converts to real values only for rate and utility
 evaluation, so grid membership is exact and runs replay bit for bit.
+
+Either rule can also run on a fixed partner per licensed user (negotiate's
+partners, -1 sitting out): each user then negotiates with that relay
+alone, which is how the random baseline negotiates.
 """
 
 from __future__ import annotations
@@ -145,7 +149,7 @@ class EngineTrace:
 class EngineState:
     market: Market
     queue: deque
-    relay_order: list         # per licensed pair: relays by falling pu_coef
+    relay_order: list         # per licensed pair: relays by falling pu_coef, or its partner
     accepted: list            # per relay: (l, xi, beta) held, or None
     m_xi: np.ndarray
     m_beta: np.ndarray
@@ -166,16 +170,29 @@ def _beta_of(state, l):
     return state.market.grids.beta_at(state.m_beta[l])
 
 
-def init_state(market):
+def _bidders(l_pu, partners):
+    """The licensed users that negotiate, in index order: every one, or
+    those with a partner."""
+    if partners is None:
+        return deque(range(l_pu))
+    return deque(np.flatnonzero(partners >= 0).tolist())
+
+
+def init_state(market, partners=None):
+    """Opening state; with partners, each user's relay order is its partner."""
     if np.any(market.requirements.r_pu_req <= 0.0):
         raise ValueError(
             "negotiation needs positive licensed rate floors; a zero floor "
             "makes the zero-time state acceptable forever and the run never ends")
     l_pu, l_su = market.params.l_pu, market.params.l_su
+    if partners is None:
+        relay_order = np.argsort(-market.rates.pu_coef, axis=1, kind="stable").tolist()
+    else:
+        relay_order = [[q] for q in partners.tolist()]
     return EngineState(
         market=market,
-        queue=deque(range(l_pu)),
-        relay_order=np.argsort(-market.rates.pu_coef, axis=1, kind="stable").tolist(),
+        queue=_bidders(l_pu, partners),
+        relay_order=relay_order,
         accepted=[None] * l_su,
         m_xi=np.zeros(l_pu, dtype=int),
         m_beta=np.zeros(l_pu, dtype=int),
@@ -196,6 +213,8 @@ def _best_relay(state, l, xi, beta):
     best = order[0]
     if rates.rate_pu(l, best, beta) < floor:
         return -1
+    if len(order) == 1:
+        return best
     top = rates.u_pu(l, best, beta, xi)
     for q in itertools.islice(order, 1, None):
         if rates.u_pu(l, q, beta, xi) != top or rates.rate_pu(l, q, beta) < floor:
@@ -297,11 +316,13 @@ def run(params, realization, requirements=None):
     return negotiate(market(params, realization, requirements))
 
 
-def negotiate(market):
-    """Run the market's negotiation rule to termination."""
+def negotiate(market, partners=None):
+    """Run the market's negotiation rule to termination. partners, when
+    given, is an int array holding each licensed user's one relay, -1 for
+    a user that sits out."""
     if market.params.negotiation == "contracts":
-        return run_contracts(market)
-    state = init_state(market)
+        return run_contracts(market, partners)
+    state = init_state(market, partners)
     while not state.terminal:
         step(state)
     return finish(state)
@@ -310,7 +331,7 @@ def negotiate(market):
 # ---------------------------------------------------------------------------
 # contract rule
 
-def _contract_lists(rates, requirements, grids):
+def _contract_lists(rates, requirements, grids, partners):
     """Per licensed user, the grid contracts it may ever offer, best first.
 
     A contract (q, xi, beta) is listed when it clears the user's own rate
@@ -319,28 +340,36 @@ def _contract_lists(rates, requirements, grids):
     smaller relay index, then the higher price, then the longer time.
     Each list is (relay, xi index, beta index, relay utility), one array
     per field. Memory is l_pu * l_su * |xi grid| * |beta grid| entries.
+    With partners (None, or as in negotiate), a user's list holds its
+    partner's contracts only, and a user sitting out (-1) gets an empty one.
     """
     l_pu, l_su = rates.pu_coef.shape
     n_xi, n_beta = len(grids.xi_values), len(grids.beta_values)
-    q_idx, i_idx, j_idx = (a.ravel() for a in np.meshgrid(
-        np.arange(l_su), np.arange(n_xi), np.arange(n_beta), indexing="ij"))
-    xi = grids.xi_values[i_idx]
-    beta = grids.beta_values[j_idx]
+    # [relay, xi index, beta index] blocks, so one relay's contracts are one row
+    q_idx, i_idx, j_idx = np.meshgrid(
+        np.arange(l_su), np.arange(n_xi), np.arange(n_beta), indexing="ij")
+    xi_all = grids.xi_values[i_idx]
+    beta_all = grids.beta_values[j_idx]
     lists = []
     for l in range(l_pu):
-        pu_rate = rates.pu_coef[l, q_idx] * beta
-        su_rate = rates.su_coef[l, q_idx] * (1.0 - beta)
+        rows = slice(None)
+        if partners is not None:
+            rows = slice(partners[l], partners[l] + 1) if partners[l] >= 0 else slice(0)
+        q, i, j, xi, beta = (a[rows].ravel()
+                             for a in (q_idx, i_idx, j_idx, xi_all, beta_all))
+        pu_rate = rates.pu_coef[l, q] * beta
+        su_rate = rates.su_coef[l, q] * (1.0 - beta)
         u_su = su_rate - rates.k_cost * xi
         keep = ((pu_rate >= requirements.r_pu_req[l])
                 & (su_rate >= requirements.r_su_req) & (u_su >= 0.0))
         u_pu = pu_rate[keep] + rates.c_cost * xi[keep]
-        q, i, j = q_idx[keep], i_idx[keep], j_idx[keep]
+        q, i, j = q[keep], i[keep], j[keep]
         order = np.lexsort((j, i, q, -u_pu))
         lists.append((q[order], i[order], j[order], u_su[keep][order]))
     return lists
 
 
-def run_contracts(market):
+def run_contracts(market, partners=None):
     """Licensed-proposing deferred acceptance over the grid contracts.
 
     Each licensed user keeps one bar per relay, minus infinity until that
@@ -355,11 +384,12 @@ def run_contracts(market):
     Only the relay-side slopes enter the bars, and those are instantaneous
     in both knowledge modes. The outcome carries no concession steps, so
     stability audits it on the full grid. puu_counts holds, per user, the
-    refusals and displacements it absorbed.
+    refusals and displacements it absorbed. With partners (see negotiate)
+    only the users that have one take part, each offering to it alone.
     """
     grids = market.grids
     l_pu, l_su = market.params.l_pu, market.params.l_su
-    lists = _contract_lists(market.rates, market.requirements, grids)
+    lists = _contract_lists(market.rates, market.requirements, grids, partners)
     pointer = np.zeros(l_pu, dtype=int)
     bar = np.full((l_pu, l_su), -np.inf)
     held_u = np.full(l_su, -np.inf)
@@ -368,7 +398,7 @@ def run_contracts(market):
     turned_down = np.zeros(l_pu, dtype=int)
     events = []
     offers = 0
-    queue = deque(range(l_pu))
+    queue = _bidders(l_pu, partners)
     while queue:
         l = queue.popleft()
         qs, xis, betas, u_sus = lists[l]

@@ -328,42 +328,43 @@ def check_weak_pareto(outcome, realization, requirements, params):
     return True, None
 
 
-def iteration_bound(params, realization=None, requirements=None, beta_min=None):
+def _concession_budget(params, beta_floor):
+    """Price steps plus time steps down to beta_floor (array or scalar, at
+    least 0), the floor capped at the opening time share."""
+    beta_floor = np.minimum(beta_floor, params.beta_init)
+    return params.xi_init / params.delta + (params.beta_init - beta_floor) / params.epsilon
+
+
+def _time_floors(params, realization, requirements):
+    """Smallest time share each pair can still work at, [l, q]."""
+    market = dda.market(params, realization, requirements)
+    return radio.beta_interval(market.rates, market.requirements)[0]
+
+
+def iteration_bound(params, realization, requirements=None):
     """Worst-case concession path length for a single licensed user.
 
     price_budget + time_budget, where the time budget stops at the
     smallest time share any pair of this scenario can still work at.
-    Pass beta_min to substitute a known floor without a realization.
     """
-    if beta_min is None:
-        if realization is None:
-            raise ValueError("iteration_bound needs a realization or beta_min")
-        market = dda.market(params, realization, requirements)
-        beta_min = float(radio.beta_interval(market.rates, market.requirements)[0].min())
-    beta_min = min(max(beta_min, 0.0), params.beta_init)
-    return params.xi_init / params.delta + (params.beta_init - beta_min) / params.epsilon
+    return float(_concession_budget(
+        params, _time_floors(params, realization, requirements).min()))
 
 
 def per_pu_puu_bounds(params, realization, requirements=None):
     """Per licensed user ceiling on concession invocations (integer)."""
-    market = dda.market(params, realization, requirements)
-    floors = radio.beta_interval(market.rates, market.requirements)[0]
-    per_pu = np.clip(floors.min(axis=1), 0.0, params.beta_init)
-    raw = params.xi_init / params.delta + (params.beta_init - per_pu) / params.epsilon
-    return np.array([math.ceil(v) + 1 for v in raw], dtype=int)
+    floors = _time_floors(params, realization, requirements).min(axis=1)
+    return np.ceil(_concession_budget(params, floors)).astype(int) + 1
 
 
-def packet_bound(params, realization=None, requirements=None, i_max=None):
+def packet_bound(params, realization, requirements=None):
     """Ceiling on control packets exchanged over a whole run.
 
-    (l_pu + max(l_pu, l_su)) control messages per round, for at most
-    i_max rounds; i_max defaults to the iteration bound rounded up plus
-    one round of slack for the terminal no-op.
+    (l_pu + max(l_pu, l_su)) control messages per round, for at most the
+    iteration bound rounded up plus one round of slack for the terminal
+    no-op.
     """
-    if i_max is None:
-        if realization is None:
-            raise ValueError("packet_bound needs a realization or i_max")
-        i_max = math.ceil(iteration_bound(params, realization, requirements)) + 1
+    i_max = math.ceil(iteration_bound(params, realization, requirements)) + 1
     f = max(params.l_pu, params.l_su)
     return float((params.l_pu + f) * i_max)
 

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from relaymarket import baselines, radio, topology
+from relaymarket import radio, topology
 
-from oracles import all_injective_matchings
+from oracles import all_injective_matchings, discrete_pair_optimum
 
 
 def handmade_realization(params, gamma_dir, gamma_pt_st, gamma_st_pr, gamma_sr):
@@ -61,11 +61,20 @@ def single_pair_scenario(gamma_dir, gamma_relay_hops, gamma_sr, **overrides):
 
 def discrete_assignment_optimum(market):
     """Best total licensed utility over every partial matching, each pair at
-    its best grid terms (pair_optimum_discrete); 0 for the empty matching."""
+    its best grid terms (oracles.discrete_pair_optimum) under the rates it
+    negotiates with; 0 for the empty matching."""
+    rates, req = market.rates, market.requirements
+    l_pu, l_su = rates.pu_coef.shape
+    value = {}
+    for l in range(l_pu):
+        for q in range(l_su):
+            best = discrete_pair_optimum(
+                rates.pu_coef[l, q], rates.su_coef[l, q], req.r_pu_req[l],
+                req.r_su_req, rates.c_cost, rates.k_cost, market.grids)
+            if best is not None:
+                value[l, q] = best[0]
     best = 0.0
-    for matching in all_injective_matchings(market.params.l_pu, market.params.l_su):
-        values = [baselines.pair_optimum_discrete(market, l, q)
-                  for l, q in matching.items()]
-        if all(v.feasible for v in values):
-            best = max(best, sum(v.u_pu for v in values))
+    for matching in all_injective_matchings(l_pu, l_su):
+        if all(pair in value for pair in matching.items()):
+            best = max(best, sum(value[pair] for pair in matching.items()))
     return best

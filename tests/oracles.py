@@ -1,8 +1,9 @@
 """Independent reference implementations the tests check the package against.
 
-Everything here is deliberately written the slow, obvious way: dense grid
-search where the package solves analytically, plain double loops where the
-package vectorizes, itertools where the package recurses. None of it imports
+Everything here is deliberately written the slow, obvious way: a linear
+program or a full grid scan where the package solves analytically or sorts
+arrays, plain double loops where the package vectorizes, itertools where
+the package recurses. None of it imports
 from the implementation modules beyond plain data carried in their types.
 """
 
@@ -11,54 +12,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-
-
-def grid_pair_optimum(coef, su_coef, pu_floor, su_floor, c_cost, k_cost,
-                      n=2000, zoom_passes=2):
-    """Best licensed utility for one pair by dense grid search plus zoom.
-
-    Scans an n-by-n grid over the pair's feasible time-share interval and
-    the price interval [0, 1], then re-scans a shrinking window around the
-    incumbent best. Returns (utility, xi, beta) or None when infeasible.
-    """
-    if coef <= 0.0:
-        return None
-    beta_lo = max(pu_floor / coef, 0.0)
-    if su_coef > 0.0:
-        beta_hi = min(1.0 - su_floor / su_coef, 1.0)
-    else:
-        beta_hi = 1.0 if su_floor <= 0.0 else -1.0
-    if beta_lo > beta_hi:
-        return None
-
-    def scan(b_lo, b_hi, x_lo, x_hi):
-        betas = np.linspace(b_lo, b_hi, n)
-        xis = np.linspace(x_lo, x_hi, n)
-        bb, xx = np.meshgrid(betas, xis)
-        ok = su_coef * (1.0 - bb) - k_cost * xx >= 0.0
-        ok &= su_coef * (1.0 - bb) >= su_floor
-        ok &= coef * bb >= pu_floor
-        u = np.where(ok, coef * bb + c_cost * xx, -np.inf)
-        flat = int(np.argmax(u))
-        i, j = np.unravel_index(flat, u.shape)
-        return float(u[i, j]), float(xx[i, j]), float(bb[i, j])
-
-    best_u, best_xi, best_beta = scan(beta_lo, beta_hi, 0.0, 1.0)
-    if not np.isfinite(best_u):
-        return None
-    b_span = (beta_hi - beta_lo) / (n - 1) if beta_hi > beta_lo else 0.0
-    x_span = 1.0 / (n - 1)
-    for _ in range(zoom_passes):
-        b_lo = max(beta_lo, best_beta - 2 * b_span) if b_span else beta_lo
-        b_hi = min(beta_hi, best_beta + 2 * b_span) if b_span else beta_hi
-        x_lo = max(0.0, best_xi - 2 * x_span)
-        x_hi = min(1.0, best_xi + 2 * x_span)
-        u, xi, beta = scan(b_lo, b_hi, x_lo, x_hi)
-        if u > best_u:
-            best_u, best_xi, best_beta = u, xi, beta
-        b_span = (b_hi - b_lo) / (n - 1)
-        x_span = (x_hi - x_lo) / (n - 1)
-    return best_u, best_xi, best_beta
 
 
 def stability_reference(outcome, rates, requirements, grids):
@@ -187,6 +140,29 @@ def lp_pair_optimum(coef, su_coef, pu_floor, su_floor, c_cost, k_cost):
         raise RuntimeError(f"linprog failed: {res.message}")
     xi, beta = (float(v) for v in res.x)
     return coef * beta + c_cost * xi, xi, beta
+
+
+def discrete_pair_optimum(coef, su_coef, pu_floor, su_floor, c_cost, k_cost, grids):
+    """Best licensed utility for one pair over every grid point.
+
+    Scans price-major from the highest price and the longest time, and
+    only a strictly better point replaces the incumbent, so ties keep the
+    higher price, then the longer time. A point counts when it meets both
+    rate floors with a nonnegative relay utility. Returns (utility, xi,
+    beta) or None when no point does.
+    """
+    best = None
+    for xi in grids.xi_values.tolist():
+        for beta in grids.beta_values.tolist():
+            relay_rate = su_coef * (1.0 - beta)
+            if coef * beta < pu_floor or relay_rate < su_floor:
+                continue
+            if relay_rate - k_cost * xi < 0.0:
+                continue
+            u = coef * beta + c_cost * xi
+            if best is None or u > best[0]:
+                best = (u, xi, beta)
+    return best
 
 
 def brute_pulist(l, xi, beta, rates, requirements):
@@ -329,3 +305,39 @@ def ladder_reference(rates, requirements, grids):
             concede(l, q)
             queue.append(l)
     return events, held, xi_step, beta_step
+
+
+def haggle_reference(rates, requirements, grids, pairs):
+    """Bilateral haggling on fixed pairs, one pair at a time, as plain loops.
+
+    Each (l, q) opens at the initial terms. While the licensed rate at the
+    current time share clears l's floor, l offers; relay q takes the offer
+    when it meets the relay's rate floor with nonnegative utility, and
+    otherwise l concedes one step by concession_reference, its time step
+    capped one past the grid, and offers again. A pair whose licensed
+    rate misses the floor stops unmatched. Returns {licensed user: (relay,
+    xi, beta)} for the matched pairs, the offer count and the per-user
+    concession counts.
+    """
+    n_beta = len(grids.beta_values)
+    matched = {}
+    offers = 0
+    conceded = [0] * rates.pu_coef.shape[0]
+    for l, q in pairs:
+        m_xi = m_beta = 0
+        while True:
+            xi = float(grids.xi_values[m_xi])
+            beta = float(grids.beta_values[m_beta]) if m_beta < n_beta else 0.0
+            if rates.rate_pu(l, q, beta) < requirements.r_pu_req[l]:
+                break
+            offers += 1
+            if (rates.rate_su(l, q, beta) >= requirements.r_su_req
+                    and rates.u_su(l, q, beta, xi) >= 0.0):
+                matched[l] = (q, xi, beta)
+                break
+            m_xi, m_beta = concession_reference(
+                m_xi, m_beta, rates.pu_coef[l, q], requirements.r_pu_req[l],
+                rates.c_cost, grids)
+            m_beta = min(m_beta, n_beta)
+            conceded[l] += 1
+    return matched, offers, conceded

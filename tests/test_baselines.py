@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from relaymarket import baselines, dda, radio, topology
 from relaymarket.baselines import GuardError
 
 from helpers import discrete_assignment_optimum, single_pair_scenario
-from oracles import all_injective_matchings, grid_pair_optimum
+from oracles import (all_injective_matchings, discrete_pair_optimum, haggle_reference,
+                     lp_pair_optimum)
+
 
 def rates_and_req(params, seed):
     real = topology.make_realization(params, seed)
@@ -25,6 +28,31 @@ def market_at(params, seed):
     return dda.market(params, real, radio.requirements_for(params, real.snr))
 
 
+def contracts(market):
+    """The same market negotiated under the contract rule."""
+    return replace(market, params=replace(market.params, negotiation="contracts"))
+
+
+def alone(market, l, q):
+    """Pair (l, q) negotiating alone under the market's rule: its
+    (xi, beta, licensed utility), or None when it stays unmatched."""
+    partners = np.full(market.params.l_pu, -1)
+    partners[l] = q
+    out, _ = dda.negotiate(market, partners)
+    if not out.m[l, q]:
+        assert out.m.sum() == 0
+        return None
+    xi, beta = out.g[l, q], out.b[l, q]
+    return xi, beta, market.rates.u_pu(l, q, beta, xi)
+
+
+def drawn_pairs(l_pu, l_su, rng):
+    """The (licensed, relay) pairs rmbn draws from rng, in licensed order."""
+    if l_pu <= l_su:
+        return list(enumerate(rng.permutation(l_su)[:l_pu].tolist()))
+    return sorted((l, q) for q, l in enumerate(rng.permutation(l_pu)[:l_su].tolist()))
+
+
 class TestPairOptimumContinuous:
     def test_matches_grid_search(self, default_params):
         checked = 0
@@ -33,10 +61,9 @@ class TestPairOptimumContinuous:
             feasible, _, _, u_pu = baselines.pair_optimum_continuous(rates, req)
             for l in range(default_params.l_pu):
                 for q in range(default_params.l_su):
-                    want = grid_pair_optimum(
+                    want = lp_pair_optimum(
                         rates.pu_coef[l, q], rates.su_coef[l, q],
-                        req.r_pu_req[l], req.r_su_req,
-                        rates.c_cost, rates.k_cost, n=800, zoom_passes=2)
+                        req.r_pu_req[l], req.r_su_req, rates.c_cost, rates.k_cost)
                     if want is None:
                         assert not feasible[l, q]
                         continue
@@ -108,26 +135,29 @@ class TestPairOptimumContinuous:
 
 
 class TestPairOptimumDiscrete:
+    """A pair's best grid contract, found by the contract rule run on that
+    pair alone (dda.negotiate with one partner)."""
+
     def test_never_beats_continuous(self, default_params):
         for seed in range(12):
             real, rates, req = rates_and_req(default_params, seed)
             feasible, _, _, u_pu = baselines.pair_optimum_continuous(rates, req)
-            market = dda.market(default_params, real, req)
+            market = contracts(dda.market(default_params, real, req))
             for l in range(default_params.l_pu):
                 for q in range(default_params.l_su):
-                    disc = baselines.pair_optimum_discrete(market, l, q)
-                    assert disc.u_pu <= u_pu[l, q] + 1e-12
-                    if disc.feasible:
+                    disc = alone(market, l, q)
+                    if disc is not None:
                         assert feasible[l, q]
+                        assert disc[2] <= u_pu[l, q] + 1e-12
 
     def test_matches_exhaustive_grid_scan(self, default_params):
         grids = dda.concession_grids(default_params)
         for seed in range(8):
             real, rates, req = rates_and_req(default_params, seed)
-            market = dda.market(default_params, real, req)
+            market = contracts(dda.market(default_params, real, req))
             for l in range(default_params.l_pu):
                 for q in range(default_params.l_su):
-                    got = baselines.pair_optimum_discrete(market, l, q)
+                    got = alone(market, l, q)
                     best = -math.inf
                     for beta in grids.beta_values:
                         for xi in grids.xi_values:
@@ -138,18 +168,20 @@ class TestPairOptimumDiscrete:
                             if rates.u_su(l, q, beta, xi) < 0.0:
                                 continue
                             best = max(best, rates.u_pu(l, q, beta, xi))
-                    assert got.u_pu == pytest.approx(best) \
-                        or (got.u_pu == -math.inf and best == -math.inf)
+                    if got is None:
+                        assert best == -math.inf
+                    else:
+                        assert got[2] == pytest.approx(best)
 
     def test_terms_lie_on_the_grids(self, default_params):
         grids = dda.concession_grids(default_params)
-        market = market_at(default_params, 3)
+        market = contracts(market_at(default_params, 3))
         for l in range(default_params.l_pu):
             for q in range(default_params.l_su):
-                got = baselines.pair_optimum_discrete(market, l, q)
-                if got.feasible:
-                    assert np.min(np.abs(grids.xi_values - got.xi)) < 1e-12
-                    assert np.min(np.abs(grids.beta_values - got.beta)) < 1e-12
+                got = alone(market, l, q)
+                if got is not None:
+                    assert np.min(np.abs(grids.xi_values - got[0])) < 1e-12
+                    assert np.min(np.abs(grids.beta_values - got[1])) < 1e-12
 
     def test_refines_toward_continuous_as_steps_shrink(self):
         params, real = single_pair_scenario(
@@ -164,9 +196,10 @@ class TestPairOptimumDiscrete:
                 "l_pu": 1, "l_su": 1, "gamma_pu_db": 0.0, "gamma_su_db": 0.0,
                 "pu_req_mode": "explicit", "r_pu_req": [0.3], "r_su_req": 0.2,
                 "xi_init": 1.0, "beta_init": 1.0, "delta": step, "epsilon": step,
+                "negotiation": "contracts",
             })
-            disc = baselines.pair_optimum_discrete(dda.market(p, real, req), 0, 0)
-            gaps.append(cont_u - disc.u_pu)
+            disc = alone(dda.market(p, real, req), 0, 0)
+            gaps.append(cont_u - disc[2])
         assert all(g >= -1e-12 for g in gaps)
         assert gaps[-1] < gaps[0]
         assert gaps[-1] < 0.05
@@ -318,17 +351,72 @@ class TestRandomBaseline:
         params = topology.params_from_dict({"negotiation": "contracts"})
         for seed in range(20):
             market = market_at(params, seed)
+            rates, req = market.rates, market.requirements
             out, trace = baselines.rmbn(market, np.random.default_rng(seed))
-            pairs = np.random.default_rng(seed).permutation(params.l_su)[:params.l_pu]
             feasible = 0
-            for l, q in enumerate(pairs):
-                best = baselines.pair_optimum_discrete(market, l, int(q))
-                assert out.m[l, q] == int(best.feasible)
-                if best.feasible:
+            for l, q in drawn_pairs(params.l_pu, params.l_su, np.random.default_rng(seed)):
+                best = discrete_pair_optimum(
+                    rates.pu_coef[l, q], rates.su_coef[l, q], req.r_pu_req[l],
+                    req.r_su_req, rates.c_cost, rates.k_cost, market.grids)
+                assert out.m[l, q] == int(best is not None)
+                if best is not None:
                     feasible += 1
-                    assert (out.g[l, q], out.b[l, q]) == (best.xi, best.beta)
+                    assert (out.g[l, q], out.b[l, q]) == best[1:]
+                    assert alone(market, l, q) == (*best[1:], best[0])
             assert out.m.sum() == feasible
             assert trace.offers == feasible and trace.packets == 2 * feasible
+
+    def test_contract_ties_keep_the_longer_time(self):
+        # a price weight of 1e15 rounds the time term of the licensed
+        # utility away, so several time shares tie exactly at the top price;
+        # the pair takes the contract rule's order (longer time first)
+        params, real = single_pair_scenario(
+            gamma_dir=2.5, gamma_relay_hops=(1.0, 1.0), gamma_sr=3.0,
+            r_pu_req=[0.3], r_su_req=0.2, c_bar=1e15, negotiation="contracts")
+        market = dda.market(params, real)
+        out, trace = baselines.rmbn(market, np.random.default_rng(0))
+        top = market.rates.u_pu(0, 0, out.b[0, 0], out.g[0, 0])
+        shorter = [beta for beta in market.grids.beta_values
+                   if beta < out.b[0, 0] and market.rates.rate_pu(0, 0, beta) >= 0.3
+                   and market.rates.u_pu(0, 0, beta, out.g[0, 0]) == top]
+        assert shorter
+        assert out.g[0, 0] == pytest.approx(0.99)
+        assert out.b[0, 0] == pytest.approx(0.49)
+        assert trace.offers == 1
+
+    @pytest.mark.parametrize("overrides, seeds", [
+        ({}, 60), ({"l_pu": 3, "l_su": 3}, 30), ({"l_pu": 6, "l_su": 2}, 30),
+        ({"snr_knowledge": "partial", "partial_expectation_samples": 16}, 15),
+        ({"af_formula": "standard"}, 20), ({"c_bar": 1e15}, 20),
+        ({"k_bar": 0.0}, 10), ({"gamma_pu_db": 0.0, "gamma_su_db": 5.0}, 15),
+        ({"delta": 0.01, "epsilon": 0.01}, 5), ({"l_pu": 25, "l_su": 50}, 3),
+    ], ids=["2x6", "3x3", "6x2", "partial", "standard", "c_bar-1e15", "k_bar-0",
+            "low-snr", "fine-grids", "25x50"])
+    def test_ladder_rule_equals_the_plain_haggle(self, overrides, seeds):
+        params = topology.params_from_dict(overrides)
+        for seed in range(seeds):
+            market = market_at(params, seed)
+            out, trace = baselines.rmbn(market, np.random.default_rng(seed))
+            pairs = drawn_pairs(params.l_pu, params.l_su, np.random.default_rng(seed))
+            matched, offers, conceded = haggle_reference(
+                market.rates, market.requirements, market.grids, pairs)
+            want = dda.MatchingOutcome.from_terms(
+                params.l_pu, params.l_su,
+                [(l, q, xi, beta) for l, (q, xi, beta) in matched.items()])
+            assert np.array_equal(out.m, want.m)
+            assert np.array_equal(out.g, want.g)
+            assert np.array_equal(out.b, want.b)
+            assert out.final_xi_steps is None and out.final_beta_steps is None
+            assert trace.offers == offers
+            assert trace.puu_counts.tolist() == conceded
+
+    @pytest.mark.parametrize("rule", ["ladder", "contracts"])
+    def test_zero_licensed_floor_rejected_under_both_rules(self, rule):
+        params, real = single_pair_scenario(
+            gamma_dir=2.5, gamma_relay_hops=(1.0, 1.0), gamma_sr=3.0,
+            r_pu_req=[0.0], r_su_req=0.2, negotiation=rule)
+        with pytest.raises(ValueError, match="positive licensed rate floors"):
+            baselines.rmbn(dda.market(params, real), np.random.default_rng(0))
 
     def test_packet_count_is_two_per_offer(self, default_params):
         _, trace = baselines.rmbn(market_at(default_params, 6), np.random.default_rng(1))

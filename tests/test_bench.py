@@ -65,6 +65,27 @@ class TestRunTrials:
                           "mean_packets", "p90_packets", "mean_iterations"):
                 assert getattr(a, field) == getattr(b, field)
 
+    def test_rmbn_draws_from_the_third_child_stream(self):
+        # trial i's random matching uses the third child of
+        # SeedSequence([seed, i]), after placement and channels
+        params = topology.params_from_dict({"seed": 5})
+        got = bench.run_trials(params, ["rmbn"], 12)["rmbn"]
+        util, packets, matched = [], [], 0
+        for i in range(12):
+            real = topology.make_realization(
+                params, np.random.SeedSequence([params.seed, i]))
+            market = dda.market(params, real)
+            stream = np.random.SeedSequence([params.seed, i]).spawn(3)[2]
+            outcome, trace = baselines.rmbn(market, np.random.default_rng(stream))
+            pairs = outcome.matched_pairs()
+            util.append(sum(market.rates_real.u_pu(l, q, outcome.b[l, q], outcome.g[l, q])
+                            for l, q in pairs))
+            packets.append(trace.packets)
+            matched += len(pairs)
+        assert got.packets.tolist() == packets
+        assert got.mean_sum_utility_pu == float(np.mean(util))
+        assert got.match_pct == 100.0 * matched / (12 * params.l_pu)
+
     def test_centralized_exchanges_no_packets(self, small_params):
         aggs = bench.run_trials(small_params, ["centralized", "centralized-su"], 6)
         for algo in ("centralized", "centralized-su"):

@@ -200,6 +200,29 @@ class TestEngineMechanics:
         dda.step(state)
         assert state.offers == offers_before
 
+    @pytest.mark.parametrize("rule", ["ladder", "contracts"])
+    def test_fixed_partners_negotiate_alone(self, rule):
+        # with distinct partners no offer meets a rival: the joint run is
+        # each pair's solo run, and a user sitting out (-1) does nothing
+        params = topology.params_from_dict({"l_pu": 4, "l_su": 3, "negotiation": rule})
+        partners = np.array([2, -1, 0, -1])
+        for seed in range(10):
+            market = dda.market(params, topology.make_realization(params, seed))
+            out, trace = dda.negotiate(market, partners)
+            assert {e[1] for e in trace.events} <= {0, 2}
+            assert {e[2] for e in trace.events} <= {0, 2, -1}
+            offers = 0
+            for l in (0, 2):
+                solo = np.full(4, -1)
+                solo[l] = partners[l]
+                alone, alone_trace = dda.negotiate(market, solo)
+                assert np.array_equal(out.m[l], alone.m[l])
+                assert np.array_equal(out.g[l], alone.g[l])
+                assert np.array_equal(out.b[l], alone.b[l])
+                offers += alone_trace.offers
+            assert trace.offers == offers
+            assert out.m[[1, 3]].sum() == 0
+
     def test_displacement_requeues_the_loser(self):
         # both licensed pairs want the lone relay; exactly one ends matched
         params = topology.params_from_dict({

@@ -9,7 +9,7 @@ from relaymarket import baselines, dda, radio, topology, verify
 from relaymarket.dda import MatchingOutcome
 from relaymarket.verify import GuardError
 
-from helpers import handmade_realization
+from helpers import handmade_realization, single_pair_scenario
 from oracles import (all_injective_matchings, grid_candidates,
                      stability_reference)
 
@@ -344,18 +344,29 @@ class TestWeakPareto:
             > verify.pu_utilities(outcome, rates)[0]
 
 
+def one_pair(r_pu):
+    """Licensed slope 1 and relay slope 2 (see test_baselines' hand case),
+    licensed floor r_pu, price grid 1 by 0.25 and time grid 1 by 0.5."""
+    return single_pair_scenario(
+        gamma_dir=2.5, gamma_relay_hops=(1.0, 1.0), gamma_sr=3.0,
+        r_pu_req=[r_pu], r_su_req=0.0,
+        xi_init=1.0, delta=0.25, beta_init=1.0, epsilon=0.5)
+
+
 class TestBounds:
     def test_concession_path_length_by_hand(self):
-        p = topology.params_from_dict(
-            {"xi_init": 1.0, "delta": 0.25, "beta_init": 1.0, "epsilon": 0.5})
+        p, real = one_pair(0.5)
         # four price cuts plus one time cut down to the 0.5 floor
-        assert verify.iteration_bound(p, beta_min=0.5) == pytest.approx(5.0)
+        assert verify.iteration_bound(p, real) == pytest.approx(5.0)
+        assert verify.per_pu_puu_bounds(p, real).tolist() == [6]
 
     def test_floor_clamped_into_the_grid_span(self):
-        p = topology.params_from_dict(
-            {"xi_init": 1.0, "delta": 0.25, "beta_init": 1.0, "epsilon": 0.5})
-        assert verify.iteration_bound(p, beta_min=-3.0) == pytest.approx(6.0)
-        assert verify.iteration_bound(p, beta_min=9.0) == pytest.approx(4.0)
+        # a floor above the opening time share counts as the opening share,
+        # and a zero floor leaves the whole time grid to concede
+        p, real = one_pair(9.0)
+        assert verify.iteration_bound(p, real) == pytest.approx(4.0)
+        p, real = one_pair(0.0)
+        assert verify.iteration_bound(p, real) == pytest.approx(6.0)
 
     def test_per_user_bounds_are_integers_with_slack(self, default_params):
         real = topology.make_realization(default_params, 2)
@@ -366,9 +377,11 @@ class TestBounds:
         raw = verify.iteration_bound(default_params, real, req)
         assert np.all(bounds <= np.ceil(raw) + 1)
 
-    def test_packet_bound_by_hand(self, default_params):
-        # two licensed pairs, six relays, ten rounds
-        assert verify.packet_bound(default_params, i_max=10) == 80.0
+    def test_packet_bound_by_hand(self):
+        p, real = one_pair(0.5)
+        # one licensed pair and one relay, five concession steps plus one
+        # round of slack: 2 packets a round for 6 rounds
+        assert verify.packet_bound(p, real) == 12.0
 
     def test_packet_bound_defaults_to_iteration_bound(self, default_params):
         real = topology.make_realization(default_params, 2)
@@ -379,10 +392,10 @@ class TestBounds:
             == pytest.approx(8 * i_max)
 
     def test_bounds_without_a_market_name_the_missing_argument(self, default_params):
-        with pytest.raises(ValueError, match="realization or i_max"):
-            verify.packet_bound(default_params)
-        with pytest.raises(ValueError, match="realization or beta_min"):
-            verify.iteration_bound(default_params)
+        for bound in (verify.iteration_bound, verify.packet_bound,
+                      verify.per_pu_puu_bounds):
+            with pytest.raises(TypeError, match="realization"):
+                bound(default_params)
 
     def test_scaling_estimates_by_hand(self):
         assert verify.complexity_estimates(2, 2) == {
