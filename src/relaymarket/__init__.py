@@ -15,7 +15,7 @@ from .bench import (AggregateMetrics, SweepRow, TrialMetrics, emit_csv, p90,
                     read_csv, run_trials, scenario_id, sweep)
 from .dda import (EngineTrace, Grids, Market, MatchingOutcome, concession_grids,
                   init_state, market, negotiate, run, step)
-from .errors import GuardError
+from .errors import EngineError, GuardError
 from .radio import (LinkSnrs, PairRates, Requirements, af_relay_snr, beta_interval,
                     compute_snrs, make_pair_rates, requirements_for)
 from .topology import (ChannelRealization, Placement, ScenarioParams, draw_channels,
@@ -27,7 +27,7 @@ from .verify import (StabilityReport, check_weak_pareto, complexity_estimates,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregateMetrics", "ChannelRealization", "EngineTrace", "Grids",
+    "AggregateMetrics", "ChannelRealization", "EngineError", "EngineTrace", "Grids",
     "GuardError", "LinkSnrs", "Market", "MatchingOutcome", "PairRates",
     "Placement", "Requirements", "ScenarioParams", "StabilityReport",
     "SweepRow", "TrialMetrics", "af_relay_snr",

@@ -20,8 +20,13 @@ does too. Each pair therefore keeps one fixed relay order, by falling
 slope, and offers to its head (see _best_relay for rounding ties).
 
 Terms live on the concession grids {init - m*step}. The engine tracks the
-integer step counts and converts to real values only for rate and utility
-evaluation, so grid membership is exact and runs replay bit for bit.
+integer step counts and reads the terms from the grids' float sequences,
+so grid membership is exact. The offer loop works on plain Python ints
+and floats: slopes are read one at a time with ndarray.item, and a Python
+float does the same IEEE-754 double arithmetic as a numpy scalar, only
+without the boxing, so runs replay bit for bit. The one concession rule
+is concession_step. negotiate stops the loop with an EngineError past
+its offer bound (see there) rather than trusting the theory to end it.
 
 Either rule can also run on a fixed partner per licensed user (negotiate's
 partners, -1 sitting out): each user then negotiates with that relay
@@ -39,20 +44,26 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import radio
+from .errors import EngineError
 
 
 @dataclass(frozen=True)
 class Grids:
-    """Discrete offer domains, descending from the initial values."""
+    """Discrete offer domains, descending from the initial values.
+
+    xi_terms and beta_terms hold the same points as Python floats for the
+    ladder's offer loop; beta_terms ends with one 0.0 past the grid, the
+    time value of a pair that has conceded every time step.
+    """
     xi_values: np.ndarray
     beta_values: np.ndarray
     last_positive_xi: int   # largest index whose price is still positive
+    xi_terms: tuple
+    beta_terms: tuple
 
     def beta_at(self, m):
         """Time-slot value at step m; steps past the grid floor at zero."""
-        if m < len(self.beta_values):
-            return float(self.beta_values[m])
-        return 0.0
+        return self.beta_terms[m] if m < len(self.beta_terms) else 0.0
 
 
 def _grid(init, step):
@@ -67,7 +78,8 @@ def concession_grids(params):
     beta = _grid(params.beta_init, params.epsilon)
     positive = np.nonzero(xi > 1e-12)[0]
     last_pos = int(positive[-1]) if len(positive) else 0
-    return Grids(xi_values=xi, beta_values=beta, last_positive_xi=last_pos)
+    return Grids(xi_values=xi, beta_values=beta, last_positive_xi=last_pos,
+                 xi_terms=tuple(xi.tolist()), beta_terms=(*beta.tolist(), 0.0))
 
 
 @dataclass(frozen=True)
@@ -147,27 +159,22 @@ class EngineTrace:
 
 @dataclass
 class EngineState:
+    """The ladder's working state. Per-user fields are lists indexed by
+    licensed pair; finish turns the counters into arrays."""
     market: Market
     queue: deque
     relay_order: list         # per licensed pair: relays by falling pu_coef, or its partner
     accepted: list            # per relay: (l, xi, beta) held, or None
-    m_xi: np.ndarray
-    m_beta: np.ndarray
+    floors: list              # rate floors r_pu_req
+    m_xi: list                # price steps conceded
+    m_beta: list              # time steps conceded, at most one past the grid
+    puu_counts: list          # concessions made
     offers: int = 0
-    puu_counts: np.ndarray = None
     events: list = field(default_factory=list)
 
     @property
     def terminal(self):
         return not self.queue
-
-
-def _xi_of(state, l):
-    return float(state.market.grids.xi_values[state.m_xi[l]])
-
-
-def _beta_of(state, l):
-    return state.market.grids.beta_at(state.m_beta[l])
 
 
 def _bidders(l_pu, partners):
@@ -194,9 +201,10 @@ def init_state(market, partners=None):
         queue=_bidders(l_pu, partners),
         relay_order=relay_order,
         accepted=[None] * l_su,
-        m_xi=np.zeros(l_pu, dtype=int),
-        m_beta=np.zeros(l_pu, dtype=int),
-        puu_counts=np.zeros(l_pu, dtype=int),
+        floors=market.requirements.r_pu_req.tolist(),
+        m_xi=[0] * l_pu,
+        m_beta=[0] * l_pu,
+        puu_counts=[0] * l_pu,
     )
 
 
@@ -206,18 +214,22 @@ def _best_relay(state, l, xi, beta):
 
     Slopes fall along the relay order, so rates and utilities never rise
     along it. Rounding can still give a shallower relay the head's exact
-    utility; those ties are walked and the smallest index taken.
+    utility; those ties are walked and the smallest index taken. Rates and
+    utilities are PairRates.rate_pu and u_pu, spelled out on floats.
     """
-    rates, floor = state.market.rates, state.market.requirements.r_pu_req[l]
+    coef, money = state.market.rates.pu_coef, state.market.rates.c_cost * xi
+    floor = state.floors[l]
     order = state.relay_order[l]
     best = order[0]
-    if rates.rate_pu(l, best, beta) < floor:
+    rate = coef.item(l, best) * beta
+    if rate < floor:
         return -1
     if len(order) == 1:
         return best
-    top = rates.u_pu(l, best, beta, xi)
+    top = rate + money
     for q in itertools.islice(order, 1, None):
-        if rates.u_pu(l, q, beta, xi) != top or rates.rate_pu(l, q, beta) < floor:
+        rate = coef.item(l, q) * beta
+        if rate + money != top or rate < floor:
             break
         best = min(best, q)
     return best
@@ -233,10 +245,12 @@ def concession_step(m_xi, m_beta, coef, rate_floor, c_cost, grids):
     """
     if m_xi >= grids.last_positive_xi:
         return m_xi, m_beta + 1
-    if coef * grids.beta_at(m_beta + 1) <= rate_floor:
+    beta_cut = grids.beta_at(m_beta + 1)
+    if coef * beta_cut <= rate_floor:
         return m_xi + 1, m_beta
-    u_price_cut = coef * grids.beta_at(m_beta) + c_cost * float(grids.xi_values[m_xi + 1])
-    u_time_cut = coef * grids.beta_at(m_beta + 1) + c_cost * float(grids.xi_values[m_xi])
+    xi = grids.xi_terms
+    u_price_cut = coef * grids.beta_at(m_beta) + c_cost * xi[m_xi + 1]
+    u_time_cut = coef * beta_cut + c_cost * xi[m_xi]
     if u_price_cut < u_time_cut:
         return m_xi, m_beta + 1
     return m_xi + 1, m_beta
@@ -246,14 +260,13 @@ def puu(state, l, q):
     """Concede one step after relay q refused (or displaced) pair l. The
     caller requeues l."""
     rates, grids = state.market.rates, state.market.grids
-    m_x, m_b = concession_step(
-        int(state.m_xi[l]), int(state.m_beta[l]),
-        rates.pu_coef[l, q], state.market.requirements.r_pu_req[l], rates.c_cost, grids)
+    m_x, m_b = concession_step(state.m_xi[l], state.m_beta[l], rates.pu_coef.item(l, q),
+                               state.floors[l], rates.c_cost, grids)
     # cap the time step one past the grid; the value is pinned at zero there
-    state.m_xi[l] = m_x
-    state.m_beta[l] = min(m_b, len(grids.beta_values))
+    m_b = min(m_b, len(grids.beta_values))
+    state.m_xi[l], state.m_beta[l] = m_x, m_b
     state.puu_counts[l] += 1
-    state.events.append(("puu", l, q, _xi_of(state, l), _beta_of(state, l),
+    state.events.append(("puu", l, q, grids.xi_terms[m_x], grids.beta_terms[m_b],
                          state.offers))
 
 
@@ -261,10 +274,12 @@ def step(state):
     """One engine iteration. The queue head either exits (no relay clears
     its floor) or makes one offer and absorbs the response. No-op on a
     terminal state."""
-    if state.terminal:
+    if not state.queue:
         return state
     l = state.queue.popleft()
-    xi, beta = _xi_of(state, l), _beta_of(state, l)
+    market = state.market
+    xi = market.grids.xi_terms[state.m_xi[l]]
+    beta = market.grids.beta_terms[state.m_beta[l]]
     q = _best_relay(state, l, xi, beta)
     if q < 0:
         state.events.append(("prune", l, -1, xi, beta, state.offers))
@@ -273,13 +288,15 @@ def step(state):
     state.offers += 1
     state.events.append(("offer", l, q, xi, beta, state.offers))
 
-    rates, req = state.market.rates, state.market.requirements
-    acceptable = (rates.rate_su(l, q, beta) >= req.r_su_req
-                  and rates.u_su(l, q, beta, xi) >= 0.0)
+    # PairRates.rate_su and u_su, spelled out on floats
+    su_coef, k_cost = market.rates.su_coef, market.rates.k_cost
+    rate_su = su_coef.item(l, q) * (1.0 - beta)
+    u_su = rate_su - k_cost * xi
+    acceptable = rate_su >= market.requirements.r_su_req and u_su >= 0.0
     held = state.accepted[q]
     if acceptable and held is not None:
         il, ixi, ibeta = held
-        acceptable = rates.u_su(l, q, beta, xi) > rates.u_su(il, q, ibeta, ixi)
+        acceptable = u_su > su_coef.item(il, q) * (1.0 - ibeta) - k_cost * ixi
 
     if acceptable:
         state.accepted[q] = (l, xi, beta)
@@ -300,13 +317,13 @@ def finish(state):
         state.market.params.l_pu, state.market.params.l_su,
         [(held[0], q, held[1], held[2])
          for q, held in enumerate(state.accepted) if held is not None],
-        final_xi_steps=state.m_xi.copy(),
-        final_beta_steps=state.m_beta.copy(),
+        final_xi_steps=np.array(state.m_xi, dtype=int),
+        final_beta_steps=np.array(state.m_beta, dtype=int),
     )
     trace = EngineTrace(
         events=list(state.events),
         offers=state.offers,
-        puu_counts=state.puu_counts.copy(),
+        puu_counts=np.array(state.puu_counts, dtype=int),
     )
     return outcome, trace
 
@@ -319,11 +336,29 @@ def run(params, realization, requirements=None):
 def negotiate(market, partners=None):
     """Run the market's negotiation rule to termination. partners, when
     given, is an int array holding each licensed user's one relay, -1 for
-    a user that sits out."""
+    a user that sits out.
+
+    The ladder raises EngineError once its offers pass
+    l_su + l_pu * (last_positive_xi + len(beta_values)). Every offer either
+    fills an empty relay, at most l_su times since a held relay never
+    empties, or makes exactly one user concede, and a user concedes at
+    most last_positive_xi price steps and len(beta_values) time steps
+    before it prunes.
+    """
     if market.params.negotiation == "contracts":
         return run_contracts(market, partners)
     state = init_state(market, partners)
-    while not state.terminal:
+    grids = market.grids
+    cap = market.params.l_su + market.params.l_pu * (
+        grids.last_positive_xi + len(grids.beta_values))
+    while state.queue:
+        if state.offers > cap:
+            worst = int(np.argmax(state.puu_counts))
+            raise EngineError(
+                f"ladder made {state.offers} offers, past its bound of {cap}, with "
+                f"{len(state.queue)} users queued; user {worst} conceded "
+                f"{state.puu_counts[worst]} times, to price step {state.m_xi[worst]} "
+                f"and time step {state.m_beta[worst]}")
         step(state)
     return finish(state)
 
@@ -386,6 +421,10 @@ def run_contracts(market, partners=None):
     stability audits it on the full grid. puu_counts holds, per user, the
     refusals and displacements it absorbed. With partners (see negotiate)
     only the users that have one take part, each offering to it alone.
+
+    The loop needs no offer cap: every offer moves one user's pointer
+    forward along its finite list, so the lists' total length bounds the
+    offers.
     """
     grids = market.grids
     l_pu, l_su = market.params.l_pu, market.params.l_su

@@ -59,6 +59,25 @@ def single_pair_scenario(gamma_dir, gamma_relay_hops, gamma_sr, **overrides):
     return params, real
 
 
+def engine_fingerprint(outcome, trace):
+    """Canonical text of one engine run: its events, offers, concession
+    counts, final concession steps and m, g, b, with every number as a
+    Python int or an exact float hex, so equal text means a bit-for-bit
+    equal run."""
+    def ints(a):
+        return None if a is None else [int(v) for v in a]
+
+    def hexes(a):
+        return [float(v).hex() for v in np.ravel(a)]
+
+    return repr((
+        [(kind, int(l), int(q), float(xi).hex(), float(beta).hex(), int(it))
+         for kind, l, q, xi, beta, it in trace.events],
+        int(trace.offers), ints(trace.puu_counts),
+        ints(outcome.final_xi_steps), ints(outcome.final_beta_steps),
+        outcome.m.astype(int).tolist(), hexes(outcome.g), hexes(outcome.b)))
+
+
 def discrete_assignment_optimum(market):
     """Best total licensed utility over every partial matching, each pair at
     its best grid terms (oracles.discrete_pair_optimum) under the rates it

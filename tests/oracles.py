@@ -190,15 +190,19 @@ def all_injective_matchings(l_pu, l_su):
 
 def concession_reference(m_xi, m_beta, coef, rate_floor, c_cost, grids):
     """Restate the one-step concession rule from its decision table."""
-    xi_vals = grids.xi_values
+    xi_vals, beta_vals = grids.xi_values, grids.beta_values
+
+    def beta_of(m):
+        return float(beta_vals[m]) if m < len(beta_vals) else 0.0
+
     at_price_floor = m_xi >= grids.last_positive_xi
     if at_price_floor:
         return m_xi, m_beta + 1
-    next_beta = grids.beta_at(m_beta + 1)
+    next_beta = beta_of(m_beta + 1)
     time_cut_breaks_floor = coef * next_beta <= rate_floor
     if time_cut_breaks_floor:
         return m_xi + 1, m_beta
-    keep_after_price = coef * grids.beta_at(m_beta) + c_cost * float(xi_vals[m_xi + 1])
+    keep_after_price = coef * beta_of(m_beta) + c_cost * float(xi_vals[m_xi + 1])
     keep_after_time = coef * next_beta + c_cost * float(xi_vals[m_xi])
     if keep_after_time > keep_after_price:
         return m_xi, m_beta + 1

@@ -8,6 +8,7 @@ independent fact about the concession rule, not a snapshot of the code.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 from dataclasses import replace
@@ -15,10 +16,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from relaymarket import dda, radio, topology, verify
+from relaymarket import baselines, dda, radio, topology, verify
+from relaymarket.errors import EngineError
 
 from conftest import assert_outcome_well_formed
-from helpers import handmade_realization, single_pair_scenario
+from helpers import engine_fingerprint, handmade_realization, single_pair_scenario
 from oracles import (concession_reference, contract_deferred_acceptance,
                      ladder_reference)
 
@@ -84,6 +86,13 @@ class TestConcessionRule:
         assert dda.concession_step(0, 0, 1.0, 0.3, 1.0, grids) == (0, 1)
         # steep licensed slope flips the comparison
         assert dda.concession_step(0, 0, 3.0, 0.3, 1.0, grids) == (1, 0)
+
+    def test_exact_tie_cuts_the_price(self):
+        # on quarter grids at unit slopes both cuts cost exactly 0.25; time
+        # gives way only when it is strictly cheaper
+        grids = dda.concession_grids(topology.params_from_dict(
+            {"xi_init": 1.0, "beta_init": 1.0, "delta": 0.25, "epsilon": 0.25}))
+        assert dda.concession_step(0, 0, 1.0, 0.3, 1.0, grids) == (1, 0)
 
     def test_matches_decision_table_reference(self, grids):
         rng = np.random.default_rng(8)
@@ -178,6 +187,24 @@ class TestEngineMechanics:
         assert trace.events[0][0] == "prune"
         assert trace.offers == 0
 
+    def test_rate_exactly_at_the_floor_still_offers(self):
+        # Slopes 1 (licensed) and 2 (relay) on quarter grids, floors 0.5 and
+        # 0.75. Every price cut ties a time cut exactly, so the price goes
+        # first, down to its last positive point 0.25; the relay needs
+        # beta <= 0.625, so time then falls to 0.5, where the licensed rate
+        # equals its floor: the pair still offers, and the relay takes it.
+        params, real = single_pair_scenario(
+            gamma_dir=2.5, gamma_relay_hops=(1.0, 1.0), gamma_sr=3.0,
+            xi_init=1.0, beta_init=1.0, delta=0.25, epsilon=0.25,
+            r_pu_req=[0.5], r_su_req=0.75)
+        outcome, trace = dda.run(params, real)
+        offers = [e[3:5] for e in trace.events if e[0] == "offer"]
+        assert offers == [(1.0, 1.0), (0.75, 1.0), (0.5, 1.0), (0.25, 1.0),
+                          (0.25, 0.75), (0.25, 0.5)]
+        assert trace.events[-1] == ("accept", 0, 0, 0.25, 0.5, 6)
+        assert outcome.final_xi_steps.tolist() == [3]
+        assert outcome.final_beta_steps.tolist() == [2]
+
     def test_stepping_matches_run(self, default_params):
         real = topology.make_realization(default_params, 17)
         req = radio.requirements_for(default_params, real.snr)
@@ -223,7 +250,8 @@ class TestEngineMechanics:
             assert trace.offers == offers
             assert out.m[[1, 3]].sum() == 0
 
-    def test_displacement_requeues_the_loser(self):
+    @staticmethod
+    def _contest():
         # both licensed pairs want the lone relay; exactly one ends matched
         params = topology.params_from_dict({
             "l_pu": 2, "l_su": 1, "gamma_pu_db": 0.0, "gamma_su_db": 0.0,
@@ -234,10 +262,49 @@ class TestEngineMechanics:
             params, gamma_dir=[2.5, 2.5],
             gamma_pt_st=[[1.0], [1.0]], gamma_st_pr=[[1.0], [1.0]],
             gamma_sr=[[3.0, 7.0]])
-        outcome, trace = dda.run(params, real)
+        return params, real
+
+    def test_displacement_requeues_the_loser(self):
+        outcome, trace = dda.run(*self._contest())
         assert outcome.m.sum() == 1
         kinds = [e[0] for e in trace.events]
         assert "displace" in kinds or "reject" in kinds
+
+    def test_ladder_past_its_offer_bound_raises(self, monkeypatch):
+        # a rule that concedes nothing makes the refused pair offer the
+        # same terms forever; the cap ends the run instead
+        monkeypatch.setattr(dda, "concession_step", lambda m_xi, m_beta, *_: (m_xi, m_beta))
+        market = dda.market(*self._contest())
+        grids = market.grids
+        cap = 1 + 2 * (grids.last_positive_xi + len(grids.beta_values))
+        with pytest.raises(EngineError, match=f"{cap + 1} offers, past its bound of {cap}"):
+            dda.negotiate(market)
+
+    @pytest.mark.parametrize("shape", [(2, 6), (6, 2), (25, 50)])
+    def test_finish_returns_int_arrays(self, shape):
+        params = topology.params_from_dict({"l_pu": shape[0], "l_su": shape[1]})
+        state = dda.init_state(dda.market(params, topology.make_realization(params, 3)))
+        while not state.terminal:
+            dda.step(state)
+        outcome, trace = dda.finish(state)
+        for counts in (trace.puu_counts, outcome.final_xi_steps, outcome.final_beta_steps):
+            assert isinstance(counts, np.ndarray)
+            assert counts.dtype.kind == "i"
+            assert counts.shape == (shape[0],)
+
+    @pytest.mark.parametrize("rule", ["ladder", "contracts"])
+    def test_event_fields_are_plain_python(self, rule):
+        params = topology.params_from_dict({"l_pu": 4, "l_su": 3, "negotiation": rule})
+        for seed in range(10):
+            market = dda.market(params, topology.make_realization(params, seed))
+            for _, trace in (dda.negotiate(market),
+                             baselines.rmbn(market, np.random.default_rng(seed))):
+                for event in trace.events:
+                    assert [type(v) for v in event] == [str, int, int, float, float, int]
+                buf = io.StringIO()
+                trace.to_jsonl(buf)
+                assert [tuple(json.loads(line).values())
+                        for line in buf.getvalue().splitlines()] == trace.events
 
 
 class TestLadderRule:
@@ -276,6 +343,14 @@ class TestLadderRule:
             self._assert_equals_reference(
                 params, real, radio.requirements_for(params, real.snr))
 
+    @pytest.mark.parametrize("knowledge", ["complete", "partial"])
+    def test_equals_rebuilt_list_reference_at_25x50(self, knowledge):
+        params = topology.params_from_dict(
+            {"l_pu": 25, "l_su": 50, "snr_knowledge": knowledge})
+        real = topology.make_realization(params, 5)
+        self._assert_equals_reference(
+            params, real, radio.requirements_for(params, real.snr))
+
     @pytest.mark.parametrize("floor, relay", [(0.2, 0), (1.5, 1)])
     def test_rounding_tie_keeps_the_smaller_index(self, floor, relay):
         # Licensed slopes are exactly 1 (relay 0) and 2 (relay 1). With a
@@ -299,6 +374,48 @@ class TestLadderRule:
         _, trace = dda.run(params, real, req)
         assert trace.events[0][:3] == ("offer", 0, relay)
         self._assert_equals_reference(params, real, req)
+
+
+class TestGoldenTrace:
+    """Engine traces pinned over a fixed set of seeded markets.
+
+    Each market is run by dda.negotiate and by baselines.rmbn (rng seeded
+    with the market's seed), and every run's engine_fingerprint goes into
+    one sha256. A change to an engine that alters one event, count, step
+    or term fails here; re-record the digest only for a change declared to
+    alter behaviour.
+    """
+
+    DIGEST = "1653483e466ff690a4e4b5296a3bdb86c149736d65ca440d0f6cb6cdffdcdc4f"
+    # (scenario overrides, number of seeds); 202 ladder and 10 contract markets
+    MARKETS = (
+        ({}, 19),
+        ({"l_pu": 3, "l_su": 3}, 19),
+        ({"l_pu": 6, "l_su": 2}, 19),
+        ({"snr_knowledge": "partial"}, 19),
+        ({"af_formula": "standard", "l_pu": 3, "l_su": 4}, 19),
+        ({"c_bar": 1e15}, 19),
+        ({"delta": 0.01, "epsilon": 0.01}, 19),
+        ({"xi_init": 1.0, "beta_init": 1.0, "delta": 0.25, "epsilon": 0.25,
+          "l_pu": 4, "l_su": 3}, 19),
+        ({"k_bar": 5.0}, 19),
+        ({"gamma_su_db": -5.0, "l_pu": 4, "l_su": 4}, 19),
+        ({"l_pu": 25, "l_su": 50}, 8),
+        ({"l_pu": 25, "l_su": 50, "snr_knowledge": "partial"}, 4),
+        ({"negotiation": "contracts"}, 10),
+    )
+
+    def test_traces_match_the_recorded_digest(self):
+        digest = hashlib.sha256()
+        for overrides, seeds in self.MARKETS:
+            params = topology.params_from_dict(overrides)
+            for seed in range(seeds):
+                market = dda.market(params, topology.make_realization(params, seed))
+                for outcome, trace in (
+                        dda.negotiate(market),
+                        baselines.rmbn(market, np.random.default_rng(seed))):
+                    digest.update(engine_fingerprint(outcome, trace).encode())
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestContractRule:
