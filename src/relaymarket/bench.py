@@ -178,11 +178,9 @@ def scenario_id(params) -> str:
     return f"lpu{params.l_pu}-lsu{params.l_su}-seed{params.seed}"
 
 
-def _apply_axis(params, axis, value, tie_delta):
+def _apply_axis(params, axis, value):
     if axis == "epsilon":
-        if tie_delta:
-            return replace(params, epsilon=value, delta=value)
-        return replace(params, epsilon=value)
+        return replace(params, epsilon=value, delta=value)
     if axis == "c_bar":
         return replace(params, c_bar=value)
     if axis == "gamma_su_db":
@@ -194,14 +192,14 @@ def _apply_axis(params, axis, value, tie_delta):
     raise ValueError(f"unknown sweep axis {axis!r}; valid: {SWEEP_AXES}")
 
 
-def sweep(params, axis, values, algos, n_trials, tie_delta=True):
+def sweep(params, axis, values, algos, n_trials):
     """One aggregate row per (axis value, algo); epsilon sweeps tie delta."""
     values = list(values)
     if not values:
         raise ValueError("sweep needs at least one axis value")
     rows = []
     for value in values:
-        swept = _apply_axis(params, axis, value, tie_delta)
+        swept = _apply_axis(params, axis, value)
         aggs = run_trials(swept, algos, n_trials)
         for algo in algos:
             rows.append(SweepRow(scenario_id=scenario_id(swept), algo=algo,

@@ -27,10 +27,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _trial_count(text):
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def _add_common(sub):
     sub.add_argument("--config", help="JSON file of scenario parameters")
     sub.add_argument("--seed", type=int, help="master seed (overrides config)")
-    sub.add_argument("--trials", type=int, default=100, help="number of trials")
+    sub.add_argument("--trials", type=_trial_count, default=100, help="number of trials")
     sub.add_argument("--af-formula", choices=["paper", "standard"],
                      help="relay SNR combining formula (overrides config)")
 

@@ -1,36 +1,25 @@
-"""Deferred-acceptance negotiation engines.
+"""Deferred-acceptance negotiation: one loop, two licensed sides.
 
-Two rules, selected by the scenario's `negotiation` key. The default,
-"ladder", is the concession engine below: one global concession state per
-licensed pair. "contracts" runs licensed-proposing deferred acceptance over
-the grid contracts (q, xi, beta); see run_contracts. Both read one Market
-(floors, rates and grids of a channel draw), built by market().
+Licensed users wait in a queue. The head user offers terms (xi, beta) to
+one relay, which holds the best offer it has seen; a refused or
+displaced user requeues at the tail, a user with no offer left leaves,
+and the run ends when the queue drains. The relay side is written once,
+in step. The scenario's `negotiation` key picks the licensed side, in
+init_state alone: LadderState, the default, concedes one grid step per
+refusal; ContractState ("contracts") walks a list of grid contracts.
+Both read one Market (floors, rates and grids of a channel draw), built
+by market().
 
-Ladder rule. Licensed pairs wait in a queue. The head pair offers its
-current (xi, beta) terms to its best relay; the relay takes the offer if
-it clears both relay-side conditions and beats whatever the relay
-currently holds. A turned-down (or displaced) pair concedes exactly one
-grid step and requeues at the tail. A pair whose best relay misses its
-rate floor leaves for good, and the run ends when the queue drains.
+Terms are read from the grids' float sequences, so grid membership is
+exact. The offer loop works on plain Python ints and floats: slopes are
+read one at a time with ndarray.item, and a Python float does the same
+IEEE-754 double arithmetic as a numpy scalar, only without the boxing,
+so runs replay bit for bit.
 
-A pair values relay q at pu_coef[l, q] * beta + c * xi. The money term is
-the same for every relay, so the best relay is always the one with the
-steepest slope, and when that one misses the floor every other relay
-does too. Each pair therefore keeps one fixed relay order, by falling
-slope, and offers to its head (see _best_relay for rounding ties).
-
-Terms live on the concession grids {init - m*step}. The engine tracks the
-integer step counts and reads the terms from the grids' float sequences,
-so grid membership is exact. The offer loop works on plain Python ints
-and floats: slopes are read one at a time with ndarray.item, and a Python
-float does the same IEEE-754 double arithmetic as a numpy scalar, only
-without the boxing, so runs replay bit for bit. The one concession rule
-is concession_step. negotiate stops the loop with an EngineError past
-its offer bound (see there) rather than trusting the theory to end it.
-
-Either rule can also run on a fixed partner per licensed user (negotiate's
-partners, -1 sitting out): each user then negotiates with that relay
-alone, which is how the random baseline negotiates.
+negotiate stops the loop with an EngineError past the rule's offer bound
+(state.cap) rather than trusting the theory to end it. Either rule can
+also run on a fixed partner per licensed user (negotiate's partners, -1
+sitting out), which is how the random baseline negotiates.
 """
 
 from __future__ import annotations
@@ -39,7 +28,7 @@ import itertools
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -157,84 +146,6 @@ class EngineTrace:
                                  "xi": xi, "beta": beta, "iteration": it}) + "\n")
 
 
-@dataclass
-class EngineState:
-    """The ladder's working state. Per-user fields are lists indexed by
-    licensed pair; finish turns the counters into arrays."""
-    market: Market
-    queue: deque
-    relay_order: list         # per licensed pair: relays by falling pu_coef, or its partner
-    accepted: list            # per relay: (l, xi, beta) held, or None
-    floors: list              # rate floors r_pu_req
-    m_xi: list                # price steps conceded
-    m_beta: list              # time steps conceded, at most one past the grid
-    puu_counts: list          # concessions made
-    offers: int = 0
-    events: list = field(default_factory=list)
-
-    @property
-    def terminal(self):
-        return not self.queue
-
-
-def _bidders(l_pu, partners):
-    """The licensed users that negotiate, in index order: every one, or
-    those with a partner."""
-    if partners is None:
-        return deque(range(l_pu))
-    return deque(np.flatnonzero(partners >= 0).tolist())
-
-
-def init_state(market, partners=None):
-    """Opening state; with partners, each user's relay order is its partner."""
-    if np.any(market.requirements.r_pu_req <= 0.0):
-        raise ValueError(
-            "negotiation needs positive licensed rate floors; a zero floor "
-            "makes the zero-time state acceptable forever and the run never ends")
-    l_pu, l_su = market.params.l_pu, market.params.l_su
-    if partners is None:
-        relay_order = np.argsort(-market.rates.pu_coef, axis=1, kind="stable").tolist()
-    else:
-        relay_order = [[q] for q in partners.tolist()]
-    return EngineState(
-        market=market,
-        queue=_bidders(l_pu, partners),
-        relay_order=relay_order,
-        accepted=[None] * l_su,
-        floors=market.requirements.r_pu_req.tolist(),
-        m_xi=[0] * l_pu,
-        m_beta=[0] * l_pu,
-        puu_counts=[0] * l_pu,
-    )
-
-
-def _best_relay(state, l, xi, beta):
-    """The relay pair l offers to at (xi, beta), or -1 when none clears its
-    floor: the best by licensed utility, ties to the smaller index.
-
-    Slopes fall along the relay order, so rates and utilities never rise
-    along it. Rounding can still give a shallower relay the head's exact
-    utility; those ties are walked and the smallest index taken. Rates and
-    utilities are PairRates.rate_pu and u_pu, spelled out on floats.
-    """
-    coef, money = state.market.rates.pu_coef, state.market.rates.c_cost * xi
-    floor = state.floors[l]
-    order = state.relay_order[l]
-    best = order[0]
-    rate = coef.item(l, best) * beta
-    if rate < floor:
-        return -1
-    if len(order) == 1:
-        return best
-    top = rate + money
-    for q in itertools.islice(order, 1, None):
-        rate = coef.item(l, q) * beta
-        if rate + money != top or rate < floor:
-            break
-        best = min(best, q)
-    return best
-
-
 def concession_step(m_xi, m_beta, coef, rate_floor, c_cost, grids):
     """Pick the single grid step a turned-down pair concedes.
 
@@ -256,115 +167,113 @@ def concession_step(m_xi, m_beta, coef, rate_floor, c_cost, grids):
     return m_xi + 1, m_beta
 
 
-def puu(state, l, q):
-    """Concede one step after relay q refused (or displaced) pair l. The
-    caller requeues l."""
-    rates, grids = state.market.rates, state.market.grids
-    m_x, m_b = concession_step(state.m_xi[l], state.m_beta[l], rates.pu_coef.item(l, q),
-                               state.floors[l], rates.c_cost, grids)
-    # cap the time step one past the grid; the value is pinned at zero there
-    m_b = min(m_b, len(grids.beta_values))
-    state.m_xi[l], state.m_beta[l] = m_x, m_b
-    state.puu_counts[l] += 1
-    state.events.append(("puu", l, q, grids.xi_terms[m_x], grids.beta_terms[m_b],
-                         state.offers))
+class EngineState:
+    """Working state of one run, under either rule.
+
+    The relay side lives here: the queue of licensed users still bidding
+    (every one, or those with a partner, in index order), each relay's held
+    offer, the refusals and displacements each user absorbed, the offer
+    count and the events. A subclass is one rule's licensed side:
+    offer(l) gives user l's next (relay, xi, beta), relay -1 when it exits;
+    refused(l, q) tells it relay q refused or displaced it; final_steps()
+    gives the outcome's concession steps; cap bounds the offers.
+    """
+
+    def __init__(self, market, partners):
+        l_pu = market.params.l_pu
+        self.market = market
+        self.queue = deque(range(l_pu) if partners is None
+                           else np.flatnonzero(partners >= 0).tolist())
+        self.accepted = [None] * market.params.l_su   # per relay: (l, xi, beta, u_su) held
+        self.puu_counts = [0] * l_pu
+        self.offers = 0
+        self.events = []
+
+    @property
+    def terminal(self):
+        return not self.queue
 
 
-def step(state):
-    """One engine iteration. The queue head either exits (no relay clears
-    its floor) or makes one offer and absorbs the response. No-op on a
-    terminal state."""
-    if not state.queue:
-        return state
-    l = state.queue.popleft()
-    market = state.market
-    xi = market.grids.xi_terms[state.m_xi[l]]
-    beta = market.grids.beta_terms[state.m_beta[l]]
-    q = _best_relay(state, l, xi, beta)
-    if q < 0:
-        state.events.append(("prune", l, -1, xi, beta, state.offers))
-        return state
+class LadderState(EngineState):
+    """The ladder's licensed side. Each user offers its current terms on
+    the concession grids {init - m*step} to its best relay and, when
+    refused, concedes one step (concession_step); it exits when its best
+    relay misses its rate floor. A user values relay q at
+    pu_coef[l, q] * beta + c * xi. The money term is the same for every
+    relay, so the best relay is the steepest one, and when that one misses
+    the floor every other does too. Each user therefore keeps one fixed
+    relay order, by falling slope (or its partner alone), and offers to its
+    head. Per-user fields are lists; finish turns them into arrays.
 
-    state.offers += 1
-    state.events.append(("offer", l, q, xi, beta, state.offers))
-
-    # PairRates.rate_su and u_su, spelled out on floats
-    su_coef, k_cost = market.rates.su_coef, market.rates.k_cost
-    rate_su = su_coef.item(l, q) * (1.0 - beta)
-    u_su = rate_su - k_cost * xi
-    acceptable = rate_su >= market.requirements.r_su_req and u_su >= 0.0
-    held = state.accepted[q]
-    if acceptable and held is not None:
-        il, ixi, ibeta = held
-        acceptable = u_su > su_coef.item(il, q) * (1.0 - ibeta) - k_cost * ixi
-
-    if acceptable:
-        state.accepted[q] = (l, xi, beta)
-        state.events.append(("accept", l, q, xi, beta, state.offers))
-        if held is not None:
-            state.events.append(("displace", held[0], q, xi, beta, state.offers))
-            puu(state, held[0], q)
-            state.queue.append(held[0])
-    else:
-        state.events.append(("reject", l, q, xi, beta, state.offers))
-        puu(state, l, q)
-        state.queue.append(l)
-    return state
-
-
-def finish(state):
-    outcome = MatchingOutcome.from_terms(
-        state.market.params.l_pu, state.market.params.l_su,
-        [(held[0], q, held[1], held[2])
-         for q, held in enumerate(state.accepted) if held is not None],
-        final_xi_steps=np.array(state.m_xi, dtype=int),
-        final_beta_steps=np.array(state.m_beta, dtype=int),
-    )
-    trace = EngineTrace(
-        events=list(state.events),
-        offers=state.offers,
-        puu_counts=np.array(state.puu_counts, dtype=int),
-    )
-    return outcome, trace
-
-
-def run(params, realization, requirements=None):
-    """Run the scenario's negotiation rule to termination on one realization."""
-    return negotiate(market(params, realization, requirements))
-
-
-def negotiate(market, partners=None):
-    """Run the market's negotiation rule to termination. partners, when
-    given, is an int array holding each licensed user's one relay, -1 for
-    a user that sits out.
-
-    The ladder raises EngineError once its offers pass
-    l_su + l_pu * (last_positive_xi + len(beta_values)). Every offer either
-    fills an empty relay, at most l_su times since a held relay never
-    empties, or makes exactly one user concede, and a user concedes at
-    most last_positive_xi price steps and len(beta_values) time steps
+    cap is l_su + l_pu * (last_positive_xi + len(beta_values)). Every offer
+    either fills an empty relay, at most l_su times since a held relay
+    never empties, or makes exactly one user concede, and a user concedes
+    at most last_positive_xi price steps and len(beta_values) time steps
     before it prunes.
     """
-    if market.params.negotiation == "contracts":
-        return run_contracts(market, partners)
-    state = init_state(market, partners)
-    grids = market.grids
-    cap = market.params.l_su + market.params.l_pu * (
-        grids.last_positive_xi + len(grids.beta_values))
-    while state.queue:
-        if state.offers > cap:
-            worst = int(np.argmax(state.puu_counts))
-            raise EngineError(
-                f"ladder made {state.offers} offers, past its bound of {cap}, with "
-                f"{len(state.queue)} users queued; user {worst} conceded "
-                f"{state.puu_counts[worst]} times, to price step {state.m_xi[worst]} "
-                f"and time step {state.m_beta[worst]}")
-        step(state)
-    return finish(state)
 
+    def __init__(self, market, partners):
+        if np.any(market.requirements.r_pu_req <= 0.0):
+            raise ValueError(
+                "negotiation needs positive licensed rate floors; a zero floor "
+                "makes the zero-time state acceptable forever and the run never ends")
+        super().__init__(market, partners)
+        l_pu, grids = market.params.l_pu, market.grids
+        if partners is None:
+            self.relay_order = np.argsort(-market.rates.pu_coef, axis=1,
+                                          kind="stable").tolist()
+        else:
+            self.relay_order = [[q] for q in partners.tolist()]
+        self.floors = market.requirements.r_pu_req.tolist()
+        self.m_xi = [0] * l_pu     # price steps conceded
+        self.m_beta = [0] * l_pu   # time steps conceded, at most one past the grid
+        self.cap = market.params.l_su + l_pu * (
+            grids.last_positive_xi + len(grids.beta_values))
 
-# ---------------------------------------------------------------------------
-# contract rule
+    def offer(self, l):
+        """User l's current terms and the relay it offers them to, -1 when
+        none clears its floor: the best by licensed utility, ties to the
+        smaller index.
+
+        Slopes fall along the relay order, so rates and utilities never
+        rise along it. Rounding can still give a shallower relay the head's
+        exact utility; those ties are walked and the smallest index taken.
+        Rates and utilities are PairRates.rate_pu and u_pu, spelled out on
+        floats.
+        """
+        grids, coef = self.market.grids, self.market.rates.pu_coef
+        xi = grids.xi_terms[self.m_xi[l]]
+        beta = grids.beta_terms[self.m_beta[l]]
+        floor = self.floors[l]
+        order = self.relay_order[l]
+        best = order[0]
+        rate = coef.item(l, best) * beta
+        if rate < floor:
+            return -1, xi, beta
+        if len(order) > 1:
+            money = self.market.rates.c_cost * xi
+            top = rate + money
+            for q in itertools.islice(order, 1, None):
+                rate = coef.item(l, q) * beta
+                if rate + money != top or rate < floor:
+                    break
+                best = min(best, q)
+        return best, xi, beta
+
+    def refused(self, l, q):
+        """Concede one grid step, picked by concession_step against relay q."""
+        rates, grids = self.market.rates, self.market.grids
+        m_x, m_b = concession_step(self.m_xi[l], self.m_beta[l], rates.pu_coef.item(l, q),
+                                   self.floors[l], rates.c_cost, grids)
+        # cap the time step one past the grid; the value is pinned at zero there
+        m_b = min(m_b, len(grids.beta_values))
+        self.m_xi[l], self.m_beta[l] = m_x, m_b
+        self.events.append(("puu", l, q, grids.xi_terms[m_x], grids.beta_terms[m_b],
+                            self.offers))
+
+    def final_steps(self):
+        return np.array(self.m_xi, dtype=int), np.array(self.m_beta, dtype=int)
+
 
 def _contract_lists(rates, requirements, grids, partners):
     """Per licensed user, the grid contracts it may ever offer, best first.
@@ -404,72 +313,135 @@ def _contract_lists(rates, requirements, grids, partners):
     return lists
 
 
-def run_contracts(market, partners=None):
-    """Licensed-proposing deferred acceptance over the grid contracts.
+class ContractState(EngineState):
+    """The contract rule's licensed side: licensed-proposing deferred
+    acceptance over the grid contracts.
 
     Each licensed user keeps one bar per relay, minus infinity until that
     relay first refuses it. Its next offer is the first contract on its
     list (see _contract_lists) that gives the relay strictly more than the
-    bar. A relay holds its best offer so far; a refusal or a displacement
-    sends the relay's held utility back to the user as the new bar. A user
-    with no such contract left exits. Bars and held utilities only rise,
-    so a contract skipped once is never eligible again and each user walks
-    its list with one forward pointer.
+    bar; a user with no such contract left exits. A refusal or a
+    displacement raises the bar to the relay's held utility. Bars and held
+    utilities only rise, so a contract skipped once is never eligible again
+    and each user walks its list with one forward pointer; cap, the lists'
+    total length, therefore bounds the offers.
 
     Only the relay-side slopes enter the bars, and those are instantaneous
     in both knowledge modes. The outcome carries no concession steps, so
-    stability audits it on the full grid. puu_counts holds, per user, the
-    refusals and displacements it absorbed. With partners (see negotiate)
-    only the users that have one take part, each offering to it alone.
-
-    The loop needs no offer cap: every offer moves one user's pointer
-    forward along its finite list, so the lists' total length bounds the
-    offers.
+    stability audits it on the full grid.
     """
-    grids = market.grids
-    l_pu, l_su = market.params.l_pu, market.params.l_su
-    lists = _contract_lists(market.rates, market.requirements, grids, partners)
-    pointer = np.zeros(l_pu, dtype=int)
-    bar = np.full((l_pu, l_su), -np.inf)
-    held_u = np.full(l_su, -np.inf)
-    holder = np.full(l_su, -1, dtype=int)
-    held_terms = [None] * l_su
-    turned_down = np.zeros(l_pu, dtype=int)
-    events = []
-    offers = 0
-    queue = _bidders(l_pu, partners)
-    while queue:
-        l = queue.popleft()
-        qs, xis, betas, u_sus = lists[l]
-        start = pointer[l]
-        open_ = u_sus[start:] > bar[l, qs[start:]]
-        if not open_.any():
-            events.append(("prune", l, -1, 0.0, 0.0, offers))
-            continue
-        k = start + int(np.argmax(open_))
-        pointer[l] = k + 1
-        q, u = int(qs[k]), float(u_sus[k])
-        xi = float(grids.xi_values[xis[k]])
-        beta = float(grids.beta_values[betas[k]])
-        offers += 1
-        events.append(("offer", l, q, xi, beta, offers))
-        if u > held_u[q]:
-            loser = int(holder[q])
-            holder[q], held_u[q], held_terms[q] = l, u, (xi, beta)
-            events.append(("accept", l, q, xi, beta, offers))
-            if loser >= 0:
-                bar[loser, q] = u
-                turned_down[loser] += 1
-                events.append(("displace", loser, q, xi, beta, offers))
-                queue.append(loser)
-        else:
-            bar[l, q] = held_u[q]
-            turned_down[l] += 1
-            events.append(("reject", l, q, xi, beta, offers))
-            queue.append(l)
 
+    def __init__(self, market, partners):
+        super().__init__(market, partners)
+        l_pu, l_su = market.params.l_pu, market.params.l_su
+        self.lists = _contract_lists(market.rates, market.requirements, market.grids,
+                                     partners)
+        self.pointer = [0] * l_pu
+        self.bar = np.full((l_pu, l_su), -np.inf)
+        self.cap = sum(len(qs) for qs, *_ in self.lists)
+
+    def offer(self, l):
+        qs, xis, betas, u_sus = self.lists[l]
+        start = self.pointer[l]
+        open_ = u_sus[start:] > self.bar[l, qs[start:]]
+        if not open_.any():
+            return -1, 0.0, 0.0
+        k = start + int(np.argmax(open_))
+        self.pointer[l] = k + 1
+        grids = self.market.grids
+        return int(qs[k]), grids.xi_terms[xis[k]], grids.beta_terms[betas[k]]
+
+    def refused(self, l, q):
+        self.bar[l, q] = self.accepted[q][3]
+
+    def final_steps(self):
+        return None, None
+
+
+_RULES = {"ladder": LadderState, "contracts": ContractState}
+
+
+def init_state(market, partners=None):
+    """Opening state of the market's negotiation rule; partners as in
+    negotiate."""
+    return _RULES[market.params.negotiation](market, partners)
+
+
+def step(state):
+    """One engine iteration. The queue head either exits (its licensed side
+    has no offer left) or makes one offer, which relay q takes when it
+    meets the relay rate floor, leaves q a nonnegative utility and beats
+    what q holds. The refused or displaced user is told and requeues at
+    the tail. No-op on a terminal state."""
+    if not state.queue:
+        return state
+    l = state.queue.popleft()
+    q, xi, beta = state.offer(l)
+    if q < 0:
+        state.events.append(("prune", l, -1, xi, beta, state.offers))
+        return state
+
+    state.offers += 1
+    state.events.append(("offer", l, q, xi, beta, state.offers))
+
+    # PairRates.rate_su and u_su, spelled out on floats
+    rates = state.market.rates
+    rate_su = rates.su_coef.item(l, q) * (1.0 - beta)
+    u_su = rate_su - rates.k_cost * xi
+    held = state.accepted[q]
+    if (rate_su >= state.market.requirements.r_su_req and u_su >= 0.0
+            and (held is None or u_su > held[3])):
+        state.accepted[q] = (l, xi, beta, u_su)
+        state.events.append(("accept", l, q, xi, beta, state.offers))
+        if held is None:
+            return state
+        loser = held[0]
+        state.events.append(("displace", loser, q, xi, beta, state.offers))
+    else:
+        loser = l
+        state.events.append(("reject", l, q, xi, beta, state.offers))
+    state.puu_counts[loser] += 1
+    state.refused(loser, q)
+    state.queue.append(loser)
+    return state
+
+
+def finish(state):
+    final_xi_steps, final_beta_steps = state.final_steps()
     outcome = MatchingOutcome.from_terms(
-        l_pu, l_su, [(holder[q], q, *held_terms[q])
-                     for q in range(l_su) if holder[q] >= 0])
-    trace = EngineTrace(events=events, offers=offers, puu_counts=turned_down)
+        state.market.params.l_pu, state.market.params.l_su,
+        [(held[0], q, held[1], held[2])
+         for q, held in enumerate(state.accepted) if held is not None],
+        final_xi_steps=final_xi_steps, final_beta_steps=final_beta_steps)
+    trace = EngineTrace(
+        events=list(state.events),
+        offers=state.offers,
+        puu_counts=np.array(state.puu_counts, dtype=int),
+    )
     return outcome, trace
+
+
+def run(params, realization, requirements=None):
+    """Run the scenario's negotiation rule to termination on one realization."""
+    return negotiate(market(params, realization, requirements))
+
+
+def negotiate(market, partners=None):
+    """Run the market's negotiation rule to termination. partners, when
+    given, is an int array holding each licensed user's one relay, -1 for
+    a user that sits out.
+
+    Raises EngineError once the offers pass the rule's bound, state.cap
+    (see LadderState and ContractState), rather than trusting the theory
+    to end the run.
+    """
+    state = init_state(market, partners)
+    while state.queue:
+        if state.offers > state.cap:
+            worst = int(np.argmax(state.puu_counts))
+            raise EngineError(
+                f"{market.params.negotiation} rule made {state.offers} offers, past its "
+                f"bound of {state.cap}, with {len(state.queue)} users queued; user "
+                f"{worst} was refused {state.puu_counts[worst]} times")
+        step(state)
+    return finish(state)

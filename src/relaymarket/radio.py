@@ -174,11 +174,7 @@ def requirements_for(params, snrs):
     the pair already gets over its direct link, so relaying must not hurt."""
     if params.pu_req_mode == "direct-rate":
         floors = params.t_frame * log2_1p(snrs.gamma_dir)
-    elif params.pu_req_mode == "explicit":
-        floors = np.asarray(params.r_pu_req, dtype=float)
-        if floors.shape != (params.l_pu,):
-            raise ValueError("explicit r_pu_req must list one floor per licensed pair")
-    else:
-        raise ValueError(f"unknown pu_req_mode {params.pu_req_mode!r}")
+    else:   # "explicit": ScenarioParams checked one finite floor per pair
+        floors = params.r_pu_req
     return Requirements(r_pu_req=np.asarray(floors, dtype=float),
                         r_su_req=float(params.r_su_req))

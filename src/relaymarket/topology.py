@@ -48,9 +48,7 @@ class ScenarioParams:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in _FLOAT_FIELDS:
             value = getattr(self, name)
-            if (isinstance(value, bool)
-                    or not isinstance(value, (int, float, np.integer, np.floating))
-                    or not math.isfinite(value)):
+            if not _finite_number(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not isinstance(self.su_channel_per_band, bool):
             raise ValueError("su_channel_per_band must be true or false, "
@@ -79,10 +77,22 @@ class ScenarioParams:
             raise ValueError(f"unknown pu_req_mode {self.pu_req_mode!r}")
         if self.pu_req_mode == "explicit" and self.r_pu_req is None:
             raise ValueError("explicit pu_req_mode needs r_pu_req")
+        if self.r_pu_req is not None and (
+                not isinstance(self.r_pu_req, tuple)
+                or len(self.r_pu_req) != self.l_pu
+                or not all(_finite_number(v) for v in self.r_pu_req)):
+            raise ValueError(f"r_pu_req must list {self.l_pu} finite numbers, one per "
+                             f"licensed pair, got {self.r_pu_req!r}")
         if self.partial_expectation_samples < 1:
             raise ValueError("partial_expectation_samples must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
+
+
+def _finite_number(value):
+    return (not isinstance(value, bool)
+            and isinstance(value, (int, float, np.integer, np.floating))
+            and math.isfinite(value))
 
 
 _INT_FIELDS = tuple(f.name for f in fields(ScenarioParams) if f.type == "int")

@@ -18,6 +18,7 @@ run of a few minutes rather than a per-test recomputation.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -254,9 +255,11 @@ def test_10_packet_use_is_modest_and_plateaus_with_coarser_steps():
     agg = bench.run_trials(params, ["dda-complete"], N_SWEEP_TRIALS)["dda-complete"]
     cdf = {y: agg.packet_cdf(y) for y in (15, 25, 50, 100)}
     cdf_txt = ", ".join(f"<={y}: {v:.0%}" for y, v in cdf.items())
-    rows = bench.sweep(params, "epsilon", [0.4, 0.8], ["dda-complete"],
-                       N_SWEEP_TRIALS, tie_delta=False)
-    p_coarse, p_coarser = rows[0].agg.p90_packets, rows[1].agg.p90_packets
+    # the time step alone moves; an epsilon sweep would move the price step too
+    p_coarse, p_coarser = (
+        bench.run_trials(replace(params, epsilon=eps), ["dda-complete"],
+                         N_SWEEP_TRIALS)["dda-complete"].p90_packets
+        for eps in (0.4, 0.8))
     gap = abs(p_coarse - p_coarser) / max(p_coarse, p_coarser)
     ok = agg.p90_packets <= 25.0 and gap <= 0.10
     _verdict(10, "packet-p90", ok,

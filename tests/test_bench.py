@@ -190,12 +190,6 @@ class TestSweep:
                                   ["dda-complete"], 10)["dda-complete"]
         assert tied[0].agg.mean_packets == manual.mean_packets
 
-        loose = bench.sweep(small_params, "epsilon", [0.2], ["dda-complete"], 10,
-                            tie_delta=False)
-        manual_loose = bench.run_trials(replace(small_params, epsilon=0.2),
-                                        ["dda-complete"], 10)["dda-complete"]
-        assert loose[0].agg.mean_packets == manual_loose.mean_packets
-
     def test_rows_carry_axis_and_scenario_labels(self, small_params):
         rows = bench.sweep(small_params, "l_su", [2, 3], ["dda-complete", "rmbn"], 4)
         assert [r.axis_value for r in rows] == [2.0, 2.0, 3.0, 3.0]

@@ -15,7 +15,10 @@ from relaymarket.bench import CSV_COLUMNS
 
 
 def run_cli(argv, capsys):
-    code = cli.main(argv)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:   # argparse refusing the arguments
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -61,6 +64,15 @@ class TestRunCommand:
         assert "at least 1" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["run"], ["sweep", "--axis", "epsilon", "--values", "0.4"], ["verify"], ["oracle"]])
+def test_trial_count_below_one_exits_one(command, capsys):
+    for trials in ("0", "-2"):
+        code, out, err = run_cli([*command, "--seed", "1", "--trials", trials], capsys)
+        assert code == 1
+        assert "at least 1" in err and out == ""
+
+
 class TestConfigHandling:
     def test_config_file_drives_scenario(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.json"
@@ -93,6 +105,15 @@ class TestConfigHandling:
                                capsys)
         assert code == 1
         assert "l_su must be an integer" in err
+
+    @pytest.mark.parametrize("floors", [[0.2, float("nan")], [0.2], ["a", "b"]])
+    def test_bad_explicit_floors_exit_one(self, tmp_path, capsys, floors):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps({"pu_req_mode": "explicit", "r_pu_req": floors}))
+        code, _, err = run_cli(["run", "--config", str(cfg), "--trials", "2"],
+                               capsys)
+        assert code == 1
+        assert "r_pu_req" in err
 
     def test_non_object_config_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.json"

@@ -471,6 +471,41 @@ class TestContractRule:
         req = radio.requirements_for(params, real.snr)
         assert verify.is_stable(outcome, real, req, params).stable
 
+    @pytest.mark.parametrize("overrides", [{}, {"l_pu": 3, "l_su": 3}, {"l_pu": 6, "l_su": 2}])
+    def test_stepping_matches_negotiate(self, overrides):
+        params = topology.params_from_dict({**overrides, "negotiation": "contracts"})
+        for seed in range(10):
+            market = dda.market(params, topology.make_realization(params, seed))
+            state = dda.init_state(market)
+            while not state.terminal:
+                dda.step(state)
+            assert (engine_fingerprint(*dda.finish(state))
+                    == engine_fingerprint(*dda.negotiate(market)))
+
+    @pytest.mark.parametrize("overrides, seeds", [
+        ({}, 30), ({"l_pu": 3, "l_su": 3}, 30), ({"l_pu": 25, "l_su": 50}, 3)])
+    def test_offers_stay_within_the_cap(self, overrides, seeds):
+        params = topology.params_from_dict({**overrides, "negotiation": "contracts"})
+        for seed in range(seeds):
+            market = dda.market(params, topology.make_realization(params, seed))
+            _, trace = dda.negotiate(market)
+            assert trace.offers <= dda.init_state(market).cap
+
+    def test_past_its_offer_bound_raises(self, contest, monkeypatch):
+        # a user that always offers its best contract, bars or not, repeats
+        # a refused offer forever; the cap ends the run instead
+        def best_contract(state, l):
+            qs, xis, betas, _ = state.lists[l]
+            grids = state.market.grids
+            return int(qs[0]), grids.xi_terms[xis[0]], grids.beta_terms[betas[0]]
+
+        market = dda.market(*contest)
+        cap = dda.init_state(market).cap
+        monkeypatch.setattr(dda.ContractState, "offer", best_contract)
+        with pytest.raises(EngineError, match=f"contracts rule made {cap + 1} offers, "
+                                              f"past its bound of {cap}"):
+            dda.negotiate(market)
+
     @pytest.mark.parametrize("scenario", [
         {"l_pu": 2, "l_su": 2, "xi_init": 1.0, "beta_init": 1.0,
          "delta": 0.25, "epsilon": 0.25},

@@ -161,7 +161,7 @@ class TestRelaySideList:
                 u = rates.u_su(l, q, beta, xi)
                 takes = rates.rate_su(l, q, beta) >= req.r_su_req and u >= 0.0
                 if takes and held[q] is not None:
-                    hl, hxi, hbeta = held[q]
+                    hl, hxi, hbeta, _ = held[q]
                     takes = u > rates.u_su(hl, q, hbeta, hxi)
                 assert state.events[seen + 1][0] == ("accept" if takes else "reject")
 
@@ -201,11 +201,11 @@ class TestChallengeRule:
             gamma_sr=[[15.0, 3.0]])
         req = radio.requirements_for(params, real.snr)
         state = dda.init_state(dda.market(params, real, req))
-        state.accepted[0] = (0, 0.5, 0.8)
+        rates = state.market.rates
+        state.accepted[0] = (0, 0.5, 0.8, rates.u_su(0, 0, 0.8, 0.5))
         state.queue = deque([1])
         state.m_xi[1], state.m_beta[1] = 4, 1
-        rates = state.market.rates
         assert rates.u_su(1, 0, 0.8, 0.0) > rates.u_su(0, 0, 0.8, 0.5)
         dda.step(state)
         assert [e[:2] for e in state.events[:2]] == [("offer", 1), ("reject", 1)]
-        assert state.accepted[0] == (0, 0.5, 0.8)
+        assert state.accepted[0] == (0, 0.5, 0.8, rates.u_su(0, 0, 0.8, 0.5))

@@ -58,6 +58,10 @@ class TestParams:
         {"gamma_su_db": True},
         {"r_su_req": None},
         {"su_channel_per_band": 1},
+        {"r_pu_req": [0.2, float("nan")]},
+        {"r_pu_req": [0.2]},
+        {"r_pu_req": ["a", "b"]},
+        {"r_pu_req": [0.2, True]},
     ])
     def test_ill_typed_values_rejected(self, overrides):
         (name, _), = overrides.items()

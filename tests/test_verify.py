@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -307,7 +309,7 @@ class TestWeakPareto:
             grids = dda.concession_grids(params)
             rates = radio.make_pair_rates(params, real)
             candidates = grid_candidates(rates, req, grids)
-            contracts, _ = dda.run_contracts(dda.market(params, real, req))
+            contracts, _ = dda.run(replace(params, negotiation="contracts"), real, req)
             ladder, _ = dda.run(params, real, req)
             for outcome in (ladder, contracts,
                             MatchingOutcome(*candidates[len(candidates) // 2])):
