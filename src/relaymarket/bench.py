@@ -81,14 +81,19 @@ def _se(values) -> float:
 
 
 def _realized_sums(outcome, rates):
+    """Sums over the matched pairs, in row-major order, of PairRates.u_pu,
+    rate_pu and rate_su, spelled out on floats read with ndarray.item."""
     u = r_pu = r_su = 0.0
+    # float(): a float32 weight times a Python float would stay float32,
+    # where times a numpy float64 it widens
+    c_cost = float(rates.c_cost)
     pairs = outcome.matched_pairs()
     for l, q in pairs:
-        beta = outcome.b[l, q]
-        xi = outcome.g[l, q]
-        u += rates.u_pu(l, q, beta, xi)
-        r_pu += rates.rate_pu(l, q, beta)
-        r_su += rates.rate_su(l, q, beta)
+        beta = outcome.b.item(l, q)
+        rate_pu = rates.pu_coef.item(l, q) * beta
+        u += rate_pu + c_cost * outcome.g.item(l, q)
+        r_pu += rate_pu
+        r_su += rates.su_coef.item(l, q) * (1.0 - beta)
     return u, r_pu, r_su, len(pairs)
 
 

@@ -124,7 +124,9 @@ class MatchingOutcome:
         return cls(m=m, g=g, b=b, **steps)
 
     def matched_pairs(self):
-        return [(int(l), int(q)) for l, q in zip(*np.nonzero(self.m))]
+        """Matched (l, q) pairs as Python ints, in row-major order."""
+        ls, qs = np.nonzero(self.m)
+        return list(zip(ls.tolist(), qs.tolist()))
 
 
 @dataclass
@@ -201,9 +203,12 @@ class LadderState(EngineState):
     relay misses its rate floor. A user values relay q at
     pu_coef[l, q] * beta + c * xi. The money term is the same for every
     relay, so the best relay is the steepest one, and when that one misses
-    the floor every other does too. Each user therefore keeps one fixed
-    relay order, by falling slope (or its partner alone), and offers to its
-    head. Per-user fields are lists; finish turns them into arrays.
+    the floor every other does too. Each user therefore keeps the head and
+    the runner-up of its relays by falling slope, ties to the smaller index
+    (or its partner alone), and offers to the head; its full order, a
+    stable sort of its row, is built only when a tie walks past the
+    runner-up (see offer). Per-user fields are lists; finish turns them
+    into arrays.
 
     cap is l_su + l_pu * (last_positive_xi + len(beta_values)). Every offer
     either fills an empty relay, at most l_su times since a held relay
@@ -219,11 +224,18 @@ class LadderState(EngineState):
                 "makes the zero-time state acceptable forever and the run never ends")
         super().__init__(market, partners)
         l_pu, grids = market.params.l_pu, market.grids
-        if partners is None:
-            self.relay_order = np.argsort(-market.rates.pu_coef, axis=1,
-                                          kind="stable").tolist()
+        coef = market.rates.pu_coef
+        self.runner_up = [-1] * l_pu   # -1: no second relay to walk to
+        if partners is not None:
+            self.head = partners.tolist()
         else:
-            self.relay_order = [[q] for q in partners.tolist()]
+            self.head = coef.argmax(axis=1).tolist()
+            if market.params.l_su > 1:
+                rest = coef.copy()
+                for l, q in enumerate(self.head):
+                    rest[l, q] = -np.inf
+                self.runner_up = rest.argmax(axis=1).tolist()
+        self.tie_orders = {}   # user -> full relay order, once a tie passes the runner-up
         self.floors = market.requirements.r_pu_req.tolist()
         self.m_xi = [0] * l_pu     # price steps conceded
         self.m_beta = [0] * l_pu   # time steps conceded, at most one past the grid
@@ -238,27 +250,40 @@ class LadderState(EngineState):
         Slopes fall along the relay order, so rates and utilities never
         rise along it. Rounding can still give a shallower relay the head's
         exact utility; those ties are walked and the smallest index taken.
-        Rates and utilities are PairRates.rate_pu and u_pu, spelled out on
-        floats.
+        The walk reads the runner-up first and the rest of the order, sorted
+        then, only when the runner-up ties too. Rates and utilities are
+        PairRates.rate_pu and u_pu, spelled out on floats.
         """
         grids, coef = self.market.grids, self.market.rates.pu_coef
         xi = grids.xi_terms[self.m_xi[l]]
         beta = grids.beta_terms[self.m_beta[l]]
         floor = self.floors[l]
-        order = self.relay_order[l]
-        best = order[0]
+        best = self.head[l]
         rate = coef.item(l, best) * beta
         if rate < floor:
             return -1, xi, beta
-        if len(order) > 1:
+        second = self.runner_up[l]
+        if second >= 0:
             money = self.market.rates.c_cost * xi
             top = rate + money
-            for q in itertools.islice(order, 1, None):
-                rate = coef.item(l, q) * beta
-                if rate + money != top or rate < floor:
-                    break
-                best = min(best, q)
+            rate = coef.item(l, second) * beta
+            if rate + money == top and rate >= floor:
+                best = min(best, second)
+                for q in itertools.islice(self._tie_order(l), 2, None):
+                    rate = coef.item(l, q) * beta
+                    if rate + money != top or rate < floor:
+                        break
+                    best = min(best, q)
         return best, xi, beta
+
+    def _tie_order(self, l):
+        """User l's relays by falling slope, ties to the smaller index; its
+        first two entries are the head and the runner-up."""
+        order = self.tie_orders.get(l)
+        if order is None:
+            order = self.tie_orders[l] = np.argsort(
+                -self.market.rates.pu_coef[l], kind="stable").tolist()
+        return order
 
     def refused(self, l, q):
         """Concede one grid step, picked by concession_step against relay q."""

@@ -80,9 +80,9 @@ class ScenarioParams:
         if self.r_pu_req is not None and (
                 not isinstance(self.r_pu_req, tuple)
                 or len(self.r_pu_req) != self.l_pu
-                or not all(_finite_number(v) for v in self.r_pu_req)):
-            raise ValueError(f"r_pu_req must list {self.l_pu} finite numbers, one per "
-                             f"licensed pair, got {self.r_pu_req!r}")
+                or not all(_finite_number(v) and v > 0 for v in self.r_pu_req)):
+            raise ValueError(f"r_pu_req must list {self.l_pu} finite positive numbers, "
+                             f"one per licensed pair, got {self.r_pu_req!r}")
         if self.partial_expectation_samples < 1:
             raise ValueError("partial_expectation_samples must be >= 1")
         if self.seed < 0:
@@ -126,8 +126,17 @@ def place_users(params, rng):
         sr = rng.uniform(-0.5, 0.5, (params.l_su, 2))
         # only the relay pair's own hop can degenerate; every cross-square
         # distance is at least 0.5 by construction
-        if np.min(np.linalg.norm(st - sr, axis=1)) >= 1e-6:
+        if np.min(_distance(st, sr)) >= 1e-6:
             return Placement(pt_pos=pt, pr_pos=pr, st_pos=st, sr_pos=sr)
+
+
+def _distance(a, b):
+    """Euclidean distance between points [..., 2], broadcast: what
+    np.linalg.norm(a - b, axis=-1) gives bit for bit (its sum of squares
+    over two entries is one addition), without the [..., 2] temporaries."""
+    dx = a[..., 0] - b[..., 0]
+    dy = a[..., 1] - b[..., 1]
+    return np.sqrt(dx * dx + dy * dy)
 
 
 @dataclass
@@ -151,7 +160,8 @@ def draw_channels(params, placement, rng):
     """Draw all squared fading gains and derive distances and SNRs.
 
     Squared gains are -ln(u) with u uniform on (0, 1], i.e. exponential
-    with unit mean. Under partial knowledge the realization also gets the
+    with unit mean. Distances come from _distance, on [l, q] broadcasts for
+    the cross links. Under partial knowledge the realization also gets the
     per-pair expected log terms, each from its own spawned substream so the
     estimate is reproducible pair by pair.
     """
@@ -168,12 +178,10 @@ def draw_channels(params, placement, rng):
     else:
         h2_st_sr = np.repeat(exp_draw((l_su, 1)), l_pu, axis=1)
 
-    d_pt_pr = np.linalg.norm(placement.pt_pos - placement.pr_pos, axis=1)
-    d_pt_st = np.linalg.norm(
-        placement.pt_pos[:, None, :] - placement.st_pos[None, :, :], axis=2)
-    d_st_pr = np.linalg.norm(
-        placement.pr_pos[:, None, :] - placement.st_pos[None, :, :], axis=2)
-    d_st_sr = np.linalg.norm(placement.st_pos - placement.sr_pos, axis=1)
+    d_pt_pr = _distance(placement.pt_pos, placement.pr_pos)
+    d_pt_st = _distance(placement.pt_pos[:, None], placement.st_pos[None])
+    d_st_pr = _distance(placement.pr_pos[:, None], placement.st_pos[None])
+    d_st_sr = _distance(placement.st_pos, placement.sr_pos)
 
     real = ChannelRealization(
         placement=placement,

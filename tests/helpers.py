@@ -9,6 +9,27 @@ from relaymarket import radio, topology
 from oracles import all_injective_matchings, discrete_pair_optimum
 
 
+# (scenario overrides, number of seeds) of the seeded markets behind the
+# golden digests in test_dda.TestGoldenTrace and
+# test_topology.TestGoldenRealization; 202 ladder and 10 contract markets
+GOLDEN_MARKETS = (
+    ({}, 19),
+    ({"l_pu": 3, "l_su": 3}, 19),
+    ({"l_pu": 6, "l_su": 2}, 19),
+    ({"snr_knowledge": "partial"}, 19),
+    ({"af_formula": "standard", "l_pu": 3, "l_su": 4}, 19),
+    ({"c_bar": 1e15}, 19),
+    ({"delta": 0.01, "epsilon": 0.01}, 19),
+    ({"xi_init": 1.0, "beta_init": 1.0, "delta": 0.25, "epsilon": 0.25,
+      "l_pu": 4, "l_su": 3}, 19),
+    ({"k_bar": 5.0}, 19),
+    ({"gamma_su_db": -5.0, "l_pu": 4, "l_su": 4}, 19),
+    ({"l_pu": 25, "l_su": 50}, 8),
+    ({"l_pu": 25, "l_su": 50, "snr_knowledge": "partial"}, 4),
+    ({"negotiation": "contracts"}, 10),
+)
+
+
 def handmade_realization(params, gamma_dir, gamma_pt_st, gamma_st_pr, gamma_sr):
     """Build a realization whose SNRs equal the given arrays exactly.
 

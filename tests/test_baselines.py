@@ -412,11 +412,17 @@ class TestRandomBaseline:
 
     @pytest.mark.parametrize("rule", ["ladder", "contracts"])
     def test_zero_licensed_floor_rejected_under_both_rules(self, rule):
+        with pytest.raises(ValueError, match="r_pu_req"):
+            single_pair_scenario(
+                gamma_dir=2.5, gamma_relay_hops=(1.0, 1.0), gamma_sr=3.0,
+                r_pu_req=[0.0], r_su_req=0.2, negotiation=rule)
+        # a direct-rate floor is 0 on a zero fading draw; rmbn refuses it
         params, real = single_pair_scenario(
             gamma_dir=2.5, gamma_relay_hops=(1.0, 1.0), gamma_sr=3.0,
-            r_pu_req=[0.0], r_su_req=0.2, negotiation=rule)
+            r_pu_req=[0.5], r_su_req=0.2, negotiation=rule)
+        req = radio.Requirements(r_pu_req=np.array([0.0]), r_su_req=0.2)
         with pytest.raises(ValueError, match="positive licensed rate floors"):
-            baselines.rmbn(dda.market(params, real), np.random.default_rng(0))
+            baselines.rmbn(dda.market(params, real, req), np.random.default_rng(0))
 
     def test_packet_count_is_two_per_offer(self, default_params):
         _, trace = baselines.rmbn(market_at(default_params, 6), np.random.default_rng(1))

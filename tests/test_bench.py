@@ -86,6 +86,43 @@ class TestRunTrials:
         assert got.mean_sum_utility_pu == float(np.mean(util))
         assert got.match_pct == 100.0 * matched / (12 * params.l_pu)
 
+    @pytest.mark.parametrize("shape, seeds, algos", [
+        ((2, 6), 12, ("dda-complete", "centralized", "rmbn")),
+        ((100, 200), 1, ("dda-complete", "rmbn"))])
+    def test_sums_equal_a_plain_pair_loop(self, shape, seeds, algos):
+        # a one-trial mean is the trial's sum itself; the reference sums
+        # PairRates' own methods from 0.0 in matched_pairs order
+        for seed in range(seeds):
+            params = topology.params_from_dict(
+                {"l_pu": shape[0], "l_su": shape[1], "seed": seed})
+            got = bench.run_trials(params, algos, 1)
+            ss = np.random.SeedSequence([seed, 0])
+            market = dda.market(params, topology.make_realization(params, ss))
+            rates = market.rates_real
+            outcomes = {"dda-complete": dda.negotiate(market)[0],
+                        "rmbn": baselines.rmbn(
+                            market, np.random.default_rng(ss.spawn(1)[0]))[0]}
+            if "centralized" in algos:
+                outcomes["centralized"] = baselines.centralized_pu_optimal(market)
+            for algo, outcome in outcomes.items():
+                u = r_pu = r_su = 0.0
+                for l, q in outcome.matched_pairs():
+                    beta, xi = outcome.b[l, q], outcome.g[l, q]
+                    u += rates.u_pu(l, q, beta, xi)
+                    r_pu += rates.rate_pu(l, q, beta)
+                    r_su += rates.rate_su(l, q, beta)
+                agg = got[algo]
+                assert [agg.mean_sum_utility_pu.hex(), agg.mean_sum_rate_pu.hex(),
+                        agg.mean_sum_rate_su.hex()] == [
+                            float(u).hex(), float(r_pu).hex(), float(r_su).hex()]
+
+    def test_matched_pairs_are_int_tuples_in_row_major_order(self):
+        outcome = dda.MatchingOutcome.from_terms(
+            3, 4, [(2, 0, 0.5, 0.5), (0, 3, 0.5, 0.5), (1, 1, 0.5, 0.5)])
+        pairs = outcome.matched_pairs()
+        assert pairs == [(0, 3), (1, 1), (2, 0)]
+        assert all(type(l) is int and type(q) is int for l, q in pairs)
+
     def test_centralized_exchanges_no_packets(self, small_params):
         aggs = bench.run_trials(small_params, ["centralized", "centralized-su"], 6)
         for algo in ("centralized", "centralized-su"):

@@ -115,6 +115,19 @@ class TestConfigHandling:
         assert code == 1
         assert "r_pu_req" in err
 
+    @pytest.mark.parametrize("algos, floors", [
+        ("dda-complete", [0.0, 0.2]), ("dda-complete,rmbn", [0.0, 0.2]),
+        ("centralized", [-1.0, 0.2])])
+    def test_non_positive_explicit_floors_exit_one(self, tmp_path, capsys, algos, floors):
+        # refused when parameters are built, whichever algorithm would run
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps({"pu_req_mode": "explicit", "r_pu_req": floors,
+                                   "negotiation": "contracts"}))
+        code, _, err = run_cli(["run", "--config", str(cfg), "--trials", "2",
+                                "--algo", algos], capsys)
+        assert code == 1
+        assert "r_pu_req must list 2 finite positive numbers" in err
+
     def test_non_object_config_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.json"
         cfg.write_text(json.dumps([1, 2]))

@@ -20,7 +20,8 @@ from relaymarket import baselines, dda, radio, topology, verify
 from relaymarket.errors import EngineError
 
 from conftest import assert_outcome_well_formed
-from helpers import engine_fingerprint, handmade_realization, single_pair_scenario
+from helpers import (GOLDEN_MARKETS, engine_fingerprint, handmade_realization,
+                     single_pair_scenario)
 from oracles import (concession_reference, contract_deferred_acceptance,
                      ladder_reference)
 
@@ -170,10 +171,15 @@ class TestSinglePairWalkthrough:
 
 class TestEngineMechanics:
     def test_zero_floor_rejected(self):
+        with pytest.raises(ValueError, match="r_pu_req"):
+            single_pair_scenario(
+                gamma_dir=1.0, gamma_relay_hops=(1.0, 1.0), gamma_sr=3.0,
+                r_pu_req=[0.0], r_su_req=0.1)
+        # a direct-rate floor is 0 on a zero fading draw; the engine refuses it
         params, real = single_pair_scenario(
             gamma_dir=1.0, gamma_relay_hops=(1.0, 1.0), gamma_sr=3.0,
-            r_pu_req=[0.0], r_su_req=0.1)
-        req = radio.requirements_for(params, real.snr)
+            r_pu_req=[0.5], r_su_req=0.1)
+        req = radio.Requirements(r_pu_req=np.array([0.0]), r_su_req=0.1)
         with pytest.raises(ValueError, match="positive"):
             dda.init_state(dda.market(params, real, req))
 
@@ -308,7 +314,8 @@ class TestEngineMechanics:
 
 
 class TestLadderRule:
-    """The engine's fixed relay order against the list rebuilt per offer."""
+    """The engine's relay choice (head, runner-up, and the full order only
+    on a tie past them) against the list rebuilt per offer."""
 
     @staticmethod
     def _assert_equals_reference(params, real, req):
@@ -375,9 +382,55 @@ class TestLadderRule:
         assert trace.events[0][:3] == ("offer", 0, relay)
         self._assert_equals_reference(params, real, req)
 
+    def test_exact_three_way_top_tie_walks_past_the_runner_up(self):
+        # relays 1, 2 and 4 share the top licensed slope exactly and relay 3
+        # comes next; both users offer only to relay 1, the smallest index
+        params = topology.params_from_dict({
+            "l_pu": 2, "l_su": 5, "gamma_pu_db": 0.0, "gamma_su_db": 0.0,
+            "pu_req_mode": "explicit", "r_pu_req": [0.2, 0.2], "r_su_req": 0.1,
+            "xi_init": 1.0, "beta_init": 1.0, "delta": 0.25, "epsilon": 0.25,
+        })
+        hops = [[2.0, 4.0, 4.0, 3.0, 4.0]] * 2
+        real = handmade_realization(
+            params, gamma_dir=[1.0, 1.0], gamma_pt_st=hops, gamma_st_pr=hops,
+            gamma_sr=[[3.0, 3.0], [3.0, 8.0], [3.0, 3.0], [3.0, 3.0], [3.0, 3.0]])
+        coef = radio.make_pair_rates(params, real).pu_coef
+        assert coef[0, 1] == coef[0, 2] == coef[0, 4] > coef[0, 3] > coef[0, 0]
+        req = radio.requirements_for(params, real.snr)
+        _, trace = dda.run(params, real, req)
+        offers = [e[2] for e in trace.events if e[0] == "offer"]
+        assert len(offers) > 2 and set(offers) == {1}
+        self._assert_equals_reference(params, real, req)
+
+    def test_rounding_tie_at_a_small_time_share_goes_to_the_smallest_index(self):
+        # At beta 1e-17 every rate is far below half an ulp of the 0.99
+        # price, so all five utilities round to the same double although
+        # the slopes rise from relay 0 to relay 3. The head is relay 3; the
+        # walk goes past the runner-up down to relay 0 and stops at relay 4,
+        # whose rate misses the 1e-18 floor.
+        params = topology.params_from_dict({
+            "l_pu": 2, "l_su": 5, "gamma_pu_db": 0.0, "gamma_su_db": 0.0,
+            "pu_req_mode": "explicit", "r_pu_req": [1e-18, 1e-18], "r_su_req": 0.1,
+            "beta_init": 1e-17, "epsilon": 1e-17,
+        })
+        real = handmade_realization(
+            params, gamma_dir=[0.0, 0.0],
+            gamma_pt_st=[[1.0, 3.0, 7.0, 15.0, 0.001]] * 2,
+            gamma_st_pr=[[9.0] * 5] * 2, gamma_sr=[[3.0, 8.0]] * 5)
+        rates = radio.make_pair_rates(params, real)
+        coef = rates.pu_coef[0]
+        assert coef[3] > coef[2] > coef[1] > coef[0] > coef[4]
+        assert len({rates.u_pu(0, q, 1e-17, 0.99) for q in range(5)}) == 1
+        assert coef[4] * 1e-17 < 1e-18 < coef[0] * 1e-17
+        req = radio.requirements_for(params, real.snr)
+        _, trace = dda.run(params, real, req)
+        offers = [e[2] for e in trace.events if e[0] == "offer"]
+        assert len(offers) > 2 and set(offers) == {0}
+        self._assert_equals_reference(params, real, req)
+
 
 class TestGoldenTrace:
-    """Engine traces pinned over a fixed set of seeded markets.
+    """Engine traces pinned over the seeded markets of helpers.GOLDEN_MARKETS.
 
     Each market is run by dda.negotiate and by baselines.rmbn (rng seeded
     with the market's seed), and every run's engine_fingerprint goes into
@@ -387,27 +440,10 @@ class TestGoldenTrace:
     """
 
     DIGEST = "1653483e466ff690a4e4b5296a3bdb86c149736d65ca440d0f6cb6cdffdcdc4f"
-    # (scenario overrides, number of seeds); 202 ladder and 10 contract markets
-    MARKETS = (
-        ({}, 19),
-        ({"l_pu": 3, "l_su": 3}, 19),
-        ({"l_pu": 6, "l_su": 2}, 19),
-        ({"snr_knowledge": "partial"}, 19),
-        ({"af_formula": "standard", "l_pu": 3, "l_su": 4}, 19),
-        ({"c_bar": 1e15}, 19),
-        ({"delta": 0.01, "epsilon": 0.01}, 19),
-        ({"xi_init": 1.0, "beta_init": 1.0, "delta": 0.25, "epsilon": 0.25,
-          "l_pu": 4, "l_su": 3}, 19),
-        ({"k_bar": 5.0}, 19),
-        ({"gamma_su_db": -5.0, "l_pu": 4, "l_su": 4}, 19),
-        ({"l_pu": 25, "l_su": 50}, 8),
-        ({"l_pu": 25, "l_su": 50, "snr_knowledge": "partial"}, 4),
-        ({"negotiation": "contracts"}, 10),
-    )
 
     def test_traces_match_the_recorded_digest(self):
         digest = hashlib.sha256()
-        for overrides, seeds in self.MARKETS:
+        for overrides, seeds in GOLDEN_MARKETS:
             params = topology.params_from_dict(overrides)
             for seed in range(seeds):
                 market = dda.market(params, topology.make_realization(params, seed))

@@ -1,8 +1,9 @@
 """How each side ranks the other inside the ladder engine.
 
-A licensed user keeps one fixed relay order, by falling licensed slope,
-and offers to its head; a relay holds the acceptable offer that pays it
-most. Slopes here are exact, so each expected choice is worked out by hand.
+A licensed user keeps the head and runner-up of its relays by falling
+licensed slope and offers to the head; a relay holds the acceptable offer
+that pays it most. Slopes here are exact, so each expected choice is
+worked out by hand.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ class TestLicensedSideList:
         state = dda.init_state(dda.market(params, real, req))
         # slopes 1, 2, 4: at any shared offer the steepest relay wins
         assert state.market.rates.pu_coef.tolist() == [[1.0, 2.0, 4.0]]
-        assert state.relay_order == [[2, 1, 0]]
+        assert (state.head, state.runner_up) == ([2], [1])
         dda.step(state)
         assert state.events[0] == ("offer", 0, 2, 0.99, 0.99, 1)
 

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
 from relaymarket import radio, topology
+
+from helpers import GOLDEN_MARKETS
 
 
 class TestParams:
@@ -62,6 +67,8 @@ class TestParams:
         {"r_pu_req": [0.2]},
         {"r_pu_req": ["a", "b"]},
         {"r_pu_req": [0.2, True]},
+        {"r_pu_req": [0.0, 0.2]},
+        {"r_pu_req": [-1.0, 0.2]},
     ])
     def test_ill_typed_values_rejected(self, overrides):
         (name, _), = overrides.items()
@@ -171,3 +178,47 @@ class TestChannels:
         real.h2_pt_pr[0] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
             radio.compute_snrs(default_params, real)
+
+
+class TestGoldenRealization:
+    """Channel realizations pinned over the seeded markets of
+    helpers.GOLDEN_MARKETS: placement, squared gains, distances, SNRs and
+    partial-knowledge terms, every entry as a float hex, in one sha256.
+    Re-record the digest only for a change declared to alter the draws."""
+
+    DIGEST = "a5a6bf3e74667ac7f0ab13d820d27b7b14ac453350df05a34acd613f58408b1a"
+
+    @staticmethod
+    def _arrays(real):
+        yield from dataclasses.astuple(real.placement)
+        for field in dataclasses.fields(real):
+            value = getattr(real, field.name)
+            if isinstance(value, np.ndarray):
+                yield value
+        yield from dataclasses.astuple(real.snr)
+        if real.partial_mean_log is not None:
+            yield real.partial_mean_log
+
+    def test_realizations_match_the_recorded_digest(self):
+        digest = hashlib.sha256()
+        for overrides, seeds in GOLDEN_MARKETS:
+            params = topology.params_from_dict(overrides)
+            for seed in range(seeds):
+                for arr in self._arrays(topology.make_realization(params, seed)):
+                    hexes = [float.hex(v) for v in arr.ravel().tolist()]
+                    digest.update(repr((arr.shape, hexes)).encode())
+        assert digest.hexdigest() == self.DIGEST
+
+    @pytest.mark.parametrize("l_pu, l_su", [(2, 6), (25, 50), (100, 200)])
+    def test_distances_equal_linalg_norm(self, l_pu, l_su):
+        params = topology.params_from_dict({"l_pu": l_pu, "l_su": l_su})
+        for seed in range(5):
+            real = topology.make_realization(params, seed)
+            pl = real.placement
+            norm = np.linalg.norm
+            for got, want in (
+                    (real.d_pt_pr, norm(pl.pt_pos - pl.pr_pos, axis=1)),
+                    (real.d_pt_st, norm(pl.pt_pos[:, None] - pl.st_pos[None], axis=2)),
+                    (real.d_st_pr, norm(pl.pr_pos[:, None] - pl.st_pos[None], axis=2)),
+                    (real.d_st_sr, norm(pl.st_pos - pl.sr_pos, axis=1))):
+                assert got.tobytes() == want.tobytes()

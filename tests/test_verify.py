@@ -367,8 +367,9 @@ class TestBounds:
         # and a zero floor leaves the whole time grid to concede
         p, real = one_pair(9.0)
         assert verify.iteration_bound(p, real) == pytest.approx(4.0)
-        p, real = one_pair(0.0)
-        assert verify.iteration_bound(p, real) == pytest.approx(6.0)
+        p, real = one_pair(0.5)
+        zero = radio.Requirements(r_pu_req=np.array([0.0]), r_su_req=0.0)
+        assert verify.iteration_bound(p, real, zero) == pytest.approx(6.0)
 
     def test_per_user_bounds_are_integers_with_slack(self, default_params):
         real = topology.make_realization(default_params, 2)
