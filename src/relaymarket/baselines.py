@@ -1,36 +1,21 @@
 """Centralized and random baselines the negotiation is measured against.
 
 The centralized solver decomposes into per-pair term optimization plus an
-assignment over pairs; it is exhaustive by design and guarded to desk
-scale; it solves on the market's complete-knowledge rates_real. The
-random baseline (rmbn) matches sides uniformly at random and runs the
-scenario's own negotiation rule on those pairs alone, which isolates the
-value of market-wide matching from the value of negotiation itself.
+exact assignment over pairs, at any market size; it solves on the
+market's complete-knowledge rates_real. The random baseline (rmbn)
+matches sides uniformly at random and runs the scenario's own
+negotiation rule on those pairs alone, which isolates the value of
+market-wide matching from the value of negotiation itself.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 
 import numpy as np
 
 from . import radio
 from .dda import MatchingOutcome, negotiate
-from .errors import GuardError
-
-# Exhaustive assignment costs roughly exp(small_side * log(big_side));
-# refuse anything costlier than the 8x8 point.
-ASSIGNMENT_GUARD = 8 * math.log(8)
-
-
-def _check_assignment_guard(l_pu, l_su):
-    cost = min(l_pu, l_su) * math.log(max(l_pu, l_su))
-    if cost > ASSIGNMENT_GUARD + 1e-9:
-        raise GuardError(
-            f"centralized enumeration refuses {l_pu}x{l_su}: cost indicator "
-            f"min*log(max) = {cost:.2f} exceeds {ASSIGNMENT_GUARD:.2f}, "
-            "the cost at 8x8")
 
 
 def pair_optimum_continuous(rates, requirements):
@@ -71,58 +56,65 @@ def pair_optimum_continuous(rates, requirements):
             np.where(feasible, u_pu, -np.inf))
 
 
-def _best_assignment(values, feasible):
-    """Exhaustive max-total assignment over partial injective matchings.
+def _max_assignment(values, feasible):
+    """Matched (l, q) pairs of greatest total value, by shortest augmenting
+    paths (Jonker & Volgenant 1987; Crouse 2016) over the smaller side.
 
-    Iterates choices per licensed pair in the order unmatched, relay 0,
-    relay 1, ... and keeps the first maximum found, so ties resolve to the
-    lexicographically smallest assignment vector.
+    A pair costs -value when it is feasible with a positive value and 0
+    otherwise, like an unmatched user; only negative-cost pairs are kept,
+    so a zero-value pair stays unmatched. Equal totals go to the
+    assignment the search meets first: rows join in index order and each
+    search settles equally distant columns lowest index first, so on an
+    all-equal market the first rows take the first columns.
     """
-    l_pu, l_su = values.shape
-    best_total = 0.0
-    best_assign = [-1] * l_pu
-    used = [False] * l_su
-    assign = [-1] * l_pu
+    flip = values.shape[0] > values.shape[1]
+    cost = np.where(feasible & (values > 0.0), -values, 0.0)
+    cost = (cost.T if flip else cost).tolist()
+    n_col = len(cost[0])
+    u, v = [0.0] * len(cost), [0.0] * n_col
+    col_of, row_of = [-1] * len(cost), [-1] * n_col
+    for row in range(len(cost)):
+        dist, path = [float("inf")] * n_col, [-1] * n_col
+        todo, settled, i, reach = list(range(n_col)), [], row, 0.0
+        while i >= 0:
+            c, base, best, pick = cost[i], reach - u[i], float("inf"), 0
+            for k, j in enumerate(todo):
+                d = base + c[j] - v[j]
+                if d < dist[j]:
+                    dist[j], path[j] = d, i
+                if dist[j] < best:
+                    best, pick = dist[j], k
+            reach, j = best, todo.pop(pick)
+            settled.append(j)
+            i = row_of[j]
+        u[row] += reach
+        for s in settled:
+            v[s] -= reach - dist[s]
+            if row_of[s] >= 0:
+                u[row_of[s]] += reach - dist[s]
+        while i != row:   # augment back from the free column j
+            i = path[j]
+            row_of[j], col_of[i], j = i, j, col_of[i]
+    pairs = [(i, j) for i, j in enumerate(col_of) if cost[i][j] < 0.0]
+    return [(l, q) for q, l in pairs] if flip else pairs
 
-    def rec(l, total):
-        nonlocal best_total, best_assign
-        if l == l_pu:
-            if total > best_total:
-                best_total = total
-                best_assign = assign.copy()
-            return
-        assign[l] = -1
-        rec(l + 1, total)
-        for q in range(l_su):
-            if not used[q] and feasible[l, q]:
-                used[q] = True
-                assign[l] = q
-                rec(l + 1, total + values[l, q])
-                assign[l] = -1
-                used[q] = False
 
-    rec(0, 0.0)
-    return best_total, best_assign
-
-
-def _outcome_from(l_pu, l_su, assign, xi, beta):
+def _outcome_from(market, pairs, xi, beta):
     return MatchingOutcome.from_terms(
-        l_pu, l_su,
-        [(l, q, xi[l, q], beta[l, q]) for l, q in enumerate(assign) if q >= 0])
+        market.params.l_pu, market.params.l_su,
+        [(l, q, xi[l, q], beta[l, q]) for l, q in pairs])
 
 
 def centralized_pu_optimal(market):
     """Matching and terms maximizing total licensed utility.
 
-    Exhaustive over injective partial matchings with per-pair optimal
-    continuous terms; refuses sides larger than the guard.
+    The best assignment over injective partial matchings, each pair at its
+    optimal continuous terms.
     """
-    l_pu, l_su = market.params.l_pu, market.params.l_su
-    _check_assignment_guard(l_pu, l_su)
     feasible, xi, beta, u_pu = pair_optimum_continuous(market.rates_real,
                                                        market.requirements)
-    _, assign = _best_assignment(np.where(feasible, u_pu, 0.0), feasible)
-    return _outcome_from(l_pu, l_su, assign, xi, beta)
+    pairs = _max_assignment(np.where(feasible, u_pu, 0.0), feasible)
+    return _outcome_from(market, pairs, xi, beta)
 
 
 def centralized_su_rate(market):
@@ -132,14 +124,12 @@ def centralized_su_rate(market):
     smallest beta clearing the licensed floor with a zero price (any
     feasible price would do; zero leaves the relay best off).
     """
-    l_pu, l_su = market.params.l_pu, market.params.l_su
-    _check_assignment_guard(l_pu, l_su)
     rates = market.rates_real
     lo, hi = radio.beta_interval(rates, market.requirements)
     feasible = lo <= hi
     beta = np.where(feasible, lo, 0.0)
-    _, assign = _best_assignment(rates.su_coef * (1.0 - beta), feasible)
-    return _outcome_from(l_pu, l_su, assign, np.zeros_like(beta), beta)
+    pairs = _max_assignment(rates.su_coef * (1.0 - beta), feasible)
+    return _outcome_from(market, pairs, np.zeros_like(beta), beta)
 
 
 def rmbn(market, rng):

@@ -50,6 +50,8 @@ class ScenarioParams:
             value = getattr(self, name)
             if not _finite_number(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
+            # a numpy float32 weight would run the rate algebra in float32
+            object.__setattr__(self, name, float(value))
         if not isinstance(self.su_channel_per_band, bool):
             raise ValueError("su_channel_per_band must be true or false, "
                              f"got {self.su_channel_per_band!r}")

@@ -2,8 +2,8 @@
 
 Everything here is deliberately written the slow, obvious way: a linear
 program or a full grid scan where the package solves analytically or sorts
-arrays, plain double loops where the package vectorizes, itertools where
-the package recurses. None of it imports
+arrays, plain double loops where the package vectorizes, exhaustive
+recursion where the package runs shortest augmenting paths. None of it imports
 from the implementation modules beyond plain data carried in their types.
 """
 
@@ -186,6 +186,42 @@ def all_injective_matchings(l_pu, l_su):
             for targets in itertools.permutations(sus, k):
                 seen.append(dict(zip(chosen, targets)))
     return seen
+
+
+def assignment_reference(values, feasible):
+    """Exhaustive max-total assignment over partial injective matchings:
+    (total, relay per licensed user, -1 unmatched).
+
+    Iterates choices per licensed user in the order unmatched, relay 0,
+    relay 1, ... and keeps the first strictly better total, so ties
+    resolve to the lexicographically smallest assignment vector and a
+    zero-value pair stays unmatched.
+    """
+    l_pu, l_su = values.shape
+    best_total = 0.0
+    best_assign = [-1] * l_pu
+    used = [False] * l_su
+    assign = [-1] * l_pu
+
+    def rec(l, total):
+        nonlocal best_total, best_assign
+        if l == l_pu:
+            if total > best_total:
+                best_total = total
+                best_assign = assign.copy()
+            return
+        assign[l] = -1
+        rec(l + 1, total)
+        for q in range(l_su):
+            if not used[q] and feasible[l, q]:
+                used[q] = True
+                assign[l] = q
+                rec(l + 1, total + values[l, q])
+                assign[l] = -1
+                used[q] = False
+
+    rec(0, 0.0)
+    return best_total, best_assign
 
 
 def concession_reference(m_xi, m_beta, coef, rate_floor, c_cost, grids):

@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 
 from relaymarket import baselines, dda, radio, topology
-from relaymarket.baselines import GuardError
 
 from helpers import discrete_assignment_optimum, single_pair_scenario
-from oracles import (all_injective_matchings, discrete_pair_optimum, haggle_reference,
-                     lp_pair_optimum)
+from oracles import (all_injective_matchings, assignment_reference, discrete_pair_optimum,
+                     haggle_reference, lp_pair_optimum)
 
 
 def rates_and_req(params, seed):
@@ -223,7 +222,7 @@ class TestCentralizedAssignment:
                     best = max(best, sum(u_pu[l, q] for l, q in matching.items()))
             assert total_pu_utility(rates, out) == pytest.approx(best)
 
-    def test_solver_path_matches_recursion(self, default_params):
+    def test_relay_rate_agrees_with_itertools_enumeration(self, default_params):
         # the relay-rate assignment equals a brute-force maximum over every
         # injective matching, each pair at the least time its licensed
         # floor allows
@@ -263,31 +262,71 @@ class TestCentralizedAssignment:
             u_disc = discrete_assignment_optimum(market)
             assert total_pu_utility(market.rates, cont) >= u_disc - 1e-9
 
-    def test_size_guard(self):
-        p_big = topology.params_from_dict({"l_pu": 9, "l_su": 9})
-        real = topology.make_realization(p_big, 0)
-        req = radio.requirements_for(p_big, real.snr)
-        with pytest.raises(GuardError):
-            baselines.centralized_pu_optimal(dda.market(p_big, real, req))
-        # the guard is about enumeration cost, not raw side length: a thin
-        # two-row instance enumerates fine
-        p_thin = topology.params_from_dict({"l_pu": 2, "l_su": 10})
-        real = topology.make_realization(p_thin, 0)
-        req = radio.requirements_for(p_thin, real.snr)
-        baselines.centralized_pu_optimal(dda.market(p_thin, real, req))
+    @pytest.mark.parametrize("l_pu, l_su, n", [(2, 6, 40), (6, 2, 40), (3, 3, 40),
+                                               (8, 8, 2)])
+    def test_vectors_match_recursion(self, l_pu, l_su, n):
+        p = topology.params_from_dict({"l_pu": l_pu, "l_su": l_su})
+        for seed in range(n):
+            market = market_at(p, seed)
+            for solve, values in CENTRALIZED:
+                _, want = assignment_reference(*values(market))
+                assert assignment_vector(solve(market)) == want
 
-    def test_solver_flag_bypasses_guard(self):
-        # both centralized baselines refuse past 8x8 and name the size
-        p_big = topology.params_from_dict({"l_pu": 9, "l_su": 9})
-        real = topology.make_realization(p_big, 0)
-        req = radio.requirements_for(p_big, real.snr)
-        for solve in (baselines.centralized_pu_optimal, baselines.centralized_su_rate):
-            with pytest.raises(GuardError, match="refuses 9x9"):
-                solve(dda.market(p_big, real, req))
-        p_edge = topology.params_from_dict({"l_pu": 8, "l_su": 8})
-        real = topology.make_realization(p_edge, 0)
-        req = radio.requirements_for(p_edge, real.snr)
-        assert baselines.centralized_su_rate(dda.market(p_edge, real, req)).m.sum() >= 0
+    @pytest.mark.parametrize("l_pu, l_su", [(9, 9), (25, 50), (50, 25), (100, 200)])
+    def test_totals_match_scipy(self, l_pu, l_su):
+        optimize = pytest.importorskip("scipy.optimize")
+        market = market_at(topology.params_from_dict({"l_pu": l_pu, "l_su": l_su}), 0)
+        for solve, values in CENTRALIZED:
+            value, feasible = values(market)
+            cost = np.where(feasible & (value > 0.0), -value, 0.0)
+            rows, cols = optimize.linear_sum_assignment(cost)
+            pairs = solve(market).matched_pairs()
+            assert all(feasible[l, q] and value[l, q] > 0.0 for l, q in pairs)
+            got = sum(value[l, q] for l, q in pairs)
+            assert got == pytest.approx(-cost[rows, cols].sum(), rel=1e-12, abs=0.0)
+
+    def test_tie_rule_by_hand(self):
+        # equal totals: rows of the smaller side join in index order and
+        # take the lowest-index column at equal distance; the recursion
+        # oracle keeps the lexicographically smallest vector instead
+        flat = np.ones((2, 6)), np.ones((2, 6), dtype=bool)
+        assert baselines._max_assignment(*flat) == [(0, 0), (1, 1)]
+        tall = np.ones((6, 2)), np.ones((6, 2), dtype=bool)
+        assert baselines._max_assignment(*tall) == [(0, 0), (1, 1)]
+        assert assignment_reference(*tall) == (2.0, [-1, -1, -1, -1, 0, 1])
+        # a feasible zero-value pair stays unmatched, as does an infeasible
+        # pair of positive value
+        values = np.array([[0.0, 2.0], [0.0, 5.0]])
+        feasible = np.array([[True, True], [True, False]])
+        assert baselines._max_assignment(values, feasible) == [(0, 1)]
+        assert baselines._max_assignment(np.zeros((2, 3)), np.ones((2, 3), dtype=bool)) == []
+
+
+def assignment_vector(outcome):
+    """Relay per licensed user, -1 unmatched."""
+    assign = [-1] * outcome.m.shape[0]
+    for l, q in outcome.matched_pairs():
+        assign[l] = q
+    return assign
+
+
+def pu_values(market):
+    """The licensed-utility assignment problem: (values, feasible)."""
+    feasible, _, _, u_pu = baselines.pair_optimum_continuous(market.rates_real,
+                                                             market.requirements)
+    return np.where(feasible, u_pu, 0.0), feasible
+
+
+def su_values(market):
+    """The relay-rate assignment problem, each pair at its least time."""
+    rates = market.rates_real
+    lo, hi = radio.beta_interval(rates, market.requirements)
+    feasible = lo <= hi
+    return rates.su_coef * (1.0 - np.where(feasible, lo, 0.0)), feasible
+
+
+CENTRALIZED = [(baselines.centralized_pu_optimal, pu_values),
+               (baselines.centralized_su_rate, su_values)]
 
 
 class TestCentralizedRelayRate:

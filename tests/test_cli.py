@@ -170,20 +170,38 @@ class TestVerifyCommand:
         assert "stability: 10/10 ok" in out
 
 
-def test_baselines_run_without_scipy():
-    # numpy is the only runtime dependency; importing scipy.optimize would
-    # add about 50 MB of resident memory to every run
-    script = (
-        "import os, sys\n"
-        "from relaymarket import cli\n"
-        "code = cli.main(['run', '--algo', 'centralized,centralized-su,rmbn',\n"
-        "                 '--trials', '2', '--out', os.devnull])\n"
-        "print(code, 'scipy' in sys.modules)\n")
+def run_in_fresh_interpreter(argv):
+    """Exit code of cli.main(argv) in a new interpreter, and whether scipy
+    was imported there."""
+    script = ("import sys\nfrom relaymarket import cli\n"
+              f"code = cli.main({argv!r})\nprint(code, 'scipy' in sys.modules)\n")
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.split() == ["0", "False"]
+    code, scipy_loaded = done.stdout.split()
+    return int(code), scipy_loaded == "True"
+
+
+def test_baselines_run_without_scipy():
+    # numpy is the only runtime dependency; importing scipy.optimize would
+    # add about 50 MB of resident memory to every run
+    assert run_in_fresh_interpreter(
+        ["run", "--algo", "centralized,centralized-su,rmbn",
+         "--trials", "2", "--out", os.devnull]) == (0, False)
+
+
+def test_centralized_baselines_run_past_eight_by_eight(tmp_path):
+    # the exact assignment takes any market size
+    cfg = tmp_path / "nine.json"
+    cfg.write_text(json.dumps({"l_pu": 9, "l_su": 9}))
+    out = tmp_path / "agg.csv"
+    assert run_in_fresh_interpreter(
+        ["run", "--config", str(cfg), "--algo", "centralized,centralized-su",
+         "--trials", "2", "--out", str(out)]) == (0, False)
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[1] for row in rows] == ["centralized", "centralized-su"]
+    assert all(row[0] == "lpu9-lsu9-seed0" for row in rows)
 
 
 class TestOracleCommand:

@@ -8,7 +8,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from relaymarket import radio, topology
+from relaymarket import dda, radio, topology
 
 from helpers import GOLDEN_MARKETS
 
@@ -80,6 +80,29 @@ class TestParams:
             "l_su": np.int64(3), "seed": np.uint32(4), "alpha": np.float32(3.5),
             "c_bar": 2, "epsilon": np.float64(0.1)})
         assert (p.l_su, p.seed, p.alpha, p.c_bar, p.epsilon) == (3, 4, 3.5, 2, 0.1)
+
+    @pytest.mark.parametrize("name", ["c_bar", "capital_c", "k_bar"])
+    def test_float32_money_weights_run_in_float64(self, name):
+        # each float field is stored as a Python float, so a float32 weight
+        # cannot pull the engine's money terms down to float32
+        weight = np.float32(0.3)
+        p32 = topology.params_from_dict({name: weight})
+        p64 = topology.params_from_dict({name: float(weight)})
+        assert type(getattr(p32, name)) is float and p32 == p64
+        real = topology.make_realization(p32, 0)
+        s32, s64 = dda.init_state(dda.market(p32, real)), dda.init_state(dda.market(p64, real))
+        _, xi, _ = offer = s32.offer(0)
+        assert offer == s64.offer(0)
+        # float() so that a float32 product is not compared in float32
+        rates = s32.market.rates
+        assert float(rates.c_cost * xi) == p64.c_bar * p64.capital_c * xi
+        assert float(rates.k_cost * xi) == p64.k_bar * p64.capital_c * xi
+        for state in (s32, s64):
+            while state.queue:
+                dda.step(state)
+        held = [h for h in s32.accepted if h is not None]
+        assert held and s32.accepted == s64.accepted
+        assert all(type(u_su) is float for *_, u_su in held)
 
     def test_explicit_floor_mode_needs_floors(self):
         with pytest.raises(ValueError):
