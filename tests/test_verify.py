@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
+import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from relaymarket import baselines, dda, radio, topology, verify
+from relaymarket import baselines, cli, dda, radio, topology, verify
 from relaymarket.dda import MatchingOutcome
 from relaymarket.verify import GuardError
 
-from helpers import handmade_realization, single_pair_scenario
+from helpers import GOLDEN_MARKETS, handmade_realization, single_pair_scenario
 from oracles import (all_injective_matchings, grid_candidates,
-                     stability_reference)
+                     prefilter_reference, stability_reference)
 
 
 def build_outcome(l_pu, l_su, matches):
@@ -61,6 +63,87 @@ def tiny_markets():
             yield params, real, radio.requirements_for(params, real.snr)
 
 
+# (scenario overrides, number of seeds) of the audit corpus's seeded markets
+AUDIT_VARIANTS = (
+    ({}, 6), ({"l_pu": 3, "l_su": 3}, 4), ({"l_pu": 6, "l_su": 2}, 4),
+    ({"snr_knowledge": "partial"}, 4), ({"c_bar": 1e15}, 4),
+    ({"k_bar": 0.0}, 4), ({"negotiation": "contracts"}, 4),
+    ({"l_pu": 25, "l_su": 50}, 2),
+    ({"delta": 0.01, "epsilon": 0.01}, 2),
+    ({"af_formula": "standard", "l_pu": 3, "l_su": 4}, 3),
+    ({"pu_req_mode": "explicit", "r_pu_req": [0.2, 0.6]}, 3),
+    ({"gamma_su_db": -5.0, "l_pu": 4, "l_su": 4}, 3),
+    ({"r_su_req": 0.0}, 3),
+)
+
+
+def zero_relay_slope(r_su):
+    """2x3 market whose relay 2 has a zero own-link slope: su_coef 0
+    makes the relay threshold 0/0 (nan) at r_su 0 and x/0 (inf) above.
+    Its small integral slopes also put some thresholds exactly on a grid
+    point, where the strict relay gain makes the guess miss by one."""
+    params = topology.params_from_dict({
+        "l_pu": 2, "l_su": 3, "gamma_pu_db": 0.0, "gamma_su_db": 0.0,
+        "pu_req_mode": "explicit", "r_pu_req": [0.2, 0.2], "r_su_req": r_su,
+        "xi_init": 1.0, "beta_init": 1.0, "delta": 0.25, "epsilon": 0.25,
+    })
+    real = handmade_realization(
+        params, gamma_dir=[0.0, 0.0],
+        gamma_pt_st=[[4.0, 20.0, 9.0], [4.0, 20.0, 9.0]],
+        gamma_st_pr=[[15.0, 63.0, 9.0], [15.0, 63.0, 9.0]],
+        gamma_sr=[[3.0, 3.0], [15.0, 15.0], [0.0, 0.0]])
+    return params, real, radio.requirements_for(params, real.snr)
+
+
+def audit_corpus(seeds=None):
+    """(params, realization, requirements, outcome) to audit.
+
+    Markets: AUDIT_VARIANTS (each with at most `seeds` seeds when given)
+    and the zero-relay-slope market at r_su 0 and 0.1. Outcomes per
+    market: the engine's with and without its envelope, the same matching
+    with an envelope past the time grid for every licensed user and for
+    user 0 alone, a random-partner outcome, and four random on-grid
+    outcomes, two with a random envelope.
+    """
+    rng = np.random.default_rng(31)
+    markets = []
+    for overrides, count in AUDIT_VARIANTS:
+        params = topology.params_from_dict(overrides)
+        for seed in range(count if seeds is None else min(count, seeds)):
+            real = topology.make_realization(params, seed)
+            markets.append((params, real, radio.requirements_for(params, real.snr), seed))
+    markets += [(*zero_relay_slope(r_su), 0) for r_su in (0.0, 0.1)]
+    for params, real, req, seed in markets:
+        grids = dda.concession_grids(params)
+        n_xi, n_beta = len(grids.xi_values), len(grids.beta_values)
+        engine_out, _ = dda.run(params, real, req)
+        random_partner, _ = baselines.rmbn(dda.market(params, real, req),
+                                           np.random.default_rng(seed))
+        past_grid = np.full(params.l_pu, n_beta)
+        user_0_past = np.zeros(params.l_pu, dtype=int)
+        user_0_past[0] = n_beta
+        outcomes = [engine_out, random_partner,
+                    MatchingOutcome(m=engine_out.m, g=engine_out.g, b=engine_out.b)]
+        outcomes += [MatchingOutcome(m=engine_out.m, g=engine_out.g, b=engine_out.b,
+                                     final_xi_steps=np.zeros(params.l_pu, dtype=int),
+                                     final_beta_steps=beta_steps)
+                     for beta_steps in (past_grid, user_0_past)]
+        for r in range(4):
+            k = rng.integers(0, min(params.l_pu, params.l_su) + 1)
+            terms = [(int(l), int(q), float(rng.choice(grids.xi_values)),
+                      float(rng.choice(grids.beta_values)))
+                     for l, q in zip(rng.permutation(params.l_pu)[:k],
+                                     rng.permutation(params.l_su)[:k])]
+            steps = {}
+            if r % 2:
+                steps = {"final_xi_steps": rng.integers(0, n_xi, params.l_pu),
+                         "final_beta_steps": rng.integers(0, n_beta + 1, params.l_pu)}
+            outcomes.append(MatchingOutcome.from_terms(
+                params.l_pu, params.l_su, terms, **steps))
+        for outcome in outcomes:
+            yield params, real, req, outcome
+
+
 def plain_pu_utilities(m, g, b, rates):
     """Licensed utilities of one outcome by a plain loop, zero when unmatched."""
     u = [0.0] * m.shape[0]
@@ -82,48 +165,95 @@ class TestStabilityAudit:
 
     def test_agrees_with_plain_loop_scan(self):
         """The whole report, witnesses included, equals the plain-loop
-        reference on ladder outcomes with and without their envelope,
-        contract and random-partner outcomes, and random on-grid outcomes
-        with and without a random envelope."""
-        variants = [({}, 6), ({"l_pu": 3, "l_su": 3}, 4), ({"l_pu": 6, "l_su": 2}, 4),
-                    ({"snr_knowledge": "partial"}, 4), ({"c_bar": 1e15}, 4),
-                    ({"k_bar": 0.0}, 4), ({"negotiation": "contracts"}, 4),
-                    ({"l_pu": 25, "l_su": 50}, 2)]
-        rng = np.random.default_rng(31)
+        reference on every outcome of the audit corpus."""
         seen_blocked = seen_pairs = 0
-        for overrides, seeds in variants:
-            for seed in range(seeds):
-                params = topology.params_from_dict(overrides)
-                grids = dda.concession_grids(params)
-                real = topology.make_realization(params, seed)
-                req = radio.requirements_for(params, real.snr)
-                rates = radio.make_pair_rates(params, real)
-                engine_out, _ = dda.run(params, real, req)
-                random_partner, _ = baselines.rmbn(dda.market(params, real, req),
-                                                   np.random.default_rng(seed))
-                outcomes = [engine_out, random_partner,
-                            MatchingOutcome(m=engine_out.m, g=engine_out.g, b=engine_out.b)]
-                for r in range(4):
-                    k = rng.integers(0, min(params.l_pu, params.l_su) + 1)
-                    terms = [(int(l), int(q), float(rng.choice(grids.xi_values)),
-                              float(rng.choice(grids.beta_values)))
-                             for l, q in zip(rng.permutation(params.l_pu)[:k],
-                                             rng.permutation(params.l_su)[:k])]
-                    steps = {}
-                    if r % 2:
-                        steps = {"final_xi_steps": rng.integers(0, len(grids.xi_values),
-                                                                params.l_pu),
-                                 "final_beta_steps": rng.integers(
-                                     0, len(grids.beta_values) + 1, params.l_pu)}
-                    outcomes.append(MatchingOutcome.from_terms(
-                        params.l_pu, params.l_su, terms, **steps))
-                for outcome in outcomes:
-                    report = verify.is_stable(outcome, real, req, params)
-                    want = stability_reference(outcome, rates, req, grids)
-                    assert (report.blocked_individuals, report.blocking_pairs) == want
-                    seen_blocked += bool(report.blocked_individuals)
-                    seen_pairs += bool(report.blocking_pairs)
+        for params, real, req, outcome in audit_corpus():
+            report = verify.is_stable(outcome, real, req, params)
+            want = stability_reference(outcome, radio.make_pair_rates(params, real), req,
+                                       dda.concession_grids(params))
+            assert (report.blocked_individuals, report.blocking_pairs) == want
+            seen_blocked += bool(report.blocked_individuals)
+            seen_pairs += bool(report.blocking_pairs)
         assert seen_blocked > 20 and seen_pairs > 20
+
+    @staticmethod
+    def check_every_prefilter(monkeypatch):
+        """Make every verify._may_block call assert that it keeps exactly
+        the pairs oracles.prefilter_reference keeps; returns call counts."""
+        may_block = verify._may_block
+        seen = {"calls": 0, "pairs": 0, "kept": 0}
+
+        def checked(market, l, q, u_pu, u_su, xi_lo, beta_lo):
+            got = may_block(market, l, q, u_pu, u_su, xi_lo, beta_lo)
+            want = prefilter_reference(market.rates, market.requirements, market.grids,
+                                       l, q, u_pu, u_su, xi_lo, beta_lo)
+            assert np.array_equal(got, want)
+            seen["calls"] += 1
+            seen["pairs"] += len(l)
+            seen["kept"] += len(got)
+            return got
+
+        monkeypatch.setattr(verify, "_may_block", checked)
+        return seen
+
+    def test_prefilter_equals_the_grid_broadcast(self, monkeypatch):
+        """The index lookup keeps exactly the pairs the [pairs x grid]
+        broadcast keeps, on single audits and on stacked enumeration
+        blocks."""
+        seen = self.check_every_prefilter(monkeypatch)
+        for params, real, req, outcome in audit_corpus():
+            verify.is_stable(outcome, real, req, params)
+        for params, real, req in tiny_markets():
+            verify.enumerate_stable_matchings(real, req, params)
+        assert seen["calls"] > 400
+        assert 0 < seen["kept"] < seen["pairs"]
+
+    @pytest.mark.parametrize("guess", ["first", "past-last", "random"])
+    def test_a_wrong_guess_costs_time_never_a_verdict(self, monkeypatch, guess):
+        """With the threshold guess replaced by the first index, one past
+        the last or a random index, the exact fallback rebuilds every
+        relay suffix: the prefilter, the reports and the stable sets stay
+        the same."""
+        corpus = list(audit_corpus(seeds=1))
+        markets = list(tiny_markets())[::4]
+
+        def audit():
+            return ([audit_fingerprint(verify.is_stable(outcome, real, req, params))
+                     for params, real, req, outcome in corpus],
+                    [list(map(outcome_fingerprint,
+                              verify.enumerate_stable_matchings(real, req, params)))
+                     for params, real, req in markets])
+
+        want = audit()
+        rng = np.random.default_rng(5)
+
+        def wrong(rates, requirements, l, q, u_su, betas, xi):
+            n_beta = len(betas)
+            return {"first": np.zeros(len(l), dtype=int),
+                    "past-last": np.full(len(l), n_beta),
+                    "random": rng.integers(0, n_beta + 1, len(l))}[guess]
+
+        monkeypatch.setattr(verify, "_relay_open_guess", wrong)
+        self.check_every_prefilter(monkeypatch)
+        got = audit()
+        assert got == want
+        assert any(fp != audit_fingerprint(verify.StabilityReport()) for fp in got[0])
+
+    def test_one_audit_allocates_no_pairs_by_grid_array(self):
+        """The tracemalloc peak of one 100x200 audit stays under 6 MB. A
+        [pairs x time grid] prefilter broadcast peaks near 12 MB here."""
+        params = topology.params_from_dict({"l_pu": 100, "l_su": 200})
+        real = topology.make_realization(params, 0)
+        req = radio.requirements_for(params, real.snr)
+        outcome, _ = dda.run(params, real, req)
+        tracemalloc.start()
+        try:
+            report = verify.is_stable(outcome, real, req, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.stable
+        assert peak < 6e6
 
     def test_unmet_floor_flags_the_individual(self):
         params, real, req = two_by_two()
@@ -187,6 +317,85 @@ class TestStabilityAudit:
         report = verify.is_stable(stripped, real, req, default_params)
         assert not report.stable
         assert report.blocking_pairs
+
+
+def audit_fingerprint(report):
+    """Canonical text of one stability report, every number an int or an
+    exact float hex, so equal text means a bit-for-bit equal report."""
+    return repr((
+        [(side, int(idx), reason) for side, idx, reason in report.blocked_individuals],
+        [(int(l), int(q), float(xi).hex(), float(beta).hex())
+         for l, q, (xi, beta) in report.blocking_pairs]))
+
+
+def outcome_fingerprint(outcome):
+    """Canonical text of one outcome's m, g and b."""
+    return repr((outcome.m.astype(int).tolist(),
+                 [float(v).hex() for v in np.ravel(outcome.g)],
+                 [float(v).hex() for v in np.ravel(outcome.b)]))
+
+
+class TestGoldenAudit:
+    """Audit outputs pinned over seeded markets.
+
+    Over helpers.GOLDEN_MARKETS, the is_stable report of the ladder
+    outcome with and without its concession envelope, of the rmbn outcome,
+    of a contracts outcome, and of a random on-grid outcome with a random
+    envelope (the one that shows blocked individuals). None of those
+    markets fits the enumeration guard, so tiny_markets() and the
+    `relaymarket oracle` scenario carry the enumeration half: the same
+    five reports plus the enumerate_stable_matchings output and the
+    check_weak_pareto verdict and witness of the ladder and contracts
+    outcomes. Everything goes into one sha256; re-record it only for a
+    change declared to alter what the audit reports.
+    """
+
+    DIGEST = "4e68e0c438715e65a6afc7e65d4bb2dace667f8d59d021d21c1689d577c66688"
+
+    @staticmethod
+    def _audit(digest, params, real, req):
+        market = dda.market(params, real, req)
+        ladder, _ = dda.negotiate(dda.market(replace(params, negotiation="ladder"),
+                                             real, req))
+        contracts, _ = dda.negotiate(dda.market(
+            replace(params, negotiation="contracts"), real, req))
+        rng = np.random.default_rng(0)
+        random_partner, _ = baselines.rmbn(market, rng)
+        bare = MatchingOutcome(m=ladder.m, g=ladder.g, b=ladder.b)
+        k = min(params.l_pu, params.l_su)
+        grids = market.grids
+        on_grid = MatchingOutcome.from_terms(
+            params.l_pu, params.l_su,
+            [(int(l), int(q), float(rng.choice(grids.xi_values)),
+              float(rng.choice(grids.beta_values)))
+             for l, q in zip(rng.permutation(params.l_pu)[:k],
+                             rng.permutation(params.l_su)[:k])],
+            final_xi_steps=rng.integers(0, len(grids.xi_values), params.l_pu),
+            final_beta_steps=rng.integers(0, len(grids.beta_values) + 1, params.l_pu))
+        for outcome in (ladder, bare, random_partner, contracts, on_grid):
+            report = verify.is_stable(outcome, real, req, params)
+            digest.update(audit_fingerprint(report).encode())
+        return ladder, contracts
+
+    def test_audits_match_the_recorded_digest(self):
+        digest = hashlib.sha256()
+        for overrides, seeds in GOLDEN_MARKETS:
+            params = topology.params_from_dict(overrides)
+            for seed in range(seeds):
+                real = topology.make_realization(params, seed)
+                self._audit(digest, params, real, radio.requirements_for(params, real.snr))
+        oracle = topology.params_from_dict(cli.ORACLE_SCENARIO)
+        enumerable = [*tiny_markets(), *((oracle, *cli._instance(oracle, i))
+                                         for i in range(12))]
+        for params, real, req in enumerable:
+            for outcome in self._audit(digest, params, real, req):
+                ok, witness = verify.check_weak_pareto(outcome, real, req, params)
+                digest.update(repr(ok).encode())
+                if witness is not None:
+                    digest.update(outcome_fingerprint(witness).encode())
+            for stable in verify.enumerate_stable_matchings(real, req, params):
+                digest.update(outcome_fingerprint(stable).encode())
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestEnumeration:
