@@ -12,7 +12,7 @@ and a seeded Monte Carlo harness with CSV output.
 from .baselines import (centralized_pu_optimal, centralized_su_rate,
                         pair_optimum_continuous, rmbn)
 from .bench import (AggregateMetrics, SweepRow, TrialMetrics, emit_csv, p90,
-                    read_csv, run_trials, scenario_id, sweep)
+                    run_trials, scenario_id, sweep)
 from .dda import (EngineTrace, Grids, Market, MatchingOutcome, concession_grids,
                   init_state, market, negotiate, run, step)
 from .errors import EngineError, GuardError
@@ -38,6 +38,6 @@ __all__ = [
     "iteration_bound", "make_pair_rates", "make_realization", "market",
     "negotiate", "p90", "packet_bound", "pair_optimum_continuous",
     "params_from_dict", "per_pu_puu_bounds", "place_users", "pu_utilities",
-    "read_csv", "requirements_for", "rmbn",
+    "requirements_for", "rmbn",
     "run", "run_trials", "scenario_id", "step", "sweep",
 ]

@@ -84,14 +84,11 @@ def _realized_sums(outcome, rates):
     """Sums over the matched pairs, in row-major order, of PairRates.u_pu,
     rate_pu and rate_su, spelled out on floats read with ndarray.item."""
     u = r_pu = r_su = 0.0
-    # float(): a float32 weight times a Python float would stay float32,
-    # where times a numpy float64 it widens
-    c_cost = float(rates.c_cost)
     pairs = outcome.matched_pairs()
     for l, q in pairs:
         beta = outcome.b.item(l, q)
         rate_pu = rates.pu_coef.item(l, q) * beta
-        u += rate_pu + c_cost * outcome.g.item(l, q)
+        u += rate_pu + rates.c_cost * outcome.g.item(l, q)
         r_pu += rate_pu
         r_su += rates.su_coef.item(l, q) * (1.0 - beta)
     return u, r_pu, r_su, len(pairs)
@@ -247,16 +244,3 @@ def emit_csv(table, path):
     with open(path, "w", newline="") as fp:
         write_rows(table, fp)
 
-
-def read_csv(path):
-    """Round-trip reader for emit_csv output: list of per-row dicts."""
-    out = []
-    with open(path, newline="") as fp:
-        for rec in csv.DictReader(fp):
-            row = dict(rec)
-            row["axis_value"] = float(rec["axis_value"])
-            row["n_trials"] = int(rec["n_trials"])
-            for key in CSV_COLUMNS[5:]:
-                row[key] = float(rec[key])
-            out.append(row)
-    return out

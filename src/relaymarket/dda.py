@@ -6,7 +6,7 @@ displaced user requeues at the tail, a user with no offer left leaves,
 and the run ends when the queue drains. The relay side is written once,
 in step. The scenario's `negotiation` key picks the licensed side, in
 init_state alone: LadderState, the default, concedes one grid step per
-refusal; ContractState ("contracts") walks a list of grid contracts.
+refusal; ContractState ("contracts") offers its best open grid contract.
 Both read one Market (floors, rates and grids of a channel draw), built
 by market().
 
@@ -300,56 +300,24 @@ class LadderState(EngineState):
         return np.array(self.m_xi, dtype=int), np.array(self.m_beta, dtype=int)
 
 
-def _contract_lists(rates, requirements, grids, partners):
-    """Per licensed user, the grid contracts it may ever offer, best first.
-
-    A contract (q, xi, beta) is listed when it clears the user's own rate
-    floor and relay q would take it alone: relay rate floor met and
-    nonnegative relay utility. Order is by licensed utility, ties to the
-    smaller relay index, then the higher price, then the longer time.
-    Each list is (relay, xi index, beta index, relay utility), one array
-    per field. Memory is l_pu * l_su * |xi grid| * |beta grid| entries.
-    With partners (None, or as in negotiate), a user's list holds its
-    partner's contracts only, and a user sitting out (-1) gets an empty one.
-    """
-    l_pu, l_su = rates.pu_coef.shape
-    n_xi, n_beta = len(grids.xi_values), len(grids.beta_values)
-    # [relay, xi index, beta index] blocks, so one relay's contracts are one row
-    q_idx, i_idx, j_idx = np.meshgrid(
-        np.arange(l_su), np.arange(n_xi), np.arange(n_beta), indexing="ij")
-    xi_all = grids.xi_values[i_idx]
-    beta_all = grids.beta_values[j_idx]
-    lists = []
-    for l in range(l_pu):
-        rows = slice(None)
-        if partners is not None:
-            rows = slice(partners[l], partners[l] + 1) if partners[l] >= 0 else slice(0)
-        q, i, j, xi, beta = (a[rows].ravel()
-                             for a in (q_idx, i_idx, j_idx, xi_all, beta_all))
-        pu_rate = rates.pu_coef[l, q] * beta
-        su_rate = rates.su_coef[l, q] * (1.0 - beta)
-        u_su = su_rate - rates.k_cost * xi
-        keep = ((pu_rate >= requirements.r_pu_req[l])
-                & (su_rate >= requirements.r_su_req) & (u_su >= 0.0))
-        u_pu = pu_rate[keep] + rates.c_cost * xi[keep]
-        q, i, j = q[keep], i[keep], j[keep]
-        order = np.lexsort((j, i, q, -u_pu))
-        lists.append((q[order], i[order], j[order], u_su[keep][order]))
-    return lists
-
-
 class ContractState(EngineState):
     """The contract rule's licensed side: licensed-proposing deferred
     acceptance over the grid contracts.
 
-    Each licensed user keeps one bar per relay, minus infinity until that
-    relay first refuses it. Its next offer is the first contract on its
-    list (see _contract_lists) that gives the relay strictly more than the
-    bar; a user with no such contract left exits. A refusal or a
-    displacement raises the bar to the relay's held utility. Bars and held
-    utilities only rise, so a contract skipped once is never eligible again
-    and each user walks its list with one forward pointer; cap, the lists'
-    total length, therefore bounds the offers.
+    A contract (q, xi, beta) is open to user l when it clears l's rate
+    floor, relay q would take it alone (relay rate floor met, nonnegative
+    relay utility) and it gives q strictly more than bar[l, q]. Bars start
+    at minus infinity, or at plus infinity off the user's partner when
+    partners are given. A refusal or a displacement raises the bar to the
+    relay's held utility. Per relay the user keeps only its best open
+    contract: best_u[l, q], its licensed utility (minus infinity when none
+    is open), and best_k[l, q], its xi-major grid index, ties to the higher
+    price, then the longer time. The next offer is the best over relays,
+    ties to the smaller index; a user with none open exits. Bars and held
+    utilities only rise, so a refusal recomputes that one relay and no
+    other entry changes, and a contract once closed stays closed. Each
+    offer closes its contract when refused or displaced, so cap, the count
+    of contracts open at the start, bounds the offers.
 
     Only the relay-side slopes enter the bars, and those are instantaneous
     in both knowledge modes. The outcome carries no concession steps, so
@@ -359,25 +327,47 @@ class ContractState(EngineState):
     def __init__(self, market, partners):
         super().__init__(market, partners)
         l_pu, l_su = market.params.l_pu, market.params.l_su
-        self.lists = _contract_lists(market.rates, market.requirements, market.grids,
-                                     partners)
-        self.pointer = [0] * l_pu
         self.bar = np.full((l_pu, l_su), -np.inf)
-        self.cap = sum(len(qs) for qs, *_ in self.lists)
+        if partners is not None:
+            self.bar[partners[:, None] != np.arange(l_su)] = np.inf
+        self.best_u = np.full((l_pu, l_su), -np.inf)
+        self.best_k = np.zeros((l_pu, l_su), dtype=int)
+        self.cap = 0
+        for l in range(l_pu):
+            relays = np.flatnonzero(self.bar[l] < np.inf)   # a barred relay has none open
+            u_pu = self._open_utilities(l, relays)
+            self.cap += int(np.count_nonzero(u_pu > -np.inf))
+            self.best_k[l, relays] = u_pu.argmax(axis=1)
+            self.best_u[l, relays] = u_pu.max(axis=1)
+
+    def _open_utilities(self, l, relays):
+        """User l's licensed utility of every grid contract with the relays
+        (an index array or a slice), minus infinity where closed:
+        [relays, xi-major grid]."""
+        rates, grids = self.market.rates, self.market.grids
+        beta, xi = grids.beta_values, grids.xi_values[:, None]
+        pu_rate = rates.pu_coef[l, relays, None, None] * beta
+        su_rate = rates.su_coef[l, relays, None, None] * (1.0 - beta)
+        u_su = su_rate - rates.k_cost * xi
+        open_ = ((pu_rate >= self.market.requirements.r_pu_req[l])
+                 & (su_rate >= self.market.requirements.r_su_req) & (u_su >= 0.0)
+                 & (u_su > self.bar[l, relays, None, None]))
+        return np.where(open_, pu_rate + rates.c_cost * xi, -np.inf).reshape(
+            -1, len(grids.xi_values) * len(beta))
 
     def offer(self, l):
-        qs, xis, betas, u_sus = self.lists[l]
-        start = self.pointer[l]
-        open_ = u_sus[start:] > self.bar[l, qs[start:]]
-        if not open_.any():
+        q = int(self.best_u[l].argmax())
+        if self.best_u[l, q] == -np.inf:
             return -1, 0.0, 0.0
-        k = start + int(np.argmax(open_))
-        self.pointer[l] = k + 1
         grids = self.market.grids
-        return int(qs[k]), grids.xi_terms[xis[k]], grids.beta_terms[betas[k]]
+        i, j = divmod(int(self.best_k[l, q]), len(grids.beta_values))
+        return q, grids.xi_terms[i], grids.beta_terms[j]
 
     def refused(self, l, q):
         self.bar[l, q] = self.accepted[q][3]
+        u_pu = self._open_utilities(l, slice(q, q + 1))[0]
+        k = self.best_k[l, q] = u_pu.argmax()
+        self.best_u[l, q] = u_pu[k]
 
     def final_steps(self):
         return None, None

@@ -210,7 +210,7 @@ def _blocking_pairs(market, u_pu, u_su, open_pairs, xi_lo, beta_lo):
     return nn[k], ll[k], qq[k], first // n_beta, first % n_beta
 
 
-def is_stable(outcome, realization, requirements, params, continuous_domain=False):
+def is_stable(outcome, realization, requirements, params):
     """Audit an outcome for blocked individuals and blocking pairs.
 
     Individual check: every matched licensed user clears its rate floor
@@ -232,18 +232,17 @@ def is_stable(outcome, realization, requirements, params, continuous_domain=Fals
     xi, beta = outcome.g[ls, qs], outcome.b[ls, qs]
     ls, qs = ls.tolist(), qs.tolist()
 
-    if not continuous_domain:
-        xi_ok = _on_grid(xi, grids.xi_values)
-        beta_ok = _on_grid(beta, grids.beta_values)
-        for l, q, on_xi, on_beta in zip(ls, qs, xi_ok, beta_ok):
-            if not on_xi:
-                raise ValueError(
-                    f"price allocation {outcome.g[l, q]!r} for pair ({l},{q}) "
-                    "is off the concession grid")
-            if not on_beta:
-                raise ValueError(
-                    f"time-slot allocation {outcome.b[l, q]!r} for pair ({l},{q}) "
-                    "is off the concession grid")
+    xi_ok = _on_grid(xi, grids.xi_values)
+    beta_ok = _on_grid(beta, grids.beta_values)
+    for l, q, on_xi, on_beta in zip(ls, qs, xi_ok, beta_ok):
+        if not on_xi:
+            raise ValueError(
+                f"price allocation {outcome.g[l, q]!r} for pair ({l},{q}) "
+                "is off the concession grid")
+        if not on_beta:
+            raise ValueError(
+                f"time-slot allocation {outcome.b[l, q]!r} for pair ({l},{q}) "
+                "is off the concession grid")
 
     pu_ok, su_rate_ok, su_util_ok = _acceptable(rates, requirements, ls, qs, xi, beta)
     blocked = []

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -454,6 +455,52 @@ class TestGoldenTrace:
         assert digest.hexdigest() == self.DIGEST
 
 
+class TestGoldenContracts:
+    """Contract-rule runs and offer bounds pinned over seeded markets.
+
+    Each market is run by dda.negotiate and by baselines.rmbn (rng seeded
+    with the market's seed). Every run's engine_fingerprint and the cap
+    of every state dda.init_state opened for it go into one sha256.
+    Kept apart from TestGoldenTrace so the contract rule's bound is
+    pinned with its traces.
+    """
+
+    MARKETS = (
+        ({}, 12),
+        ({"l_pu": 3, "l_su": 3}, 12),
+        ({"l_pu": 6, "l_su": 2}, 12),
+        ({"snr_knowledge": "partial"}, 12),
+        ({"af_formula": "standard", "l_pu": 3, "l_su": 4}, 12),
+        ({"c_bar": 1e15}, 12),
+        ({"delta": 0.01, "epsilon": 0.01}, 6),
+        ({"l_pu": 25, "l_su": 50}, 2),
+    )
+    DIGEST = "8217c44b65562a6ad3dc09cc4648cf1cd011f19222fa4b70ad52cf4b43f2c611"
+
+    def test_runs_and_caps_match_the_recorded_digest(self, monkeypatch):
+        caps = []
+        opening = dda.init_state
+
+        def recording_init_state(market, partners=None):
+            state = opening(market, partners)
+            caps.append(state.cap)
+            return state
+
+        monkeypatch.setattr(dda, "init_state", recording_init_state)
+        digest = hashlib.sha256()
+        for overrides, seeds in self.MARKETS:
+            params = topology.params_from_dict({**overrides, "negotiation": "contracts"})
+            for seed in range(seeds):
+                market = dda.market(params, topology.make_realization(params, seed))
+                for outcome, trace in (
+                        dda.negotiate(market),
+                        baselines.rmbn(market, np.random.default_rng(seed))):
+                    digest.update(engine_fingerprint(outcome, trace).encode())
+                    digest.update(repr(caps).encode())
+                    caps.clear()
+        assert digest.hexdigest() == self.DIGEST
+
+
 class TestContractRule:
     """Licensed-proposing deferred acceptance over the grid contracts."""
 
@@ -528,19 +575,65 @@ class TestContractRule:
             assert trace.offers <= dda.init_state(market).cap
 
     def test_past_its_offer_bound_raises(self, contest, monkeypatch):
-        # a user that always offers its best contract, bars or not, repeats
-        # a refused offer forever; the cap ends the run instead
-        def best_contract(state, l):
-            qs, xis, betas, _ = state.lists[l]
-            grids = state.market.grids
-            return int(qs[0]), grids.xi_terms[xis[0]], grids.beta_terms[betas[0]]
-
+        # a user whose bars never rise repeats a refused offer forever; the
+        # cap ends the run instead
         market = dda.market(*contest)
         cap = dda.init_state(market).cap
-        monkeypatch.setattr(dda.ContractState, "offer", best_contract)
+        monkeypatch.setattr(dda.ContractState, "refused", lambda state, l, q: None)
         with pytest.raises(EngineError, match=f"contracts rule made {cap + 1} offers, "
                                               f"past its bound of {cap}"):
             dda.negotiate(market)
+
+    @staticmethod
+    def _open_at_start(market, partners):
+        """Plain-loop count of the contracts open before any refusal: each
+        clears the licensed and relay floors with nonnegative relay
+        utility, and is with the user's partner when partners are given."""
+        rates, req, grids = market.rates, market.requirements, market.grids
+        l_pu, l_su = rates.pu_coef.shape
+        count = 0
+        for l in range(l_pu):
+            for q in range(l_su):
+                if partners is not None and partners[l] != q:
+                    continue
+                for xi in grids.xi_terms:
+                    for beta in grids.beta_values.tolist():
+                        pu_rate = rates.pu_coef.item(l, q) * beta
+                        su_rate = rates.su_coef.item(l, q) * (1.0 - beta)
+                        count += (pu_rate >= req.r_pu_req[l] and su_rate >= req.r_su_req
+                                  and su_rate - rates.k_cost * xi >= 0.0)
+        return count
+
+    @pytest.mark.parametrize("overrides", [
+        {"l_pu": 2, "l_su": 2, "xi_init": 1.0, "beta_init": 1.0,
+         "delta": 0.25, "epsilon": 0.25},
+        {"l_pu": 3, "l_su": 2, "af_formula": "standard"},
+        {"l_pu": 2, "l_su": 3, "snr_knowledge": "partial"},
+    ])
+    def test_cap_counts_the_contracts_open_at_the_start(self, overrides):
+        params = topology.params_from_dict({**overrides, "negotiation": "contracts"})
+        for seed in range(8):
+            market = dda.market(params, topology.make_realization(params, seed))
+            rng = np.random.default_rng(seed)
+            partners = rng.integers(-1, params.l_su, params.l_pu)
+            assert dda.init_state(market).cap == self._open_at_start(market, None)
+            assert (dda.init_state(market, partners).cap
+                    == self._open_at_start(market, partners))
+
+    def test_one_run_keeps_no_per_contract_array(self):
+        """The tracemalloc peak of one 100x200 contract run stays under
+        8 MB. Sorted lists of every admissible contract peak near 144 MB."""
+        params = topology.params_from_dict(
+            {"l_pu": 100, "l_su": 200, "negotiation": "contracts"})
+        market = dda.market(params, topology.make_realization(params, 0))
+        tracemalloc.start()
+        try:
+            outcome, _ = dda.negotiate(market)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outcome.m.any()
+        assert peak < 8e6
 
     @pytest.mark.parametrize("scenario", [
         {"l_pu": 2, "l_su": 2, "xi_init": 1.0, "beta_init": 1.0,

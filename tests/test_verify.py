@@ -287,13 +287,6 @@ class TestStabilityAudit:
         with pytest.raises(ValueError, match="off the concession grid"):
             verify.is_stable(outcome, real, req, params)
 
-    def test_continuous_domain_accepts_off_grid_terms(self):
-        params, real, req = two_by_two()
-        outcome = build_outcome(2, 2, {0: (0, 0.33, 0.5)})
-        report = verify.is_stable(outcome, real, req, params,
-                                  continuous_domain=True)
-        assert isinstance(report.stable, bool)
-
     def test_describe_mentions_every_finding(self):
         params, real, req = two_by_two()
         report = verify.is_stable(build_outcome(2, 2, {}), real, req, params)
