@@ -11,8 +11,8 @@ and a seeded Monte Carlo harness with CSV output.
 
 from .baselines import (centralized_pu_optimal, centralized_su_rate,
                         pair_optimum_continuous, rmbn)
-from .bench import (AggregateMetrics, SweepRow, TrialMetrics, emit_csv, p90,
-                    run_trials, scenario_id, sweep)
+from .bench import (AggregateMetrics, SweepRow, emit_csv, p90, run_trials,
+                    scenario_id, sweep)
 from .dda import (EngineTrace, Grids, Market, MatchingOutcome, concession_grids,
                   init_state, market, negotiate, run, step)
 from .errors import EngineError, GuardError
@@ -30,7 +30,7 @@ __all__ = [
     "AggregateMetrics", "ChannelRealization", "EngineError", "EngineTrace", "Grids",
     "GuardError", "LinkSnrs", "Market", "MatchingOutcome", "PairRates",
     "Placement", "Requirements", "ScenarioParams", "StabilityReport",
-    "SweepRow", "TrialMetrics", "af_relay_snr",
+    "SweepRow", "af_relay_snr",
     "beta_interval", "centralized_pu_optimal", "centralized_su_rate",
     "check_weak_pareto", "complexity_estimates", "compute_snrs",
     "concession_grids", "draw_channels", "emit_csv",

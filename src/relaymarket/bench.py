@@ -31,18 +31,6 @@ CSV_COLUMNS = (
 SWEEP_AXES = ("epsilon", "c_bar", "gamma_su_db", "l_su")
 
 
-@dataclass(frozen=True)
-class TrialMetrics:
-    algo: str
-    trial: int
-    sum_utility_pu: float
-    sum_rate_pu: float
-    sum_rate_su: float
-    matched_pu_count: int
-    packets: int
-    iterations: int
-
-
 @dataclass
 class AggregateMetrics:
     algo: str
@@ -135,19 +123,14 @@ def run_trials(params, algos, n_trials):
             else:
                 outcome, trace = baselines.rmbn(market, np.random.default_rng(rmbn_ss))
                 packets, iterations = trace.packets, trace.offers
-            u, r_pu, r_su, count = _realized_sums(outcome, market.rates_real)
-            per_algo[algo].append(TrialMetrics(
-                algo=algo, trial=i, sum_utility_pu=u, sum_rate_pu=r_pu,
-                sum_rate_su=r_su, matched_pu_count=count,
-                packets=packets, iterations=iterations))
+            per_algo[algo].append(
+                (*_realized_sums(outcome, market.rates_real), packets, iterations))
 
     capacity = min(params.l_pu, params.l_su)
     out = {}
     for algo, rows in per_algo.items():
-        util = [t.sum_utility_pu for t in rows]
-        rpu = [t.sum_rate_pu for t in rows]
-        rsu = [t.sum_rate_su for t in rows]
-        pkts = np.array([t.packets for t in rows], dtype=float)
+        util, rpu, rsu, counts, pkts, iterations = zip(*rows)
+        pkts = np.array(pkts, dtype=float)
         out[algo] = AggregateMetrics(
             algo=algo,
             n_trials=n_trials,
@@ -157,11 +140,10 @@ def run_trials(params, algos, n_trials):
             se_sum_rate_pu=_se(rpu),
             mean_sum_rate_su=float(np.mean(rsu)),
             se_sum_rate_su=_se(rsu),
-            match_pct=100.0 * sum(t.matched_pu_count for t in rows)
-                      / (n_trials * capacity),
+            match_pct=100.0 * sum(counts) / (n_trials * capacity),
             mean_packets=float(np.mean(pkts)),
             p90_packets=p90(pkts),
-            mean_iterations=float(np.mean([t.iterations for t in rows])),
+            mean_iterations=float(np.mean(iterations)),
             packets=pkts,
         )
     return out

@@ -191,10 +191,6 @@ class EngineState:
         self.offers = 0
         self.events = []
 
-    @property
-    def terminal(self):
-        return not self.queue
-
 
 class LadderState(EngineState):
     """The ladder's licensed side. Each user offers its current terms on

@@ -15,6 +15,9 @@ import numpy as np
 
 _LN2 = math.log(2.0)
 
+# stratified samples per partial-knowledge expectation
+PARTIAL_SAMPLES = 256
+
 
 def log2_1p(x):
     """log2(1 + x) through log1p, so tiny SNRs do not lose precision."""
@@ -87,7 +90,7 @@ def mean_relay_log_term(gamma_dir, gamma_first_hop, mean_forward_gain, params, r
     average path gain. Stratified uniforms keep the estimator's error well
     under a plain Monte Carlo draw at the same sample count.
     """
-    n = params.partial_expectation_samples
+    n = PARTIAL_SAMPLES
     u = (np.arange(n) + rng.random(n)) / n
     h2 = -np.log1p(-u)
     relayed = af_relay_snr(gamma_first_hop, mean_forward_gain * h2, params.af_formula)
@@ -170,11 +173,12 @@ class Requirements:
 
 
 def requirements_for(params, snrs):
-    """Rate floors for one realization. Licensed floors default to the rate
-    the pair already gets over its direct link, so relaying must not hurt."""
-    if params.pu_req_mode == "direct-rate":
+    """Rate floors for one realization. Licensed floors are params.r_pu_req
+    when set and otherwise the rate each pair already gets over its direct
+    link, so relaying must not hurt."""
+    if params.r_pu_req is None:
         floors = params.t_frame * log2_1p(snrs.gamma_dir)
-    else:   # "explicit": ScenarioParams checked one finite floor per pair
+    else:   # ScenarioParams checked one finite positive floor per pair
         floors = params.r_pu_req
     return Requirements(r_pu_req=np.asarray(floors, dtype=float),
                         r_su_req=float(params.r_su_req))

@@ -28,8 +28,7 @@ class ScenarioParams:
     c_bar: float = 1.0              # licensed rate-per-money weight
     k_bar: float = 1.0              # relay rate-per-money weight
     r_su_req: float = 0.1
-    pu_req_mode: str = "direct-rate"    # or "explicit" with r_pu_req set
-    r_pu_req: tuple | None = None
+    r_pu_req: tuple | None = None   # None: each pair's direct-link rate
     xi_init: float = 0.99
     beta_init: float = 0.99
     delta: float = 0.05             # price concession step
@@ -37,8 +36,6 @@ class ScenarioParams:
     snr_knowledge: str = "complete"     # or "partial"
     af_formula: str = "paper"           # or "standard"
     negotiation: str = "ladder"         # or "contracts"
-    partial_expectation_samples: int = 256
-    su_channel_per_band: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -52,9 +49,6 @@ class ScenarioParams:
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
             # a numpy float32 weight would run the rate algebra in float32
             object.__setattr__(self, name, float(value))
-        if not isinstance(self.su_channel_per_band, bool):
-            raise ValueError("su_channel_per_band must be true or false, "
-                             f"got {self.su_channel_per_band!r}")
         if self.l_pu < 1 or self.l_su < 1:
             raise ValueError("need at least one pair on each side")
         if not (0.0 < self.xi_init <= 1.0 and 0.0 < self.beta_init <= 1.0):
@@ -75,18 +69,12 @@ class ScenarioParams:
             raise ValueError(f"unknown af_formula {self.af_formula!r}")
         if self.negotiation not in ("ladder", "contracts"):
             raise ValueError(f"unknown negotiation {self.negotiation!r}")
-        if self.pu_req_mode not in ("direct-rate", "explicit"):
-            raise ValueError(f"unknown pu_req_mode {self.pu_req_mode!r}")
-        if self.pu_req_mode == "explicit" and self.r_pu_req is None:
-            raise ValueError("explicit pu_req_mode needs r_pu_req")
         if self.r_pu_req is not None and (
                 not isinstance(self.r_pu_req, tuple)
                 or len(self.r_pu_req) != self.l_pu
                 or not all(_finite_number(v) and v > 0 for v in self.r_pu_req)):
             raise ValueError(f"r_pu_req must list {self.l_pu} finite positive numbers, "
                              f"one per licensed pair, got {self.r_pu_req!r}")
-        if self.partial_expectation_samples < 1:
-            raise ValueError("partial_expectation_samples must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
 
@@ -175,10 +163,7 @@ def draw_channels(params, placement, rng):
     h2_pt_pr = exp_draw(l_pu)
     h2_pt_st = exp_draw((l_pu, l_su))
     h2_st_pr = exp_draw((l_pu, l_su))
-    if params.su_channel_per_band:
-        h2_st_sr = exp_draw((l_su, l_pu))
-    else:
-        h2_st_sr = np.repeat(exp_draw((l_su, 1)), l_pu, axis=1)
+    h2_st_sr = exp_draw((l_su, l_pu))
 
     d_pt_pr = _distance(placement.pt_pos, placement.pr_pos)
     d_pt_st = _distance(placement.pt_pos[:, None], placement.st_pos[None])

@@ -62,11 +62,9 @@ def handmade_realization(params, gamma_dir, gamma_pt_st, gamma_st_pr, gamma_sr):
 
 
 def single_pair_scenario(gamma_dir, gamma_relay_hops, gamma_sr, **overrides):
-    """One licensed pair, one relay pair, 0 dB gains, explicit floors."""
-    base = {
-        "l_pu": 1, "l_su": 1, "gamma_pu_db": 0.0, "gamma_su_db": 0.0,
-        "pu_req_mode": "explicit",
-    }
+    """One licensed pair, one relay pair, 0 dB gains. The licensed floor is
+    the direct-link rate unless r_pu_req is passed."""
+    base = {"l_pu": 1, "l_su": 1, "gamma_pu_db": 0.0, "gamma_su_db": 0.0}
     base.update(overrides)
     params = topology.params_from_dict(base)
     g1, g2 = gamma_relay_hops

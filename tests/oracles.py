@@ -10,6 +10,7 @@ from the implementation modules beyond plain data carried in their types.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -162,6 +163,32 @@ def lp_pair_optimum(coef, su_coef, pu_floor, su_floor, c_cost, k_cost):
         raise RuntimeError(f"linprog failed: {res.message}")
     xi, beta = (float(v) for v in res.x)
     return coef * beta + c_cost * xi, xi, beta
+
+
+def expected_relay_log_term(gamma_dir, gamma_first_hop, mean_forward_gain, formula):
+    """E_h[log2(1 + gamma_dir + AF(gamma_first_hop, mean_forward_gain * h))]
+    for h ~ Exp(1), by adaptive quadrature of log2(...) * exp(-h) over h.
+
+    AF is restated here: "paper" is x/(x + 1) with x the product of the hop
+    SNRs, "standard" is g1*g2/(g1 + g2 + 1). The half-line is cut at
+    log-spaced points so a sharp bend at a tiny or huge hop SNR is not
+    stepped over.
+    """
+    from scipy.integrate import quad   # scipy is a test-only dependency
+
+    g1, m = float(gamma_first_hop), float(mean_forward_gain)
+
+    def integrand(h):
+        g2 = m * h
+        if formula == "paper":
+            relayed = g1 * g2 / (g1 * g2 + 1.0)
+        else:
+            relayed = g1 * g2 / (g1 + g2 + 1.0)
+        return math.log2(1.0 + gamma_dir + relayed) * math.exp(-h)
+
+    cuts = [0.0] + [10.0 ** k for k in range(-9, 2)] + [math.inf]
+    return sum(quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+               for lo, hi in zip(cuts, cuts[1:]))
 
 
 def discrete_pair_optimum(coef, su_coef, pu_floor, su_floor, c_cost, k_cost, grids):

@@ -193,7 +193,7 @@ class TestPairOptimumDiscrete:
         for step in (0.2, 0.05, 0.01):
             p = topology.params_from_dict({
                 "l_pu": 1, "l_su": 1, "gamma_pu_db": 0.0, "gamma_su_db": 0.0,
-                "pu_req_mode": "explicit", "r_pu_req": [0.3], "r_su_req": 0.2,
+                "r_pu_req": [0.3], "r_su_req": 0.2,
                 "xi_init": 1.0, "beta_init": 1.0, "delta": step, "epsilon": step,
                 "negotiation": "contracts",
             })
@@ -425,7 +425,7 @@ class TestRandomBaseline:
 
     @pytest.mark.parametrize("overrides, seeds", [
         ({}, 60), ({"l_pu": 3, "l_su": 3}, 30), ({"l_pu": 6, "l_su": 2}, 30),
-        ({"snr_knowledge": "partial", "partial_expectation_samples": 16}, 15),
+        ({"snr_knowledge": "partial"}, 15),
         ({"af_formula": "standard"}, 20), ({"c_bar": 1e15}, 20),
         ({"k_bar": 0.0}, 10), ({"gamma_pu_db": 0.0, "gamma_su_db": 5.0}, 15),
         ({"delta": 0.01, "epsilon": 0.01}, 5), ({"l_pu": 25, "l_su": 50}, 3),

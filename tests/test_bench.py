@@ -164,8 +164,7 @@ class TestRunTrials:
     def test_rmbn_alone_negotiates_under_partial_knowledge(self, small_params):
         # rmbn follows the scenario's knowledge mode, so the partial-knowledge
         # estimates must be drawn for it even without dda-partial
-        partial = replace(small_params, snr_knowledge="partial",
-                          partial_expectation_samples=32)
+        partial = replace(small_params, snr_knowledge="partial")
         want = bench.run_trials(partial, ["dda-partial", "rmbn"], 6)["rmbn"]
         for algos in (["rmbn"], ["dda-complete", "rmbn"]):
             got = bench.run_trials(partial, algos, 6)["rmbn"]

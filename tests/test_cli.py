@@ -91,12 +91,16 @@ class TestConfigHandling:
         assert "seed12" in out
 
     def test_unknown_config_key_exits_one(self, tmp_path, capsys):
+        # a typo, and each option an older config may still carry
         cfg = tmp_path / "scenario.json"
-        cfg.write_text(json.dumps({"l_puu": 2}))
-        code, _, err = run_cli(["run", "--config", str(cfg), "--trials", "2"],
-                               capsys)
-        assert code == 1
-        assert "l_puu" in err
+        for key, value in [("l_puu", 2), ("pu_req_mode", "explicit"),
+                           ("partial_expectation_samples", 256),
+                           ("su_channel_per_band", True)]:
+            cfg.write_text(json.dumps({key: value, "r_pu_req": [0.3, 0.5]}))
+            code, _, err = run_cli(["run", "--config", str(cfg), "--trials", "2"],
+                                   capsys)
+            assert code == 1
+            assert f"unknown config keys: ['{key}']" in err
 
     def test_ill_typed_config_value_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.json"
@@ -109,7 +113,7 @@ class TestConfigHandling:
     @pytest.mark.parametrize("floors", [[0.2, float("nan")], [0.2], ["a", "b"]])
     def test_bad_explicit_floors_exit_one(self, tmp_path, capsys, floors):
         cfg = tmp_path / "scenario.json"
-        cfg.write_text(json.dumps({"pu_req_mode": "explicit", "r_pu_req": floors}))
+        cfg.write_text(json.dumps({"r_pu_req": floors}))
         code, _, err = run_cli(["run", "--config", str(cfg), "--trials", "2"],
                                capsys)
         assert code == 1
@@ -121,12 +125,21 @@ class TestConfigHandling:
     def test_non_positive_explicit_floors_exit_one(self, tmp_path, capsys, algos, floors):
         # refused when parameters are built, whichever algorithm would run
         cfg = tmp_path / "scenario.json"
-        cfg.write_text(json.dumps({"pu_req_mode": "explicit", "r_pu_req": floors,
-                                   "negotiation": "contracts"}))
+        cfg.write_text(json.dumps({"r_pu_req": floors, "negotiation": "contracts"}))
         code, _, err = run_cli(["run", "--config", str(cfg), "--trials", "2",
                                 "--algo", algos], capsys)
         assert code == 1
         assert "r_pu_req must list 2 finite positive numbers" in err
+
+    def test_explicit_floors_change_the_csv(self, tmp_path, capsys):
+        # floors set in the config replace the direct-link rates
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps({"r_pu_req": [0.3, 0.5]}))
+        argv = ["run", "--seed", "3", "--trials", "4"]
+        _, direct, _ = run_cli(argv, capsys)
+        code, explicit, _ = run_cli(argv + ["--config", str(cfg)], capsys)
+        assert code == 0
+        assert explicit != direct
 
     def test_non_object_config_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.json"

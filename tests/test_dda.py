@@ -55,8 +55,7 @@ class TestGrids:
 
 class TestMarket:
     def test_partial_market_scores_on_complete_knowledge_rates(self):
-        params = topology.params_from_dict(
-            {"snr_knowledge": "partial", "partial_expectation_samples": 32})
+        params = topology.params_from_dict({"snr_knowledge": "partial"})
         real = topology.make_realization(params, 5)
         partial = dda.market(params, real)
         full = dda.market(replace(params, snr_knowledge="complete"), real)
@@ -216,7 +215,7 @@ class TestEngineMechanics:
         real = topology.make_realization(default_params, 17)
         req = radio.requirements_for(default_params, real.snr)
         state = dda.init_state(dda.market(default_params, real, req))
-        while not state.terminal:
+        while state.queue:
             dda.step(state)
         by_hand = dda.finish(state)
         by_run = dda.run(default_params, real, req)
@@ -228,7 +227,7 @@ class TestEngineMechanics:
         real = topology.make_realization(default_params, 17)
         req = radio.requirements_for(default_params, real.snr)
         state = dda.init_state(dda.market(default_params, real, req))
-        while not state.terminal:
+        while state.queue:
             dda.step(state)
         offers_before = state.offers
         dda.step(state)
@@ -262,7 +261,7 @@ class TestEngineMechanics:
         # both licensed pairs want the lone relay; exactly one ends matched
         params = topology.params_from_dict({
             "l_pu": 2, "l_su": 1, "gamma_pu_db": 0.0, "gamma_su_db": 0.0,
-            "pu_req_mode": "explicit", "r_pu_req": [0.2, 0.2], "r_su_req": 0.1,
+            "r_pu_req": [0.2, 0.2], "r_su_req": 0.1,
             "xi_init": 0.8, "beta_init": 0.9, "delta": 0.2, "epsilon": 0.1,
         })
         real = handmade_realization(
@@ -291,7 +290,7 @@ class TestEngineMechanics:
     def test_finish_returns_int_arrays(self, shape):
         params = topology.params_from_dict({"l_pu": shape[0], "l_su": shape[1]})
         state = dda.init_state(dda.market(params, topology.make_realization(params, 3)))
-        while not state.terminal:
+        while state.queue:
             dda.step(state)
         outcome, trace = dda.finish(state)
         for counts in (trace.puu_counts, outcome.final_xi_steps, outcome.final_beta_steps):
@@ -368,7 +367,7 @@ class TestLadderRule:
         # floor; at floor 1.5 only relay 1 does.
         params = topology.params_from_dict({
             "l_pu": 1, "l_su": 2, "gamma_pu_db": 0.0, "gamma_su_db": 0.0,
-            "pu_req_mode": "explicit", "r_pu_req": [floor], "r_su_req": 0.1,
+            "r_pu_req": [floor], "r_su_req": 0.1,
             "af_formula": "standard", "c_bar": 1e17,
         })
         real = handmade_realization(
@@ -388,7 +387,7 @@ class TestLadderRule:
         # comes next; both users offer only to relay 1, the smallest index
         params = topology.params_from_dict({
             "l_pu": 2, "l_su": 5, "gamma_pu_db": 0.0, "gamma_su_db": 0.0,
-            "pu_req_mode": "explicit", "r_pu_req": [0.2, 0.2], "r_su_req": 0.1,
+            "r_pu_req": [0.2, 0.2], "r_su_req": 0.1,
             "xi_init": 1.0, "beta_init": 1.0, "delta": 0.25, "epsilon": 0.25,
         })
         hops = [[2.0, 4.0, 4.0, 3.0, 4.0]] * 2
@@ -411,7 +410,7 @@ class TestLadderRule:
         # whose rate misses the 1e-18 floor.
         params = topology.params_from_dict({
             "l_pu": 2, "l_su": 5, "gamma_pu_db": 0.0, "gamma_su_db": 0.0,
-            "pu_req_mode": "explicit", "r_pu_req": [1e-18, 1e-18], "r_su_req": 0.1,
+            "r_pu_req": [1e-18, 1e-18], "r_su_req": 0.1,
             "beta_init": 1e-17, "epsilon": 1e-17,
         })
         real = handmade_realization(
@@ -515,7 +514,7 @@ class TestContractRule:
         is 2 in user 0's band and 4 in user 1's; every value is exact."""
         params = topology.params_from_dict({
             "l_pu": 2, "l_su": 1, "gamma_pu_db": 0.0, "gamma_su_db": 0.0,
-            "pu_req_mode": "explicit", "r_pu_req": [0.2, 0.2], "r_su_req": 0.1,
+            "r_pu_req": [0.2, 0.2], "r_su_req": 0.1,
             "xi_init": 1.0, "beta_init": 1.0, "delta": 0.25, "epsilon": 0.25,
             "negotiation": "contracts",
         })
@@ -560,7 +559,7 @@ class TestContractRule:
         for seed in range(10):
             market = dda.market(params, topology.make_realization(params, seed))
             state = dda.init_state(market)
-            while not state.terminal:
+            while state.queue:
                 dda.step(state)
             assert (engine_fingerprint(*dda.finish(state))
                     == engine_fingerprint(*dda.negotiate(market)))

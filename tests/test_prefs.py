@@ -27,7 +27,7 @@ def three_relay_setup(**overrides):
     """
     params = topology.params_from_dict({
         "l_pu": 1, "l_su": 3, "gamma_pu_db": 0.0, "gamma_su_db": 0.0,
-        "pu_req_mode": "explicit", "r_pu_req": [0.2], "r_su_req": 0.1,
+        "r_pu_req": [0.2], "r_su_req": 0.1,
         "af_formula": "standard", **overrides,
     })
     hops = {3.0: (4.0, 15.0), 15.0: (20.0, 63.0), 255.0: (510.0, 511.0)}
@@ -48,7 +48,7 @@ def two_user_contest(gamma_sr, **overrides):
     relay's own slope in each user's band (3 -> 2, 15 -> 4)."""
     params = topology.params_from_dict({
         "l_pu": 2, "l_su": 1, "gamma_pu_db": 0.0, "gamma_su_db": 0.0,
-        "pu_req_mode": "explicit", "r_pu_req": [0.2, 0.2], "r_su_req": 0.1,
+        "r_pu_req": [0.2, 0.2], "r_su_req": 0.1,
         "xi_init": 0.8, "beta_init": 0.9, "delta": 0.2, "epsilon": 0.1,
         **overrides,
     })
@@ -96,7 +96,7 @@ class TestLicensedSideList:
     def test_equal_utilities_fall_back_to_index(self):
         params = topology.params_from_dict({
             "l_pu": 1, "l_su": 2, "gamma_pu_db": 0.0, "gamma_su_db": 0.0,
-            "pu_req_mode": "explicit", "r_pu_req": [0.1], "r_su_req": 0.0,
+            "r_pu_req": [0.1], "r_su_req": 0.0,
         })
         real = handmade_realization(
             params, gamma_dir=[1.0],
@@ -109,7 +109,7 @@ class TestLicensedSideList:
     def test_matches_brute_force_on_random_draws(self, default_params):
         for params, real, req in market_draws(default_params):
             state = dda.init_state(dda.market(params, real, req))
-            while not state.terminal:
+            while state.queue:
                 l = state.queue[0]
                 xi = float(state.market.grids.xi_values[state.m_xi[l]])
                 beta = state.market.grids.beta_at(state.m_beta[l])
@@ -152,7 +152,7 @@ class TestRelaySideList:
         for params, real, req in market_draws(default_params):
             state = dda.init_state(dda.market(params, real, req))
             rates = radio.make_pair_rates(params, real)
-            while not state.terminal:
+            while state.queue:
                 held = list(state.accepted)
                 seen = len(state.events)
                 dda.step(state)
@@ -193,7 +193,7 @@ class TestChallengeRule:
         # would earn it 0.4 but leaves its rate 0.4 under the 0.5 floor
         params = topology.params_from_dict({
             "l_pu": 2, "l_su": 1, "gamma_pu_db": 0.0, "gamma_su_db": 0.0,
-            "pu_req_mode": "explicit", "r_pu_req": [0.2, 0.2], "r_su_req": 0.5,
+            "r_pu_req": [0.2, 0.2], "r_su_req": 0.5,
             "xi_init": 1.0, "beta_init": 1.0, "delta": 0.25, "epsilon": 0.2,
         })
         real = handmade_realization(

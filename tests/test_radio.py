@@ -17,6 +17,7 @@ import pytest
 from relaymarket import baselines, radio, topology, verify
 
 from helpers import handmade_realization, single_pair_scenario
+from oracles import expected_relay_log_term
 
 
 class TestRelaySnr:
@@ -85,8 +86,7 @@ class TestRatesOnHandmadeChannels:
     def test_direct_rate(self):
         # the default licensed floor is T log2(1 + 1)
         params, real = single_pair_scenario(
-            gamma_dir=1.0, gamma_relay_hops=(2.0, 5.0), gamma_sr=3.0,
-            pu_req_mode="direct-rate")
+            gamma_dir=1.0, gamma_relay_hops=(2.0, 5.0), gamma_sr=3.0)
         req = radio.requirements_for(params, real.snr)
         assert req.r_pu_req[0] == pytest.approx(1.0)
 
@@ -119,7 +119,7 @@ class TestPairRates:
         # and 1: su_coef[l, q] must be log2(1 + gamma_sr[q, l])
         params = topology.params_from_dict({
             "l_pu": 2, "l_su": 2, "gamma_pu_db": 0.0, "gamma_su_db": 0.0,
-            "pu_req_mode": "explicit", "r_pu_req": [0.1, 0.1]})
+            "r_pu_req": [0.1, 0.1]})
         real = handmade_realization(
             params, gamma_dir=[1.0, 1.0], gamma_pt_st=np.ones((2, 2)),
             gamma_st_pr=np.ones((2, 2)), gamma_sr=[[3.0, 15.0], [255.0, 1.0]])
@@ -132,8 +132,7 @@ class TestPairRates:
             radio.make_pair_rates(replace(default_params, snr_knowledge="partial"), real)
 
     def test_partial_slope_is_the_expected_log(self):
-        p = topology.params_from_dict(
-            {"snr_knowledge": "partial", "partial_expectation_samples": 128})
+        p = topology.params_from_dict({"snr_knowledge": "partial"})
         real = topology.make_realization(p, 4)
         rates = radio.make_pair_rates(p, real)
         assert np.allclose(rates.pu_coef, 0.5 * real.partial_mean_log)
@@ -170,10 +169,17 @@ class TestExpectedRate:
         b = radio.mean_relay_log_term(1.0, 3.0, 1.0, default_params,
                                       np.random.default_rng(5))
         assert a == b
-        many = topology.params_from_dict({"partial_expectation_samples": 8192})
-        c = radio.mean_relay_log_term(1.0, 3.0, 1.0, many,
-                                      np.random.default_rng(6))
-        assert a == pytest.approx(c, abs=5e-3)
+        # against quadrature of the same expectation under both formulas, on
+        # a zero-gain pair and gains spanning 1e-3 to 1e3
+        draw = np.random.default_rng(7)
+        triples = [(0.5, 2.0, 0.0)] + (10.0 ** draw.uniform(-3.0, 3.0, (60, 3))).tolist()
+        for formula in ("paper", "standard"):
+            params = replace(default_params, af_formula=formula)
+            for i, (g_dir, g1, m) in enumerate(triples):
+                got = radio.mean_relay_log_term(g_dir, g1, m, params,
+                                                np.random.default_rng(i))
+                want = expected_relay_log_term(g_dir, g1, m, formula)
+                assert got == pytest.approx(want, rel=5e-3), (formula, g_dir, g1, m)
 
 
 class TestRequirements:
@@ -186,16 +192,14 @@ class TestRequirements:
         assert req.r_su_req == 0.1
 
     def test_explicit_floors_pass_through(self):
-        p = topology.params_from_dict(
-            {"pu_req_mode": "explicit", "r_pu_req": [0.4, 0.6]})
+        p = topology.params_from_dict({"r_pu_req": [0.4, 0.6]})
         real = topology.make_realization(p, 2)
         req = radio.requirements_for(p, real.snr)
         assert np.array_equal(req.r_pu_req, [0.4, 0.6])
 
     def test_explicit_floor_shape_checked(self):
         with pytest.raises(ValueError, match="r_pu_req"):
-            topology.params_from_dict(
-                {"pu_req_mode": "explicit", "r_pu_req": [0.4, 0.6, 0.8]})
+            topology.params_from_dict({"r_pu_req": [0.4, 0.6, 0.8]})
 
 
 class TestThresholds:

@@ -22,7 +22,7 @@ class TestParams:
         assert p.delta == p.epsilon == 0.05
         assert p.af_formula == "paper"
         assert p.snr_knowledge == "complete"
-        assert p.pu_req_mode == "direct-rate"
+        assert p.r_pu_req is None
         assert p.negotiation == "ladder"
 
     def test_unknown_key_rejected(self):
@@ -56,13 +56,11 @@ class TestParams:
         {"l_su": 2.5},
         {"l_pu": True},
         {"seed": "3"},
-        {"partial_expectation_samples": 2.5},
         {"alpha": "4"},
         {"c_bar": float("nan")},
         {"t_frame": float("inf")},
         {"gamma_su_db": True},
         {"r_su_req": None},
-        {"su_channel_per_band": 1},
         {"r_pu_req": [0.2, float("nan")]},
         {"r_pu_req": [0.2]},
         {"r_pu_req": ["a", "b"]},
@@ -104,13 +102,8 @@ class TestParams:
         assert held and s32.accepted == s64.accepted
         assert all(type(u_su) is float for *_, u_su in held)
 
-    def test_explicit_floor_mode_needs_floors(self):
-        with pytest.raises(ValueError):
-            topology.params_from_dict({"pu_req_mode": "explicit"})
-
     def test_explicit_floors_become_tuple(self):
-        p = topology.params_from_dict(
-            {"pu_req_mode": "explicit", "r_pu_req": [0.2, 0.3]})
+        p = topology.params_from_dict({"r_pu_req": [0.2, 0.3]})
         assert p.r_pu_req == (0.2, 0.3)
 
 
@@ -153,12 +146,6 @@ class TestChannels:
         assert default_params.l_pu > 1
         assert not np.allclose(real.h2_st_sr[:, 0], real.h2_st_sr[:, 1])
 
-    def test_relay_pair_channel_shared_when_disabled(self):
-        p = topology.params_from_dict({"su_channel_per_band": False})
-        real = topology.make_realization(p, 11)
-        for col in range(1, p.l_pu):
-            assert np.array_equal(real.h2_st_sr[:, col], real.h2_st_sr[:, 0])
-
     def test_same_seed_reproduces(self, default_params):
         a = topology.make_realization(default_params, 42)
         b = topology.make_realization(default_params, 42)
@@ -184,8 +171,7 @@ class TestChannels:
         assert np.mean(draws) == pytest.approx(expected, rel=0.1)
 
     def test_partial_mode_precomputes_expected_terms(self):
-        p = topology.params_from_dict(
-            {"snr_knowledge": "partial", "partial_expectation_samples": 64})
+        p = topology.params_from_dict({"snr_knowledge": "partial"})
         real = topology.make_realization(p, 3)
         assert real.partial_mean_log is not None
         assert real.partial_mean_log.shape == (p.l_pu, p.l_su)

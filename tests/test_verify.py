@@ -35,7 +35,7 @@ def two_by_two():
     relay-own 2/4. Floors leave every pair feasible."""
     params = topology.params_from_dict({
         "l_pu": 2, "l_su": 2, "gamma_pu_db": 0.0, "gamma_su_db": 0.0,
-        "pu_req_mode": "explicit", "r_pu_req": [0.2, 0.2], "r_su_req": 0.1,
+        "r_pu_req": [0.2, 0.2], "r_su_req": 0.1,
         "af_formula": "standard",
         "xi_init": 1.0, "beta_init": 1.0, "delta": 0.25, "epsilon": 0.25,
     })
@@ -71,7 +71,7 @@ AUDIT_VARIANTS = (
     ({"l_pu": 25, "l_su": 50}, 2),
     ({"delta": 0.01, "epsilon": 0.01}, 2),
     ({"af_formula": "standard", "l_pu": 3, "l_su": 4}, 3),
-    ({"pu_req_mode": "explicit", "r_pu_req": [0.2, 0.6]}, 3),
+    ({"r_pu_req": [0.2, 0.6]}, 3),
     ({"gamma_su_db": -5.0, "l_pu": 4, "l_su": 4}, 3),
     ({"r_su_req": 0.0}, 3),
 )
@@ -84,7 +84,7 @@ def zero_relay_slope(r_su):
     point, where the strict relay gain makes the guess miss by one."""
     params = topology.params_from_dict({
         "l_pu": 2, "l_su": 3, "gamma_pu_db": 0.0, "gamma_su_db": 0.0,
-        "pu_req_mode": "explicit", "r_pu_req": [0.2, 0.2], "r_su_req": r_su,
+        "r_pu_req": [0.2, 0.2], "r_su_req": r_su,
         "xi_init": 1.0, "beta_init": 1.0, "delta": 0.25, "epsilon": 0.25,
     })
     real = handmade_realization(
