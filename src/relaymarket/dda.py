@@ -75,7 +75,6 @@ def concession_grids(params):
 class Market:
     """One channel draw's market, built by market()."""
     params: object
-    realization: object
     requirements: radio.Requirements
     rates: radio.PairRates        # negotiated with, under params.snr_knowledge
     rates_real: radio.PairRates   # complete knowledge, to score outcomes with;
@@ -91,8 +90,7 @@ def market(params, realization, requirements=None):
     if params.snr_knowledge != "complete":
         rates_real = radio.make_pair_rates(
             replace(params, snr_knowledge="complete"), realization)
-    return Market(params, realization, requirements, rates, rates_real,
-                  concession_grids(params))
+    return Market(params, requirements, rates, rates_real, concession_grids(params))
 
 
 @dataclass
@@ -228,8 +226,7 @@ class LadderState(EngineState):
             self.head = coef.argmax(axis=1).tolist()
             if market.params.l_su > 1:
                 rest = coef.copy()
-                for l, q in enumerate(self.head):
-                    rest[l, q] = -np.inf
+                rest[range(l_pu), self.head] = -np.inf
                 self.runner_up = rest.argmax(axis=1).tolist()
         self.tie_orders = {}   # user -> full relay order, once a tie passes the runner-up
         self.floors = market.requirements.r_pu_req.tolist()

@@ -83,18 +83,25 @@ def compute_snrs(params, realization):
 # ---------------------------------------------------------------------------
 # partial knowledge
 
-def mean_relay_log_term(gamma_dir, gamma_first_hop, mean_forward_gain, params, rng):
-    """Average log2(1 + direct + relayed) over the unknown forward-hop fading.
+def mean_relay_log_terms(gamma_dir, gamma_first_hop, mean_forward_gain, formula, streams):
+    """Average log2(1 + direct + relayed) over the unknown forward-hop
+    fading of every pair, in one array pass over [l, q, PARTIAL_SAMPLES]:
+    [l, q] from gamma_dir [l], the first-hop SNRs [l, q] and the
+    forward-hop mean gains [l, q].
 
     The forward hop's squared gain is exponential with unit mean and known
-    average path gain. Stratified uniforms keep the estimator's error well
-    under a plain Monte Carlo draw at the same sample count.
+    average path gain. Each pair draws its stratified uniforms from its own
+    generator, streams in row-major pair order. Stratification keeps the
+    estimator's error well under a plain Monte Carlo draw at the same
+    sample count.
     """
     n = PARTIAL_SAMPLES
-    u = (np.arange(n) + rng.random(n)) / n
+    draws = np.stack([rng.random(n) for rng in streams]).reshape(*gamma_first_hop.shape, n)
+    u = (np.arange(n) + draws) / n
     h2 = -np.log1p(-u)
-    relayed = af_relay_snr(gamma_first_hop, mean_forward_gain * h2, params.af_formula)
-    return float(np.mean(log2_1p(gamma_dir + relayed)))
+    relayed = af_relay_snr(gamma_first_hop[..., None], mean_forward_gain[..., None] * h2,
+                           formula)
+    return np.mean(log2_1p(gamma_dir[:, None, None] + relayed), axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -152,7 +152,8 @@ def draw_channels(params, placement, rng):
     Squared gains are -ln(u) with u uniform on (0, 1], i.e. exponential
     with unit mean. Distances come from _distance, on [l, q] broadcasts for
     the cross links. Under partial knowledge the realization also gets the
-    per-pair expected log terms, each from its own spawned substream so the
+    per-pair expected log terms from radio.mean_relay_log_terms, one array
+    pass with one spawned substream per pair in row-major order, so each
     estimate is reproducible pair by pair.
     """
     l_pu, l_su = params.l_pu, params.l_su
@@ -178,16 +179,14 @@ def draw_channels(params, placement, rng):
     real.snr = radio.compute_snrs(params, real)
 
     if params.snr_knowledge == "partial":
-        streams = rng.spawn(l_pu * l_su)
         g_st = float(radio.db_to_linear(params.gamma_su_db))
-        mean_log = np.empty((l_pu, l_su))
-        for l in range(l_pu):
-            for q in range(l_su):
-                gain = g_st / real.d_st_pr[l, q] ** params.alpha
-                mean_log[l, q] = radio.mean_relay_log_term(
-                    real.snr.gamma_dir[l], real.snr.gamma_pt_st[l, q],
-                    gain, params, streams[l * l_su + q])
-        real.partial_mean_log = mean_log
+        # Python-float powers: numpy's array ** differs from them in the last
+        # bit on some pairs, and the recorded partial-knowledge digests rest
+        # on them
+        path_loss = (real.d_st_pr.astype(object) ** params.alpha).astype(float)
+        real.partial_mean_log = radio.mean_relay_log_terms(
+            real.snr.gamma_dir, real.snr.gamma_pt_st, g_st / path_loss,
+            params.af_formula, rng.spawn(l_pu * l_su))
     return real
 
 

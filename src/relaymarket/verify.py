@@ -27,6 +27,7 @@ threshold and confirmed exactly at the guess and the index before it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -283,22 +284,12 @@ def _check_enum_guard(params, grids):
 
 
 def _injective_maps(l_pu, l_su):
-    """Yield every assignment of licensed users to distinct relays or -1."""
-    def rec(l, used, acc):
-        if l == l_pu:
-            yield tuple(acc)
-            return
-        acc.append(-1)
-        yield from rec(l + 1, used, acc)
-        acc.pop()
-        for q in range(l_su):
-            if q not in used:
-                used.add(q)
-                acc.append(q)
-                yield from rec(l + 1, used, acc)
-                acc.pop()
-                used.remove(q)
-    yield from rec(0, set(), [])
+    """Every assignment of licensed users to distinct relays or -1, in
+    lexicographic order."""
+    for assign in itertools.product(range(-1, l_su), repeat=l_pu):
+        relays = [q for q in assign if q >= 0]
+        if len(set(relays)) == len(relays):
+            yield assign
 
 
 def _candidate_blocks(market):
@@ -395,33 +386,29 @@ def check_weak_pareto(outcome, realization, requirements, params):
     return True, None
 
 
-def _concession_budget(params, beta_floor):
-    """Price steps plus time steps down to beta_floor (array or scalar, at
-    least 0), the floor capped at the opening time share."""
-    beta_floor = np.minimum(beta_floor, params.beta_init)
-    return params.xi_init / params.delta + (params.beta_init - beta_floor) / params.epsilon
-
-
-def _time_floors(params, realization, requirements):
-    """Smallest time share each pair can still work at, [l, q]."""
+def _concession_budgets(params, realization, requirements):
+    """Per licensed user, price steps plus time steps down to the smallest
+    time share any of its pairs can still work at, capped at the opening
+    time share: [l]."""
     market = dda.market(params, realization, requirements)
-    return radio.beta_interval(market.rates, market.requirements)[0]
+    floors = radio.beta_interval(market.rates, market.requirements)[0].min(axis=1)
+    floors = np.minimum(floors, params.beta_init)
+    return params.xi_init / params.delta + (params.beta_init - floors) / params.epsilon
 
 
 def iteration_bound(params, realization, requirements=None):
     """Worst-case concession path length for a single licensed user.
 
     price_budget + time_budget, where the time budget stops at the
-    smallest time share any pair of this scenario can still work at.
+    smallest time share any pair of this scenario can still work at. The
+    budget falls as the floor rises, so that is the largest user budget.
     """
-    return float(_concession_budget(
-        params, _time_floors(params, realization, requirements).min()))
+    return float(_concession_budgets(params, realization, requirements).max())
 
 
 def per_pu_puu_bounds(params, realization, requirements=None):
     """Per licensed user ceiling on concession invocations (integer)."""
-    floors = _time_floors(params, realization, requirements).min(axis=1)
-    return np.ceil(_concession_budget(params, floors)).astype(int) + 1
+    return np.ceil(_concession_budgets(params, realization, requirements)).astype(int) + 1
 
 
 def packet_bound(params, realization, requirements=None):

@@ -191,6 +191,34 @@ def expected_relay_log_term(gamma_dir, gamma_first_hop, mean_forward_gain, formu
                for lo, hi in zip(cuts, cuts[1:]))
 
 
+def partial_mean_log_reference(realization, params, streams, samples):
+    """Per-pair expected log terms of a partial-knowledge draw, as plain
+    loops over the pairs: [l, q].
+
+    Pair (l, q) takes streams[l * l_su + q] and averages log2(1 + gamma_dir
+    + AF(gamma_pt_st, gain * h)) over `samples` stratified draws of h ~
+    Exp(1), where gain = g_st / d_st_pr ** alpha is taken with a scalar
+    power. The dB conversion and AF are restated; the SNRs are read off the
+    realization.
+    """
+    g_st = float(10.0 ** (np.asarray(params.gamma_su_db, dtype=float) / 10.0))
+    l_pu, l_su = realization.d_st_pr.shape
+    out = np.empty((l_pu, l_su))
+    for l in range(l_pu):
+        for q in range(l_su):
+            gain = g_st / realization.d_st_pr[l, q] ** params.alpha
+            rng = streams[l * l_su + q]
+            u = (np.arange(samples) + rng.random(samples)) / samples
+            g1, g2 = realization.snr.gamma_pt_st[l, q], gain * -np.log1p(-u)
+            if params.af_formula == "paper":
+                relayed = g1 * g2 / (g1 * g2 + 1.0)
+            else:
+                relayed = g1 * g2 / (g1 + g2 + 1.0)
+            x = realization.snr.gamma_dir[l] + relayed
+            out[l, q] = float(np.mean(np.log1p(x) / math.log(2.0)))
+    return out
+
+
 def discrete_pair_optimum(coef, su_coef, pu_floor, su_floor, c_cost, k_cost, grids):
     """Best licensed utility for one pair over every grid point.
 
@@ -235,6 +263,26 @@ def all_injective_matchings(l_pu, l_su):
             for targets in itertools.permutations(sus, k):
                 seen.append(dict(zip(chosen, targets)))
     return seen
+
+
+def injective_maps_reference(l_pu, l_su):
+    """Every assignment of licensed users to distinct relays or -1, by
+    recursion: per user -1 first, then the free relays in index order."""
+    def rec(l, used, acc):
+        if l == l_pu:
+            yield tuple(acc)
+            return
+        acc.append(-1)
+        yield from rec(l + 1, used, acc)
+        acc.pop()
+        for q in range(l_su):
+            if q not in used:
+                used.add(q)
+                acc.append(q)
+                yield from rec(l + 1, used, acc)
+                acc.pop()
+                used.remove(q)
+    yield from rec(0, set(), [])
 
 
 def assignment_reference(values, feasible):

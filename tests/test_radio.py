@@ -17,7 +17,7 @@ import pytest
 from relaymarket import baselines, radio, topology, verify
 
 from helpers import handmade_realization, single_pair_scenario
-from oracles import expected_relay_log_term
+from oracles import expected_relay_log_term, partial_mean_log_reference
 
 
 class TestRelaySnr:
@@ -151,35 +151,55 @@ class TestPairRates:
         assert abs(np.mean(gaps)) < 0.05
 
 
+def one_pair_mean_log(g_dir, g1, m, formula, rng):
+    """radio.mean_relay_log_terms on a 1x1 market."""
+    return radio.mean_relay_log_terms(np.array([g_dir]), np.array([[g1]]),
+                                      np.array([[m]]), formula, [rng])[0, 0]
+
+
 class TestExpectedRate:
     def test_zero_forward_gain_reduces_to_direct(self, default_params):
         rng = np.random.default_rng(0)
-        got = radio.mean_relay_log_term(2.5, 1.0, 0.0, default_params, rng)
+        got = one_pair_mean_log(2.5, 1.0, 0.0, default_params.af_formula, rng)
         assert got == pytest.approx(1.8073549220576042)
 
     def test_monotone_in_forward_gain(self, default_params):
-        vals = [radio.mean_relay_log_term(1.0, 2.0, g, default_params,
-                                          np.random.default_rng(1))
+        vals = [one_pair_mean_log(1.0, 2.0, g, default_params.af_formula,
+                                  np.random.default_rng(1))
                 for g in (0.0, 0.5, 2.0, 8.0)]
         assert vals == sorted(vals)
 
     def test_estimator_reproducible_and_tight(self, default_params):
-        a = radio.mean_relay_log_term(1.0, 3.0, 1.0, default_params,
-                                      np.random.default_rng(5))
-        b = radio.mean_relay_log_term(1.0, 3.0, 1.0, default_params,
-                                      np.random.default_rng(5))
+        a = one_pair_mean_log(1.0, 3.0, 1.0, default_params.af_formula,
+                              np.random.default_rng(5))
+        b = one_pair_mean_log(1.0, 3.0, 1.0, default_params.af_formula,
+                              np.random.default_rng(5))
         assert a == b
         # against quadrature of the same expectation under both formulas, on
         # a zero-gain pair and gains spanning 1e-3 to 1e3
         draw = np.random.default_rng(7)
         triples = [(0.5, 2.0, 0.0)] + (10.0 ** draw.uniform(-3.0, 3.0, (60, 3))).tolist()
         for formula in ("paper", "standard"):
-            params = replace(default_params, af_formula=formula)
             for i, (g_dir, g1, m) in enumerate(triples):
-                got = radio.mean_relay_log_term(g_dir, g1, m, params,
-                                                np.random.default_rng(i))
+                got = one_pair_mean_log(g_dir, g1, m, formula, np.random.default_rng(i))
                 want = expected_relay_log_term(g_dir, g1, m, formula)
                 assert got == pytest.approx(want, rel=5e-3), (formula, g_dir, g1, m)
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"af_formula": "standard", "l_pu": 3, "l_su": 4},
+        {"l_pu": 25, "l_su": 50},
+    ], ids=["2x6", "3x4-standard", "25x50"])
+    def test_partial_draw_matches_the_per_pair_estimator(self, overrides):
+        # bit for bit against the pair-by-pair loop, on the same spawned
+        # streams of each trial's channel generator
+        params = topology.params_from_dict({"snr_knowledge": "partial", **overrides})
+        for seed in range(10 if params.l_pu < 25 else 2):
+            real = topology.make_realization(params, seed)
+            chan_ss = np.random.SeedSequence(seed).spawn(2)[1]
+            streams = np.random.default_rng(chan_ss).spawn(params.l_pu * params.l_su)
+            want = partial_mean_log_reference(real, params, streams, radio.PARTIAL_SAMPLES)
+            assert np.array_equal(real.partial_mean_log, want), seed
 
 
 class TestRequirements:

@@ -14,7 +14,7 @@ from relaymarket.dda import MatchingOutcome
 from relaymarket.verify import GuardError
 
 from helpers import GOLDEN_MARKETS, handmade_realization, single_pair_scenario
-from oracles import (all_injective_matchings, grid_candidates,
+from oracles import (all_injective_matchings, grid_candidates, injective_maps_reference,
                      prefilter_reference, stability_reference)
 
 
@@ -392,10 +392,11 @@ class TestGoldenAudit:
 
 
 class TestEnumeration:
-    def test_candidate_matchings_cover_all_injective_maps(self):
-        got = sum(1 for _ in verify._injective_maps(2, 3))
-        want = len(all_injective_matchings(2, 3))
-        assert got == want == 13
+    @pytest.mark.parametrize("l_pu, l_su", [(l, q) for l in (1, 2, 3) for q in (1, 2, 3)])
+    def test_candidate_matchings_cover_all_injective_maps(self, l_pu, l_su):
+        got = list(verify._injective_maps(l_pu, l_su))
+        assert got == list(injective_maps_reference(l_pu, l_su))
+        assert len(got) == len(all_injective_matchings(l_pu, l_su))
 
     def test_negotiation_history_can_foreclose_full_grid_stability(self):
         # The engine audits clean against the terms still on the table, yet
