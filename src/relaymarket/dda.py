@@ -298,19 +298,25 @@ class ContractState(EngineState):
     acceptance over the grid contracts.
 
     A contract (q, xi, beta) is open to user l when it clears l's rate
-    floor, relay q would take it alone (relay rate floor met, nonnegative
-    relay utility) and it gives q strictly more than bar[l, q]. Bars start
-    at minus infinity, or at plus infinity off the user's partner when
-    partners are given. A refusal or a displacement raises the bar to the
-    relay's held utility. Per relay the user keeps only its best open
-    contract: best_u[l, q], its licensed utility (minus infinity when none
-    is open), and best_k[l, q], its xi-major grid index, ties to the higher
-    price, then the longer time. The next offer is the best over relays,
-    ties to the smaller index; a user with none open exits. Bars and held
-    utilities only rise, so a refusal recomputes that one relay and no
-    other entry changes, and a contract once closed stays closed. Each
-    offer closes its contract when refused or displaced, so cap, the count
-    of contracts open at the start, bounds the offers.
+    floor (radio.licensed_gain) and relay q would take it over bar[l, q]
+    (radio.relay_gain). Bars start at minus infinity, or at plus infinity
+    off the user's partner when partners are given. A refusal or a
+    displacement raises the bar to the relay's held utility. Per relay the
+    user keeps only its best open contract: best_u[l, q], its licensed
+    utility (minus infinity when none is open), and best_k[l, q], its
+    xi-major grid index, ties to the higher price, then the longer time.
+    The next offer is the best over relays, ties to the smaller index; a
+    user with none open exits.
+
+    At price i the open contracts run along the time grid from s(i), the
+    start of the relay's suffix (radio.relay_open_index), to the end of
+    the licensed floor's prefix, p. The licensed utility falls along the
+    grid, so the best at price i is (i, s(i)) when s(i) < p, and
+    _best_open takes the best over prices. Bars and held utilities only
+    rise, so a refusal recomputes that one relay, and a contract once
+    closed stays closed. Each offer closes its contract when refused or
+    displaced, so cap, the count of contracts open at the start (the sum
+    of max(0, p - s(i)) over pairs and prices), bounds the offers.
 
     Only the relay-side slopes enter the bars, and those are instantaneous
     in both knowledge modes. The outcome carries no concession steps, so
@@ -325,28 +331,33 @@ class ContractState(EngineState):
             self.bar[partners[:, None] != np.arange(l_su)] = np.inf
         self.best_u = np.full((l_pu, l_su), -np.inf)
         self.best_k = np.zeros((l_pu, l_su), dtype=int)
+        self.prefix = np.zeros((l_pu, l_su), dtype=int)   # p of every pair
         self.cap = 0
         for l in range(l_pu):
-            relays = np.flatnonzero(self.bar[l] < np.inf)   # a barred relay has none open
-            u_pu = self._open_utilities(l, relays)
-            self.cap += int(np.count_nonzero(u_pu > -np.inf))
-            self.best_k[l, relays] = u_pu.argmax(axis=1)
-            self.best_u[l, relays] = u_pu.max(axis=1)
+            q = np.flatnonzero(self.bar[l] < np.inf)[:, None]   # a barred relay has none open
+            # any utility beats minus infinity, so only the licensed floor counts
+            self.prefix[l, q] = radio.licensed_gain(
+                market.rates, market.requirements, l, q, -np.inf,
+                market.grids.beta_values, 0.0).sum(axis=1, keepdims=True)
+            s, p = self._best_open(l, q)
+            self.cap += int(np.maximum(p - s, 0).sum())
 
-    def _open_utilities(self, l, relays):
-        """User l's licensed utility of every grid contract with the relays
-        (an index array or a slice), minus infinity where closed:
-        [relays, xi-major grid]."""
+    def _best_open(self, l, q):
+        """Set best_u and best_k of user l with relay q, or with a column of
+        relays q [r, 1], from the bars; returns s [r, n_xi] and p."""
         rates, grids = self.market.rates, self.market.grids
-        beta, xi = grids.beta_values, grids.xi_values[:, None]
-        pu_rate = rates.pu_coef[l, relays, None, None] * beta
-        su_rate = rates.su_coef[l, relays, None, None] * (1.0 - beta)
-        u_su = su_rate - rates.k_cost * xi
-        open_ = ((pu_rate >= self.market.requirements.r_pu_req[l])
-                 & (su_rate >= self.market.requirements.r_su_req) & (u_su >= 0.0)
-                 & (u_su > self.bar[l, relays, None, None]))
-        return np.where(open_, pu_rate + rates.c_cost * xi, -np.inf).reshape(
-            -1, len(grids.xi_values) * len(beta))
+        xis, betas = grids.xi_values, grids.beta_values
+        s = np.atleast_2d(radio.relay_open_index(rates, self.market.requirements, l, q,
+                                                 self.bar[l, q], betas, xis))
+        p = self.prefix[l, q]
+        u_pu = np.where(s < p, rates.pu_coef[l, q] * betas.take(s, mode="clip")
+                        + rates.c_cost * xis, -np.inf)
+        i = u_pu.argmax(axis=1)
+        rows = np.arange(len(i))
+        q = np.ravel(q)
+        self.best_u[l, q] = u_pu[rows, i]
+        self.best_k[l, q] = i * len(betas) + s[rows, i]
+        return s, p
 
     def offer(self, l):
         q = int(self.best_u[l].argmax())
@@ -358,9 +369,7 @@ class ContractState(EngineState):
 
     def refused(self, l, q):
         self.bar[l, q] = self.accepted[q][3]
-        u_pu = self._open_utilities(l, slice(q, q + 1))[0]
-        k = self.best_k[l, q] = u_pu.argmax()
-        self.best_u[l, q] = u_pu[k]
+        self._best_open(l, q)
 
     def final_steps(self):
         return None, None

@@ -153,6 +153,54 @@ def make_pair_rates(params, realization):
     )
 
 
+def licensed_gain(rates, requirements, l, q, u_pu, beta, xi):
+    """The licensed half of a trade: at time share beta and price xi pair
+    (l, q) meets the licensed floor and gives more than u_pu. Broadcasts;
+    along the falling time grid it holds on a prefix of the indices."""
+    pu_rate = rates.pu_coef[l, q] * beta
+    return (pu_rate >= requirements.r_pu_req[l]) & (pu_rate + rates.c_cost * xi > u_pu)
+
+
+def relay_gain(rates, requirements, l, q, bar, beta, xi):
+    """The relay half of a trade: at time share beta and price xi pair
+    (l, q) meets the relay floor and leaves the relay a nonnegative utility
+    above bar. Broadcasts; slopes and money weights are at least 0 and
+    rounding is monotone, so along the falling time grid it holds on a
+    suffix of the indices."""
+    su_rate = rates.su_coef[l, q] * (1.0 - beta)
+    u_su = su_rate - rates.k_cost * xi
+    return (su_rate >= requirements.r_su_req) & (u_su >= 0.0) & (u_su > bar)
+
+
+def _relay_open_guess(rates, requirements, l, q, bar, betas, xi):
+    """relay_open_index up to rounding: the beta_interval hi rule with the
+    relay floor raised to what the bar and a zero utility ask. A wrong
+    guess (zero slope, exact tie) costs time only."""
+    floor = np.maximum(requirements.r_su_req, rates.k_cost * xi + np.maximum(bar, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (1.0 - betas).searchsorted(floor / rates.su_coef[l, q])
+
+
+def relay_open_index(rates, requirements, l, q, bar, betas, xi):
+    """Per row of l, q, bar and xi, broadcast together, the first index of
+    the falling time grid betas where relay_gain holds, len(betas) if none.
+
+    A guess j is exact iff relay_gain holds at j and not at j - 1; only the
+    rows that fail this check are recomputed over the whole grid.
+    """
+    n_beta = len(betas)
+    j = _relay_open_guess(rates, requirements, l, q, bar, betas, xi)
+    # j - 1 and j in one call; indices clipped into the grid at either end are masked
+    before, at = relay_gain(rates, requirements, l, q, bar,
+                            betas.take(np.add.outer((-1, 0), j), mode="clip"), xi)
+    miss = ((before & (j > 0)) | ~(at | (j == n_beta))).nonzero()
+    if len(miss[0]):
+        l, q, bar, xi = (np.broadcast_to(a, j.shape)[miss][:, None] for a in (l, q, bar, xi))
+        full = relay_gain(rates, requirements, l, q, bar, betas, xi)
+        j[miss] = np.where(full.any(axis=1), full.argmax(axis=1), n_beta)
+    return j
+
+
 def beta_interval(rates, requirements):
     """Feasible time shares of every pair: (lo, hi), both [l, q].
 

@@ -11,18 +11,16 @@ The blocking-pair rule lives in one array core, _blocking_pairs, over a
 leading axis of stacked outcomes: is_stable audits one outcome through
 it, and enumeration audits every grid candidate through it in blocks of
 AUDIT_BLOCK stacked m/g/b arrays (_candidate_blocks), which the
-weak-Pareto check reads too. The core first drops every pair that could
-not block even at each side's best price (_may_block), then searches the
-full grid of the rest a bounded number of cells at a time.
+weak-Pareto check reads too.
 
-The blocking rule is the conjunction of a licensed half and a relay half
-(_licensed_gain, _relay_gain). Every slope and money weight is at least
-0, so along the falling time grid the relay half holds on a suffix of the
-indices and the licensed half on a prefix, in floating point as in exact
-arithmetic (each operation rounds monotonically). The drop therefore
-reads one grid index per pair, never a [pairs x grid] array: the start
-of the relay's suffix, guessed by a sorted lookup on its closed-form
-threshold and confirmed exactly at the guess and the index before it.
+A pair blocks where radio.licensed_gain and radio.relay_gain (its bar
+the relay's held utility) both hold. At a fixed price that happens from
+the start of the relay's suffix of the falling time grid
+(radio.relay_open_index) to the end of the licensed prefix, so the core
+reads one time index per pair and price and never builds a pair's whole
+grid: first one per pair, at each side's best price, to drop pairs that
+cannot block (_may_block), then one per price for the survivors' first
+witnesses.
 """
 
 from __future__ import annotations
@@ -68,12 +66,9 @@ class StabilityReport:
         return "\n".join(lines)
 
 
-# Candidates per audited block and grid cells per witness-search chunk.
-# Both bound the audit's memory: a 3x3 market on 6-point grids can have
-# up to 303,589 candidates, and a 25x50 market on the default grids has
-# 500,000 (pair, xi, beta) cells.
+# Candidates per audited block. It bounds enumeration's memory: a 3x3
+# market on 6-point grids can have up to 303,589 candidates.
 AUDIT_BLOCK = 256
-AUDIT_CELLS = 1 << 12
 
 
 def _on_grid(values, grid_values, tol=1e-9):
@@ -98,62 +93,6 @@ def _utilities(rates, m, g, b):
     return u_pu, u_su
 
 
-def _licensed_gain(rates, requirements, l, q, u_pu, beta, xi):
-    """The licensed half of the blocking rule: at time share beta and price
-    xi pair (l, q) meets the licensed floor and beats u_pu. Broadcasts."""
-    pu_rate = rates.pu_coef[l, q] * beta
-    return (pu_rate >= requirements.r_pu_req[l]) & (pu_rate + rates.c_cost * xi > u_pu)
-
-
-def _relay_gain(rates, requirements, l, q, u_su, beta, xi):
-    """The relay half of the blocking rule: at time share beta and price xi
-    pair (l, q) meets the relay floor and beats u_su. Broadcasts."""
-    su_rate = rates.su_coef[l, q] * (1.0 - beta)
-    return (su_rate >= requirements.r_su_req) & (su_rate - rates.k_cost * xi > u_su)
-
-
-def _witness(rates, requirements, l, q, u_pu, u_su, beta, xi_pu, xi_su):
-    """The blocking rule: at time share beta pair (l, q) meets both rate
-    floors, the licensed user beats u_pu at price xi_pu and the relay
-    beats u_su at price xi_su. Broadcasts."""
-    return (_licensed_gain(rates, requirements, l, q, u_pu, beta, xi_pu)
-            & _relay_gain(rates, requirements, l, q, u_su, beta, xi_su))
-
-
-def _relay_open_guess(rates, requirements, l, q, u_su, betas, xi):
-    """First index of the falling time grid betas where pair (l, q)'s relay
-    half holds at price xi, len(betas) if none, up to rounding: the
-    radio.beta_interval hi rule with the relay floor raised to the utility
-    the relay holds. A wrong guess (zero slope, exact tie) costs time only."""
-    floor = np.maximum(requirements.r_su_req, u_su + rates.k_cost * xi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.searchsorted(1.0 - betas, floor / rates.su_coef[l, q])
-
-
-_BEFORE_AND_AT = np.array([[-1], [0]])
-
-
-def _relay_open_index(rates, requirements, l, q, u_su, betas, xi):
-    """Exact first index of the falling time grid betas where pair (l, q)'s
-    relay half holds at price xi, len(betas) if none.
-
-    The half holds on a suffix of the indices, so a guess j is exact iff
-    the half holds at j and not at j - 1: one stacked call checks both,
-    and only the rows it rejects are recomputed over the whole grid.
-    """
-    n_beta = len(betas)
-    j = _relay_open_guess(rates, requirements, l, q, u_su, betas, xi)
-    # rows j - 1 and j; indices clipped into the grid at either end are masked
-    half = _relay_gain(rates, requirements, l, q, u_su,
-                       betas.take(j + _BEFORE_AND_AT, mode="clip"), xi)
-    miss = ((half[0] & (j > 0)) | ~(half[1] | (j == n_beta))).nonzero()[0]
-    if len(miss):
-        k = miss[:, None]
-        full = _relay_gain(rates, requirements, l[k], q[k], u_su[k], betas, xi)
-        j[miss] = np.where(full.any(axis=1), full.argmax(axis=1), n_beta)
-    return j
-
-
 def _may_block(market, l, q, u_pu, u_su, xi_lo, beta_lo):
     """Indices of the pairs (l, q) [k] that may block, given the utilities
     held and each envelope's first steps xi_lo, beta_lo [k].
@@ -161,19 +100,17 @@ def _may_block(market, l, q, u_pu, u_su, xi_lo, beta_lo):
     The licensed utility rises with the price and the relay's falls
     (c_cost, k_cost >= 0), so a pair can block only at a time share where
     each side gains at the price it likes best: the top of the licensed
-    user's envelope for one, the bottom of the grid for the other. With
-    the relay half on a suffix of the time grid and the licensed half on
-    a prefix, that happens at or past beta_lo iff the licensed half holds
-    at j* = max(start of the relay's suffix, beta_lo).
+    user's envelope for one, the bottom of the grid for the other. That
+    happens at or past beta_lo iff the licensed half holds at
+    j* = max(start of the relay's suffix, beta_lo).
     """
     rates, requirements = market.rates, market.requirements
     xis, betas = market.grids.xi_values, market.grids.beta_values
-    n_beta = len(betas)
-    j_star = np.maximum(_relay_open_index(rates, requirements, l, q, u_su,
-                                          betas, xis[-1]), beta_lo)
-    licensed = _licensed_gain(rates, requirements, l, q, u_pu,
-                              betas.take(j_star, mode="clip"), xis[xi_lo])
-    return ((j_star < n_beta) & licensed).nonzero()[0]
+    j_star = np.maximum(radio.relay_open_index(rates, requirements, l, q, u_su,
+                                               betas, xis[-1]), beta_lo)
+    licensed = radio.licensed_gain(rates, requirements, l, q, u_pu,
+                                   betas.take(j_star, mode="clip"), xis[xi_lo])
+    return ((j_star < len(betas)) & licensed).nonzero()[0]
 
 
 def _blocking_pairs(market, u_pu, u_su, open_pairs, xi_lo, beta_lo):
@@ -184,6 +121,11 @@ def _blocking_pairs(market, u_pu, u_su, open_pairs, xi_lo, beta_lo):
     [n, l] are each licensed user's first grid steps still on the table.
     Returns index arrays (n, l, q, i, j) in (n, l, q) order: the pair's
     first witness in xi-major grid order is (xi_values[i], beta_values[j]).
+
+    The first witness is at the first i >= xi_lo where the licensed half
+    holds at j = max(start of the relay's suffix at price i, beta_lo). The
+    relay half's zero-utility test changes no verdict here, since every
+    open pair's relay holds at least 0.
     """
     rates, requirements = market.rates, market.requirements
     xis, betas = market.grids.xi_values, market.grids.beta_values
@@ -193,22 +135,18 @@ def _blocking_pairs(market, u_pu, u_su, open_pairs, xi_lo, beta_lo):
     u_pu, u_su = u_pu[nn, ll], u_su[nn, qq]
     xi_lo, beta_lo = xi_lo[nn, ll], beta_lo[nn, ll]
 
-    cand = _may_block(market, ll, qq, u_pu, u_su, xi_lo, beta_lo)
-
-    per_chunk = max(1, AUDIT_CELLS // (n_xi * n_beta))
-    found, first = [cand[:0]], [cand[:0]]
-    for start in range(0, len(cand), per_chunk):
-        k = cand[start:start + per_chunk]
-        hit = (_witness(rates, requirements, ll[k, None, None], qq[k, None, None],
-                        u_pu[k, None, None], u_su[k, None, None],
-                        betas, xis[:, None], xis[:, None])
-               & (np.arange(n_xi)[:, None] >= xi_lo[k, None, None])
-               & (np.arange(n_beta) >= beta_lo[k, None, None])).reshape(len(k), -1)
-        blocks = hit.any(axis=1)
-        found.append(k[blocks])
-        first.append(hit[blocks].argmax(axis=1))
-    k, first = np.concatenate(found), np.concatenate(first)
-    return nn[k], ll[k], qq[k], first // n_beta, first % n_beta
+    k = _may_block(market, ll, qq, u_pu, u_su, xi_lo, beta_lo)
+    if not len(k):
+        return nn[k], ll[k], qq[k], k, k
+    l, q = ll[k, None], qq[k, None]
+    j = np.maximum(radio.relay_open_index(rates, requirements, l, q, u_su[k, None],
+                                          betas, xis), beta_lo[k, None])
+    hit = ((j < n_beta) & (np.arange(n_xi) >= xi_lo[k, None])
+           & radio.licensed_gain(rates, requirements, l, q, u_pu[k, None],
+                                 betas.take(j, mode="clip"), xis))
+    blocks = hit.any(axis=1)
+    k, i = k[blocks], hit[blocks].argmax(axis=1)
+    return nn[k], ll[k], qq[k], i, j[blocks, i]
 
 
 def is_stable(outcome, realization, requirements, params):

@@ -385,6 +385,33 @@ def contract_deferred_acceptance(rates, requirements, grids):
     return {l: (q, xi, beta) for q, (l, xi, beta, _) in held.items()}
 
 
+def open_contract_utilities(market, bar, l):
+    """User l's licensed utility of every grid contract with each relay,
+    minus infinity where closed, as one full-grid broadcast: [relays,
+    xi-major grid]. A contract is open when it clears l's rate floor and
+    the relay's, leaves the relay a nonnegative utility and gives it more
+    than bar[l, q]."""
+    rates, requirements, grids = market.rates, market.requirements, market.grids
+    beta, xi = grids.beta_values, grids.xi_values[:, None]
+    pu_rate = rates.pu_coef[l, :, None, None] * beta
+    su_rate = rates.su_coef[l, :, None, None] * (1.0 - beta)
+    u_su = su_rate - rates.k_cost * xi
+    open_ = ((pu_rate >= requirements.r_pu_req[l])
+             & (su_rate >= requirements.r_su_req) & (u_su >= 0.0)
+             & (u_su > bar[l, :, None, None]))
+    return np.where(open_, pu_rate + rates.c_cost * xi, -np.inf).reshape(
+        len(bar[l]), -1)
+
+
+def best_contracts_reference(market, bar, l):
+    """User l's best open contract with each relay under the bars, from
+    the full-grid broadcast: (best_u [q], best_k [q], count open). best_k
+    is the xi-major grid index, ties to the first (the higher price, then
+    the longer time); it means nothing where best_u is minus infinity."""
+    u_pu = open_contract_utilities(market, bar, l)
+    return u_pu.max(axis=1), u_pu.argmax(axis=1), int(np.count_nonzero(u_pu > -np.inf))
+
+
 def ladder_reference(rates, requirements, grids):
     """The ladder rule as first written: before every offer the licensed
     user ranks its relays afresh with brute_pulist at its current terms.

@@ -17,14 +17,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from relaymarket import baselines, dda, radio, topology, verify
+from relaymarket import baselines, cli, dda, radio, topology, verify
 from relaymarket.errors import EngineError
 
 from conftest import assert_outcome_well_formed
 from helpers import (GOLDEN_MARKETS, engine_fingerprint, handmade_realization,
                      single_pair_scenario)
-from oracles import (concession_reference, contract_deferred_acceptance,
-                     ladder_reference)
+from oracles import (best_contracts_reference, concession_reference,
+                     contract_deferred_acceptance, ladder_reference)
 
 
 class TestGrids:
@@ -619,6 +619,46 @@ class TestContractRule:
             assert (dda.init_state(market, partners).cap
                     == self._open_at_start(market, partners))
 
+    @staticmethod
+    def _assert_best_contracts(state, l):
+        """User l's best_u, and best_k wherever a contract is open, equal
+        the full-grid reference under the state's bars; returns the count
+        of contracts open to l."""
+        best_u, best_k, count = best_contracts_reference(state.market, state.bar, l)
+        assert np.array_equal(state.best_u[l], best_u)
+        open_ = best_u > -np.inf
+        assert np.array_equal(state.best_k[l, open_], best_k[open_])
+        return count
+
+    @pytest.mark.parametrize("with_partners", [False, True])
+    def test_best_contracts_equal_the_full_grid_reference(self, contest, with_partners):
+        """On the golden contract markets and the contest market, whose
+        exact slopes tie licensed utilities across prices, best_u, best_k
+        and cap equal the full-grid broadcast after init, and the refused
+        or displaced user's best_u and best_k equal it again after every
+        refusal."""
+        markets = [dda.market(*contest)]
+        for overrides, seeds in TestGoldenContracts.MARKETS:
+            params = topology.params_from_dict({**overrides, "negotiation": "contracts"})
+            markets += [dda.market(params, topology.make_realization(params, seed))
+                        for seed in range(seeds)]
+        refusals = 0
+        for seed, market in enumerate(markets):
+            l_pu, l_su = market.params.l_pu, market.params.l_su
+            partners = (np.random.default_rng(seed).integers(-1, l_su, l_pu)
+                        if with_partners else None)
+            state = dda.init_state(market, partners)
+            assert state.cap == sum(self._assert_best_contracts(state, l)
+                                    for l in range(l_pu))
+            while state.queue:
+                before = list(state.puu_counts)
+                dda.step(state)
+                for l, (was, now) in enumerate(zip(before, state.puu_counts)):
+                    if now != was:
+                        self._assert_best_contracts(state, l)
+                        refusals += 1
+        assert refusals > 100
+
     def test_one_run_keeps_no_per_contract_array(self):
         """The tracemalloc peak of one 100x200 contract run stays under
         8 MB. Sorted lists of every admissible contract peak near 144 MB."""
@@ -633,6 +673,35 @@ class TestContractRule:
             tracemalloc.stop()
         assert outcome.m.any()
         assert peak < 8e6
+
+    @pytest.mark.parametrize("knowledge", ["complete", "partial"])
+    @pytest.mark.parametrize("af_formula", ["paper", "standard"])
+    @pytest.mark.parametrize("l_pu, l_su", [(2, 2), (3, 2), (2, 3)])
+    def test_proposer_optimal_among_stable_outcomes(self, l_pu, l_su, af_formula, knowledge):
+        """On enumerable markets (the oracle grid) no stable outcome gives
+        any licensed user, matched or not, more than the contract rule's
+        outcome, and every stable outcome matches the same licensed users
+        (Roth & Sotomayor 1990: the proposing side's optimal stable
+        matching, and the rural hospitals theorem)."""
+        params = topology.params_from_dict({
+            **cli.ORACLE_SCENARIO, "l_pu": l_pu, "l_su": l_su, "af_formula": af_formula,
+            "snr_knowledge": knowledge, "negotiation": "contracts"})
+        def licensed_utilities(outcome, rates):
+            return np.where(outcome.m != 0, rates.pu_coef * outcome.b
+                            + rates.c_cost * outcome.g, 0.0).sum(axis=1)
+
+        for seed in range(15):
+            real = topology.make_realization(params, seed)
+            req = radio.requirements_for(params, real.snr)
+            rates = radio.make_pair_rates(params, real)
+            outcome, _ = dda.run(params, real, req)
+            mine = licensed_utilities(outcome, rates)
+            matched = outcome.m.any(axis=1)
+            stable = verify.enumerate_stable_matchings(real, req, params)
+            assert stable
+            for alt in stable:
+                assert np.all(licensed_utilities(alt, rates) <= mine)
+                assert np.array_equal(alt.m.any(axis=1), matched)
 
     @pytest.mark.parametrize("scenario", [
         {"l_pu": 2, "l_su": 2, "xi_init": 1.0, "beta_init": 1.0,

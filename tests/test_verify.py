@@ -13,7 +13,9 @@ from relaymarket import baselines, cli, dda, radio, topology, verify
 from relaymarket.dda import MatchingOutcome
 from relaymarket.verify import GuardError
 
-from helpers import GOLDEN_MARKETS, handmade_realization, single_pair_scenario
+import test_dda
+from helpers import (GOLDEN_MARKETS, engine_fingerprint, handmade_realization,
+                     single_pair_scenario)
 from oracles import (all_injective_matchings, grid_candidates, injective_maps_reference,
                      prefilter_reference, stability_reference)
 
@@ -208,12 +210,30 @@ class TestStabilityAudit:
         assert seen["calls"] > 400
         assert 0 < seen["kept"] < seen["pairs"]
 
+    @staticmethod
+    def contract_runs():
+        """Fingerprints of the contract runs of every other market of
+        test_dda.TestGoldenContracts (three seeds each, negotiate and rmbn),
+        with the cap of each run's opening state."""
+        runs = []
+        for overrides, seeds in test_dda.TestGoldenContracts.MARKETS[::2]:
+            params = topology.params_from_dict({**overrides, "negotiation": "contracts"})
+            for seed in range(min(seeds, 3)):
+                market = dda.market(params, topology.make_realization(params, seed))
+                rng = np.random.default_rng(seed)
+                partners = rng.integers(-1, params.l_su, params.l_pu)
+                for use in (None, partners):
+                    runs.append((engine_fingerprint(*dda.negotiate(market, use)),
+                                 dda.init_state(market, use).cap))
+                runs.append(engine_fingerprint(*baselines.rmbn(market, rng)))
+        return runs
+
     @pytest.mark.parametrize("guess", ["first", "past-last", "random"])
     def test_a_wrong_guess_costs_time_never_a_verdict(self, monkeypatch, guess):
         """With the threshold guess replaced by the first index, one past
         the last or a random index, the exact fallback rebuilds every
-        relay suffix: the prefilter, the reports and the stable sets stay
-        the same."""
+        relay suffix: the prefilter, the reports, the stable sets and the
+        contract rule's runs and caps stay the same."""
         corpus = list(audit_corpus(seeds=1))
         markets = list(tiny_markets())[::4]
 
@@ -222,18 +242,19 @@ class TestStabilityAudit:
                      for params, real, req, outcome in corpus],
                     [list(map(outcome_fingerprint,
                               verify.enumerate_stable_matchings(real, req, params)))
-                     for params, real, req in markets])
+                     for params, real, req in markets],
+                    self.contract_runs())
 
         want = audit()
         rng = np.random.default_rng(5)
 
-        def wrong(rates, requirements, l, q, u_su, betas, xi):
-            n_beta = len(betas)
-            return {"first": np.zeros(len(l), dtype=int),
-                    "past-last": np.full(len(l), n_beta),
-                    "random": rng.integers(0, n_beta + 1, len(l))}[guess]
+        def wrong(rates, requirements, l, q, bar, betas, xi):
+            n_beta, shape = len(betas), np.broadcast(l, q, bar, xi).shape
+            return {"first": np.zeros(shape, dtype=int),
+                    "past-last": np.full(shape, n_beta),
+                    "random": rng.integers(0, n_beta + 1, shape)}[guess]
 
-        monkeypatch.setattr(verify, "_relay_open_guess", wrong)
+        monkeypatch.setattr(radio, "_relay_open_guess", wrong)
         self.check_every_prefilter(monkeypatch)
         got = audit()
         assert got == want
