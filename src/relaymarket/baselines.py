@@ -2,9 +2,9 @@
 
 The centralized solver decomposes into per-pair term optimization plus an
 exact assignment over pairs, at any market size; it solves on the
-market's complete-knowledge rates_real. The random baseline (rmbn)
-matches sides uniformly at random and runs the scenario's own
-negotiation rule on those pairs alone, which isolates the value of
+market's rates, which bench hands it under complete knowledge. The random
+baseline (rmbn) matches sides uniformly at random and runs the scenario's
+own negotiation rule on those pairs alone, which isolates the value of
 market-wide matching from the value of negotiation itself.
 """
 
@@ -111,8 +111,7 @@ def centralized_pu_optimal(market):
     The best assignment over injective partial matchings, each pair at its
     optimal continuous terms.
     """
-    feasible, xi, beta, u_pu = pair_optimum_continuous(market.rates_real,
-                                                       market.requirements)
+    feasible, xi, beta, u_pu = pair_optimum_continuous(market.rates, market.requirements)
     pairs = _max_assignment(np.where(feasible, u_pu, 0.0), feasible)
     return _outcome_from(market, pairs, xi, beta)
 
@@ -124,7 +123,7 @@ def centralized_su_rate(market):
     smallest beta clearing the licensed floor with a zero price (any
     feasible price would do; zero leaves the relay best off).
     """
-    rates = market.rates_real
+    rates = market.rates
     lo, hi = radio.beta_interval(rates, market.requirements)
     feasible = lo <= hi
     beta = np.where(feasible, lo, 0.0)

@@ -3,9 +3,12 @@
 Each trial owns a seed derived from (master seed, trial index), so any
 subset of trials can be reproduced in isolation and the aggregate never
 depends on execution order. All requested algorithms see the identical
-channel realization within a trial, held in one dda.Market. Reported
-rates and utilities are always computed from the realized channels (its
-rates_real), whatever knowledge model the negotiation itself ran under.
+channel realization within a trial. The scoring rule lives here alone:
+each trial builds the complete-knowledge dda.Market, on which the
+centralized baselines solve and every algorithm's outcome is scored,
+whatever knowledge model its negotiation ran under. Tags that negotiate
+under partial knowledge get a copy of that market with the partial
+rates.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import baselines, dda, topology
+from . import baselines, dda, radio, topology
 
 ALGO_TAGS = ("dda-complete", "dda-partial", "centralized", "centralized-su", "rmbn")
 
@@ -69,8 +72,9 @@ def _se(values) -> float:
 
 
 def _realized_sums(outcome, rates):
-    """Sums over the matched pairs, in row-major order, of PairRates.u_pu,
-    rate_pu and rate_su, spelled out on floats read with ndarray.item."""
+    """Sums over the matched pairs, in row-major order, of the licensed
+    utility and rate and the relay rate of radio.licensed_gain and
+    relay_gain, spelled out on floats read with ndarray.item."""
     u = r_pu = r_su = 0.0
     pairs = outcome.matched_pairs()
     for l, q in pairs:
@@ -90,6 +94,8 @@ def run_trials(params, algos, n_trials):
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
+    if not algos:
+        raise ValueError(f"no algorithm tag given; valid: {ALGO_TAGS}")
     unknown = [a for a in algos if a not in ALGO_TAGS]
     if unknown:
         raise ValueError(f"unknown algorithm tags {unknown}; valid: {ALGO_TAGS}")
@@ -99,19 +105,22 @@ def run_trials(params, algos, n_trials):
     # tags negotiating under partial knowledge (rmbn follows the scenario); the
     # rate estimates are drawn only when one of them is requested
     partial = {"dda-partial"} | ({"rmbn"} if params.snr_knowledge == "partial" else set())
-    build_params = replace(
-        params, snr_knowledge="partial" if partial & set(algos) else "complete")
+    wants_partial = bool(partial & set(algos))
     complete_params = replace(params, snr_knowledge="complete")
+    partial_params = replace(params, snr_knowledge="partial")
+    draw_params = partial_params if wants_partial else complete_params
 
     per_algo = {a: [] for a in algos}
     for i in range(n_trials):
         ss = np.random.SeedSequence([params.seed, i])
-        realization = topology.make_realization(build_params, ss)
+        realization = topology.make_realization(draw_params, ss)
         rmbn_ss, = ss.spawn(1)   # the third child, after placement and channels
-        built = dda.market(build_params, realization)
-        complete = replace(built, params=complete_params, rates=built.rates_real)
+        complete = dda.market(complete_params, realization)
+        if wants_partial:
+            negotiated = replace(complete, params=partial_params,
+                                 rates=radio.make_pair_rates(partial_params, realization))
         for algo in algos:
-            market = built if algo in partial else complete
+            market = negotiated if algo in partial else complete
             packets = iterations = 0
             if algo in ("dda-complete", "dda-partial"):
                 outcome, trace = dda.negotiate(market)
@@ -124,7 +133,7 @@ def run_trials(params, algos, n_trials):
                 outcome, trace = baselines.rmbn(market, np.random.default_rng(rmbn_ss))
                 packets, iterations = trace.packets, trace.offers
             per_algo[algo].append(
-                (*_realized_sums(outcome, market.rates_real), packets, iterations))
+                (*_realized_sums(outcome, complete.rates), packets, iterations))
 
     capacity = min(params.l_pu, params.l_su)
     out = {}

@@ -28,7 +28,7 @@ import itertools
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,12 +73,13 @@ def concession_grids(params):
 
 @dataclass(frozen=True)
 class Market:
-    """One channel draw's market, built by market()."""
+    """One channel draw's market under one knowledge model, built by
+    market(): its rates are those of params.snr_knowledge. Scoring on the
+    realized channels is bench's rule, which builds a complete-knowledge
+    market for it."""
     params: object
     requirements: radio.Requirements
-    rates: radio.PairRates        # negotiated with, under params.snr_knowledge
-    rates_real: radio.PairRates   # complete knowledge, to score outcomes with;
-                                  # the rates object itself when knowledge is complete
+    rates: radio.PairRates
     grids: Grids
 
 
@@ -86,11 +87,8 @@ def market(params, realization, requirements=None):
     """The market of one realization; floors default to radio.requirements_for."""
     if requirements is None:
         requirements = radio.requirements_for(params, realization.snr)
-    rates = rates_real = radio.make_pair_rates(params, realization)
-    if params.snr_knowledge != "complete":
-        rates_real = radio.make_pair_rates(
-            replace(params, snr_knowledge="complete"), realization)
-    return Market(params, requirements, rates, rates_real, concession_grids(params))
+    return Market(params, requirements, radio.make_pair_rates(params, realization),
+                  concession_grids(params))
 
 
 @dataclass
@@ -245,7 +243,7 @@ class LadderState(EngineState):
         exact utility; those ties are walked and the smallest index taken.
         The walk reads the runner-up first and the rest of the order, sorted
         then, only when the runner-up ties too. Rates and utilities are
-        PairRates.rate_pu and u_pu, spelled out on floats.
+        those of radio.licensed_gain, spelled out on floats.
         """
         grids, coef = self.market.grids, self.market.rates.pu_coef
         xi = grids.xi_terms[self.m_xi[l]]
@@ -401,7 +399,7 @@ def step(state):
     state.offers += 1
     state.events.append(("offer", l, q, xi, beta, state.offers))
 
-    # PairRates.rate_su and u_su, spelled out on floats
+    # radio.relay_gain with the held utility as the bar, spelled out on floats
     rates = state.market.rates
     rate_su = rates.su_coef.item(l, q) * (1.0 - beta)
     u_su = rate_su - rates.k_cost * xi

@@ -121,18 +121,6 @@ class PairRates:
     c_cost: float   # money slope of the licensed utility
     k_cost: float   # money slope of the relay utility
 
-    def rate_pu(self, l, q, beta):
-        return self.pu_coef[l, q] * beta
-
-    def rate_su(self, l, q, beta):
-        return self.su_coef[l, q] * (1.0 - beta)
-
-    def u_pu(self, l, q, beta, xi):
-        return self.pu_coef[l, q] * beta + self.c_cost * xi
-
-    def u_su(self, l, q, beta, xi):
-        return self.su_coef[l, q] * (1.0 - beta) - self.k_cost * xi
-
 
 def make_pair_rates(params, realization):
     """Rate and utility slopes of every pair under params.snr_knowledge."""

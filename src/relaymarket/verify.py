@@ -75,15 +75,6 @@ def _on_grid(values, grid_values, tol=1e-9):
     return np.abs(grid_values - values[:, None]).min(axis=1) <= tol
 
 
-def _acceptable(rates, requirements, l, q, xi, beta):
-    """Whether terms (xi, beta) of pair (l, q) meet the licensed rate floor,
-    the relay rate floor and the relay's zero utility; broadcasts."""
-    su_rate = rates.su_coef[l, q] * (1.0 - beta)
-    return (rates.pu_coef[l, q] * beta >= requirements.r_pu_req[l],
-            su_rate >= requirements.r_su_req,
-            su_rate - rates.k_cost * xi >= 0.0)
-
-
 def _utilities(rates, m, g, b):
     """Utilities held under outcomes m/g/b [..., l, q], stacked or not:
     licensed [..., l] and relay [..., q], zero for anyone unmatched."""
@@ -183,7 +174,12 @@ def is_stable(outcome, realization, requirements, params):
                 f"time-slot allocation {outcome.b[l, q]!r} for pair ({l},{q}) "
                 "is off the concession grid")
 
-    pu_ok, su_rate_ok, su_util_ok = _acceptable(rates, requirements, ls, qs, xi, beta)
+    # the licensed floor is licensed_gain against minus infinity; the relay
+    # keeps relay_gain's floor and zero-utility tests apart, one reason each
+    pu_ok = radio.licensed_gain(rates, requirements, ls, qs, -np.inf, beta, xi)
+    su_rate = rates.su_coef[ls, qs] * (1.0 - beta)
+    su_rate_ok = su_rate >= requirements.r_su_req
+    su_util_ok = su_rate - rates.k_cost * xi >= 0.0
     blocked = []
     open_pairs = outcome.m != 1
     for l, q, pu_fine, rate_fine, util_fine in zip(ls, qs, pu_ok, su_rate_ok, su_util_ok):
@@ -240,12 +236,12 @@ def _candidate_blocks(market):
     then falling price. Only individually acceptable terms are used, so
     no candidate has a blocked individual.
     """
-    rates, grids = market.rates, market.grids
+    rates, requirements, grids = market.rates, market.requirements, market.grids
     l_pu, l_su = rates.pu_coef.shape
     ls, qs = np.indices((l_pu, l_su))[..., None, None]
-    pu_ok, su_rate_ok, su_util_ok = _acceptable(
-        rates, market.requirements, ls, qs, grids.xi_values, grids.beta_values[:, None])
-    ok = pu_ok & su_rate_ok & su_util_ok
+    betas, xis = grids.beta_values[:, None], grids.xi_values
+    ok = (radio.licensed_gain(rates, requirements, ls, qs, -np.inf, betas, xis)
+          & radio.relay_gain(rates, requirements, ls, qs, -np.inf, betas, xis))
     terms = {}
     for l, q in np.ndindex(l_pu, l_su):
         j, i = np.nonzero(ok[l, q])
@@ -296,10 +292,13 @@ def enumerate_stable_matchings(realization, requirements, params):
 
 
 def pu_utilities(outcome, rates):
-    """Per licensed user utility under an outcome, zero when unmatched."""
+    """Per licensed user utility under an outcome, zero when unmatched: the
+    licensed utility of radio.licensed_gain, spelled out on floats read
+    with ndarray.item."""
     out = np.zeros(outcome.m.shape[0])
     for l, q in outcome.matched_pairs():
-        out[l] = rates.u_pu(l, q, outcome.b[l, q], outcome.g[l, q])
+        out[l] = (rates.pu_coef.item(l, q) * outcome.b.item(l, q)
+                  + rates.c_cost * outcome.g.item(l, q))
     return out
 
 

@@ -122,9 +122,9 @@ def grid_candidates(rates, requirements, grids):
                 (xi, beta)
                 for beta in grids.beta_values.tolist()
                 for xi in grids.xi_values.tolist()
-                if rates.rate_pu(l, q, beta) >= requirements.r_pu_req[l]
-                and rates.rate_su(l, q, beta) >= requirements.r_su_req
-                and rates.u_su(l, q, beta, xi) >= 0.0]
+                if rates.pu_coef[l, q] * beta >= requirements.r_pu_req[l]
+                and rates.su_coef[l, q] * (1.0 - beta) >= requirements.r_su_req
+                and rates.su_coef[l, q] * (1.0 - beta) - rates.k_cost * xi >= 0.0]
     found = []
     for assign in itertools.product(range(-1, l_su), repeat=l_pu):
         relays = [q for q in assign if q >= 0]
@@ -246,8 +246,8 @@ def brute_pulist(l, xi, beta, rates, requirements):
     """Relay ranking for licensed pair l, rebuilt the long way."""
     scored = []
     for q in range(rates.pu_coef.shape[1]):
-        if rates.rate_pu(l, q, beta) >= requirements.r_pu_req[l]:
-            scored.append((rates.u_pu(l, q, beta, xi), q))
+        if rates.pu_coef[l, q] * beta >= requirements.r_pu_req[l]:
+            scored.append((rates.pu_coef[l, q] * beta + rates.c_cost * xi, q))
     scored.sort(key=lambda t: (-t[0], t[1]))
     return [q for _, q in scored]
 
@@ -360,9 +360,9 @@ def contract_deferred_acceptance(rates, requirements, grids):
         for q in range(l_su):
             for i, xi in enumerate(grids.xi_values):
                 for j, beta in enumerate(grids.beta_values):
-                    if rates.rate_pu(l, q, beta) >= requirements.r_pu_req[l]:
-                        mine.append((-rates.u_pu(l, q, beta, xi), q, i, j,
-                                     float(xi), float(beta)))
+                    if rates.pu_coef[l, q] * beta >= requirements.r_pu_req[l]:
+                        u = rates.pu_coef[l, q] * beta + rates.c_cost * xi
+                        mine.append((-u, q, i, j, float(xi), float(beta)))
         mine.sort()
         ranked.append([(q, xi, beta) for _, q, _, _, xi, beta in mine])
     next_pick = [0] * l_pu
@@ -374,8 +374,9 @@ def contract_deferred_acceptance(rates, requirements, grids):
             continue
         q, xi, beta = ranked[l][next_pick[l]]
         next_pick[l] += 1
-        u = rates.u_su(l, q, beta, xi)
-        acceptable = rates.rate_su(l, q, beta) >= requirements.r_su_req and u >= 0.0
+        rate = rates.su_coef[l, q] * (1.0 - beta)
+        u = rate - rates.k_cost * xi
+        acceptable = rate >= requirements.r_su_req and u >= 0.0
         if acceptable and (q not in held or u > held[q][3]):
             if q in held:
                 queue.append(held[q][0])
@@ -454,9 +455,14 @@ def ladder_reference(rates, requirements, grids):
         q = ranked[0]
         offers += 1
         events.append(("offer", l, q, xi, beta, offers))
-        u = rates.u_su(l, q, beta, xi)
-        better = q not in held or u > rates.u_su(held[q][0], q, held[q][2], held[q][1])
-        if rates.rate_su(l, q, beta) >= requirements.r_su_req and u >= 0.0 and better:
+        rate = rates.su_coef[l, q] * (1.0 - beta)
+        u = rate - rates.k_cost * xi
+        if q in held:
+            hl, hxi, hbeta = held[q]
+            better = u > rates.su_coef[hl, q] * (1.0 - hbeta) - rates.k_cost * hxi
+        else:
+            better = True
+        if rate >= requirements.r_su_req and u >= 0.0 and better:
             loser = held[q][0] if q in held else None
             held[q] = (l, xi, beta)
             events.append(("accept", l, q, xi, beta, offers))
@@ -492,11 +498,11 @@ def haggle_reference(rates, requirements, grids, pairs):
         while True:
             xi = float(grids.xi_values[m_xi])
             beta = float(grids.beta_values[m_beta]) if m_beta < n_beta else 0.0
-            if rates.rate_pu(l, q, beta) < requirements.r_pu_req[l]:
+            if rates.pu_coef[l, q] * beta < requirements.r_pu_req[l]:
                 break
             offers += 1
-            if (rates.rate_su(l, q, beta) >= requirements.r_su_req
-                    and rates.u_su(l, q, beta, xi) >= 0.0):
+            rate = rates.su_coef[l, q] * (1.0 - beta)
+            if rate >= requirements.r_su_req and rate - rates.k_cost * xi >= 0.0:
                 matched[l] = (q, xi, beta)
                 break
             m_xi, m_beta = concession_reference(

@@ -294,7 +294,7 @@ def test_11_analytic_pair_optimizer_matches_lattice_search():
                 assert got is not None, f"LP found pair ({l},{q}) infeasible"
                 assert u_pu[l, q] >= got[0] - 1e-9, "LP beat the analytic optimum"
                 worst = max(worst, abs(u_pu[l, q] - got[0]))
-                relay_slack = rates.u_su(l, q, beta[l, q], xi[l, q])
+                relay_slack = rates.su_coef[l, q] * (1.0 - beta[l, q]) - rates.k_cost * xi[l, q]
                 if not (xi[l, q] == 1.0 or abs(relay_slack) <= 1e-9):
                     boundary_bad += 1
                 checked += 1

@@ -42,7 +42,7 @@ def alone(market, l, q):
         assert out.m.sum() == 0
         return None
     xi, beta = out.g[l, q], out.b[l, q]
-    return xi, beta, market.rates.u_pu(l, q, beta, xi)
+    return xi, beta, market.rates.pu_coef[l, q] * beta + market.rates.c_cost * xi
 
 
 def drawn_pairs(l_pu, l_su, rng):
@@ -78,7 +78,7 @@ class TestPairOptimumContinuous:
             real, rates, req = rates_and_req(default_params, seed)
             feasible, xi, beta, _ = baselines.pair_optimum_continuous(rates, req)
             for l, q in zip(*np.nonzero(feasible)):
-                u_su = rates.u_su(l, q, beta[l, q], xi[l, q])
+                u_su = rates.su_coef[l, q] * (1.0 - beta[l, q]) - rates.k_cost * xi[l, q]
                 assert xi[l, q] == pytest.approx(1.0, abs=1e-9) \
                     or abs(u_su) <= 1e-9
 
@@ -160,13 +160,13 @@ class TestPairOptimumDiscrete:
                     best = -math.inf
                     for beta in grids.beta_values:
                         for xi in grids.xi_values:
-                            if rates.rate_pu(l, q, beta) < req.r_pu_req[l]:
+                            if rates.pu_coef[l, q] * beta < req.r_pu_req[l]:
                                 continue
-                            if rates.rate_su(l, q, beta) < req.r_su_req:
+                            if rates.su_coef[l, q] * (1.0 - beta) < req.r_su_req:
                                 continue
-                            if rates.u_su(l, q, beta, xi) < 0.0:
+                            if rates.su_coef[l, q] * (1.0 - beta) - rates.k_cost * xi < 0.0:
                                 continue
-                            best = max(best, rates.u_pu(l, q, beta, xi))
+                            best = max(best, rates.pu_coef[l, q] * beta + rates.c_cost * xi)
                     if got is None:
                         assert best == -math.inf
                     else:
@@ -205,7 +205,7 @@ class TestPairOptimumDiscrete:
 
 
 def total_pu_utility(rates, outcome):
-    return sum(rates.u_pu(l, q, outcome.b[l, q], outcome.g[l, q])
+    return sum(rates.pu_coef[l, q] * outcome.b[l, q] + rates.c_cost * outcome.g[l, q]
                for l, q in outcome.matched_pairs())
 
 
@@ -229,16 +229,16 @@ class TestCentralizedAssignment:
         for seed in range(10):
             real, rates, req = rates_and_req(default_params, seed)
             out = baselines.centralized_su_rate(dda.market(default_params, real, req))
-            got = sum(rates.rate_su(l, q, out.b[l, q]) for l, q in out.matched_pairs())
+            got = sum(rates.su_coef[l, q] * (1.0 - out.b[l, q]) for l, q in out.matched_pairs())
             best = 0.0
             for matching in all_injective_matchings(default_params.l_pu,
                                                     default_params.l_su):
                 total = 0.0
                 for l, q in matching.items():
                     beta = req.r_pu_req[l] / rates.pu_coef[l, q]
-                    if beta > 1.0 or rates.rate_su(l, q, beta) < req.r_su_req:
+                    if beta > 1.0 or rates.su_coef[l, q] * (1.0 - beta) < req.r_su_req:
                         break
-                    total += rates.rate_su(l, q, beta)
+                    total += rates.su_coef[l, q] * (1.0 - beta)
                 else:
                     best = max(best, total)
             assert got == pytest.approx(best)
@@ -312,14 +312,13 @@ def assignment_vector(outcome):
 
 def pu_values(market):
     """The licensed-utility assignment problem: (values, feasible)."""
-    feasible, _, _, u_pu = baselines.pair_optimum_continuous(market.rates_real,
-                                                             market.requirements)
+    feasible, _, _, u_pu = baselines.pair_optimum_continuous(market.rates, market.requirements)
     return np.where(feasible, u_pu, 0.0), feasible
 
 
 def su_values(market):
     """The relay-rate assignment problem, each pair at its least time."""
-    rates = market.rates_real
+    rates = market.rates
     lo, hi = radio.beta_interval(rates, market.requirements)
     feasible = lo <= hi
     return rates.su_coef * (1.0 - np.where(feasible, lo, 0.0)), feasible
@@ -336,16 +335,16 @@ class TestCentralizedRelayRate:
         assert out.m.sum() > 0
         for l, q in out.matched_pairs():
             assert out.g[l, q] == 0.0
-            assert rates.rate_pu(l, q, out.b[l, q]) == pytest.approx(req.r_pu_req[l])
+            assert rates.pu_coef[l, q] * out.b[l, q] == pytest.approx(req.r_pu_req[l])
 
     def test_dominates_negotiated_relay_sum(self, default_params):
         for seed in range(15):
             real, rates, req = rates_and_req(default_params, seed)
             negotiated, _ = dda.run(default_params, real, req)
             central = baselines.centralized_su_rate(dda.market(default_params, real, req))
-            s_c = sum(rates.rate_su(l, q, central.b[l, q])
+            s_c = sum(rates.su_coef[l, q] * (1.0 - central.b[l, q])
                       for l, q in central.matched_pairs())
-            s_n = sum(rates.rate_su(l, q, negotiated.b[l, q])
+            s_n = sum(rates.su_coef[l, q] * (1.0 - negotiated.b[l, q])
                       for l, q in negotiated.matched_pairs())
             assert s_c >= s_n - 1e-9
 
@@ -414,10 +413,11 @@ class TestRandomBaseline:
             r_pu_req=[0.3], r_su_req=0.2, c_bar=1e15, negotiation="contracts")
         market = dda.market(params, real)
         out, trace = baselines.rmbn(market, np.random.default_rng(0))
-        top = market.rates.u_pu(0, 0, out.b[0, 0], out.g[0, 0])
+        rates = market.rates
+        top = rates.pu_coef[0, 0] * out.b[0, 0] + rates.c_cost * out.g[0, 0]
         shorter = [beta for beta in market.grids.beta_values
-                   if beta < out.b[0, 0] and market.rates.rate_pu(0, 0, beta) >= 0.3
-                   and market.rates.u_pu(0, 0, beta, out.g[0, 0]) == top]
+                   if beta < out.b[0, 0] and rates.pu_coef[0, 0] * beta >= 0.3
+                   and rates.pu_coef[0, 0] * beta + rates.c_cost * out.g[0, 0] == top]
         assert shorter
         assert out.g[0, 0] == pytest.approx(0.99)
         assert out.b[0, 0] == pytest.approx(0.49)
@@ -481,8 +481,6 @@ class TestRandomBaseline:
             rates = market.rates
             out_r, _ = baselines.rmbn(market, rng)
             out_c = baselines.centralized_pu_optimal(market)
-            u_random.append(sum(rates.u_pu(l, q, out_r.b[l, q], out_r.g[l, q])
-                                for l, q in out_r.matched_pairs()))
-            u_central.append(sum(rates.u_pu(l, q, out_c.b[l, q], out_c.g[l, q])
-                                 for l, q in out_c.matched_pairs()))
+            u_random.append(total_pu_utility(rates, out_r))
+            u_central.append(total_pu_utility(rates, out_c))
         assert np.mean(u_random) <= np.mean(u_central)

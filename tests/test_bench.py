@@ -47,12 +47,31 @@ class TestOrderStatistics:
         assert agg.packet_cdf(-1.0) == 0.0
 
 
+def plain_sums(outcome, rates):
+    """Licensed utility, licensed rate and relay rate summed from 0.0 over
+    the matched pairs in matched_pairs order, the algebra restated."""
+    u = r_pu = r_su = 0.0
+    for l, q in outcome.matched_pairs():
+        beta, xi = outcome.b[l, q], outcome.g[l, q]
+        u += rates.pu_coef[l, q] * beta + rates.c_cost * xi
+        r_pu += rates.pu_coef[l, q] * beta
+        r_su += rates.su_coef[l, q] * (1.0 - beta)
+    return [float(u).hex(), float(r_pu).hex(), float(r_su).hex()]
+
+
+def mean_sums(agg):
+    return [agg.mean_sum_utility_pu.hex(), agg.mean_sum_rate_pu.hex(),
+            agg.mean_sum_rate_su.hex()]
+
+
 class TestRunTrials:
     def test_rejects_unknown_algo_and_empty_run(self, small_params):
         with pytest.raises(ValueError, match="unknown algorithm"):
             bench.run_trials(small_params, ["dda-complete", "greedy"], 4)
         with pytest.raises(ValueError, match="at least 1"):
             bench.run_trials(small_params, ["dda-complete"], 0)
+        with pytest.raises(ValueError, match="no algorithm tag"):
+            bench.run_trials(small_params, [], 4)
 
     def test_same_master_seed_reproduces_every_field(self, small_params):
         algos = ["dda-complete", "rmbn", "centralized"]
@@ -79,8 +98,8 @@ class TestRunTrials:
             stream = np.random.SeedSequence([params.seed, i]).spawn(3)[2]
             outcome, trace = baselines.rmbn(market, np.random.default_rng(stream))
             pairs = outcome.matched_pairs()
-            util.append(sum(market.rates_real.u_pu(l, q, outcome.b[l, q], outcome.g[l, q])
-                            for l, q in pairs))
+            util.append(sum(market.rates.pu_coef[l, q] * outcome.b[l, q]
+                            + market.rates.c_cost * outcome.g[l, q] for l, q in pairs))
             packets.append(trace.packets)
             matched += len(pairs)
         assert got.packets.tolist() == packets
@@ -91,31 +110,43 @@ class TestRunTrials:
         ((2, 6), 12, ("dda-complete", "centralized", "rmbn")),
         ((100, 200), 1, ("dda-complete", "rmbn"))])
     def test_sums_equal_a_plain_pair_loop(self, shape, seeds, algos):
-        # a one-trial mean is the trial's sum itself; the reference sums
-        # PairRates' own methods from 0.0 in matched_pairs order
+        # a one-trial mean is the trial's sum itself, scored on the
+        # complete-knowledge market's slopes
         for seed in range(seeds):
             params = topology.params_from_dict(
                 {"l_pu": shape[0], "l_su": shape[1], "seed": seed})
             got = bench.run_trials(params, algos, 1)
             ss = np.random.SeedSequence([seed, 0])
             market = dda.market(params, topology.make_realization(params, ss))
-            rates = market.rates_real
             outcomes = {"dda-complete": dda.negotiate(market)[0],
                         "rmbn": baselines.rmbn(
                             market, np.random.default_rng(ss.spawn(1)[0]))[0]}
             if "centralized" in algos:
                 outcomes["centralized"] = baselines.centralized_pu_optimal(market)
             for algo, outcome in outcomes.items():
-                u = r_pu = r_su = 0.0
-                for l, q in outcome.matched_pairs():
-                    beta, xi = outcome.b[l, q], outcome.g[l, q]
-                    u += rates.u_pu(l, q, beta, xi)
-                    r_pu += rates.rate_pu(l, q, beta)
-                    r_su += rates.rate_su(l, q, beta)
-                agg = got[algo]
-                assert [agg.mean_sum_utility_pu.hex(), agg.mean_sum_rate_pu.hex(),
-                        agg.mean_sum_rate_su.hex()] == [
-                            float(u).hex(), float(r_pu).hex(), float(r_su).hex()]
+                assert mean_sums(got[algo]) == plain_sums(outcome, market.rates)
+
+    def test_partial_tags_score_on_complete_knowledge_slopes(self):
+        # dda-partial and rmbn negotiate on the partial rates, the
+        # centralized optimum solves on the complete ones, and all three
+        # are scored on the complete ones
+        scored_apart = 0
+        for seed in range(12):
+            params = topology.params_from_dict({"snr_knowledge": "partial", "seed": seed})
+            got = bench.run_trials(params, ["dda-partial", "rmbn", "centralized"], 1)
+            ss = np.random.SeedSequence([seed, 0])
+            real = topology.make_realization(params, ss)
+            partial = dda.market(params, real)
+            complete = dda.market(replace(params, snr_knowledge="complete"), real)
+            outcomes = {"dda-partial": dda.negotiate(partial)[0],
+                        "rmbn": baselines.rmbn(
+                            partial, np.random.default_rng(ss.spawn(1)[0]))[0],
+                        "centralized": baselines.centralized_pu_optimal(complete)}
+            for algo, outcome in outcomes.items():
+                assert mean_sums(got[algo]) == plain_sums(outcome, complete.rates)
+            scored_apart += (plain_sums(outcomes["dda-partial"], partial.rates)
+                             != plain_sums(outcomes["dda-partial"], complete.rates))
+        assert scored_apart
 
     def test_matched_pairs_are_int_tuples_in_row_major_order(self):
         outcome = dda.MatchingOutcome.from_terms(

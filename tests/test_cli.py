@@ -63,6 +63,14 @@ class TestRunCommand:
         assert code == 1
         assert "at least 1" in err
 
+    @pytest.mark.parametrize("command", [
+        ["run"], ["sweep", "--axis", "epsilon", "--values", "0.4"]])
+    def test_empty_algo_list_exits_one(self, command, capsys):
+        code, out, err = run_cli([*command, "--seed", "1", "--trials", "2", "--algo", ""],
+                                 capsys)
+        assert code == 1
+        assert "no algorithm tag" in err and out == ""
+
 
 @pytest.mark.parametrize("command", [
     ["run"], ["sweep", "--axis", "epsilon", "--values", "0.4"], ["verify"], ["oracle"]])

@@ -54,15 +54,14 @@ class TestGrids:
 
 
 class TestMarket:
-    def test_partial_market_scores_on_complete_knowledge_rates(self):
+    def test_partial_market_differs_only_in_licensed_slopes(self):
+        # scoring on complete-knowledge rates is bench's rule, tested there
         params = topology.params_from_dict({"snr_knowledge": "partial"})
         real = topology.make_realization(params, 5)
         partial = dda.market(params, real)
         full = dda.market(replace(params, snr_knowledge="complete"), real)
-        assert full.rates is full.rates_real
         assert np.array_equal(partial.rates.pu_coef, 0.5 * real.partial_mean_log)
         assert np.array_equal(partial.rates.su_coef, full.rates.su_coef)
-        assert np.array_equal(partial.rates_real.pu_coef, full.rates.pu_coef)
         assert np.array_equal(partial.requirements.r_pu_req, full.requirements.r_pu_req)
         assert np.array_equal(partial.grids.beta_values, full.grids.beta_values)
 
@@ -376,7 +375,8 @@ class TestLadderRule:
             gamma_sr=[[3.0], [3.0]])
         rates = radio.make_pair_rates(params, real)
         assert rates.pu_coef.tolist() == [[1.0, 2.0]]
-        assert rates.u_pu(0, 0, 0.99, 0.99) == rates.u_pu(0, 1, 0.99, 0.99)
+        money = rates.c_cost * 0.99
+        assert rates.pu_coef[0, 0] * 0.99 + money == rates.pu_coef[0, 1] * 0.99 + money
         req = radio.requirements_for(params, real.snr)
         _, trace = dda.run(params, real, req)
         assert trace.events[0][:3] == ("offer", 0, relay)
@@ -420,7 +420,7 @@ class TestLadderRule:
         rates = radio.make_pair_rates(params, real)
         coef = rates.pu_coef[0]
         assert coef[3] > coef[2] > coef[1] > coef[0] > coef[4]
-        assert len({rates.u_pu(0, q, 1e-17, 0.99) for q in range(5)}) == 1
+        assert len({rates.pu_coef[0, q] * 1e-17 + rates.c_cost * 0.99 for q in range(5)}) == 1
         assert coef[4] * 1e-17 < 1e-18 < coef[0] * 1e-17
         req = radio.requirements_for(params, real.snr)
         _, trace = dda.run(params, real, req)
@@ -750,9 +750,9 @@ def test_default_scenario_invariants(default_params):
         assert_outcome_well_formed(outcome, default_params.l_pu, default_params.l_su)
         for l, q in outcome.matched_pairs():
             beta, xi = outcome.b[l, q], outcome.g[l, q]
-            assert rates.rate_pu(l, q, beta) >= req.r_pu_req[l] - 1e-12
-            assert rates.rate_su(l, q, beta) >= req.r_su_req - 1e-12
-            assert rates.u_su(l, q, beta, xi) >= -1e-12
+            assert rates.pu_coef[l, q] * beta >= req.r_pu_req[l] - 1e-12
+            assert rates.su_coef[l, q] * (1.0 - beta) >= req.r_su_req - 1e-12
+            assert rates.su_coef[l, q] * (1.0 - beta) - rates.k_cost * xi >= -1e-12
             assert np.min(np.abs(grids.xi_values - xi)) < 1e-9
             assert np.min(np.abs(grids.beta_values - beta)) < 1e-9
 

@@ -159,11 +159,12 @@ class TestRelaySideList:
                 kind, l, q, xi, beta, _ = state.events[seen]
                 if kind == "prune":
                     continue
-                u = rates.u_su(l, q, beta, xi)
-                takes = rates.rate_su(l, q, beta) >= req.r_su_req and u >= 0.0
+                rate = rates.su_coef[l, q] * (1.0 - beta)
+                u = rate - rates.k_cost * xi
+                takes = rate >= req.r_su_req and u >= 0.0
                 if takes and held[q] is not None:
                     hl, hxi, hbeta, _ = held[q]
-                    takes = u > rates.u_su(hl, q, hbeta, hxi)
+                    takes = u > rates.su_coef[hl, q] * (1.0 - hbeta) - rates.k_cost * hxi
                 assert state.events[seen + 1][0] == ("accept" if takes else "reject")
 
 
@@ -203,10 +204,12 @@ class TestChallengeRule:
         req = radio.requirements_for(params, real.snr)
         state = dda.init_state(dda.market(params, real, req))
         rates = state.market.rates
-        state.accepted[0] = (0, 0.5, 0.8, rates.u_su(0, 0, 0.8, 0.5))
+        su_rate = rates.su_coef[:, 0] * (1.0 - 0.8)
+        held = (0, 0.5, 0.8, su_rate[0] - rates.k_cost * 0.5)
+        state.accepted[0] = held
         state.queue = deque([1])
         state.m_xi[1], state.m_beta[1] = 4, 1
-        assert rates.u_su(1, 0, 0.8, 0.0) > rates.u_su(0, 0, 0.8, 0.5)
+        assert su_rate[1] - rates.k_cost * 0.0 > held[3]
         dda.step(state)
         assert [e[:2] for e in state.events[:2]] == [("offer", 1), ("reject", 1)]
-        assert state.accepted[0] == (0, 0.5, 0.8, rates.u_su(0, 0, 0.8, 0.5))
+        assert state.accepted[0] == held

@@ -126,9 +126,9 @@ class TestEngineInvariants:
         rates = radio.make_pair_rates(params, realization)
         for l, q in outcome.matched_pairs():
             beta, xi = outcome.b[l, q], outcome.g[l, q]
-            assert rates.rate_pu(l, q, beta) >= requirements.r_pu_req[l] - 1e-12
-            assert rates.rate_su(l, q, beta) >= requirements.r_su_req - 1e-12
-            assert rates.u_su(l, q, beta, xi) >= -1e-12
+            assert rates.pu_coef[l, q] * beta >= requirements.r_pu_req[l] - 1e-12
+            assert rates.su_coef[l, q] * (1.0 - beta) >= requirements.r_su_req - 1e-12
+            assert rates.su_coef[l, q] * (1.0 - beta) - rates.k_cost * xi >= -1e-12
             assert any(math.isclose(xi, v, abs_tol=1e-12) for v in grids.xi_values)
 
         assert trace.packets == 2 * trace.offers

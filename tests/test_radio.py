@@ -61,7 +61,7 @@ class TestRatesOnHandmadeChannels:
         rates = radio.make_pair_rates(params, real)
         # half of beta*T at log2(1 + 1 + 10/11)
         expected = 0.5 * 0.8 * 1.5405683813627027
-        assert rates.rate_pu(0, 0, 0.8) == pytest.approx(expected)
+        assert rates.pu_coef[0, 0] * 0.8 == pytest.approx(expected)
 
     def test_licensed_rate_standard_form(self):
         params, real = single_pair_scenario(
@@ -69,19 +69,22 @@ class TestRatesOnHandmadeChannels:
             r_pu_req=[0.3], r_su_req=0.2, af_formula="standard")
         expected = 0.5 * 0.8 * 1.7004397181410922
         rates = radio.make_pair_rates(params, real)
-        assert rates.rate_pu(0, 0, 0.8) == pytest.approx(expected)
+        assert rates.pu_coef[0, 0] * 0.8 == pytest.approx(expected)
 
     def test_relay_pair_rate(self, pair):
         params, real = pair
         # (1 - beta) T log2(1 + 3) with T = 1
         rates = radio.make_pair_rates(params, real)
-        assert rates.rate_su(0, 0, 0.25) == pytest.approx(1.5)
+        assert rates.su_coef[0, 0] * (1 - 0.25) == pytest.approx(1.5)
 
     def test_utilities_are_rate_plus_money(self, pair):
         params, real = pair
         rates = radio.make_pair_rates(params, real)
-        assert rates.u_pu(0, 0, 0.8, 0.3) == pytest.approx(0.4 * 1.5405683813627027 + 0.3)
-        assert rates.u_su(0, 0, 0.25, 0.3) == pytest.approx(1.5 - 0.3)
+        # at beta = 0.8 and 0.25, price 0.3, unit money slopes
+        u_pu = rates.pu_coef[0, 0] * 0.8 + rates.c_cost * 0.3
+        u_su = rates.su_coef[0, 0] * (1 - 0.25) - rates.k_cost * 0.3
+        assert u_pu == pytest.approx(0.4 * 1.5405683813627027 + 0.3)
+        assert u_su == pytest.approx(1.5 - 0.3)
 
     def test_direct_rate(self):
         # the default licensed floor is T log2(1 + 1)
@@ -96,8 +99,9 @@ class TestRatesOnHandmadeChannels:
             r_pu_req=[0.3], r_su_req=0.2, c_bar=2.0, k_bar=3.0, capital_c=4.0)
         rates = radio.make_pair_rates(params, real)
         # money slopes c_bar * C = 8 and k_bar * C = 12, at price 0.25
-        assert rates.u_pu(0, 0, 0.5, 0.25) == pytest.approx(0.25 * 1.5405683813627027 + 2.0)
-        assert rates.u_su(0, 0, 0.5, 0.25) == pytest.approx(1.0 - 3.0)
+        assert rates.pu_coef[0, 0] * 0.5 + rates.c_cost * 0.25 == pytest.approx(
+            0.25 * 1.5405683813627027 + 2.0)
+        assert rates.su_coef[0, 0] * 0.5 - rates.k_cost * 0.25 == pytest.approx(1.0 - 3.0)
 
 
 class TestPairRates:
@@ -109,9 +113,9 @@ class TestPairRates:
         for l in range(default_params.l_pu):
             for q in range(default_params.l_su):
                 for beta in (0.2, 0.7, 0.99):
-                    assert rates.rate_pu(l, q, beta) == pytest.approx(
+                    assert rates.pu_coef[l, q] * beta == pytest.approx(
                         0.5 * beta * np.log2(1 + snr.gamma_dir[l] + snr.gamma_relay[l, q]))
-                    assert rates.rate_su(l, q, beta) == pytest.approx(
+                    assert rates.su_coef[l, q] * (1.0 - beta) == pytest.approx(
                         (1 - beta) * np.log2(1 + snr.gamma_sr[q, l]))
 
     def test_relay_slopes_read_gamma_sr_as_relay_by_band(self):
@@ -262,8 +266,8 @@ class TestThresholds:
         assert lo.shape == hi.shape == (default_params.l_pu, default_params.l_su)
         for l in range(default_params.l_pu):
             for q in range(default_params.l_su):
-                assert rates.rate_pu(l, q, lo[l, q]) == pytest.approx(req.r_pu_req[l])
-                assert rates.rate_su(l, q, hi[l, q]) == pytest.approx(req.r_su_req)
+                assert rates.pu_coef[l, q] * lo[l, q] == pytest.approx(req.r_pu_req[l])
+                assert rates.su_coef[l, q] * (1.0 - hi[l, q]) == pytest.approx(req.r_su_req)
         p = default_params
         floors = np.clip(lo.min(axis=1), 0.0, p.beta_init)
         want = [math.ceil(p.xi_init / p.delta + (p.beta_init - f) / p.epsilon) + 1

@@ -152,7 +152,7 @@ def plain_pu_utilities(m, g, b, rates):
     for l in range(m.shape[0]):
         for q in range(m.shape[1]):
             if m[l, q] == 1:
-                u[l] = rates.u_pu(l, q, b[l, q], g[l, q])
+                u[l] = rates.pu_coef[l, q] * b[l, q] + rates.c_cost * g[l, q]
     return u
 
 
@@ -299,8 +299,8 @@ class TestStabilityAudit:
         assert report.blocking_pairs
         l, q, (xi, beta) = report.blocking_pairs[0]
         rates = radio.make_pair_rates(params, real)
-        assert rates.u_pu(l, q, beta, xi) > 0.0
-        assert rates.u_su(l, q, beta, xi) > 0.0
+        assert rates.pu_coef[l, q] * beta + rates.c_cost * xi > 0.0
+        assert rates.su_coef[l, q] * (1.0 - beta) - rates.k_cost * xi > 0.0
 
     def test_off_grid_terms_rejected(self):
         params, real, req = two_by_two()
@@ -549,6 +549,30 @@ class TestWeakPareto:
                     assert np.array_equal(witness.g, want[1])
                     assert np.array_equal(witness.b, want[2])
         assert fails > 5
+
+    @pytest.mark.parametrize("knowledge", ["complete", "partial"])
+    @pytest.mark.parametrize("formula", ["paper", "standard"])
+    def test_float_and_array_utilities_agree_bit_for_bit(self, formula, knowledge):
+        # the check compares pu_utilities' float loop against _utilities'
+        # arrays with a strict >, so the two spellings must be one value
+        params = topology.params_from_dict(
+            {**cli.ORACLE_SCENARIO, "af_formula": formula, "snr_knowledge": knowledge})
+        checked = 0
+        for seed in range(15):
+            real = topology.make_realization(params, seed)
+            req = radio.requirements_for(params, real.snr)
+            market = dda.market(params, real, req)
+            outcomes = [dda.negotiate(market)[0],
+                        dda.negotiate(replace(market, params=replace(
+                            params, negotiation="contracts")))[0],
+                        baselines.rmbn(market, np.random.default_rng(seed))[0],
+                        *verify.enumerate_stable_matchings(real, req, params)]
+            for outcome in outcomes:
+                want = verify._utilities(market.rates, outcome.m, outcome.g, outcome.b)[0]
+                got = verify.pu_utilities(outcome, market.rates)
+                assert [u.hex() for u in got.tolist()] == [u.hex() for u in want.tolist()]
+                checked += outcome.m.any()
+        assert checked > 100
 
     def test_empty_matching_passes_vacuously(self):
         params, real, req = two_by_two()
