@@ -131,14 +131,14 @@ def centralized_su_rate(market):
     return _outcome_from(market, pairs, np.zeros_like(beta), beta)
 
 
-def rmbn(market, rng):
+def rmbn(market, rng, events=True):
     """Random matching with basic negotiation.
 
     The smaller side is matched uniformly at random onto the larger (the
     excess sits out), then each licensed user runs the scenario's
-    negotiation rule (dda.negotiate) with its drawn relay alone, so no
-    offer ever meets a rival one. The outcome carries no concession steps,
-    so stability audits it on the full grid.
+    negotiation rule (dda.negotiate, which events is passed to) with its
+    drawn relay alone, so no offer ever meets a rival one. The outcome
+    carries no concession steps, so stability audits it on the full grid.
     """
     if np.any(market.requirements.r_pu_req <= 0.0):
         raise ValueError("bilateral negotiation needs positive licensed rate floors")
@@ -148,5 +148,5 @@ def rmbn(market, rng):
     else:
         partners = np.full(l_pu, -1)
         partners[rng.permutation(l_pu)[:l_su]] = np.arange(l_su)
-    outcome, trace = negotiate(market, partners)
+    outcome, trace = negotiate(market, partners, events)
     return replace(outcome, final_xi_steps=None, final_beta_steps=None), trace

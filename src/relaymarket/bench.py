@@ -123,14 +123,15 @@ def run_trials(params, algos, n_trials):
             market = negotiated if algo in partial else complete
             packets = iterations = 0
             if algo in ("dda-complete", "dda-partial"):
-                outcome, trace = dda.negotiate(market)
+                outcome, trace = dda.negotiate(market, events=False)
                 packets, iterations = trace.packets, trace.offers
             elif algo == "centralized":
                 outcome = baselines.centralized_pu_optimal(market)
             elif algo == "centralized-su":
                 outcome = baselines.centralized_su_rate(market)
             else:
-                outcome, trace = baselines.rmbn(market, np.random.default_rng(rmbn_ss))
+                outcome, trace = baselines.rmbn(market, np.random.default_rng(rmbn_ss),
+                                                events=False)
                 packets, iterations = trace.packets, trace.offers
             per_algo[algo].append(
                 (*_realized_sums(outcome, complete.rates), packets, iterations))

@@ -4,22 +4,25 @@ Licensed users wait in a queue. The head user offers terms (xi, beta) to
 one relay, which holds the best offer it has seen; a refused or
 displaced user requeues at the tail, a user with no offer left leaves,
 and the run ends when the queue drains. The relay side is written once,
-in step. The scenario's `negotiation` key picks the licensed side, in
-init_state alone: LadderState, the default, concedes one grid step per
-refusal; ContractState ("contracts") offers its best open grid contract.
-Both read one Market (floors, rates and grids of a channel draw), built
-by market().
+in step(state, n), the one offer loop: it runs up to n iterations with
+the working state in locals. The scenario's `negotiation` key picks the
+licensed side, in init_state alone: LadderState, the default, concedes
+one grid step per refusal; ContractState ("contracts") offers its best
+open grid contract. Both read one Market (floors, rates and grids of a
+channel draw), built by market().
 
 Terms are read from the grids' float sequences, so grid membership is
 exact. The offer loop works on plain Python ints and floats: slopes are
-read one at a time with ndarray.item, and a Python float does the same
-IEEE-754 double arithmetic as a numpy scalar, only without the boxing,
-so runs replay bit for bit.
+read one at a time with ndarray.item or kept as floats, and a Python
+float does the same IEEE-754 double arithmetic as a numpy scalar, only
+without the boxing, so runs replay bit for bit.
 
 negotiate stops the loop with an EngineError past the rule's offer bound
 (state.cap) rather than trusting the theory to end it. Either rule can
 also run on a fixed partner per licensed user (negotiate's partners, -1
-sitting out), which is how the random baseline negotiates.
+sitting out), which is how the random baseline negotiates. negotiate's
+events flag turns event capture off for callers that only read the
+outcome and the counts; the run is the same either way.
 """
 
 from __future__ import annotations
@@ -128,10 +131,15 @@ class MatchingOutcome:
 @dataclass
 class EngineTrace:
     """Per-run instrumentation. Events are (kind, l, q, xi, beta, iteration)
-    with kind one of offer/accept/reject/displace/puu/prune."""
+    with kind one of offer/accept/reject/displace/puu/prune, and empty when
+    the run did not capture them. offers, accepts, displacements and
+    prunes count those kinds either way."""
     events: list
     offers: int
     puu_counts: np.ndarray
+    accepts: int
+    displacements: int
+    prunes: int
 
     @property
     def packets(self):
@@ -158,7 +166,8 @@ def concession_step(m_xi, m_beta, coef, rate_floor, c_cost, grids):
     if coef * beta_cut <= rate_floor:
         return m_xi + 1, m_beta
     xi = grids.xi_terms
-    u_price_cut = coef * grids.beta_at(m_beta) + c_cost * xi[m_xi + 1]
+    # m_beta is at most one past the grid, where beta_terms holds its 0.0
+    u_price_cut = coef * grids.beta_terms[m_beta] + c_cost * xi[m_xi + 1]
     u_time_cut = coef * beta_cut + c_cost * xi[m_xi]
     if u_price_cut < u_time_cut:
         return m_xi, m_beta + 1
@@ -170,11 +179,14 @@ class EngineState:
 
     The relay side lives here: the queue of licensed users still bidding
     (every one, or those with a partner, in index order), each relay's held
-    offer, the refusals and displacements each user absorbed, the offer
-    count and the events. A subclass is one rule's licensed side:
-    offer(l) gives user l's next (relay, xi, beta), relay -1 when it exits;
-    refused(l, q) tells it relay q refused or displaced it; final_steps()
-    gives the outcome's concession steps; cap bounds the offers.
+    offer, the refusals and displacements each user absorbed, the offer,
+    accept, displacement and prune counts, and the events (None when they
+    are not captured). A subclass is one rule's licensed side: offer(l)
+    gives user l's next (relay, xi, beta), relay -1 when it exits;
+    refused(l, q) tells it relay q refused or displaced it and returns the
+    (xi, beta) it concedes to, None under a rule that does not concede
+    step by step; final_steps() gives the outcome's concession steps; cap
+    bounds the offers.
     """
 
     def __init__(self, market, partners):
@@ -184,7 +196,7 @@ class EngineState:
                            else np.flatnonzero(partners >= 0).tolist())
         self.accepted = [None] * market.params.l_su   # per relay: (l, xi, beta, u_su) held
         self.puu_counts = [0] * l_pu
-        self.offers = 0
+        self.offers = self.accepts = self.displacements = self.prunes = 0
         self.events = []
 
 
@@ -199,8 +211,9 @@ class LadderState(EngineState):
     the runner-up of its relays by falling slope, ties to the smaller index
     (or its partner alone), and offers to the head; its full order, a
     stable sort of its row, is built only when a tie walks past the
-    runner-up (see offer). Per-user fields are lists; finish turns them
-    into arrays.
+    runner-up (see offer). Per-user fields, the head and runner-up slopes
+    among them, are lists of Python ints and floats; finish turns the
+    concession steps into arrays.
 
     cap is l_su + l_pu * (last_positive_xi + len(beta_values)). Every offer
     either fills an empty relay, at most l_su times since a held relay
@@ -216,7 +229,8 @@ class LadderState(EngineState):
                 "makes the zero-time state acceptable forever and the run never ends")
         super().__init__(market, partners)
         l_pu, grids = market.params.l_pu, market.grids
-        coef = market.rates.pu_coef
+        coef = self.pu_coef = market.rates.pu_coef
+        users = range(l_pu)
         self.runner_up = [-1] * l_pu   # -1: no second relay to walk to
         if partners is not None:
             self.head = partners.tolist()
@@ -224,14 +238,20 @@ class LadderState(EngineState):
             self.head = coef.argmax(axis=1).tolist()
             if market.params.l_su > 1:
                 rest = coef.copy()
-                rest[range(l_pu), self.head] = -np.inf
+                rest[users, self.head] = -np.inf
                 self.runner_up = rest.argmax(axis=1).tolist()
+        # a user sitting out (head -1) or without a runner-up reads the last
+        # column here, and offer never looks at it
+        self.head_slope = coef[users, self.head].tolist()
+        self.runner_up_slope = coef[users, self.runner_up].tolist()
         self.tie_orders = {}   # user -> full relay order, once a tie passes the runner-up
         self.floors = market.requirements.r_pu_req.tolist()
         self.m_xi = [0] * l_pu     # price steps conceded
         self.m_beta = [0] * l_pu   # time steps conceded, at most one past the grid
-        self.cap = market.params.l_su + l_pu * (
-            grids.last_positive_xi + len(grids.beta_values))
+        self.grids, self.c_cost = grids, market.rates.c_cost
+        self.xi_terms, self.beta_terms = grids.xi_terms, grids.beta_terms
+        self.n_beta = len(grids.beta_values)
+        self.cap = market.params.l_su + l_pu * (grids.last_positive_xi + self.n_beta)
 
     def offer(self, l):
         """User l's current terms and the relay it offers them to, -1 when
@@ -245,21 +265,21 @@ class LadderState(EngineState):
         then, only when the runner-up ties too. Rates and utilities are
         those of radio.licensed_gain, spelled out on floats.
         """
-        grids, coef = self.market.grids, self.market.rates.pu_coef
-        xi = grids.xi_terms[self.m_xi[l]]
-        beta = grids.beta_terms[self.m_beta[l]]
+        xi = self.xi_terms[self.m_xi[l]]
+        beta = self.beta_terms[self.m_beta[l]]
         floor = self.floors[l]
-        best = self.head[l]
-        rate = coef.item(l, best) * beta
+        rate = self.head_slope[l] * beta
         if rate < floor:
             return -1, xi, beta
+        best = self.head[l]
         second = self.runner_up[l]
         if second >= 0:
-            money = self.market.rates.c_cost * xi
+            money = self.c_cost * xi
             top = rate + money
-            rate = coef.item(l, second) * beta
+            rate = self.runner_up_slope[l] * beta
             if rate + money == top and rate >= floor:
                 best = min(best, second)
+                coef = self.pu_coef
                 for q in itertools.islice(self._tie_order(l), 2, None):
                     rate = coef.item(l, q) * beta
                     if rate + money != top or rate < floor:
@@ -273,19 +293,19 @@ class LadderState(EngineState):
         order = self.tie_orders.get(l)
         if order is None:
             order = self.tie_orders[l] = np.argsort(
-                -self.market.rates.pu_coef[l], kind="stable").tolist()
+                -self.pu_coef[l], kind="stable").tolist()
         return order
 
     def refused(self, l, q):
         """Concede one grid step, picked by concession_step against relay q."""
-        rates, grids = self.market.rates, self.market.grids
-        m_x, m_b = concession_step(self.m_xi[l], self.m_beta[l], rates.pu_coef.item(l, q),
-                                   self.floors[l], rates.c_cost, grids)
+        m_x, m_b = concession_step(self.m_xi[l], self.m_beta[l], self.pu_coef.item(l, q),
+                                   self.floors[l], self.c_cost, self.grids)
         # cap the time step one past the grid; the value is pinned at zero there
-        m_b = min(m_b, len(grids.beta_values))
-        self.m_xi[l], self.m_beta[l] = m_x, m_b
-        self.events.append(("puu", l, q, grids.xi_terms[m_x], grids.beta_terms[m_b],
-                            self.offers))
+        if m_b > self.n_beta:
+            m_b = self.n_beta
+        self.m_xi[l] = m_x
+        self.m_beta[l] = m_b
+        return self.xi_terms[m_x], self.beta_terms[m_b]
 
     def final_steps(self):
         return np.array(self.m_xi, dtype=int), np.array(self.m_beta, dtype=int)
@@ -368,6 +388,7 @@ class ContractState(EngineState):
     def refused(self, l, q):
         self.bar[l, q] = self.accepted[q][3]
         self._best_open(l, q)
+        return None
 
     def final_steps(self):
         return None, None
@@ -382,42 +403,62 @@ def init_state(market, partners=None):
     return _RULES[market.params.negotiation](market, partners)
 
 
-def step(state):
-    """One engine iteration. The queue head either exits (its licensed side
-    has no offer left) or makes one offer, which relay q takes when it
-    meets the relay rate floor, leaves q a nonnegative utility and beats
-    what q holds. The refused or displaced user is told and requeues at
-    the tail. No-op on a terminal state."""
-    if not state.queue:
-        return state
-    l = state.queue.popleft()
-    q, xi, beta = state.offer(l)
-    if q < 0:
-        state.events.append(("prune", l, -1, xi, beta, state.offers))
-        return state
+def step(state, n=1):
+    """Up to n engine iterations, fewer when the queue drains. In each, the
+    queue head either exits (its licensed side has no offer left) or makes
+    one offer, which relay q takes when it meets the relay rate floor,
+    leaves q a nonnegative utility and beats what q holds. The refused or
+    displaced user is told and requeues at the tail. No-op on a terminal
+    state.
 
-    state.offers += 1
-    state.events.append(("offer", l, q, xi, beta, state.offers))
+    The working state is read into locals and the counts written back at
+    the end; an event is built only when state.events is a list."""
+    queue, accepted, events = state.queue, state.accepted, state.events
+    puu_counts, offer, refused = state.puu_counts, state.offer, state.refused
+    su_coef, k_cost = state.market.rates.su_coef, state.market.rates.k_cost
+    r_su_req = state.market.requirements.r_su_req
+    offers, accepts, displacements, prunes = (
+        state.offers, state.accepts, state.displacements, state.prunes)
+    for _ in range(n):
+        if not queue:
+            break
+        l = queue.popleft()
+        q, xi, beta = offer(l)
+        if q < 0:
+            prunes += 1
+            if events is not None:
+                events.append(("prune", l, -1, xi, beta, offers))
+            continue
 
-    # radio.relay_gain with the held utility as the bar, spelled out on floats
-    rates = state.market.rates
-    rate_su = rates.su_coef.item(l, q) * (1.0 - beta)
-    u_su = rate_su - rates.k_cost * xi
-    held = state.accepted[q]
-    if (rate_su >= state.market.requirements.r_su_req and u_su >= 0.0
-            and (held is None or u_su > held[3])):
-        state.accepted[q] = (l, xi, beta, u_su)
-        state.events.append(("accept", l, q, xi, beta, state.offers))
-        if held is None:
-            return state
-        loser = held[0]
-        state.events.append(("displace", loser, q, xi, beta, state.offers))
-    else:
-        loser = l
-        state.events.append(("reject", l, q, xi, beta, state.offers))
-    state.puu_counts[loser] += 1
-    state.refused(loser, q)
-    state.queue.append(loser)
+        offers += 1
+        if events is not None:
+            events.append(("offer", l, q, xi, beta, offers))
+        # radio.relay_gain with the held utility as the bar, spelled out on floats
+        rate_su = su_coef.item(l, q) * (1.0 - beta)
+        u_su = rate_su - k_cost * xi
+        held = accepted[q]
+        if rate_su >= r_su_req and u_su >= 0.0 and (held is None or u_su > held[3]):
+            accepted[q] = (l, xi, beta, u_su)
+            accepts += 1
+            if events is not None:
+                events.append(("accept", l, q, xi, beta, offers))
+            if held is None:
+                continue
+            loser = held[0]
+            displacements += 1
+            if events is not None:
+                events.append(("displace", loser, q, xi, beta, offers))
+        else:
+            loser = l
+            if events is not None:
+                events.append(("reject", l, q, xi, beta, offers))
+        puu_counts[loser] += 1
+        conceded = refused(loser, q)
+        if conceded is not None and events is not None:
+            events.append(("puu", loser, q, *conceded, offers))
+        queue.append(loser)
+    state.offers, state.accepts, state.displacements, state.prunes = (
+        offers, accepts, displacements, prunes)
     return state
 
 
@@ -429,9 +470,12 @@ def finish(state):
          for q, held in enumerate(state.accepted) if held is not None],
         final_xi_steps=final_xi_steps, final_beta_steps=final_beta_steps)
     trace = EngineTrace(
-        events=list(state.events),
+        events=[] if state.events is None else list(state.events),
         offers=state.offers,
         puu_counts=np.array(state.puu_counts, dtype=int),
+        accepts=state.accepts,
+        displacements=state.displacements,
+        prunes=state.prunes,
     )
     return outcome, trace
 
@@ -441,16 +485,19 @@ def run(params, realization, requirements=None):
     return negotiate(market(params, realization, requirements))
 
 
-def negotiate(market, partners=None):
+def negotiate(market, partners=None, events=True):
     """Run the market's negotiation rule to termination. partners, when
     given, is an int array holding each licensed user's one relay, -1 for
-    a user that sits out.
+    a user that sits out. With events False no event is built and the
+    trace's events are empty; the outcome and the counts are the same.
 
     Raises EngineError once the offers pass the rule's bound, state.cap
     (see LadderState and ContractState), rather than trusting the theory
     to end the run.
     """
     state = init_state(market, partners)
+    if not events:
+        state.events = None
     while state.queue:
         if state.offers > state.cap:
             worst = int(np.argmax(state.puu_counts))
@@ -458,5 +505,5 @@ def negotiate(market, partners=None):
                 f"{market.params.negotiation} rule made {state.offers} offers, past its "
                 f"bound of {state.cap}, with {len(state.queue)} users queued; user "
                 f"{worst} was refused {state.puu_counts[worst]} times")
-        step(state)
+        step(state, state.cap + 1 - state.offers)
     return finish(state)

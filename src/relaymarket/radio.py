@@ -17,6 +17,7 @@ _LN2 = math.log(2.0)
 
 # stratified samples per partial-knowledge expectation
 PARTIAL_SAMPLES = 256
+PARTIAL_ROWS_PER_BLOCK = 4   # licensed rows per [rows, q, PARTIAL_SAMPLES] pass
 
 
 def log2_1p(x):
@@ -85,9 +86,11 @@ def compute_snrs(params, realization):
 
 def mean_relay_log_terms(gamma_dir, gamma_first_hop, mean_forward_gain, formula, streams):
     """Average log2(1 + direct + relayed) over the unknown forward-hop
-    fading of every pair, in one array pass over [l, q, PARTIAL_SAMPLES]:
-    [l, q] from gamma_dir [l], the first-hop SNRs [l, q] and the
-    forward-hop mean gains [l, q].
+    fading of every pair: [l, q] from gamma_dir [l], the first-hop SNRs
+    [l, q] and the forward-hop mean gains [l, q]. Each array pass covers
+    PARTIAL_ROWS_PER_BLOCK licensed rows, [rows, q, PARTIAL_SAMPLES], so
+    memory stays flat in the number of licensed users; a pair's mean does
+    not depend on the block it is in.
 
     The forward hop's squared gain is exponential with unit mean and known
     average path gain. Each pair draws its stratified uniforms from its own
@@ -96,12 +99,18 @@ def mean_relay_log_terms(gamma_dir, gamma_first_hop, mean_forward_gain, formula,
     sample count.
     """
     n = PARTIAL_SAMPLES
-    draws = np.stack([rng.random(n) for rng in streams]).reshape(*gamma_first_hop.shape, n)
-    u = (np.arange(n) + draws) / n
-    h2 = -np.log1p(-u)
-    relayed = af_relay_snr(gamma_first_hop[..., None], mean_forward_gain[..., None] * h2,
-                           formula)
-    return np.mean(log2_1p(gamma_dir[:, None, None] + relayed), axis=-1)
+    l_su = gamma_first_hop.shape[1]
+    out = np.empty(gamma_first_hop.shape)
+    for lo in range(0, len(gamma_dir), PARTIAL_ROWS_PER_BLOCK):
+        rows = slice(lo, lo + PARTIAL_ROWS_PER_BLOCK)
+        block = streams[lo * l_su:(lo + PARTIAL_ROWS_PER_BLOCK) * l_su]
+        draws = np.stack([rng.random(n) for rng in block]).reshape(-1, l_su, n)
+        u = (np.arange(n) + draws) / n
+        h2 = -np.log1p(-u)
+        relayed = af_relay_snr(gamma_first_hop[rows, :, None],
+                               mean_forward_gain[rows, :, None] * h2, formula)
+        out[rows] = np.mean(log2_1p(gamma_dir[rows, None, None] + relayed), axis=-1)
+    return out
 
 
 # ---------------------------------------------------------------------------

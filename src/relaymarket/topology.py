@@ -152,9 +152,9 @@ def draw_channels(params, placement, rng):
     Squared gains are -ln(u) with u uniform on (0, 1], i.e. exponential
     with unit mean. Distances come from _distance, on [l, q] broadcasts for
     the cross links. Under partial knowledge the realization also gets the
-    per-pair expected log terms from radio.mean_relay_log_terms, one array
-    pass with one spawned substream per pair in row-major order, so each
-    estimate is reproducible pair by pair.
+    per-pair expected log terms from radio.mean_relay_log_terms, with one
+    spawned substream per pair in row-major order, so each estimate is
+    reproducible pair by pair.
     """
     l_pu, l_su = params.l_pu, params.l_su
 

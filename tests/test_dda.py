@@ -12,6 +12,7 @@ import hashlib
 import io
 import json
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -452,6 +453,75 @@ class TestGoldenTrace:
                         baselines.rmbn(market, np.random.default_rng(seed))):
                     digest.update(engine_fingerprint(outcome, trace).encode())
         assert digest.hexdigest() == self.DIGEST
+
+    def test_counts_equal_the_event_kinds(self):
+        for overrides, seeds in GOLDEN_MARKETS:
+            params = topology.params_from_dict(overrides)
+            for seed in range(seeds):
+                market = dda.market(params, topology.make_realization(params, seed))
+                for _, trace in (dda.negotiate(market),
+                                 baselines.rmbn(market, np.random.default_rng(seed))):
+                    kinds = Counter(event[0] for event in trace.events)
+                    assert ((trace.offers, trace.accepts, trace.displacements, trace.prunes)
+                            == (kinds["offer"], kinds["accept"], kinds["displace"],
+                                kinds["prune"])), (overrides, seed)
+
+
+class TestOfferLoop:
+    """step(state, n) and negotiate's events flag against one-iteration
+    steps that capture every event."""
+
+    MARKETS = (({}, 8), ({"l_pu": 6, "l_su": 2}, 8), ({"l_pu": 4, "l_su": 3}, 8),
+               ({"l_pu": 25, "l_su": 50}, 2))
+
+    @staticmethod
+    def _snapshot(state):
+        if isinstance(state, dda.LadderState):
+            side = (list(state.m_xi), list(state.m_beta))
+        else:
+            side = (state.bar.tobytes(), state.best_u.tobytes(), state.best_k.tobytes())
+        return (list(state.queue), list(state.accepted), list(state.puu_counts),
+                state.offers, state.accepts, state.displacements, state.prunes,
+                list(state.events), side)
+
+    @pytest.mark.parametrize("with_partners", [False, True], ids=["free", "partners"])
+    @pytest.mark.parametrize("rule", ["ladder", "contracts"])
+    def test_n_iterations_equal_n_single_steps(self, rule, with_partners):
+        chunks = (1, 2, 3, 5, 8, 13, 10**6)   # the last outruns every run
+        for overrides, seeds in self.MARKETS:
+            params = topology.params_from_dict({**overrides, "negotiation": rule})
+            for seed in range(seeds):
+                market = dda.market(params, topology.make_realization(params, seed))
+                partners = (np.random.default_rng(seed).integers(-1, params.l_su, params.l_pu)
+                            if with_partners else None)
+                batched = dda.init_state(market, partners)
+                single = dda.init_state(market, partners)
+                for n in chunks:
+                    dda.step(batched, n)
+                    for _ in range(min(n, 10**4)):
+                        dda.step(single)
+                    assert self._snapshot(batched) == self._snapshot(single), (overrides, n)
+                assert not batched.queue
+
+    @pytest.mark.parametrize("formula", ["paper", "standard"])
+    @pytest.mark.parametrize("knowledge", ["complete", "partial"])
+    def test_runs_without_events_equal_runs_with_them(self, knowledge, formula):
+        for rule in ("ladder", "contracts"):
+            for overrides, seeds in self.MARKETS:
+                params = topology.params_from_dict({
+                    **overrides, "negotiation": rule, "snr_knowledge": knowledge,
+                    "af_formula": formula})
+                for seed in range(seeds):
+                    market = dda.market(params, topology.make_realization(params, seed))
+                    runs = [(dda.negotiate(market, events=events),
+                             baselines.rmbn(market, np.random.default_rng(seed), events=events))
+                            for events in (True, False)]
+                    for (out, on), (out_off, off) in zip(*runs):
+                        assert off.events == [] and on.events
+                        assert (engine_fingerprint(out, replace(on, events=[]))
+                                == engine_fingerprint(out_off, off))
+                        assert ((on.accepts, on.displacements, on.prunes)
+                                == (off.accepts, off.displacements, off.prunes))
 
 
 class TestGoldenContracts:

@@ -9,6 +9,7 @@ rather than a self-consistent wrong value.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -204,6 +205,39 @@ class TestExpectedRate:
             streams = np.random.default_rng(chan_ss).spawn(params.l_pu * params.l_su)
             want = partial_mean_log_reference(real, params, streams, radio.PARTIAL_SAMPLES)
             assert np.array_equal(real.partial_mean_log, want), seed
+
+    @pytest.mark.parametrize("shape, passes", [((2, 6), 1), ((9, 3), 3)])
+    def test_expectation_runs_in_blocks_of_licensed_rows(self, shape, passes, monkeypatch):
+        # one array pass per PARTIAL_ROWS_PER_BLOCK licensed rows; the
+        # default 2x6 market stays one pass
+        params = topology.params_from_dict({"l_pu": shape[0], "l_su": shape[1]})
+        real = topology.make_realization(params, 0)
+        calls = []
+        compose = radio.af_relay_snr
+        monkeypatch.setattr(radio, "af_relay_snr",
+                            lambda *args: calls.append(args[1].shape) or compose(*args))
+        radio.mean_relay_log_terms(
+            real.snr.gamma_dir, real.snr.gamma_pt_st, real.d_st_pr, params.af_formula,
+            np.random.default_rng(0).spawn(shape[0] * shape[1]))
+        assert len(calls) == passes
+        assert all(rows <= radio.PARTIAL_ROWS_PER_BLOCK for rows, *_ in calls)
+
+    def test_large_expectation_keeps_no_full_sample_array(self):
+        """The tracemalloc peak of the expectation over a 100x200 market
+        stays under 32 MB. One pass over [100, 200, PARTIAL_SAMPLES]
+        peaked near 290 MB."""
+        params = topology.params_from_dict({"l_pu": 100, "l_su": 200})
+        real = topology.make_realization(params, 0)
+        streams = np.random.default_rng(0).spawn(params.l_pu * params.l_su)
+        tracemalloc.start()
+        try:
+            got = radio.mean_relay_log_terms(real.snr.gamma_dir, real.snr.gamma_pt_st,
+                                             real.d_st_pr, params.af_formula, streams)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.shape == (100, 200)
+        assert peak < 32e6, peak
 
 
 class TestRequirements:
