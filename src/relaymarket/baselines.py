@@ -10,8 +10,6 @@ market-wide matching from the value of negotiation itself.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from . import radio
@@ -128,7 +126,7 @@ def centralized_su_rate(market):
     feasible = lo <= hi
     beta = np.where(feasible, lo, 0.0)
     pairs = _max_assignment(rates.su_coef * (1.0 - beta), feasible)
-    return _outcome_from(market, pairs, np.zeros_like(beta), beta)
+    return _outcome_from(market, pairs, np.zeros(beta.shape), beta)
 
 
 def rmbn(market, rng, events=True):
@@ -140,7 +138,7 @@ def rmbn(market, rng, events=True):
     drawn relay alone, so no offer ever meets a rival one. The outcome
     carries no concession steps, so stability audits it on the full grid.
     """
-    if np.any(market.requirements.r_pu_req <= 0.0):
+    if (market.requirements.r_pu_req <= 0.0).any():
         raise ValueError("bilateral negotiation needs positive licensed rate floors")
     l_pu, l_su = market.params.l_pu, market.params.l_su
     if l_pu <= l_su:
@@ -149,4 +147,4 @@ def rmbn(market, rng, events=True):
         partners = np.full(l_pu, -1)
         partners[rng.permutation(l_pu)[:l_su]] = np.arange(l_su)
     outcome, trace = negotiate(market, partners, events)
-    return replace(outcome, final_xi_steps=None, final_beta_steps=None), trace
+    return MatchingOutcome(m=outcome.m, g=outcome.g, b=outcome.b), trace

@@ -57,7 +57,8 @@ class AggregateMetrics:
 
 def p90(values) -> float:
     """90th-percentile order statistic: smallest x with at least 90% mass ≤ x."""
-    ordered = np.sort(np.asarray(values, dtype=float))
+    ordered = np.array(values, dtype=float)
+    ordered.sort()
     if ordered.size == 0:
         raise ValueError("p90 of an empty sample")
     k = math.ceil(0.9 * ordered.size)
@@ -86,11 +87,21 @@ def _realized_sums(outcome, rates):
     return u, r_pu, r_su, len(pairs)
 
 
+def _knowing(params, mode):
+    """params under knowledge mode `mode`, params itself when it already is."""
+    return params if params.snr_knowledge == mode else replace(params, snr_knowledge=mode)
+
+
 def run_trials(params, algos, n_trials):
     """Run every requested algorithm on n_trials shared realizations.
 
     Returns {algo tag: AggregateMetrics}. Centralized tags report zero
     packets and iterations (there is no message protocol to count).
+
+    The per-trial figures go into one [algo, column, trial] array, and one
+    add.reduce along its contiguous trial axis gives every mean: the same
+    pairwise sum np.mean takes over one column. The standard errors and
+    the p90 come from _se and p90 on the same rows.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
@@ -106,20 +117,24 @@ def run_trials(params, algos, n_trials):
     # rate estimates are drawn only when one of them is requested
     partial = {"dda-partial"} | ({"rmbn"} if params.snr_knowledge == "partial" else set())
     wants_partial = bool(partial & set(algos))
-    complete_params = replace(params, snr_knowledge="complete")
-    partial_params = replace(params, snr_knowledge="partial")
+    complete_params = _knowing(params, "complete")
+    partial_params = _knowing(params, "partial") if wants_partial else None
     draw_params = partial_params if wants_partial else complete_params
 
-    per_algo = {a: [] for a in algos}
+    # per algo, one (utility, licensed rate, relay rate, packets, iterations)
+    # row per trial; matched pair counts stay Python ints
+    per_algo = [[] for _ in algos]
+    matched = [0] * len(algos)
     for i in range(n_trials):
         ss = np.random.SeedSequence([params.seed, i])
         realization = topology.make_realization(draw_params, ss)
         rmbn_ss, = ss.spawn(1)   # the third child, after placement and channels
         complete = dda.market(complete_params, realization)
         if wants_partial:
-            negotiated = replace(complete, params=partial_params,
-                                 rates=radio.make_pair_rates(partial_params, realization))
-        for algo in algos:
+            negotiated = dda.Market(partial_params, complete.requirements,
+                                    radio.make_pair_rates(partial_params, realization),
+                                    complete.grids)
+        for a, algo in enumerate(algos):
             market = negotiated if algo in partial else complete
             packets = iterations = 0
             if algo in ("dda-complete", "dda-partial"):
@@ -133,27 +148,31 @@ def run_trials(params, algos, n_trials):
                 outcome, trace = baselines.rmbn(market, np.random.default_rng(rmbn_ss),
                                                 events=False)
                 packets, iterations = trace.packets, trace.offers
-            per_algo[algo].append(
-                (*_realized_sums(outcome, complete.rates), packets, iterations))
+            util, rpu, rsu, count = _realized_sums(outcome, complete.rates)
+            per_algo[a].append((util, rpu, rsu, packets, iterations))
+            matched[a] += count
 
+    # [algo, column, trial], contiguous along the trials
+    rows = np.array(per_algo, dtype=float).transpose(0, 2, 1).copy()
+    means = (np.add.reduce(rows, axis=-1) / n_trials).tolist()
     capacity = min(params.l_pu, params.l_su)
     out = {}
-    for algo, rows in per_algo.items():
-        util, rpu, rsu, counts, pkts, iterations = zip(*rows)
-        pkts = np.array(pkts, dtype=float)
+    for a, algo in enumerate(algos):
+        util, rpu, rsu, pkts, _ = rows[a]
+        mean_util, mean_rpu, mean_rsu, mean_pkts, mean_iterations = means[a]
         out[algo] = AggregateMetrics(
             algo=algo,
             n_trials=n_trials,
-            mean_sum_utility_pu=float(np.mean(util)),
+            mean_sum_utility_pu=mean_util,
             se_sum_utility_pu=_se(util),
-            mean_sum_rate_pu=float(np.mean(rpu)),
+            mean_sum_rate_pu=mean_rpu,
             se_sum_rate_pu=_se(rpu),
-            mean_sum_rate_su=float(np.mean(rsu)),
+            mean_sum_rate_su=mean_rsu,
             se_sum_rate_su=_se(rsu),
-            match_pct=100.0 * sum(counts) / (n_trials * capacity),
-            mean_packets=float(np.mean(pkts)),
+            match_pct=100.0 * matched[a] / (n_trials * capacity),
+            mean_packets=mean_pkts,
             p90_packets=p90(pkts),
-            mean_iterations=float(np.mean(iterations)),
+            mean_iterations=mean_iterations,
             packets=pkts,
         )
     return out

@@ -133,7 +133,7 @@ def _cmd_verify(args):
             unstable += 1
             print(f"trial {i}: {report.describe()}")
         bounds = verify.per_pu_puu_bounds(params, realization, requirements)
-        if np.any(trace.puu_counts > bounds):
+        if (trace.puu_counts > bounds).any():
             over_puu += 1
             print(f"trial {i}: concession counts {trace.puu_counts.tolist()} "
                   f"exceed bounds {bounds.tolist()}")

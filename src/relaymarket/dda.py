@@ -27,6 +27,7 @@ outcome and the counts; the run is the same either way.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -45,7 +46,9 @@ class Grids:
 
     xi_terms and beta_terms hold the same points as Python floats for the
     ladder's offer loop; beta_terms ends with one 0.0 past the grid, the
-    time value of a pair that has conceded every time step.
+    time value of a pair that has conceded every time step. Markets of one
+    parameter set share one Grids (concession_grids), so the arrays are
+    read-only.
     """
     xi_values: np.ndarray
     beta_values: np.ndarray
@@ -66,10 +69,21 @@ def _grid(init, step):
 
 
 def concession_grids(params):
-    xi = _grid(params.xi_init, params.delta)
-    beta = _grid(params.beta_init, params.epsilon)
-    positive = np.nonzero(xi > 1e-12)[0]
+    """The offer grids of params' (xi_init, delta, beta_init, epsilon).
+
+    Grids are cached per those four values, so every market of one
+    parameter set shares one Grids, and its arrays are read-only."""
+    return _grids(params.xi_init, params.delta, params.beta_init, params.epsilon)
+
+
+@functools.lru_cache(maxsize=8)
+def _grids(xi_init, delta, beta_init, epsilon):
+    xi = _grid(xi_init, delta)
+    beta = _grid(beta_init, epsilon)
+    positive = (xi > 1e-12).nonzero()[0]
     last_pos = int(positive[-1]) if len(positive) else 0
+    xi.flags.writeable = False
+    beta.flags.writeable = False
     return Grids(xi_values=xi, beta_values=beta, last_positive_xi=last_pos,
                  xi_terms=tuple(xi.tolist()), beta_terms=(*beta.tolist(), 0.0))
 
@@ -124,7 +138,7 @@ class MatchingOutcome:
 
     def matched_pairs(self):
         """Matched (l, q) pairs as Python ints, in row-major order."""
-        ls, qs = np.nonzero(self.m)
+        ls, qs = self.m.nonzero()
         return list(zip(ls.tolist(), qs.tolist()))
 
 
@@ -193,7 +207,7 @@ class EngineState:
         l_pu = market.params.l_pu
         self.market = market
         self.queue = deque(range(l_pu) if partners is None
-                           else np.flatnonzero(partners >= 0).tolist())
+                           else (partners >= 0).nonzero()[0].tolist())
         self.accepted = [None] * market.params.l_su   # per relay: (l, xi, beta, u_su) held
         self.puu_counts = [0] * l_pu
         self.offers = self.accepts = self.displacements = self.prunes = 0
@@ -223,7 +237,7 @@ class LadderState(EngineState):
     """
 
     def __init__(self, market, partners):
-        if np.any(market.requirements.r_pu_req <= 0.0):
+        if (market.requirements.r_pu_req <= 0.0).any():
             raise ValueError(
                 "negotiation needs positive licensed rate floors; a zero floor "
                 "makes the zero-time state acceptable forever and the run never ends")
@@ -352,7 +366,7 @@ class ContractState(EngineState):
         self.prefix = np.zeros((l_pu, l_su), dtype=int)   # p of every pair
         self.cap = 0
         for l in range(l_pu):
-            q = np.flatnonzero(self.bar[l] < np.inf)[:, None]   # a barred relay has none open
+            q = (self.bar[l] < np.inf).nonzero()[0][:, None]   # a barred relay has none open
             # any utility beats minus infinity, so only the licensed floor counts
             self.prefix[l, q] = radio.licensed_gain(
                 market.rates, market.requirements, l, q, -np.inf,

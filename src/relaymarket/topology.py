@@ -110,13 +110,16 @@ def place_users(params, rng):
     """Drop all pairs for one trial; redraws if a relay pair lands on itself."""
     while True:
         y = rng.uniform(-1.0, 1.0, params.l_pu)
-        pt = np.column_stack([np.full(params.l_pu, -1.0), y])
-        pr = np.column_stack([np.full(params.l_pu, 1.0), y])
+        pt = np.empty((params.l_pu, 2))
+        pr = np.empty((params.l_pu, 2))
+        pt[:, 0] = -1.0
+        pr[:, 0] = 1.0
+        pt[:, 1] = pr[:, 1] = y
         st = rng.uniform(-0.5, 0.5, (params.l_su, 2))
         sr = rng.uniform(-0.5, 0.5, (params.l_su, 2))
         # only the relay pair's own hop can degenerate; every cross-square
         # distance is at least 0.5 by construction
-        if np.min(_distance(st, sr)) >= 1e-6:
+        if _distance(st, sr).min() >= 1e-6:
             return Placement(pt_pos=pt, pr_pos=pr, st_pos=st, sr_pos=sr)
 
 

@@ -121,8 +121,8 @@ def _blocking_pairs(market, u_pu, u_su, open_pairs, xi_lo, beta_lo):
     rates, requirements = market.rates, market.requirements
     xis, betas = market.grids.xi_values, market.grids.beta_values
     n_xi, n_beta = len(xis), len(betas)
-    nn, ll, qq = np.nonzero(open_pairs & (xi_lo < n_xi)[..., None]
-                            & (beta_lo < n_beta)[..., None])
+    nn, ll, qq = (open_pairs & (xi_lo < n_xi)[..., None]
+                  & (beta_lo < n_beta)[..., None]).nonzero()
     u_pu, u_su = u_pu[nn, ll], u_su[nn, qq]
     xi_lo, beta_lo = xi_lo[nn, ll], beta_lo[nn, ll]
 
@@ -158,7 +158,7 @@ def is_stable(outcome, realization, requirements, params):
     """
     market = dda.market(params, realization, requirements)
     rates, requirements, grids = market.rates, market.requirements, market.grids
-    ls, qs = np.nonzero(outcome.m)
+    ls, qs = outcome.m.nonzero()
     xi, beta = outcome.g[ls, qs], outcome.b[ls, qs]
     ls, qs = ls.tolist(), qs.tolist()
 
@@ -244,7 +244,7 @@ def _candidate_blocks(market):
           & radio.relay_gain(rates, requirements, ls, qs, -np.inf, betas, xis))
     terms = {}
     for l, q in np.ndindex(l_pu, l_su):
-        j, i = np.nonzero(ok[l, q])
+        j, i = ok[l, q].nonzero()
         terms[l, q] = (grids.xi_values[i], grids.beta_values[j])
     plans = []   # (first candidate number, matched pairs, term counts)
     total = 0
@@ -287,7 +287,7 @@ def enumerate_stable_matchings(realization, requirements, params):
         blocked = np.zeros(len(m), dtype=bool)
         blocked[_blocking_pairs(market, u_pu, u_su, m == 0, steps, steps)[0]] = True
         stable.extend(MatchingOutcome(m=m[n].copy(), g=g[n].copy(), b=b[n].copy())
-                      for n in np.flatnonzero(~blocked))
+                      for n in (~blocked).nonzero()[0])
     return stable
 
 

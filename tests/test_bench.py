@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import sys
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -239,6 +240,91 @@ class TestRunTrials:
             small_params, ["dda-complete"], 240)["dda-complete"].se_sum_utility_pu
         # 1/sqrt(n) scaling predicts 0.5; the band absorbs estimator noise
         assert 0.3 < se_big / se_small < 0.75
+
+
+def recorded_rows(monkeypatch):
+    """Spy on the per-trial figures run_trials aggregates. Returns a list
+    that fills with one (utility, licensed rate, relay rate, matched
+    count, packets, iterations) row per scored outcome, in run_trials'
+    order: trial by trial, tag by tag. Packets and iterations are those of
+    the negotiation run since the outcome scored before, 0 when none ran."""
+    rows, traces = [], []
+    realized_sums, negotiate, rmbn = bench._realized_sums, dda.negotiate, baselines.rmbn
+
+    def spy_sums(outcome, rates):
+        sums = realized_sums(outcome, rates)
+        packets, iterations = traces.pop() if traces else (0, 0)
+        rows.append((*sums, packets, iterations))
+        return sums
+
+    def spy_negotiation(run):
+        def spy(*args, **kwargs):
+            outcome, trace = run(*args, **kwargs)
+            traces.append((trace.packets, trace.offers))
+            return outcome, trace
+        return spy
+
+    monkeypatch.setattr(bench, "_realized_sums", spy_sums)
+    monkeypatch.setattr(dda, "negotiate", spy_negotiation(negotiate))
+    monkeypatch.setattr(baselines, "rmbn", spy_negotiation(rmbn))
+    return rows
+
+
+class TestAggregation:
+    """run_trials takes every mean in one add.reduce over [algo, column,
+    trial]; restated here column by column with np.mean, _se and p90."""
+
+    @pytest.mark.parametrize("knowledge", ["complete", "partial"])
+    @pytest.mark.parametrize("n_trials", [1, 2, 7, 8, 9, 128, 129, 300])
+    def test_equals_the_per_column_form(self, small_params, monkeypatch, knowledge,
+                                        n_trials):
+        params = replace(small_params, snr_knowledge=knowledge)
+        rows = recorded_rows(monkeypatch)
+        got = bench.run_trials(params, bench.ALGO_TAGS, n_trials)
+        assert len(rows) == n_trials * len(bench.ALGO_TAGS)
+        capacity = min(params.l_pu, params.l_su)
+        for a, algo in enumerate(bench.ALGO_TAGS):
+            util, rpu, rsu, counts, pkts, iterations = zip(*rows[a::len(bench.ALGO_TAGS)])
+            pkts = np.array(pkts, dtype=float)
+            want = {
+                "mean_sum_utility_pu": float(np.mean(util)),
+                "se_sum_utility_pu": bench._se(util),
+                "mean_sum_rate_pu": float(np.mean(rpu)),
+                "se_sum_rate_pu": bench._se(rpu),
+                "mean_sum_rate_su": float(np.mean(rsu)),
+                "se_sum_rate_su": bench._se(rsu),
+                "match_pct": 100.0 * sum(counts) / (n_trials * capacity),
+                "mean_packets": float(np.mean(pkts)),
+                "p90_packets": p90(pkts),
+                "mean_iterations": float(np.mean(iterations)),
+            }
+            agg = got[algo]
+            assert (agg.algo, agg.n_trials) == (algo, n_trials)
+            assert {name: getattr(agg, name).hex() for name in want} == {
+                name: value.hex() for name, value in want.items()}
+            assert agg.packets.tolist() == pkts.tolist()
+
+    def test_no_numpy_python_wrappers_on_the_trial_path(self, monkeypatch):
+        # these are Python functions with a fixed cost per call; the trial
+        # path uses the ufunc and ndarray method forms instead
+        names = ("mean", "all", "any", "min", "nonzero", "flatnonzero", "stack",
+                 "column_stack", "sort")
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                if sys._getframe(1).f_globals.get("__name__", "").startswith("relaymarket"):
+                    calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
+        aggs = bench.run_trials(topology.ScenarioParams(), bench.ALGO_TAGS, 1)
+        assert calls == Counter()
+        # the count sees the package's calls: packet_cdf takes np.mean
+        aggs["rmbn"].packet_cdf(10)
+        assert calls == Counter({"mean": 1})
 
 
 class TestSweep:

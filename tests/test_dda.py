@@ -53,6 +53,19 @@ class TestGrids:
         assert grids.beta_at(10) == 0.0
         assert grids.beta_at(1000) == 0.0
 
+    def test_one_shared_read_only_grids_per_step_set(self):
+        p = topology.params_from_dict(
+            {"xi_init": 0.8, "beta_init": 0.9, "delta": 0.2, "epsilon": 0.1})
+        grids = dda.concession_grids(p)
+        # only (xi_init, delta, beta_init, epsilon) pick the grids
+        assert dda.concession_grids(replace(p, seed=3, l_su=4, c_bar=0.5)) is grids
+        assert dda.concession_grids(replace(p, delta=0.1)) is not grids
+        assert dda.concession_grids(replace(p, epsilon=0.3)) is not grids
+        for values in (grids.xi_values, grids.beta_values):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0.5
+        assert grids.xi_values[0] == 0.8 and grids.beta_values[0] == 0.9
+
 
 class TestMarket:
     def test_partial_market_differs_only_in_licensed_slopes(self):
