@@ -21,8 +21,8 @@ from .radio import (LinkSnrs, PairRates, Requirements, af_relay_snr, beta_interv
 from .topology import (ChannelRealization, Placement, ScenarioParams, draw_channels,
                        make_realization, params_from_dict, place_users)
 from .verify import (StabilityReport, check_weak_pareto, complexity_estimates,
-                     enumerate_stable_matchings, is_stable, iteration_bound,
-                     packet_bound, per_pu_puu_bounds, pu_utilities)
+                     enumerate_stable_matchings, is_stable, packet_bound,
+                     per_pu_puu_bounds, pu_utilities)
 
 __version__ = "0.1.0"
 
@@ -35,7 +35,7 @@ __all__ = [
     "check_weak_pareto", "complexity_estimates", "compute_snrs",
     "concession_grids", "draw_channels", "emit_csv",
     "enumerate_stable_matchings", "init_state", "is_stable",
-    "iteration_bound", "make_pair_rates", "make_realization", "market",
+    "make_pair_rates", "make_realization", "market",
     "negotiate", "p90", "packet_bound", "pair_optimum_continuous",
     "params_from_dict", "per_pu_puu_bounds", "place_users", "pu_utilities",
     "requirements_for", "rmbn",

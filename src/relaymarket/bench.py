@@ -222,22 +222,11 @@ def sweep(params, axis, values, algos, n_trials):
 
 
 def _csv_record(row):
-    a = row.agg
-    return [
-        row.scenario_id,
-        row.algo,
-        row.axis_name,
-        "%.9g" % row.axis_value,
-        str(a.n_trials),
-        "%.9g" % a.mean_sum_utility_pu,
-        "%.9g" % a.se_sum_utility_pu,
-        "%.9g" % a.mean_sum_rate_pu,
-        "%.9g" % a.mean_sum_rate_su,
-        "%.9g" % a.match_pct,
-        "%.9g" % a.mean_packets,
-        "%.9g" % a.p90_packets,
-        "%.9g" % a.mean_iterations,
-    ]
+    """The row's five key fields, then the AggregateMetrics fields that
+    CSV_COLUMNS names after them."""
+    agg = row.agg
+    return [row.scenario_id, row.algo, row.axis_name, "%.9g" % row.axis_value,
+            str(agg.n_trials), *("%.9g" % getattr(agg, name) for name in CSV_COLUMNS[5:])]
 
 
 def write_rows(table, fp):

@@ -28,7 +28,6 @@ outcome and the counts; the run is the same either way.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 from collections import deque
@@ -223,11 +222,11 @@ class LadderState(EngineState):
     relay, so the best relay is the steepest one, and when that one misses
     the floor every other does too. Each user therefore keeps the head and
     the runner-up of its relays by falling slope, ties to the smaller index
-    (or its partner alone), and offers to the head; its full order, a
-    stable sort of its row, is built only when a tie walks past the
-    runner-up (see offer). Per-user fields, the head and runner-up slopes
-    among them, are lists of Python ints and floats; finish turns the
-    concession steps into arrays.
+    (or its partner alone), and offers to the head, or, when rounding ties
+    the runner-up to it, to the smallest relay that one row test finds
+    tied (see offer). Per-user fields, the head and runner-up slopes among
+    them, are lists of Python ints and floats; finish turns the concession
+    steps into arrays.
 
     cap is l_su + l_pu * (last_positive_xi + len(beta_values)). Every offer
     either fills an empty relay, at most l_su times since a held relay
@@ -245,7 +244,7 @@ class LadderState(EngineState):
         l_pu, grids = market.params.l_pu, market.grids
         coef = self.pu_coef = market.rates.pu_coef
         users = range(l_pu)
-        self.runner_up = [-1] * l_pu   # -1: no second relay to walk to
+        self.runner_up = [-1] * l_pu   # -1: no second relay
         if partners is not None:
             self.head = partners.tolist()
         else:
@@ -258,26 +257,26 @@ class LadderState(EngineState):
         # column here, and offer never looks at it
         self.head_slope = coef[users, self.head].tolist()
         self.runner_up_slope = coef[users, self.runner_up].tolist()
-        self.tie_orders = {}   # user -> full relay order, once a tie passes the runner-up
         self.floors = market.requirements.r_pu_req.tolist()
         self.m_xi = [0] * l_pu     # price steps conceded
         self.m_beta = [0] * l_pu   # time steps conceded, at most one past the grid
         self.grids, self.c_cost = grids, market.rates.c_cost
         self.xi_terms, self.beta_terms = grids.xi_terms, grids.beta_terms
-        self.n_beta = len(grids.beta_values)
-        self.cap = market.params.l_su + l_pu * (grids.last_positive_xi + self.n_beta)
+        self.cap = market.params.l_su + l_pu * (grids.last_positive_xi
+                                                + len(grids.beta_values))
 
     def offer(self, l):
         """User l's current terms and the relay it offers them to, -1 when
         none clears its floor: the best by licensed utility, ties to the
         smaller index.
 
-        Slopes fall along the relay order, so rates and utilities never
-        rise along it. Rounding can still give a shallower relay the head's
-        exact utility; those ties are walked and the smallest index taken.
-        The walk reads the runner-up first and the rest of the order, sorted
-        then, only when the runner-up ties too. Rates and utilities are
-        those of radio.licensed_gain, spelled out on floats.
+        Slopes are nonnegative and rounding is monotone, so along the
+        falling-slope order neither a relay's rate nor its utility ever
+        rises. The relays that tie the head's utility and clear the floor
+        are thus a prefix of that order, and the smallest index among them
+        is the first hit of one row test. The test runs only when rounding
+        ties the runner-up to the head and it clears the floor. Rates and
+        utilities are those of radio.licensed_gain, spelled out on floats.
         """
         xi = self.xi_terms[self.m_xi[l]]
         beta = self.beta_terms[self.m_beta[l]]
@@ -286,37 +285,22 @@ class LadderState(EngineState):
         if rate < floor:
             return -1, xi, beta
         best = self.head[l]
-        second = self.runner_up[l]
-        if second >= 0:
+        if self.runner_up[l] >= 0:
             money = self.c_cost * xi
             top = rate + money
             rate = self.runner_up_slope[l] * beta
             if rate + money == top and rate >= floor:
-                best = min(best, second)
-                coef = self.pu_coef
-                for q in itertools.islice(self._tie_order(l), 2, None):
-                    rate = coef.item(l, q) * beta
-                    if rate + money != top or rate < floor:
-                        break
-                    best = min(best, q)
+                rates = self.pu_coef[l] * beta
+                best = int(((rates + money == top) & (rates >= floor)).argmax())
         return best, xi, beta
 
-    def _tie_order(self, l):
-        """User l's relays by falling slope, ties to the smaller index; its
-        first two entries are the head and the runner-up."""
-        order = self.tie_orders.get(l)
-        if order is None:
-            order = self.tie_orders[l] = np.argsort(
-                -self.pu_coef[l], kind="stable").tolist()
-        return order
-
     def refused(self, l, q):
-        """Concede one grid step, picked by concession_step against relay q."""
+        """Concede one grid step, picked by concession_step against relay q.
+
+        A refused or displaced user offered at a positive time share, so
+        its time step stays at most one past the grid."""
         m_x, m_b = concession_step(self.m_xi[l], self.m_beta[l], self.pu_coef.item(l, q),
                                    self.floors[l], self.c_cost, self.grids)
-        # cap the time step one past the grid; the value is pinned at zero there
-        if m_b > self.n_beta:
-            m_b = self.n_beta
         self.m_xi[l] = m_x
         self.m_beta[l] = m_b
         return self.xi_terms[m_x], self.beta_terms[m_b]

@@ -333,18 +333,9 @@ def _concession_budgets(params, realization, requirements):
     return params.xi_init / params.delta + (params.beta_init - floors) / params.epsilon
 
 
-def iteration_bound(params, realization, requirements=None):
-    """Worst-case concession path length for a single licensed user.
-
-    price_budget + time_budget, where the time budget stops at the
-    smallest time share any pair of this scenario can still work at. The
-    budget falls as the floor rises, so that is the largest user budget.
-    """
-    return float(_concession_budgets(params, realization, requirements).max())
-
-
 def per_pu_puu_bounds(params, realization, requirements=None):
-    """Per licensed user ceiling on concession invocations (integer)."""
+    """Per licensed user ceiling on concession invocations (integer): the
+    price and time budget rounded up, plus one."""
     return np.ceil(_concession_budgets(params, realization, requirements)).astype(int) + 1
 
 
@@ -352,12 +343,11 @@ def packet_bound(params, realization, requirements=None):
     """Ceiling on control packets exchanged over a whole run.
 
     (l_pu + max(l_pu, l_su)) control messages per round, for at most the
-    iteration bound rounded up plus one round of slack for the terminal
-    no-op.
+    largest per-user ceiling of rounds (per_pu_puu_bounds, which holds one
+    round of slack for the terminal no-op).
     """
-    i_max = math.ceil(iteration_bound(params, realization, requirements)) + 1
-    f = max(params.l_pu, params.l_su)
-    return float((params.l_pu + f) * i_max)
+    rounds = per_pu_puu_bounds(params, realization, requirements).max()
+    return float((params.l_pu + max(params.l_pu, params.l_su)) * rounds)
 
 
 def complexity_estimates(l_pu, l_su):

@@ -327,8 +327,9 @@ class TestEngineMechanics:
 
 
 class TestLadderRule:
-    """The engine's relay choice (head, runner-up, and the full order only
-    on a tie past them) against the list rebuilt per offer."""
+    """The engine's relay choice (the head, or on a rounding tie with the
+    runner-up the first relay of one row test) against the list rebuilt
+    per offer."""
 
     @staticmethod
     def _assert_equals_reference(params, real, req):
@@ -363,13 +364,24 @@ class TestLadderRule:
             self._assert_equals_reference(
                 params, real, radio.requirements_for(params, real.snr))
 
-    @pytest.mark.parametrize("knowledge", ["complete", "partial"])
-    def test_equals_rebuilt_list_reference_at_25x50(self, knowledge):
+    @pytest.mark.parametrize("knowledge, c_bar", [
+        pytest.param("complete", 1.0, id="complete"),
+        pytest.param("partial", 1.0, id="partial"),
+        pytest.param("complete", 1e15, id="complete-c_bar-1e15"),
+        pytest.param("partial", 1e15, id="partial-c_bar-1e15"),
+    ])
+    def test_equals_rebuilt_list_reference_at_25x50(self, knowledge, c_bar):
         params = topology.params_from_dict(
-            {"l_pu": 25, "l_su": 50, "snr_knowledge": knowledge})
+            {"l_pu": 25, "l_su": 50, "snr_knowledge": knowledge, "c_bar": c_bar})
         real = topology.make_realization(params, 5)
-        self._assert_equals_reference(
-            params, real, radio.requirements_for(params, real.snr))
+        req = radio.requirements_for(params, real.snr)
+        self._assert_equals_reference(params, real, req)
+        if c_bar > 1.0:
+            # a heavy money weight ties utilities by rounding, so the row
+            # test picks a relay other than the head on some offers
+            head = dda.init_state(dda.market(params, real, req)).head
+            _, trace = dda.run(params, real, req)
+            assert any(q != head[l] for kind, l, q, *_ in trace.events if kind == "offer")
 
     @pytest.mark.parametrize("floor, relay", [(0.2, 0), (1.5, 1)])
     def test_rounding_tie_keeps_the_smaller_index(self, floor, relay):
@@ -420,8 +432,8 @@ class TestLadderRule:
         # At beta 1e-17 every rate is far below half an ulp of the 0.99
         # price, so all five utilities round to the same double although
         # the slopes rise from relay 0 to relay 3. The head is relay 3; the
-        # walk goes past the runner-up down to relay 0 and stops at relay 4,
-        # whose rate misses the 1e-18 floor.
+        # offer goes past the runner-up to relay 0, and relay 4 is out, as
+        # its rate misses the 1e-18 floor.
         params = topology.params_from_dict({
             "l_pu": 2, "l_su": 5, "gamma_pu_db": 0.0, "gamma_su_db": 0.0,
             "r_pu_req": [1e-18, 1e-18], "r_su_req": 0.1,

@@ -272,9 +272,9 @@ class TestThresholds:
         # slopes are exactly 1 and 2, so the box is exact
         lo, hi = radio.beta_interval(rates, req)
         assert (lo[0, 0], hi[0, 0]) == (pytest.approx(0.3), pytest.approx(0.9))
-        # the concession budget stops at the box's floor
-        assert verify.iteration_bound(params, real, req) == pytest.approx(
-            0.99 / 0.05 + (0.99 - 0.3) / 0.05)
+        # the concession budget stops at the box's floor: 0.99 / 0.05 price
+        # steps plus (0.99 - 0.3) / 0.05 time steps is 33.6, so 34 plus one
+        assert verify.per_pu_puu_bounds(params, real, req).tolist() == [35]
         # the relay's price cap 2(1 - beta) stops clipping at 1 at beta 0.5
         _, xi, beta, _ = baselines.pair_optimum_continuous(rates, req)
         assert (xi[0, 0], beta[0, 0]) == (pytest.approx(1.0), pytest.approx(0.5))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -606,18 +607,17 @@ def one_pair(r_pu):
 class TestBounds:
     def test_concession_path_length_by_hand(self):
         p, real = one_pair(0.5)
-        # four price cuts plus one time cut down to the 0.5 floor
-        assert verify.iteration_bound(p, real) == pytest.approx(5.0)
+        # four price cuts plus one time cut down to the 0.5 floor, plus one
         assert verify.per_pu_puu_bounds(p, real).tolist() == [6]
 
     def test_floor_clamped_into_the_grid_span(self):
         # a floor above the opening time share counts as the opening share,
         # and a zero floor leaves the whole time grid to concede
         p, real = one_pair(9.0)
-        assert verify.iteration_bound(p, real) == pytest.approx(4.0)
+        assert verify.per_pu_puu_bounds(p, real).tolist() == [5]
         p, real = one_pair(0.5)
         zero = radio.Requirements(r_pu_req=np.array([0.0]), r_su_req=0.0)
-        assert verify.iteration_bound(p, real, zero) == pytest.approx(6.0)
+        assert verify.per_pu_puu_bounds(p, real, zero).tolist() == [7]
 
     def test_per_user_bounds_are_integers_with_slack(self, default_params):
         real = topology.make_realization(default_params, 2)
@@ -625,8 +625,6 @@ class TestBounds:
         bounds = verify.per_pu_puu_bounds(default_params, real, req)
         assert bounds.shape == (default_params.l_pu,)
         assert bounds.dtype.kind == "i"
-        raw = verify.iteration_bound(default_params, real, req)
-        assert np.all(bounds <= np.ceil(raw) + 1)
 
     def test_packet_bound_by_hand(self):
         p, real = one_pair(0.5)
@@ -634,17 +632,20 @@ class TestBounds:
         # round of slack: 2 packets a round for 6 rounds
         assert verify.packet_bound(p, real) == 12.0
 
-    def test_packet_bound_defaults_to_iteration_bound(self, default_params):
+    def test_packet_bound_is_the_largest_user_ceiling_per_round(self, default_params):
         real = topology.make_realization(default_params, 2)
         req = radio.requirements_for(default_params, real.snr)
-        import math
-        i_max = math.ceil(verify.iteration_bound(default_params, real, req)) + 1
-        assert verify.packet_bound(default_params, real, req) \
-            == pytest.approx(8 * i_max)
+        # 2 + max(2, 6) messages a round, for the largest user's concession
+        # steps down to its lowest working time share, rounded up, plus one
+        p = default_params
+        lo, _ = radio.beta_interval(radio.make_pair_rates(p, real), req)
+        floors = np.clip(lo.min(axis=1), 0.0, p.beta_init)
+        rounds = max(math.ceil(p.xi_init / p.delta + (p.beta_init - f) / p.epsilon) + 1
+                     for f in floors)
+        assert verify.packet_bound(p, real, req) == 8 * rounds
 
     def test_bounds_without_a_market_name_the_missing_argument(self, default_params):
-        for bound in (verify.iteration_bound, verify.packet_bound,
-                      verify.per_pu_puu_bounds):
+        for bound in (verify.packet_bound, verify.per_pu_puu_bounds):
             with pytest.raises(TypeError, match="realization"):
                 bound(default_params)
 
