@@ -100,7 +100,7 @@ def _max_assignment(values, feasible):
 def _outcome_from(market, pairs, xi, beta):
     return MatchingOutcome.from_terms(
         market.params.l_pu, market.params.l_su,
-        [(l, q, xi[l, q], beta[l, q]) for l, q in pairs])
+        [(l, q, xi.item(l, q), beta.item(l, q)) for l, q in pairs])
 
 
 def centralized_pu_optimal(market):
@@ -129,14 +129,14 @@ def centralized_su_rate(market):
     return _outcome_from(market, pairs, np.zeros(beta.shape), beta)
 
 
-def rmbn(market, rng, events=True):
+def rmbn(market, rng):
     """Random matching with basic negotiation.
 
     The smaller side is matched uniformly at random onto the larger (the
     excess sits out), then each licensed user runs the scenario's
-    negotiation rule (dda.negotiate, which events is passed to) with its
-    drawn relay alone, so no offer ever meets a rival one. The outcome
-    carries no concession steps, so stability audits it on the full grid.
+    negotiation rule (dda.negotiate) with its drawn relay alone, so no
+    offer ever meets a rival one. The outcome carries no concession steps,
+    so stability audits it on the full grid.
     """
     if (market.requirements.r_pu_req <= 0.0).any():
         raise ValueError("bilateral negotiation needs positive licensed rate floors")
@@ -146,5 +146,5 @@ def rmbn(market, rng, events=True):
     else:
         partners = np.full(l_pu, -1)
         partners[rng.permutation(l_pu)[:l_su]] = np.arange(l_su)
-    outcome, trace = negotiate(market, partners, events)
-    return MatchingOutcome(m=outcome.m, g=outcome.g, b=outcome.b), trace
+    outcome, trace = negotiate(market, partners)
+    return MatchingOutcome.from_terms(l_pu, l_su, outcome.matched_terms()), trace

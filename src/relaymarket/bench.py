@@ -73,18 +73,17 @@ def _se(values) -> float:
 
 
 def _realized_sums(outcome, rates):
-    """Sums over the matched pairs, in row-major order, of the licensed
+    """Sums over the matched terms, in row-major order, of the licensed
     utility and rate and the relay rate of radio.licensed_gain and
     relay_gain, spelled out on floats read with ndarray.item."""
     u = r_pu = r_su = 0.0
-    pairs = outcome.matched_pairs()
-    for l, q in pairs:
-        beta = outcome.b.item(l, q)
+    terms = outcome.matched_terms()
+    for l, q, xi, beta in terms:
         rate_pu = rates.pu_coef.item(l, q) * beta
-        u += rate_pu + rates.c_cost * outcome.g.item(l, q)
+        u += rate_pu + rates.c_cost * xi
         r_pu += rate_pu
         r_su += rates.su_coef.item(l, q) * (1.0 - beta)
-    return u, r_pu, r_su, len(pairs)
+    return u, r_pu, r_su, len(terms)
 
 
 def _knowing(params, mode):
@@ -138,15 +137,14 @@ def run_trials(params, algos, n_trials):
             market = negotiated if algo in partial else complete
             packets = iterations = 0
             if algo in ("dda-complete", "dda-partial"):
-                outcome, trace = dda.negotiate(market, events=False)
+                outcome, trace = dda.negotiate(market)
                 packets, iterations = trace.packets, trace.offers
             elif algo == "centralized":
                 outcome = baselines.centralized_pu_optimal(market)
             elif algo == "centralized-su":
                 outcome = baselines.centralized_su_rate(market)
             else:
-                outcome, trace = baselines.rmbn(market, np.random.default_rng(rmbn_ss),
-                                                events=False)
+                outcome, trace = baselines.rmbn(market, np.random.default_rng(rmbn_ss))
                 packets, iterations = trace.packets, trace.offers
             util, rpu, rsu, count = _realized_sums(outcome, complete.rates)
             per_algo[a].append((util, rpu, rsu, packets, iterations))

@@ -20,9 +20,12 @@ without the boxing, so runs replay bit for bit.
 negotiate stops the loop with an EngineError past the rule's offer bound
 (state.cap) rather than trusting the theory to end it. Either rule can
 also run on a fixed partner per licensed user (negotiate's partners, -1
-sitting out), which is how the random baseline negotiates. negotiate's
-events flag turns event capture off for callers that only read the
-outcome and the counts; the run is the same either way.
+sitting out), which is how the random baseline negotiates.
+
+Results are built only when read. negotiate captures no event; its
+trace replays the run on the first read of EngineTrace.events. An
+outcome keeps its matched terms and fills the dense m, g and b on the
+first read of one of them.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import functools
 import json
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -107,36 +110,81 @@ def market(params, realization, requirements=None):
                   concession_grids(params))
 
 
-@dataclass
 class MatchingOutcome:
-    """Matching matrix plus the agreed terms, zero wherever unmatched.
+    """Matching matrix m plus the agreed prices g and time shares b, each
+    [l, q] and zero wherever unmatched.
 
     Ladder outcomes also carry each licensed pair's terminal concession-grid
     steps; stability checks use them as the envelope of terms the pair had
     not yet conceded past. Contract, hand-built and baseline outcomes leave
     them None.
+
+    An outcome built by from_terms, as every engine and baseline outcome
+    is, keeps its matched (l, q, xi, beta) terms in row-major order and
+    fills m, g and b on the first read of one of them, read-only so they
+    cannot drift from the terms. One built from arrays keeps them as
+    given.
     """
-    m: np.ndarray
-    g: np.ndarray
-    b: np.ndarray
-    final_xi_steps: np.ndarray | None = None
-    final_beta_steps: np.ndarray | None = None
+
+    _terms = None   # the matched terms of an outcome built by from_terms
+
+    def __init__(self, m, g, b, final_xi_steps=None, final_beta_steps=None):
+        self.m, self.g, self.b = m, g, b
+        self.final_xi_steps = final_xi_steps
+        self.final_beta_steps = final_beta_steps
 
     @classmethod
-    def from_terms(cls, l_pu, l_su, terms, **steps):
-        """Outcome holding the matched (l, q, xi, beta) terms; keyword
-        arguments fill the concession-step fields."""
-        m = np.zeros((l_pu, l_su), dtype=int)
-        g = np.zeros((l_pu, l_su))
-        b = np.zeros((l_pu, l_su))
-        for l, q, xi, beta in terms:
+    def from_terms(cls, l_pu, l_su, terms, final_xi_steps=None, final_beta_steps=None):
+        """Outcome of an [l_pu, l_su] market holding the matched (l, q, xi,
+        beta) terms, Python ints and floats, one per matched pair."""
+        outcome = cls.__new__(cls)
+        outcome._shape, outcome._terms = (l_pu, l_su), tuple(sorted(terms))
+        outcome.final_xi_steps = final_xi_steps
+        outcome.final_beta_steps = final_beta_steps
+        return outcome
+
+    def _dense(self):
+        """Set m, g and b from the terms, read-only; returns them."""
+        m = np.zeros(self._shape, dtype=int)
+        g = np.zeros(self._shape)
+        b = np.zeros(self._shape)
+        for l, q, xi, beta in self._terms:
             m[l, q] = 1
             g[l, q] = xi
             b[l, q] = beta
-        return cls(m=m, g=g, b=b, **steps)
+        m.setflags(write=False)
+        g.setflags(write=False)
+        b.setflags(write=False)
+        self.m, self.g, self.b = m, g, b
+        return m, g, b
+
+    # only an outcome built by from_terms reaches these (__init__ sets m, g
+    # and b as plain attributes); the first read of one sets all three
+    @functools.cached_property
+    def m(self):
+        return self._dense()[0]
+
+    @functools.cached_property
+    def g(self):
+        return self._dense()[1]
+
+    @functools.cached_property
+    def b(self):
+        return self._dense()[2]
+
+    def matched_terms(self):
+        """Tuple of the matched (l, q, xi, beta) terms as Python numbers, in
+        row-major order."""
+        if self._terms is not None:
+            return self._terms
+        ls, qs = self.m.nonzero()
+        return tuple(zip(ls.tolist(), qs.tolist(),
+                         self.g[ls, qs].tolist(), self.b[ls, qs].tolist()))
 
     def matched_pairs(self):
         """Matched (l, q) pairs as Python ints, in row-major order."""
+        if self._terms is not None:
+            return [(l, q) for l, q, _, _ in self._terms]
         ls, qs = self.m.nonzero()
         return list(zip(ls.tolist(), qs.tolist()))
 
@@ -144,15 +192,26 @@ class MatchingOutcome:
 @dataclass
 class EngineTrace:
     """Per-run instrumentation. Events are (kind, l, q, xi, beta, iteration)
-    with kind one of offer/accept/reject/displace/puu/prune, and empty when
-    the run did not capture them. offers, accepts, displacements and
-    prunes count those kinds either way."""
-    events: list
+    with kind one of offer/accept/reject/displace/puu/prune; offers,
+    accepts, displacements and prunes count those kinds. A hand-stepped
+    run's trace holds the events its state captured. A negotiate run
+    captures none: the first read of events replays the run from its
+    market and partners (_replay_events), and later reads return that list.
+    """
     offers: int
     puu_counts: np.ndarray
     accepts: int
     displacements: int
     prunes: int
+    market: Market = field(repr=False)
+    partners: np.ndarray | None = field(repr=False)
+    captured: list | None = field(default=None, repr=False)
+
+    @property
+    def events(self):
+        if self.captured is None:
+            self.captured = _replay_events(self.market, self.partners)
+        return self.captured
 
     @property
     def packets(self):
@@ -194,17 +253,19 @@ class EngineState:
     (every one, or those with a partner, in index order), each relay's held
     offer, the refusals and displacements each user absorbed, the offer,
     accept, displacement and prune counts, and the events (None when they
-    are not captured). A subclass is one rule's licensed side: offer(l)
-    gives user l's next (relay, xi, beta), relay -1 when it exits;
-    refused(l, q) tells it relay q refused or displaced it and returns the
-    (xi, beta) it concedes to, None under a rule that does not concede
-    step by step; final_steps() gives the outcome's concession steps; cap
-    bounds the offers.
+    are not captured, as in negotiate). A subclass is one rule's licensed
+    side: offer(l) gives user l's next (relay, xi, beta), relay -1 when it
+    exits; refused(l, q) tells it relay q refused or displaced it and
+    returns the (xi, beta) it concedes to, None under a rule that does not
+    concede step by step; final_steps() gives the outcome's concession
+    steps; cap bounds the offers. partners is the partners array the run
+    was opened with, which a trace replays from.
     """
 
     def __init__(self, market, partners):
         l_pu = market.params.l_pu
         self.market = market
+        self.partners = partners
         self.queue = deque(range(l_pu) if partners is None
                            else (partners >= 0).nonzero()[0].tolist())
         self.accepted = [None] * market.params.l_su   # per relay: (l, xi, beta, u_su) held
@@ -468,12 +529,14 @@ def finish(state):
          for q, held in enumerate(state.accepted) if held is not None],
         final_xi_steps=final_xi_steps, final_beta_steps=final_beta_steps)
     trace = EngineTrace(
-        events=[] if state.events is None else list(state.events),
         offers=state.offers,
         puu_counts=np.array(state.puu_counts, dtype=int),
         accepts=state.accepts,
         displacements=state.displacements,
         prunes=state.prunes,
+        market=state.market,
+        partners=state.partners,
+        captured=None if state.events is None else list(state.events),
     )
     return outcome, trace
 
@@ -483,25 +546,38 @@ def run(params, realization, requirements=None):
     return negotiate(market(params, realization, requirements))
 
 
-def negotiate(market, partners=None, events=True):
+def negotiate(market, partners=None):
     """Run the market's negotiation rule to termination. partners, when
     given, is an int array holding each licensed user's one relay, -1 for
-    a user that sits out. With events False no event is built and the
-    trace's events are empty; the outcome and the counts are the same.
+    a user that sits out. The run builds no event; the trace replays it
+    when its events are read.
 
     Raises EngineError once the offers pass the rule's bound, state.cap
     (see LadderState and ContractState), rather than trusting the theory
     to end the run.
     """
     state = init_state(market, partners)
-    if not events:
-        state.events = None
+    state.events = None
+    _run_out(state)
+    return finish(state)
+
+
+def _replay_events(market, partners):
+    """The events of negotiate(market, partners), from a second run that
+    captures them. Its state comes from the rule's class, not through
+    init_state, so whatever wraps init_state sees runs, not replays."""
+    state = _RULES[market.params.negotiation](market, partners)
+    _run_out(state)
+    return state.events
+
+
+def _run_out(state):
+    """Step state until its queue drains; EngineError past state.cap."""
     while state.queue:
         if state.offers > state.cap:
             worst = int(np.argmax(state.puu_counts))
             raise EngineError(
-                f"{market.params.negotiation} rule made {state.offers} offers, past its "
-                f"bound of {state.cap}, with {len(state.queue)} users queued; user "
-                f"{worst} was refused {state.puu_counts[worst]} times")
+                f"{state.market.params.negotiation} rule made {state.offers} offers, "
+                f"past its bound of {state.cap}, with {len(state.queue)} users queued; "
+                f"user {worst} was refused {state.puu_counts[worst]} times")
         step(state, state.cap + 1 - state.offers)
-    return finish(state)

@@ -20,9 +20,12 @@ PARTIAL_SAMPLES = 256
 PARTIAL_ROWS_PER_BLOCK = 4   # licensed rows per [rows, q, PARTIAL_SAMPLES] pass
 
 
-def log2_1p(x):
-    """log2(1 + x) through log1p, so tiny SNRs do not lose precision."""
-    return np.log1p(x) / _LN2
+def log2_1p(x, out=None):
+    """log2(1 + x) through log1p, so tiny SNRs do not lose precision. The
+    division runs in place on log1p's result, or on out when given."""
+    out = np.log1p(x, out=out)
+    out /= _LN2
+    return out
 
 
 def db_to_linear(db):
@@ -141,16 +144,20 @@ def make_pair_rates(params, realization):
     """Rate and utility slopes of every pair under params.snr_knowledge."""
     snrs = realization.snr
     if params.snr_knowledge == "complete":
-        log_term = log2_1p(snrs.gamma_dir[:, None] + snrs.gamma_relay)
+        # 0.5 * t_frame * log2_1p(gamma_dir + gamma_relay), each operation in
+        # its order, in place on the one fresh [l, q] array the sum makes
+        pu_coef = snrs.gamma_dir[:, None] + snrs.gamma_relay
+        log2_1p(pu_coef, out=pu_coef)
+        pu_coef *= 0.5 * params.t_frame
     elif realization.partial_mean_log is None:
         raise ValueError("realization carries no partial-knowledge rate estimates")
     else:
-        log_term = realization.partial_mean_log
-    pu_coef = 0.5 * params.t_frame * log_term
-    su_coef = params.t_frame * log2_1p(snrs.gamma_sr.T)
+        pu_coef = 0.5 * params.t_frame * realization.partial_mean_log
+    su_coef = log2_1p(snrs.gamma_sr.T)
+    su_coef *= params.t_frame
     return PairRates(
-        pu_coef=np.asarray(pu_coef, dtype=float),
-        su_coef=np.asarray(su_coef, dtype=float),
+        pu_coef=pu_coef,
+        su_coef=su_coef,
         c_cost=params.c_bar * params.capital_c,
         k_cost=params.k_bar * params.capital_c,
     )

@@ -155,6 +155,11 @@ class TestRunTrials:
         pairs = outcome.matched_pairs()
         assert pairs == [(0, 3), (1, 1), (2, 0)]
         assert all(type(l) is int and type(q) is int for l, q in pairs)
+        # an outcome built from arrays reads the same pairs and terms off them
+        dense = dda.MatchingOutcome(m=outcome.m, g=outcome.g, b=outcome.b)
+        assert dense.matched_pairs() == pairs
+        assert dense.matched_terms() == outcome.matched_terms()
+        assert all(type(v) is float for term in dense.matched_terms() for v in term[2:])
 
     def test_centralized_exchanges_no_packets(self, small_params):
         aggs = bench.run_trials(small_params, ["centralized", "centralized-su"], 6)
@@ -325,6 +330,27 @@ class TestAggregation:
         # the count sees the package's calls: packet_cdf takes np.mean
         aggs["rmbn"].packet_cdf(10)
         assert calls == Counter({"mean": 1})
+
+    @pytest.mark.parametrize("knowledge", ["complete", "partial"])
+    @pytest.mark.parametrize("shape", [(2, 6), (25, 50)])
+    def test_no_dense_outcome_or_event_replay_on_the_trial_path(self, monkeypatch,
+                                                                shape, knowledge):
+        # run_trials reads outcomes through their terms and traces through
+        # their counts; filling m, g and b or replaying the events is waste
+        def refuse(*args, **kwargs):
+            raise AssertionError("built on the trial path")
+
+        monkeypatch.setattr(dda.MatchingOutcome, "_dense", refuse)
+        monkeypatch.setattr(dda, "_replay_events", refuse)
+        params = topology.params_from_dict(
+            {"l_pu": shape[0], "l_su": shape[1], "snr_knowledge": knowledge})
+        bench.run_trials(params, bench.ALGO_TAGS, 2)
+        # the patches see the package's reads
+        outcome, trace = dda.negotiate(dda.market(params, topology.make_realization(params, 0)))
+        with pytest.raises(AssertionError, match="trial path"):
+            outcome.m
+        with pytest.raises(AssertionError, match="trial path"):
+            trace.events
 
 
 class TestSweep:

@@ -492,9 +492,79 @@ class TestGoldenTrace:
                                 kinds["prune"])), (overrides, seed)
 
 
+class TestOutcomeTerms:
+    """Outcomes built from their matched terms (every engine and baseline
+    outcome) against the dense m, g and b the terms describe."""
+
+    # sha256 over helpers.GOLDEN_MARKETS of each outcome's _dense_key, for
+    # negotiate, rmbn (rng seeded with the market's seed), centralized and
+    # centralized-su, recorded when outcomes still filled m, g and b as they
+    # were built
+    DIGEST = "e50c2743a4796e98828f9a49a6c7d8dfa0981823949340e86cb72cfc34353928"
+
+    @staticmethod
+    def _outcomes(market, seed):
+        return (("ladder" if market.params.negotiation == "ladder" else "steps-free",
+                 dda.negotiate(market)[0]),
+                ("steps-free", baselines.rmbn(market, np.random.default_rng(seed))[0]),
+                ("steps-free", baselines.centralized_pu_optimal(market)),
+                ("steps-free", baselines.centralized_su_rate(market)))
+
+    @staticmethod
+    def _dense_key(outcome):
+        steps = [None if a is None else (a.dtype.str, a.tobytes())
+                 for a in (outcome.final_xi_steps, outcome.final_beta_steps)]
+        return repr([(a.dtype.str, a.shape, a.tobytes())
+                     for a in (outcome.m, outcome.g, outcome.b)]
+                    + steps + [outcome.matched_pairs()]).encode()
+
+    def test_equal_the_recorded_dense_outcomes(self):
+        digest = hashlib.sha256()
+        for overrides, seeds in GOLDEN_MARKETS:
+            params = topology.params_from_dict(overrides)
+            for seed in range(seeds):
+                market = dda.market(params, topology.make_realization(params, seed))
+                for _, outcome in self._outcomes(market, seed):
+                    digest.update(self._dense_key(outcome))
+        assert digest.hexdigest() == self.DIGEST
+
+    def test_terms_describe_the_dense_arrays(self):
+        for overrides, seeds in GOLDEN_MARKETS:
+            params = topology.params_from_dict(overrides)
+            for seed in range(seeds):
+                market = dda.market(params, topology.make_realization(params, seed))
+                for kind, outcome in self._outcomes(market, seed):
+                    terms = outcome.matched_terms()
+                    pairs = outcome.matched_pairs()
+                    assert pairs == sorted(pairs) == [(l, q) for l, q, _, _ in terms]
+                    assert all(type(v) is int for pair in pairs for v in pair)
+                    assert all(type(xi) is float and type(beta) is float
+                               for _, _, xi, beta in terms)
+                    assert outcome.m.dtype.kind == "i"
+                    assert_outcome_well_formed(outcome, params.l_pu, params.l_su)
+                    ls, qs = outcome.m.nonzero()
+                    assert list(zip(ls.tolist(), qs.tolist())) == pairs
+                    assert [(outcome.g.item(l, q), outcome.b.item(l, q))
+                            for l, q in pairs] == [(xi, beta) for _, _, xi, beta in terms]
+                    if kind == "ladder":
+                        assert outcome.final_xi_steps.shape == (params.l_pu,)
+                        assert outcome.final_beta_steps.shape == (params.l_pu,)
+                    else:
+                        assert outcome.final_xi_steps is None
+                        assert outcome.final_beta_steps is None
+
+    def test_dense_arrays_are_built_once_and_read_only(self):
+        params = topology.params_from_dict({"l_pu": 4, "l_su": 3})
+        outcome, _ = dda.negotiate(dda.market(params, topology.make_realization(params, 2)))
+        assert outcome.m is outcome.m and outcome.g is outcome.g
+        for a in (outcome.m, outcome.g, outcome.b):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 1
+
+
 class TestOfferLoop:
-    """step(state, n) and negotiate's events flag against one-iteration
-    steps that capture every event."""
+    """step(state, n), and the events negotiate's traces replay, against
+    one-iteration steps that capture every event."""
 
     MARKETS = (({}, 8), ({"l_pu": 6, "l_su": 2}, 8), ({"l_pu": 4, "l_su": 3}, 8),
                ({"l_pu": 25, "l_su": 50}, 2))
@@ -528,25 +598,61 @@ class TestOfferLoop:
                     assert self._snapshot(batched) == self._snapshot(single), (overrides, n)
                 assert not batched.queue
 
+    @staticmethod
+    def _stepped(market, partners):
+        """outcome, trace of a hand-stepped run, one iteration per step,
+        which captures its events as it goes."""
+        state = dda.init_state(market, partners)
+        while state.queue:
+            dda.step(state)
+        return dda.finish(state)
+
     @pytest.mark.parametrize("formula", ["paper", "standard"])
     @pytest.mark.parametrize("knowledge", ["complete", "partial"])
-    def test_runs_without_events_equal_runs_with_them(self, knowledge, formula):
+    def test_trace_events_equal_a_capturing_run(self, knowledge, formula):
+        # negotiate and rmbn capture no event; their traces replay the run
+        # when the events are read
         for rule in ("ladder", "contracts"):
             for overrides, seeds in self.MARKETS:
                 params = topology.params_from_dict({
                     **overrides, "negotiation": rule, "snr_knowledge": knowledge,
                     "af_formula": formula})
+                l_pu, l_su = params.l_pu, params.l_su
                 for seed in range(seeds):
                     market = dda.market(params, topology.make_realization(params, seed))
-                    runs = [(dda.negotiate(market, events=events),
-                             baselines.rmbn(market, np.random.default_rng(seed), events=events))
-                            for events in (True, False)]
-                    for (out, on), (out_off, off) in zip(*runs):
-                        assert off.events == [] and on.events
-                        assert (engine_fingerprint(out, replace(on, events=[]))
-                                == engine_fingerprint(out_off, off))
-                        assert ((on.accepts, on.displacements, on.prunes)
-                                == (off.accepts, off.displacements, off.prunes))
+                    fixed = np.random.default_rng(seed).integers(-1, l_su, l_pu)
+                    # rmbn's draw, restated
+                    perm = np.random.default_rng(seed).permutation(max(l_pu, l_su))
+                    drawn = np.full(l_pu, -1)
+                    if l_pu <= l_su:
+                        drawn[:] = perm[:l_pu]
+                    else:
+                        drawn[perm[:l_su]] = np.arange(l_su)
+                    runs = ((dda.negotiate(market), None),
+                            (dda.negotiate(market, fixed), fixed),
+                            (baselines.rmbn(market, np.random.default_rng(seed)), drawn))
+                    for (outcome, trace), partners in runs:
+                        want_outcome, want = self._stepped(market, partners)
+                        events = trace.events
+                        assert events == want.events, (overrides, seed)
+                        assert trace.events is events
+                        assert ((trace.offers, trace.accepts, trace.displacements,
+                                 trace.prunes, trace.puu_counts.tolist())
+                                == (want.offers, want.accepts, want.displacements,
+                                    want.prunes, want.puu_counts.tolist()))
+                        assert outcome.matched_terms() == want_outcome.matched_terms()
+
+    def test_run_trace_jsonl_is_unchanged(self, tmp_path):
+        # sha256 of `relaymarket run --seed S --trials 3 --trace FILE` for S
+        # in 0, 3, 11, recorded when runs still captured their events
+        digest = hashlib.sha256()
+        for seed in (0, 3, 11):
+            path = tmp_path / f"events-{seed}.jsonl"
+            assert cli.main(["run", "--seed", str(seed), "--trials", "3",
+                             "--out", str(tmp_path / "agg.csv"), "--trace", str(path)]) == 0
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == (
+            "8800c4f9fe3577a463a9010f97d78d266e19fe920f1e789440e47ecffb33a7ab")
 
 
 class TestGoldenContracts:

@@ -142,6 +142,31 @@ class TestPairRates:
         rates = radio.make_pair_rates(p, real)
         assert np.allclose(rates.pu_coef, 0.5 * real.partial_mean_log)
 
+    @pytest.mark.parametrize("formula", ["paper", "standard"])
+    def test_leaves_its_inputs_unchanged(self, formula):
+        # the complete-knowledge slopes are computed in place; they must
+        # never alias the SNRs or the partial-knowledge estimates
+        for l_pu, l_su in ((2, 6), (6, 2), (25, 50)):
+            p = topology.params_from_dict({"l_pu": l_pu, "l_su": l_su, "t_frame": 0.7,
+                                           "snr_knowledge": "partial", "af_formula": formula})
+            real = topology.make_realization(p, 5)
+            inputs = [real.partial_mean_log, real.snr.gamma_dir, real.snr.gamma_pt_st,
+                      real.snr.gamma_st_pr, real.snr.gamma_relay, real.snr.gamma_sr]
+            before = [a.copy() for a in inputs]
+            for knowledge in ("complete", "partial"):
+                rates = radio.make_pair_rates(replace(p, snr_knowledge=knowledge), real)
+                for a, b in zip(inputs, before):
+                    assert a.tobytes() == b.tobytes()
+                    assert not np.shares_memory(a, rates.pu_coef)
+                    assert not np.shares_memory(a, rates.su_coef)
+                # the slopes restated out of place, bit for bit
+                snr = real.snr
+                log_term = (np.log1p(snr.gamma_dir[:, None] + snr.gamma_relay) / math.log(2.0)
+                            if knowledge == "complete" else real.partial_mean_log)
+                assert rates.pu_coef.tobytes() == (0.5 * 0.7 * log_term).tobytes()
+                assert rates.su_coef.tobytes() == (
+                    0.7 * (np.log1p(snr.gamma_sr.T) / math.log(2.0))).tobytes()
+
     def test_partial_slope_close_to_complete_on_average(self):
         # expectation over the forward hop should track the realized slope
         # in the mean, though any single pair can be off
