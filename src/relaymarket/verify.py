@@ -7,20 +7,24 @@ scaling estimates. Enumerative checks are guarded to tiny instances;
 everything here is a pure function of an outcome plus the scenario, and
 each check builds the draw's dda.Market (rates, floors, grids) on entry.
 
-The blocking-pair rule lives in one array core, _blocking_pairs, over a
-leading axis of stacked outcomes: is_stable audits one outcome through
-it, and enumeration audits every grid candidate through it in blocks of
-AUDIT_BLOCK stacked m/g/b arrays (_candidate_blocks), which the
-weak-Pareto check reads too.
-
 A pair blocks where radio.licensed_gain and radio.relay_gain (its bar
-the relay's held utility) both hold. At a fixed price that happens from
-the start of the relay's suffix of the falling time grid
-(radio.relay_open_index) to the end of the licensed prefix, so the core
-reads one time index per pair and price and never builds a pair's whole
-grid: first one per pair, at each side's best price, to drop pairs that
-cannot block (_may_block), then one per price for the survivors' first
-witnesses.
+the relay's held utility) both hold. is_stable alone needs each blocking
+pair's first witness, so only it runs the array core, _blocking_pairs.
+At a fixed price a pair blocks from the start of the relay's suffix of
+the falling time grid (radio.relay_open_index) to the end of the
+licensed prefix, so the core reads one time index per pair and price and
+never builds a pair's whole grid: first one per pair, at each side's
+best price, to drop pairs that cannot block (_may_block), then one per
+price for the survivors' first witnesses, AUDIT_PAIRS survivors at a
+time.
+
+The grid candidates have one order (_candidate_plans). Enumeration needs
+a verdict only: it takes them in blocks of AUDIT_BLOCK stacked m/g/b
+arrays (_candidate_blocks) and tests both halves of a trade over every
+open pair and grid point of a block in one broadcast. The weak-Pareto
+check builds no candidate but its witness: in that order the first
+dominating candidate takes, pair by pair, the first term that improves
+its licensed user.
 """
 
 from __future__ import annotations
@@ -66,9 +70,12 @@ class StabilityReport:
         return "\n".join(lines)
 
 
-# Candidates per audited block. It bounds enumeration's memory: a 3x3
+# Candidates per enumerated block. It bounds enumeration's memory: a 3x3
 # market on 6-point grids can have up to 303,589 candidates.
 AUDIT_BLOCK = 256
+# Prefilter survivors per first-witness pass. It bounds an audit's memory:
+# a 100x200 contract outcome keeps about 13,700 pairs.
+AUDIT_PAIRS = 1024
 
 
 def _on_grid(values, grid_values, tol=1e-9):
@@ -105,13 +112,13 @@ def _may_block(market, l, q, u_pu, u_su, xi_lo, beta_lo):
 
 
 def _blocking_pairs(market, u_pu, u_su, open_pairs, xi_lo, beta_lo):
-    """Blocking pairs of n stacked outcomes, each with its first witness.
+    """Blocking pairs of one outcome, each with its first witness.
 
-    u_pu [n, l] and u_su [n, q] are the utilities held, open_pairs
-    [n, l, q] marks the cross pairs that may block, and xi_lo, beta_lo
-    [n, l] are each licensed user's first grid steps still on the table.
-    Returns index arrays (n, l, q, i, j) in (n, l, q) order: the pair's
-    first witness in xi-major grid order is (xi_values[i], beta_values[j]).
+    u_pu [l] and u_su [q] are the utilities held, open_pairs [l, q] marks
+    the cross pairs that may block, and xi_lo, beta_lo [l] are each
+    licensed user's first grid steps still on the table. Returns (l, q,
+    i, j) tuples of Python ints in (l, q) order: the pair's first witness
+    in xi-major grid order is (xi_values[i], beta_values[j]).
 
     The first witness is at the first i >= xi_lo where the licensed half
     holds at j = max(start of the relay's suffix at price i, beta_lo). The
@@ -121,23 +128,25 @@ def _blocking_pairs(market, u_pu, u_su, open_pairs, xi_lo, beta_lo):
     rates, requirements = market.rates, market.requirements
     xis, betas = market.grids.xi_values, market.grids.beta_values
     n_xi, n_beta = len(xis), len(betas)
-    nn, ll, qq = (open_pairs & (xi_lo < n_xi)[..., None]
-                  & (beta_lo < n_beta)[..., None]).nonzero()
-    u_pu, u_su = u_pu[nn, ll], u_su[nn, qq]
-    xi_lo, beta_lo = xi_lo[nn, ll], beta_lo[nn, ll]
+    ll, qq = (open_pairs & (xi_lo < n_xi)[:, None] & (beta_lo < n_beta)[:, None]).nonzero()
+    u_pu, u_su = u_pu[ll], u_su[qq]
+    xi_lo, beta_lo = xi_lo[ll], beta_lo[ll]
 
-    k = _may_block(market, ll, qq, u_pu, u_su, xi_lo, beta_lo)
-    if not len(k):
-        return nn[k], ll[k], qq[k], k, k
-    l, q = ll[k, None], qq[k, None]
-    j = np.maximum(radio.relay_open_index(rates, requirements, l, q, u_su[k, None],
-                                          betas, xis), beta_lo[k, None])
-    hit = ((j < n_beta) & (np.arange(n_xi) >= xi_lo[k, None])
-           & radio.licensed_gain(rates, requirements, l, q, u_pu[k, None],
-                                 betas.take(j, mode="clip"), xis))
-    blocks = hit.any(axis=1)
-    k, i = k[blocks], hit[blocks].argmax(axis=1)
-    return nn[k], ll[k], qq[k], i, j[blocks, i]
+    survivors = _may_block(market, ll, qq, u_pu, u_su, xi_lo, beta_lo)
+    found = []
+    for lo in range(0, len(survivors), AUDIT_PAIRS):
+        k = survivors[lo:lo + AUDIT_PAIRS, None]
+        l, q = ll[k], qq[k]
+        j = np.maximum(radio.relay_open_index(rates, requirements, l, q, u_su[k],
+                                              betas, xis), beta_lo[k])
+        hit = ((j < n_beta) & (np.arange(n_xi) >= xi_lo[k])
+               & radio.licensed_gain(rates, requirements, l, q, u_pu[k],
+                                     betas.take(j, mode="clip"), xis))
+        rows = hit.any(axis=1).nonzero()[0]
+        i = hit[rows].argmax(axis=1)
+        found += zip(l[rows, 0].tolist(), q[rows, 0].tolist(), i.tolist(),
+                     j[rows, i].tolist())
+    return found
 
 
 def is_stable(outcome, realization, requirements, params):
@@ -199,10 +208,8 @@ def is_stable(outcome, realization, requirements, params):
         xi_lo = np.asarray(outcome.final_xi_steps, dtype=int)
         beta_lo = np.asarray(outcome.final_beta_steps, dtype=int)
     u_pu, u_su = _utilities(rates, outcome.m, outcome.g, outcome.b)
-    _, pl, pq, i, j = _blocking_pairs(market, u_pu[None], u_su[None],
-                                      open_pairs[None], xi_lo[None], beta_lo[None])
-    pairs = [(l, q, (float(grids.xi_values[xi_i]), float(grids.beta_values[beta_j])))
-             for l, q, xi_i, beta_j in zip(pl.tolist(), pq.tolist(), i, j)]
+    pairs = [(l, q, (grids.xi_terms[i], grids.beta_terms[j]))
+             for l, q, i, j in _blocking_pairs(market, u_pu, u_su, open_pairs, xi_lo, beta_lo)]
     return StabilityReport(blocked_individuals=blocked, blocking_pairs=pairs)
 
 
@@ -226,15 +233,15 @@ def _injective_maps(l_pu, l_su):
             yield assign
 
 
-def _candidate_blocks(market):
-    """Every feasible (matching, allocation) on the grids, as stacked
-    m/g/b arrays [n, l, q] of at most AUDIT_BLOCK candidates each.
+def _candidate_plans(market):
+    """The one order of the grid candidates: (terms, plans).
 
-    Candidates come assignment by assignment in _injective_maps order;
-    within one, the matched pairs' terms vary like itertools.product over
-    the pairs in licensed order, each pair's terms by falling time share,
-    then falling price. Only individually acceptable terms are used, so
-    no candidate has a blocked individual.
+    terms[l, q] holds pair (l, q)'s individually acceptable grid terms as
+    (xi values, beta values) arrays, time share falling, then price, so
+    no candidate has a blocked individual. plans lists each assignment's
+    matched pairs in _injective_maps order, skipping any assignment with
+    a pair that has no terms. A plan's candidates vary like
+    itertools.product over its pairs' term lists, in licensed order.
     """
     rates, requirements, grids = market.rates, market.requirements, market.grids
     l_pu, l_su = rates.pu_coef.shape
@@ -246,20 +253,32 @@ def _candidate_blocks(market):
     for l, q in np.ndindex(l_pu, l_su):
         j, i = ok[l, q].nonzero()
         terms[l, q] = (grids.xi_values[i], grids.beta_values[j])
-    plans = []   # (first candidate number, matched pairs, term counts)
-    total = 0
+    plans = []
     for assign in _injective_maps(l_pu, l_su):
         pairs = [(l, q) for l, q in enumerate(assign) if q >= 0]
+        if all(len(terms[pair][0]) for pair in pairs):
+            plans.append(pairs)
+    return terms, plans
+
+
+def _candidate_blocks(market):
+    """Every feasible (matching, allocation) on the grids, in
+    _candidate_plans order, as stacked m/g/b arrays [n, l, q] of at most
+    AUDIT_BLOCK candidates each."""
+    terms, plans = _candidate_plans(market)
+    l_pu, l_su = market.rates.pu_coef.shape
+    spans = []   # (first candidate number, matched pairs, term counts)
+    total = 0
+    for pairs in plans:
         counts = [len(terms[pair][0]) for pair in pairs]
-        if all(counts):
-            plans.append((total, pairs, counts))
-            total += math.prod(counts)
+        spans.append((total, pairs, counts))
+        total += math.prod(counts)
     for start in range(0, total, AUDIT_BLOCK):
         stop = min(start + AUDIT_BLOCK, total)
         m = np.zeros((stop - start, l_pu, l_su), dtype=int)
         g = np.zeros(m.shape)
         b = np.zeros(m.shape)
-        for first, pairs, counts in plans:
+        for first, pairs, counts in spans:
             lo, hi = max(first, start), min(first + math.prod(counts), stop)
             if lo >= hi or not pairs:
                 continue
@@ -276,16 +295,25 @@ def enumerate_stable_matchings(realization, requirements, params):
     """Every stable (matching, allocation) on the grids, by exhaustion.
 
     Tiny instances only; stability here is full-grid (candidates carry no
-    negotiation history, so every allocation is a potential witness).
+    negotiation history, so every allocation is a potential witness). A
+    candidate is stable when no open pair (m == 0) has a grid point where
+    both halves of a trade hold against the utilities it holds: one
+    [l, q, beta, xi, candidate] broadcast per block, the candidates last
+    so that each operation runs along a block.
     """
     market = dda.market(params, realization, requirements)
     _check_enum_guard(params, market.grids)
+    rates, requirements, grids = market.rates, market.requirements, market.grids
+    ls, qs = np.indices(rates.pu_coef.shape)[..., None, None, None]
+    betas, xis = grids.beta_values[:, None, None], grids.xi_values[:, None]
     stable = []
     for m, g, b in _candidate_blocks(market):
-        u_pu, u_su = _utilities(market.rates, m, g, b)
-        steps = np.zeros((len(m), params.l_pu), dtype=int)
-        blocked = np.zeros(len(m), dtype=bool)
-        blocked[_blocking_pairs(market, u_pu, u_su, m == 0, steps, steps)[0]] = True
+        u_pu, u_su = _utilities(rates, m, g, b)
+        trade = (radio.licensed_gain(rates, requirements, ls, qs,
+                                     u_pu.T[:, None, None, None], betas, xis)
+                 & radio.relay_gain(rates, requirements, ls, qs,
+                                    u_su.T[:, None, None], betas, xis))
+        blocked = (trade.any(axis=(2, 3)) & (m == 0).transpose(1, 2, 0)).any(axis=(0, 1))
         stable.extend(MatchingOutcome(m=m[n].copy(), g=g[n].copy(), b=b[n].copy())
                       for n in (~blocked).nonzero()[0])
     return stable
@@ -307,19 +335,39 @@ def check_weak_pareto(outcome, realization, requirements, params):
 
     Quantifies over the users the outcome actually matched; an empty
     matching passes vacuously. Returns (True, None) or (False, witness
-    outcome) with the first strictly-dominating alternative found.
+    outcome) with the first strictly-dominating alternative in
+    _candidate_plans order. A plan dominates when every matched user has
+    a pair in it with a term worth more than the user's base (a user the
+    plan leaves unmatched holds 0.0); as candidates run in lexicographic
+    order, its first dominating candidate takes the first such term for
+    each matched user and the first term for everyone else, and it is the
+    only candidate built.
     """
     market = dda.market(params, realization, requirements)
     _check_enum_guard(params, market.grids)
     matched = [l for l, _ in outcome.matched_pairs()]
     if not matched:
         return True, None
-    base = pu_utilities(outcome, market.rates)[matched]
-    for m, g, b in _candidate_blocks(market):
-        better = (_utilities(market.rates, m, g, b)[0][:, matched] > base).all(axis=1)
-        if better.any():
-            n = int(np.argmax(better))
-            return False, MatchingOutcome(m=m[n].copy(), g=g[n].copy(), b=b[n].copy())
+    rates = market.rates
+    base = pu_utilities(outcome, rates).tolist()
+    terms, plans = _candidate_plans(market)
+    first = {}   # pair -> index of the first term its user takes, None if none
+    for (l, q), (xi, beta) in terms.items():
+        bar = base[l] if l in matched else -np.inf
+        better = radio.licensed_gain(rates, market.requirements, l, q, bar, beta, xi).nonzero()[0]
+        first[l, q] = int(better[0]) if len(better) else None
+    for pairs in plans:
+        held = {l for l, _ in pairs}
+        if (all(first[pair] is not None for pair in pairs)
+                and all(l in held or 0.0 > base[l] for l in matched)):
+            m = np.zeros(rates.pu_coef.shape, dtype=int)
+            g = np.zeros(m.shape)
+            b = np.zeros(m.shape)
+            for l, q in pairs:
+                m[l, q] = 1
+                g[l, q] = terms[l, q][0][first[l, q]]
+                b[l, q] = terms[l, q][1][first[l, q]]
+            return False, MatchingOutcome(m=m, g=g, b=b)
     return True, None
 
 

@@ -66,6 +66,30 @@ def tiny_markets():
             yield params, real, radio.requirements_for(params, real.snr)
 
 
+def corner_markets():
+    """Enumerable markets at the guard's corners: 1x3 and 3x1 on 6-point
+    grids, 3x3 on 3-point grids, each under both formulas and with partial
+    knowledge, two seeds each."""
+    variants = [{}, {"af_formula": "standard"}, {"snr_knowledge": "partial"},
+                {"snr_knowledge": "partial", "af_formula": "standard"}]
+    for l_pu, l_su, step in [(1, 3, 0.2), (3, 1, 0.2), (3, 3, 0.5)]:
+        for overrides in variants:
+            params = topology.params_from_dict({
+                "l_pu": l_pu, "l_su": l_su, "xi_init": 1.0, "beta_init": 1.0,
+                "delta": step, "epsilon": step, **overrides})
+            for seed in range(2):
+                real = topology.make_realization(params, seed)
+                yield params, real, radio.requirements_for(params, real.snr)
+
+
+def oracle_markets():
+    """tiny_markets() and the first 12 instances of `relaymarket oracle`."""
+    yield from tiny_markets()
+    oracle = topology.params_from_dict(cli.ORACLE_SCENARIO)
+    for i in range(12):
+        yield (oracle, *cli._instance(oracle, i))
+
+
 # (scenario overrides, number of seeds) of the audit corpus's seeded markets
 AUDIT_VARIANTS = (
     ({}, 6), ({"l_pu": 3, "l_su": 3}, 4), ({"l_pu": 6, "l_su": 2}, 4),
@@ -201,13 +225,11 @@ class TestStabilityAudit:
 
     def test_prefilter_equals_the_grid_broadcast(self, monkeypatch):
         """The index lookup keeps exactly the pairs the [pairs x grid]
-        broadcast keeps, on single audits and on stacked enumeration
-        blocks."""
+        broadcast keeps, on every audit of the audit corpus (enumeration
+        runs no prefilter)."""
         seen = self.check_every_prefilter(monkeypatch)
         for params, real, req, outcome in audit_corpus():
             verify.is_stable(outcome, real, req, params)
-        for params, real, req in tiny_markets():
-            verify.enumerate_stable_matchings(real, req, params)
         assert seen["calls"] > 400
         assert 0 < seen["kept"] < seen["pairs"]
 
@@ -268,6 +290,28 @@ class TestStabilityAudit:
         real = topology.make_realization(params, 0)
         req = radio.requirements_for(params, real.snr)
         outcome, _ = dda.run(params, real, req)
+        tracemalloc.start()
+        try:
+            report = verify.is_stable(outcome, real, req, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.stable
+        assert peak < 6e6
+
+    def test_one_contract_audit_allocates_no_pairs_by_grid_array(self, monkeypatch):
+        """The same 6 MB bound on a 100x200 contract outcome, whose
+        prefilter keeps thousands of pairs: the first-witness pass takes
+        AUDIT_PAIRS of them at a time. All at once it peaks near 18.5 MB."""
+        params = topology.params_from_dict(
+            {"l_pu": 100, "l_su": 200, "negotiation": "contracts"})
+        real = topology.make_realization(params, 0)
+        req = radio.requirements_for(params, real.snr)
+        outcome, _ = dda.run(params, real, req)
+        seen = self.check_every_prefilter(monkeypatch)
+        verify.is_stable(outcome, real, req, params)
+        assert seen["kept"] > 4 * verify.AUDIT_PAIRS
+        monkeypatch.undo()
         tracemalloc.start()
         try:
             report = verify.is_stable(outcome, real, req, params)
@@ -469,6 +513,39 @@ class TestEnumeration:
                 assert np.array_equal(s.g, g) and np.array_equal(s.b, b)
         assert found > 24
 
+    def test_matches_the_filtered_candidate_list_at_the_guard_corners(self):
+        """The same completeness and order on 1x3, 3x1 and 3x3 markets."""
+        found = 0
+        for params, real, req in corner_markets():
+            grids = dda.concession_grids(params)
+            rates = radio.make_pair_rates(params, real)
+            want = [candidate for candidate in grid_candidates(rates, req, grids)
+                    if stability_reference(MatchingOutcome(*candidate),
+                                           rates, req, grids) == ([], [])]
+            got = verify.enumerate_stable_matchings(real, req, params)
+            found += len(got)
+            assert list(map(outcome_fingerprint, got)) == [
+                outcome_fingerprint(MatchingOutcome(*c)) for c in want]
+        assert found > 24
+
+    def test_a_full_guard_market_enumerates_in_fixed_blocks(self):
+        """A 3x3 market on 6-point grids (about 36,000 candidates) peaks
+        under 0.75 MB under tracemalloc; deciding each block through the
+        blocking-pair core peaked near 1.0 MB."""
+        params = topology.params_from_dict({
+            "l_pu": 3, "l_su": 3, "xi_init": 1.0, "beta_init": 1.0,
+            "delta": 0.2, "epsilon": 0.2})
+        real = topology.make_realization(params, 1)
+        req = radio.requirements_for(params, real.snr)
+        tracemalloc.start()
+        try:
+            stable = verify.enumerate_stable_matchings(real, req, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stable
+        assert peak < 0.75e6
+
     def test_side_guard(self):
         p = topology.params_from_dict({
             "l_pu": 2, "l_su": 4,
@@ -551,6 +628,29 @@ class TestWeakPareto:
                     assert np.array_equal(witness.b, want[2])
         assert fails > 5
 
+    def test_matches_a_plain_loop_at_the_guard_corners(self):
+        """The same verdicts and witnesses on 1x3, 3x1 and 3x3 markets."""
+        fails = 0
+        for params, real, req in corner_markets():
+            grids = dda.concession_grids(params)
+            rates = radio.make_pair_rates(params, real)
+            candidates = grid_candidates(rates, req, grids)
+            contracts, _ = dda.run(replace(params, negotiation="contracts"), real, req)
+            ladder, _ = dda.run(params, real, req)
+            for outcome in (ladder, contracts,
+                            MatchingOutcome(*candidates[len(candidates) // 2])):
+                base = plain_pu_utilities(outcome.m, outcome.g, outcome.b, rates)
+                matched = [l for l in range(params.l_pu) if outcome.m[l].any()]
+                want = next((c for c in candidates if matched and all(
+                    plain_pu_utilities(*c, rates)[l] > base[l] for l in matched)), None)
+                ok, witness = verify.check_weak_pareto(outcome, real, req, params)
+                assert ok == (want is None)
+                if want is not None:
+                    fails += 1
+                    assert outcome_fingerprint(witness) == outcome_fingerprint(
+                        MatchingOutcome(*want))
+        assert fails > 5
+
     @pytest.mark.parametrize("knowledge", ["complete", "partial"])
     @pytest.mark.parametrize("formula", ["paper", "standard"])
     def test_float_and_array_utilities_agree_bit_for_bit(self, formula, knowledge):
@@ -593,6 +693,40 @@ class TestWeakPareto:
         rates = radio.make_pair_rates(params, real)
         assert verify.pu_utilities(witness, rates)[0] \
             > verify.pu_utilities(outcome, rates)[0]
+
+
+class TestOracleLoop:
+    def test_enumeration_and_weak_pareto_never_reach_the_audit(self, monkeypatch):
+        # enumeration needs a verdict per candidate and the weak-Pareto
+        # check one witness; the first-witness audit and the candidate
+        # blocks are waste there
+        cases = []
+        for params, real, req in oracle_markets():
+            outcomes = [dda.run(params, real, req)[0],
+                        dda.run(replace(params, negotiation="contracts"), real, req)[0]]
+            cases.append((params, real, req, outcomes))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("reached from the oracle loop")
+
+        monkeypatch.setattr(verify, "_blocking_pairs", refuse)
+        monkeypatch.setattr(verify, "_may_block", refuse)
+        monkeypatch.setattr(radio, "relay_open_index", refuse)
+        stable = 0
+        for params, real, req, _ in cases:
+            stable += len(verify.enumerate_stable_matchings(real, req, params))
+        monkeypatch.setattr(verify, "_candidate_blocks", refuse)
+        fails = 0
+        for params, real, req, outcomes in cases:
+            for outcome in outcomes:
+                fails += not verify.check_weak_pareto(outcome, real, req, params)[0]
+        assert stable > 24 and fails > 5
+        # the patches see the package's reads
+        params, real, req, outcomes = cases[0]
+        with pytest.raises(AssertionError, match="oracle loop"):
+            verify.is_stable(outcomes[0], real, req, params)
+        with pytest.raises(AssertionError, match="oracle loop"):
+            verify.enumerate_stable_matchings(real, req, params)
 
 
 def one_pair(r_pu):
