@@ -58,10 +58,6 @@ class Grids:
     xi_terms: tuple
     beta_terms: tuple
 
-    def beta_at(self, m):
-        """Time-slot value at step m; steps past the grid floor at zero."""
-        return self.beta_terms[m] if m < len(self.beta_terms) else 0.0
-
 
 def _grid(init, step):
     count = int(math.floor(init / step + 1e-9))
@@ -224,28 +220,6 @@ class EngineTrace:
                                  "xi": xi, "beta": beta, "iteration": it}) + "\n")
 
 
-def concession_step(m_xi, m_beta, coef, rate_floor, c_cost, grids):
-    """Pick the single grid step a turned-down pair concedes.
-
-    Price is the default concession. Time is given instead when the price
-    is already at its last positive point, or when cutting time both keeps
-    the rate floor of the relay being argued with and costs less utility
-    than the price cut would.
-    """
-    if m_xi >= grids.last_positive_xi:
-        return m_xi, m_beta + 1
-    beta_cut = grids.beta_at(m_beta + 1)
-    if coef * beta_cut <= rate_floor:
-        return m_xi + 1, m_beta
-    xi = grids.xi_terms
-    # m_beta is at most one past the grid, where beta_terms holds its 0.0
-    u_price_cut = coef * grids.beta_terms[m_beta] + c_cost * xi[m_xi + 1]
-    u_time_cut = coef * beta_cut + c_cost * xi[m_xi]
-    if u_price_cut < u_time_cut:
-        return m_xi, m_beta + 1
-    return m_xi + 1, m_beta
-
-
 class EngineState:
     """Working state of one run, under either rule.
 
@@ -277,7 +251,7 @@ class EngineState:
 class LadderState(EngineState):
     """The ladder's licensed side. Each user offers its current terms on
     the concession grids {init - m*step} to its best relay and, when
-    refused, concedes one step (concession_step); it exits when its best
+    refused, concedes one step (refused); it exits when its best
     relay misses its rate floor. A user values relay q at
     pu_coef[l, q] * beta + c * xi. The money term is the same for every
     relay, so the best relay is the steepest one, and when that one misses
@@ -287,7 +261,9 @@ class LadderState(EngineState):
     the runner-up to it, to the smallest relay that one row test finds
     tied (see offer). Per-user fields, the head and runner-up slopes among
     them, are lists of Python ints and floats; finish turns the concession
-    steps into arrays.
+    steps into arrays. A user is refused or displaced only after offering
+    at a positive time share, so refused finds its time step below
+    len(beta_values); the step it concedes goes at most one past the grid.
 
     cap is l_su + l_pu * (last_positive_xi + len(beta_values)). Every offer
     either fills an empty relay, at most l_su times since a held relay
@@ -321,7 +297,7 @@ class LadderState(EngineState):
         self.floors = market.requirements.r_pu_req.tolist()
         self.m_xi = [0] * l_pu     # price steps conceded
         self.m_beta = [0] * l_pu   # time steps conceded, at most one past the grid
-        self.grids, self.c_cost = grids, market.rates.c_cost
+        self.last_positive_xi, self.c_cost = grids.last_positive_xi, market.rates.c_cost
         self.xi_terms, self.beta_terms = grids.xi_terms, grids.beta_terms
         self.cap = market.params.l_su + l_pu * (grids.last_positive_xi
                                                 + len(grids.beta_values))
@@ -356,12 +332,28 @@ class LadderState(EngineState):
         return best, xi, beta
 
     def refused(self, l, q):
-        """Concede one grid step, picked by concession_step against relay q.
+        """Concede one grid step against relay q; returns the new terms.
 
-        A refused or displaced user offered at a positive time share, so
-        its time step stays at most one past the grid."""
-        m_x, m_b = concession_step(self.m_xi[l], self.m_beta[l], self.pu_coef.item(l, q),
-                                   self.floors[l], self.c_cost, self.grids)
+        Price is the default concession. Time is given instead when the
+        price is already at its last positive point, or when cutting time
+        both keeps the rate floor with relay q and costs less utility than
+        the price cut would. A refused or displaced user offered at a
+        positive time share, so m_beta < len(beta_values) here: the time
+        cut reads beta_terms, at most at its 0.0 one past the grid.
+        """
+        m_x, m_b = self.m_xi[l], self.m_beta[l]
+        if m_x >= self.last_positive_xi:
+            m_b += 1
+        else:
+            coef = self.head_slope[l] if q == self.head[l] else self.pu_coef.item(l, q)
+            xi, beta_cut = self.xi_terms, self.beta_terms[m_b + 1]
+            if coef * beta_cut <= self.floors[l]:
+                m_x += 1
+            elif (coef * self.beta_terms[m_b] + self.c_cost * xi[m_x + 1]
+                  < coef * beta_cut + self.c_cost * xi[m_x]):
+                m_b += 1
+            else:
+                m_x += 1
         self.m_xi[l] = m_x
         self.m_beta[l] = m_b
         return self.xi_terms[m_x], self.beta_terms[m_b]

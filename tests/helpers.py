@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from relaymarket import radio, topology
+from relaymarket import dda, radio, topology
 
 from oracles import all_injective_matchings, discrete_pair_optimum
 
@@ -59,6 +59,35 @@ def handmade_realization(params, gamma_dir, gamma_pt_st, gamma_st_pr, gamma_sr):
     )
     real.snr = radio.compute_snrs(params, real)
     return real
+
+
+def conceding_user(grid_steps, coef, floor, c_cost, head_coef=None):
+    """Opening ladder state of a handmade market of one licensed user and
+    two relays on the concession grids of grid_steps (xi_init, delta,
+    beta_init, epsilon), with the concession's inputs set on its fields:
+    licensed slope head_coef (default coef) to relay 0 and coef to relay
+    1, rate floor floor and money slope c_cost. Relay 0 is the head, so
+    refused(0, 0) reads the head slope and refused(0, 1) reads pu_coef."""
+    params = topology.params_from_dict(
+        {"l_pu": 1, "l_su": 2, "gamma_pu_db": 0.0, "gamma_su_db": 0.0, **grid_steps})
+    real = handmade_realization(params, gamma_dir=[1.0], gamma_pt_st=[[1.0, 1.0]],
+                                gamma_st_pr=[[1.0, 1.0]], gamma_sr=[[1.0], [1.0]])
+    state = dda.init_state(dda.market(params, real))
+    assert state.head == [0] and state.runner_up == [1]
+    head_coef = coef if head_coef is None else head_coef
+    state.pu_coef = np.array([[head_coef, coef]])
+    state.head_slope, state.floors, state.c_cost = [head_coef], [floor], c_cost
+    return state
+
+
+def concede(state, m_xi, m_beta, q=0):
+    """The (price, time) steps state's user 0 moves to when relay q refuses
+    it at steps (m_xi, m_beta); checks the terms refused returns."""
+    state.m_xi[0], state.m_beta[0] = m_xi, m_beta
+    terms = state.refused(0, q)
+    grids = state.market.grids
+    assert terms == (grids.xi_terms[state.m_xi[0]], grids.beta_terms[state.m_beta[0]])
+    return state.m_xi[0], state.m_beta[0]
 
 
 def single_pair_scenario(gamma_dir, gamma_relay_hops, gamma_sr, **overrides):

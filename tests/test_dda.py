@@ -22,8 +22,8 @@ from relaymarket import baselines, cli, dda, radio, topology, verify
 from relaymarket.errors import EngineError
 
 from conftest import assert_outcome_well_formed
-from helpers import (GOLDEN_MARKETS, engine_fingerprint, handmade_realization,
-                     single_pair_scenario)
+from helpers import (GOLDEN_MARKETS, concede, conceding_user, engine_fingerprint,
+                     handmade_realization, single_pair_scenario)
 from oracles import (best_contracts_reference, concession_reference,
                      contract_deferred_acceptance, ladder_reference)
 
@@ -49,9 +49,10 @@ class TestGrids:
         p = topology.params_from_dict(
             {"xi_init": 0.8, "beta_init": 0.9, "delta": 0.2, "epsilon": 0.1})
         grids = dda.concession_grids(p)
-        assert grids.beta_at(3) == pytest.approx(0.6)
-        assert grids.beta_at(10) == 0.0
-        assert grids.beta_at(1000) == 0.0
+        assert grids.beta_terms[3] == pytest.approx(0.6)
+        # one 0.0 past the grid, the time value after every time step
+        assert len(grids.beta_terms) == len(grids.beta_values) + 1 == 11
+        assert grids.beta_terms[-1] == 0.0
 
     def test_one_shared_read_only_grids_per_step_set(self):
         p = topology.params_from_dict(
@@ -81,49 +82,58 @@ class TestMarket:
 
 
 class TestConcessionRule:
-    @pytest.fixture(name="grids")
-    def grids_fixture(self):
-        p = topology.params_from_dict(
-            {"xi_init": 0.8, "beta_init": 0.9, "delta": 0.2, "epsilon": 0.1})
-        return dda.concession_grids(p)
+    """LadderState.refused's decision table, driven on a handmade user."""
 
-    def test_price_floor_forces_time_cut(self, grids):
+    STEPS = {"xi_init": 0.8, "beta_init": 0.9, "delta": 0.2, "epsilon": 0.1}
+
+    def test_price_floor_forces_time_cut(self):
         # price index 3 is the last positive value, so time gives way
-        assert dda.concession_step(3, 0, 1.0, 0.3, 1.0, grids) == (3, 1)
+        assert concede(conceding_user(self.STEPS, 1.0, 0.3, 1.0), 3, 0) == (3, 1)
 
-    def test_rate_floor_forces_price_cut(self, grids):
+    def test_rate_floor_forces_price_cut(self):
         # one more time cut would land at 0.8 which is under the 0.85 floor
-        assert dda.concession_step(0, 0, 1.0, 0.85, 1.0, grids) == (1, 0)
+        assert concede(conceding_user(self.STEPS, 1.0, 0.85, 1.0), 0, 0) == (1, 0)
 
-    def test_cheaper_coordinate_gives_way_otherwise(self, grids):
+    def test_cheaper_coordinate_gives_way_otherwise(self):
         # time cut costs coef*0.1 = 0.1, price cut costs c*0.2 = 0.2
-        assert dda.concession_step(0, 0, 1.0, 0.3, 1.0, grids) == (0, 1)
+        assert concede(conceding_user(self.STEPS, 1.0, 0.3, 1.0), 0, 0) == (0, 1)
         # steep licensed slope flips the comparison
-        assert dda.concession_step(0, 0, 3.0, 0.3, 1.0, grids) == (1, 0)
+        assert concede(conceding_user(self.STEPS, 3.0, 0.3, 1.0), 0, 0) == (1, 0)
+
+    def test_the_refusing_relays_slope_decides(self):
+        # slope 1 to relay 1 makes the time cut cheaper, slope 3 to the head
+        # the price cut, as in the case above
+        state = conceding_user(self.STEPS, 1.0, 0.3, 1.0, head_coef=3.0)
+        assert concede(state, 0, 0, q=1) == (0, 1)
+        assert concede(state, 0, 0, q=0) == (1, 0)
 
     def test_exact_tie_cuts_the_price(self):
         # on quarter grids at unit slopes both cuts cost exactly 0.25; time
         # gives way only when it is strictly cheaper
-        grids = dda.concession_grids(topology.params_from_dict(
-            {"xi_init": 1.0, "beta_init": 1.0, "delta": 0.25, "epsilon": 0.25}))
-        assert dda.concession_step(0, 0, 1.0, 0.3, 1.0, grids) == (1, 0)
+        quarters = {"xi_init": 1.0, "beta_init": 1.0, "delta": 0.25, "epsilon": 0.25}
+        assert concede(conceding_user(quarters, 1.0, 0.3, 1.0), 0, 0) == (1, 0)
 
-    def test_matches_decision_table_reference(self, grids):
+    def test_matches_decision_table_reference(self):
         rng = np.random.default_rng(8)
         for _ in range(500):
-            m_xi = int(rng.integers(0, len(grids.xi_values) - 1))
-            m_beta = int(rng.integers(0, len(grids.beta_values) - 1))
             coef = float(rng.uniform(0.05, 4.0))
             floor = float(rng.uniform(0.0, 1.0))
             c = float(rng.uniform(0.0, 3.0))
-            got = dda.concession_step(m_xi, m_beta, coef, floor, c, grids)
+            state = conceding_user(self.STEPS, coef, floor, c)
+            grids = state.market.grids
+            m_xi = int(rng.integers(0, len(grids.xi_values) - 1))
+            m_beta = int(rng.integers(0, len(grids.beta_values) - 1))
             want = concession_reference(m_xi, m_beta, coef, floor, c, grids)
-            assert got == want
+            # the head's slope and pu_coef's give the same step
+            assert concede(state, m_xi, m_beta, q=0) == want
+            assert concede(state, m_xi, m_beta, q=1) == want
 
-    def test_exactly_one_coordinate_moves(self, grids):
+    def test_exactly_one_coordinate_moves(self):
+        state = conceding_user(self.STEPS, 1.3, 0.2, 0.7)
+        grids = state.market.grids
         for m_xi in range(len(grids.xi_values) - 1):
             for m_beta in range(len(grids.beta_values) - 1):
-                nx, nb = dda.concession_step(m_xi, m_beta, 1.3, 0.2, 0.7, grids)
+                nx, nb = concede(state, m_xi, m_beta)
                 assert (nx - m_xi, nb - m_beta) in ((1, 0), (0, 1))
 
 
@@ -292,12 +302,38 @@ class TestEngineMechanics:
     def test_ladder_past_its_offer_bound_raises(self, monkeypatch):
         # a rule that concedes nothing makes the refused pair offer the
         # same terms forever; the cap ends the run instead
-        monkeypatch.setattr(dda, "concession_step", lambda m_xi, m_beta, *_: (m_xi, m_beta))
+        monkeypatch.setattr(dda.LadderState, "refused", lambda state, l, q: (
+            state.xi_terms[state.m_xi[l]], state.beta_terms[state.m_beta[l]]))
         market = dda.market(*self._contest())
         grids = market.grids
         cap = 1 + 2 * (grids.last_positive_xi + len(grids.beta_values))
         with pytest.raises(EngineError, match=f"{cap + 1} offers, past its bound of {cap}"):
             dda.negotiate(market)
+
+    def test_a_refused_user_has_a_time_step_left(self, monkeypatch):
+        """A refused or displaced user offered at a positive time share, so
+        refused always finds its time step below len(beta_values) and its
+        time cut inside beta_terms. Checked on every refusal of negotiate
+        and rmbn over the ladder markets of helpers.GOLDEN_MARKETS; the
+        bound is reached, so the check has teeth."""
+        refused, at_last_step = dda.LadderState.refused, Counter()
+
+        def checked(state, l, q):
+            room = len(state.market.grids.beta_values) - state.m_beta[l]
+            assert room >= 1
+            at_last_step[room == 1] += 1
+            return refused(state, l, q)
+
+        monkeypatch.setattr(dda.LadderState, "refused", checked)
+        for overrides, seeds in GOLDEN_MARKETS:
+            params = topology.params_from_dict(overrides)
+            if params.negotiation != "ladder":
+                continue
+            for seed in range(seeds):
+                market = dda.market(params, topology.make_realization(params, seed))
+                dda.negotiate(market)
+                baselines.rmbn(market, np.random.default_rng(seed))
+        assert at_last_step[True] > 0 and at_last_step[False] > 0
 
     @pytest.mark.parametrize("shape", [(2, 6), (6, 2), (25, 50)])
     def test_finish_returns_int_arrays(self, shape):

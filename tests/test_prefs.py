@@ -112,7 +112,7 @@ class TestLicensedSideList:
             while state.queue:
                 l = state.queue[0]
                 xi = float(state.market.grids.xi_values[state.m_xi[l]])
-                beta = state.market.grids.beta_at(state.m_beta[l])
+                beta = state.market.grids.beta_terms[state.m_beta[l]]
                 ranked = brute_pulist(l, xi, beta, state.market.rates, req)
                 seen = len(state.events)
                 dda.step(state)

@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from relaymarket import bench, dda, radio, topology, verify
 
 from conftest import assert_outcome_well_formed
+from helpers import concede, conceding_user
+from oracles import concession_reference
 
 snr_values = st.floats(min_value=1e-6, max_value=1e6,
                        allow_nan=False, allow_infinity=False)
@@ -76,7 +78,7 @@ class TestGrids:
         assert beta[0] == params.beta_init
         assert np.allclose(np.diff(beta), -params.epsilon)
         assert beta[-1] >= -1e-12
-        assert grids.beta_at(len(beta)) == 0.0
+        assert grids.beta_terms == (*beta.tolist(), 0.0)
 
     @given(grid_params())
     def test_last_positive_xi_marks_the_boundary(self, params):
@@ -93,12 +95,20 @@ class TestConcessionStep:
            st.floats(min_value=0.0, max_value=3.0))
     def test_exactly_one_coordinate_advances(self, params, m_xi, m_beta,
                                              coef, floor):
-        grids = dda.concession_grids(params)
+        """LadderState.refused moves one step, as the decision table says.
+        The engine refuses only a user that offered at a positive time
+        share, so m_beta ranges below len(beta_values)."""
+        steps = {k: getattr(params, k) for k in ("xi_init", "delta", "beta_init", "epsilon")}
+        c_cost = params.c_bar * params.capital_c
+        state = conceding_user(steps, coef, floor, c_cost)
+        grids = state.market.grids
         m_xi = min(m_xi, grids.last_positive_xi)
-        m_beta = min(m_beta, len(grids.beta_values))
-        nx, nb = dda.concession_step(m_xi, m_beta, coef, floor,
-                                     params.c_bar * params.capital_c, grids)
-        assert (nx - m_xi, nb - m_beta) in ((1, 0), (0, 1))
+        m_beta = min(m_beta, len(grids.beta_values) - 1)
+        for q in (0, 1):
+            nx, nb = concede(state, m_xi, m_beta, q)
+            assert (nx - m_xi, nb - m_beta) in ((1, 0), (0, 1))
+            assert (nx, nb) == concession_reference(m_xi, m_beta, coef, floor,
+                                                    c_cost, grids)
 
 
 class TestOrderStatistic:
