@@ -98,7 +98,7 @@ def _max_assignment(values, feasible):
 
 
 def _outcome_from(market, pairs, xi, beta):
-    return MatchingOutcome.from_terms(
+    return MatchingOutcome(
         market.params.l_pu, market.params.l_su,
         [(l, q, xi.item(l, q), beta.item(l, q)) for l, q in pairs])
 
@@ -147,4 +147,4 @@ def rmbn(market, rng):
         partners = np.full(l_pu, -1)
         partners[rng.permutation(l_pu)[:l_su]] = np.arange(l_su)
     outcome, trace = negotiate(market, partners)
-    return MatchingOutcome.from_terms(l_pu, l_su, outcome.matched_terms()), trace
+    return MatchingOutcome(l_pu, l_su, outcome.matched_terms()), trace

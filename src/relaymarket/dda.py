@@ -24,8 +24,8 @@ sitting out), which is how the random baseline negotiates.
 
 Results are built only when read. negotiate captures no event; its
 trace replays the run on the first read of EngineTrace.events. An
-outcome keeps its matched terms and fills the dense m, g and b on the
-first read of one of them.
+outcome is its matched terms; it fills the dense m, g and b on the first
+read of one of them.
 """
 
 from __future__ import annotations
@@ -107,43 +107,31 @@ def market(params, realization, requirements=None):
 
 
 class MatchingOutcome:
-    """Matching matrix m plus the agreed prices g and time shares b, each
-    [l, q] and zero wherever unmatched.
+    """The matched (l, q, xi, beta) terms of an [l_pu, l_su] market, one
+    per matched pair, Python ints and floats kept in row-major order:
+    licensed user l pays price xi and gets time share beta from relay q.
 
     Ladder outcomes also carry each licensed pair's terminal concession-grid
     steps; stability checks use them as the envelope of terms the pair had
     not yet conceded past. Contract, hand-built and baseline outcomes leave
     them None.
 
-    An outcome built by from_terms, as every engine and baseline outcome
-    is, keeps its matched (l, q, xi, beta) terms in row-major order and
-    fills m, g and b on the first read of one of them, read-only so they
-    cannot drift from the terms. One built from arrays keeps them as
-    given.
+    m (the matching matrix), g (prices) and b (time shares), each [l, q]
+    and zero wherever unmatched, are filled from the terms on the first
+    read of one of them, read-only so they cannot drift from the terms.
     """
 
-    _terms = None   # the matched terms of an outcome built by from_terms
-
-    def __init__(self, m, g, b, final_xi_steps=None, final_beta_steps=None):
-        self.m, self.g, self.b = m, g, b
+    def __init__(self, l_pu, l_su, terms, final_xi_steps=None, final_beta_steps=None):
+        self.shape = (l_pu, l_su)
+        self._terms = tuple(sorted(terms))
         self.final_xi_steps = final_xi_steps
         self.final_beta_steps = final_beta_steps
 
-    @classmethod
-    def from_terms(cls, l_pu, l_su, terms, final_xi_steps=None, final_beta_steps=None):
-        """Outcome of an [l_pu, l_su] market holding the matched (l, q, xi,
-        beta) terms, Python ints and floats, one per matched pair."""
-        outcome = cls.__new__(cls)
-        outcome._shape, outcome._terms = (l_pu, l_su), tuple(sorted(terms))
-        outcome.final_xi_steps = final_xi_steps
-        outcome.final_beta_steps = final_beta_steps
-        return outcome
-
     def _dense(self):
         """Set m, g and b from the terms, read-only; returns them."""
-        m = np.zeros(self._shape, dtype=int)
-        g = np.zeros(self._shape)
-        b = np.zeros(self._shape)
+        m = np.zeros(self.shape, dtype=int)
+        g = np.zeros(self.shape)
+        b = np.zeros(self.shape)
         for l, q, xi, beta in self._terms:
             m[l, q] = 1
             g[l, q] = xi
@@ -154,8 +142,7 @@ class MatchingOutcome:
         self.m, self.g, self.b = m, g, b
         return m, g, b
 
-    # only an outcome built by from_terms reaches these (__init__ sets m, g
-    # and b as plain attributes); the first read of one sets all three
+    # the first read of one sets all three
     @functools.cached_property
     def m(self):
         return self._dense()[0]
@@ -169,20 +156,12 @@ class MatchingOutcome:
         return self._dense()[2]
 
     def matched_terms(self):
-        """Tuple of the matched (l, q, xi, beta) terms as Python numbers, in
-        row-major order."""
-        if self._terms is not None:
-            return self._terms
-        ls, qs = self.m.nonzero()
-        return tuple(zip(ls.tolist(), qs.tolist(),
-                         self.g[ls, qs].tolist(), self.b[ls, qs].tolist()))
+        """Tuple of the matched (l, q, xi, beta) terms, in row-major order."""
+        return self._terms
 
     def matched_pairs(self):
         """Matched (l, q) pairs as Python ints, in row-major order."""
-        if self._terms is not None:
-            return [(l, q) for l, q, _, _ in self._terms]
-        ls, qs = self.m.nonzero()
-        return list(zip(ls.tolist(), qs.tolist()))
+        return [(l, q) for l, q, _, _ in self._terms]
 
 
 @dataclass
@@ -515,7 +494,7 @@ def step(state, n=1):
 
 def finish(state):
     final_xi_steps, final_beta_steps = state.final_steps()
-    outcome = MatchingOutcome.from_terms(
+    outcome = MatchingOutcome(
         state.market.params.l_pu, state.market.params.l_su,
         [(held[0], q, held[1], held[2])
          for q, held in enumerate(state.accepted) if held is not None],

@@ -149,6 +149,13 @@ def _blocking_pairs(market, u_pu, u_su, open_pairs, xi_lo, beta_lo):
     return found
 
 
+def _check_shape(outcome, params):
+    if outcome.shape != (params.l_pu, params.l_su):
+        raise ValueError(
+            f"a {outcome.shape[0]}x{outcome.shape[1]} outcome does not fit "
+            f"the {params.l_pu}x{params.l_su} market it is audited on")
+
+
 def is_stable(outcome, realization, requirements, params):
     """Audit an outcome for blocked individuals and blocking pairs.
 
@@ -164,33 +171,39 @@ def is_stable(outcome, realization, requirements, params):
     had not yet conceded past are the only ones still on the table, and
     over that region the engine's offer order rules witnesses out.
     Outcomes without concession states are searched over the full grid.
+
+    Raises ValueError when the outcome's shape is not the market's or a
+    matched term is off the concession grids.
     """
+    _check_shape(outcome, params)
     market = dda.market(params, realization, requirements)
     rates, requirements, grids = market.rates, market.requirements, market.grids
-    ls, qs = outcome.m.nonzero()
-    xi, beta = outcome.g[ls, qs], outcome.b[ls, qs]
-    ls, qs = ls.tolist(), qs.tolist()
+    terms = outcome.matched_terms()
+    ls, qs, xi, beta = map(list, zip(*terms)) if terms else ([], [], [], [])
+    xi, beta = np.array(xi, dtype=float), np.array(beta, dtype=float)
 
     xi_ok = _on_grid(xi, grids.xi_values)
     beta_ok = _on_grid(beta, grids.beta_values)
-    for l, q, on_xi, on_beta in zip(ls, qs, xi_ok, beta_ok):
+    for (l, q, xi_term, beta_term), on_xi, on_beta in zip(terms, xi_ok, beta_ok):
         if not on_xi:
             raise ValueError(
-                f"price allocation {outcome.g[l, q]!r} for pair ({l},{q}) "
+                f"price allocation {xi_term!r} for pair ({l},{q}) "
                 "is off the concession grid")
         if not on_beta:
             raise ValueError(
-                f"time-slot allocation {outcome.b[l, q]!r} for pair ({l},{q}) "
+                f"time-slot allocation {beta_term!r} for pair ({l},{q}) "
                 "is off the concession grid")
 
     # the licensed floor is licensed_gain against minus infinity; the relay
     # keeps relay_gain's floor and zero-utility tests apart, one reason each
     pu_ok = radio.licensed_gain(rates, requirements, ls, qs, -np.inf, beta, xi)
     su_rate = rates.su_coef[ls, qs] * (1.0 - beta)
+    su_held = su_rate - rates.k_cost * xi
     su_rate_ok = su_rate >= requirements.r_su_req
-    su_util_ok = su_rate - rates.k_cost * xi >= 0.0
+    su_util_ok = su_held >= 0.0
     blocked = []
-    open_pairs = outcome.m != 1
+    open_pairs = np.ones(outcome.shape, dtype=bool)
+    open_pairs[ls, qs] = False
     for l, q, pu_fine, rate_fine, util_fine in zip(ls, qs, pu_ok, su_rate_ok, su_util_ok):
         if not pu_fine:
             blocked.append(("pu", l, "pu-rate"))
@@ -207,7 +220,10 @@ def is_stable(outcome, realization, requirements, params):
     else:
         xi_lo = np.asarray(outcome.final_xi_steps, dtype=int)
         beta_lo = np.asarray(outcome.final_beta_steps, dtype=int)
-    u_pu, u_su = _utilities(rates, outcome.m, outcome.g, outcome.b)
+    # the utilities held, zero for anyone unmatched, as _utilities has them
+    u_pu, u_su = np.zeros(params.l_pu), np.zeros(params.l_su)
+    u_pu[ls] = rates.pu_coef[ls, qs] * beta + rates.c_cost * xi
+    u_su[qs] = su_held
     pairs = [(l, q, (grids.xi_terms[i], grids.beta_terms[j]))
              for l, q, i, j in _blocking_pairs(market, u_pu, u_su, open_pairs, xi_lo, beta_lo)]
     return StabilityReport(blocked_individuals=blocked, blocking_pairs=pairs)
@@ -314,8 +330,10 @@ def enumerate_stable_matchings(realization, requirements, params):
                  & radio.relay_gain(rates, requirements, ls, qs,
                                     u_su.T[:, None, None], betas, xis))
         blocked = (trade.any(axis=(2, 3)) & (m == 0).transpose(1, 2, 0)).any(axis=(0, 1))
-        stable.extend(MatchingOutcome(m=m[n].copy(), g=g[n].copy(), b=b[n].copy())
-                      for n in (~blocked).nonzero()[0])
+        for n in (~blocked).nonzero()[0].tolist():
+            l, q = m[n].nonzero()
+            stable.append(MatchingOutcome(*rates.pu_coef.shape, zip(
+                l.tolist(), q.tolist(), g[n, l, q].tolist(), b[n, l, q].tolist())))
     return stable
 
 
@@ -323,10 +341,9 @@ def pu_utilities(outcome, rates):
     """Per licensed user utility under an outcome, zero when unmatched: the
     licensed utility of radio.licensed_gain, spelled out on floats read
     with ndarray.item."""
-    out = np.zeros(outcome.m.shape[0])
-    for l, q in outcome.matched_pairs():
-        out[l] = (rates.pu_coef.item(l, q) * outcome.b.item(l, q)
-                  + rates.c_cost * outcome.g.item(l, q))
+    out = np.zeros(outcome.shape[0])
+    for l, q, xi, beta in outcome.matched_terms():
+        out[l] = rates.pu_coef.item(l, q) * beta + rates.c_cost * xi
     return out
 
 
@@ -341,8 +358,10 @@ def check_weak_pareto(outcome, realization, requirements, params):
     plan leaves unmatched holds 0.0); as candidates run in lexicographic
     order, its first dominating candidate takes the first such term for
     each matched user and the first term for everyone else, and it is the
-    only candidate built.
+    only candidate built. Raises ValueError when the outcome's shape is not
+    the market's.
     """
+    _check_shape(outcome, params)
     market = dda.market(params, realization, requirements)
     _check_enum_guard(params, market.grids)
     matched = [l for l, _ in outcome.matched_pairs()]
@@ -360,14 +379,9 @@ def check_weak_pareto(outcome, realization, requirements, params):
         held = {l for l, _ in pairs}
         if (all(first[pair] is not None for pair in pairs)
                 and all(l in held or 0.0 > base[l] for l in matched)):
-            m = np.zeros(rates.pu_coef.shape, dtype=int)
-            g = np.zeros(m.shape)
-            b = np.zeros(m.shape)
-            for l, q in pairs:
-                m[l, q] = 1
-                g[l, q] = terms[l, q][0][first[l, q]]
-                b[l, q] = terms[l, q][1][first[l, q]]
-            return False, MatchingOutcome(m=m, g=g, b=b)
+            return False, MatchingOutcome(*rates.pu_coef.shape, [
+                (l, q, terms[l, q][0].item(first[l, q]), terms[l, q][1].item(first[l, q]))
+                for l, q in pairs])
     return True, None
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from relaymarket import dda, radio, topology
@@ -90,6 +92,27 @@ def concede(state, m_xi, m_beta, q=0):
     return state.m_xi[0], state.m_beta[0]
 
 
+def without_relay(params, realization, q):
+    """params and realization with relay q taken out: its column of every
+    [l, q] array and of partial_mean_log, its row of h2_st_sr [q, l], its
+    d_st_sr entry and its positions go, and the SNRs are recomputed from
+    what is left. The floors are the caller's to keep: pass the full
+    market's requirements on."""
+    keep = np.arange(params.l_su) != q
+    fewer = replace(params, l_su=params.l_su - 1)
+    smaller = replace(
+        realization,
+        placement=replace(realization.placement, st_pos=realization.placement.st_pos[keep],
+                          sr_pos=realization.placement.sr_pos[keep]),
+        h2_pt_st=realization.h2_pt_st[:, keep], h2_st_pr=realization.h2_st_pr[:, keep],
+        h2_st_sr=realization.h2_st_sr[keep], d_pt_st=realization.d_pt_st[:, keep],
+        d_st_pr=realization.d_st_pr[:, keep], d_st_sr=realization.d_st_sr[keep],
+        partial_mean_log=(None if realization.partial_mean_log is None
+                          else realization.partial_mean_log[:, keep]))
+    smaller.snr = radio.compute_snrs(fewer, smaller)
+    return fewer, smaller
+
+
 def single_pair_scenario(gamma_dir, gamma_relay_hops, gamma_sr, **overrides):
     """One licensed pair, one relay pair, 0 dB gains. The licensed floor is
     the direct-link rate unless r_pu_req is passed."""
@@ -105,6 +128,17 @@ def single_pair_scenario(gamma_dir, gamma_relay_hops, gamma_sr, **overrides):
         gamma_sr=[[gamma_sr]],
     )
     return params, real
+
+
+def outcome_from_arrays(m, g, b, final_xi_steps=None, final_beta_steps=None):
+    """The outcome whose dense m, g and b [l, q] are the arrays given: one
+    matched term per nonzero of m, its price and time share read off g and
+    b as Python floats."""
+    ls, qs = np.nonzero(m)
+    g, b = np.asarray(g, dtype=float), np.asarray(b, dtype=float)
+    return dda.MatchingOutcome(
+        *np.shape(m), zip(ls.tolist(), qs.tolist(), g[ls, qs].tolist(), b[ls, qs].tolist()),
+        final_xi_steps=final_xi_steps, final_beta_steps=final_beta_steps)
 
 
 def engine_fingerprint(outcome, trace):

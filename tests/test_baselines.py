@@ -439,7 +439,7 @@ class TestRandomBaseline:
             pairs = drawn_pairs(params.l_pu, params.l_su, np.random.default_rng(seed))
             matched, offers, conceded = haggle_reference(
                 market.rates, market.requirements, market.grids, pairs)
-            want = dda.MatchingOutcome.from_terms(
+            want = dda.MatchingOutcome(
                 params.l_pu, params.l_su,
                 [(l, q, xi, beta) for l, (q, xi, beta) in matched.items()])
             assert np.array_equal(out.m, want.m)

@@ -10,7 +10,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from relaymarket import baselines, bench, dda, radio, topology, verify
+from relaymarket import baselines, bench, cli, dda, radio, topology, verify
 from relaymarket.bench import CSV_COLUMNS, p90
 
 from helpers import discrete_assignment_optimum
@@ -150,16 +150,11 @@ class TestRunTrials:
         assert scored_apart
 
     def test_matched_pairs_are_int_tuples_in_row_major_order(self):
-        outcome = dda.MatchingOutcome.from_terms(
+        outcome = dda.MatchingOutcome(
             3, 4, [(2, 0, 0.5, 0.5), (0, 3, 0.5, 0.5), (1, 1, 0.5, 0.5)])
         pairs = outcome.matched_pairs()
         assert pairs == [(0, 3), (1, 1), (2, 0)]
         assert all(type(l) is int and type(q) is int for l, q in pairs)
-        # an outcome built from arrays reads the same pairs and terms off them
-        dense = dda.MatchingOutcome(m=outcome.m, g=outcome.g, b=outcome.b)
-        assert dense.matched_pairs() == pairs
-        assert dense.matched_terms() == outcome.matched_terms()
-        assert all(type(v) is float for term in dense.matched_terms() for v in term[2:])
 
     def test_centralized_exchanges_no_packets(self, small_params):
         aggs = bench.run_trials(small_params, ["centralized", "centralized-su"], 6)
@@ -331,26 +326,43 @@ class TestAggregation:
         aggs["rmbn"].packet_cdf(10)
         assert calls == Counter({"mean": 1})
 
+    @staticmethod
+    def _refuse_dense_and_replay(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built where only terms and counts are read")
+
+        monkeypatch.setattr(dda.MatchingOutcome, "_dense", refuse)
+        monkeypatch.setattr(dda, "_replay_events", refuse)
+
     @pytest.mark.parametrize("knowledge", ["complete", "partial"])
     @pytest.mark.parametrize("shape", [(2, 6), (25, 50)])
     def test_no_dense_outcome_or_event_replay_on_the_trial_path(self, monkeypatch,
                                                                 shape, knowledge):
         # run_trials reads outcomes through their terms and traces through
         # their counts; filling m, g and b or replaying the events is waste
-        def refuse(*args, **kwargs):
-            raise AssertionError("built on the trial path")
-
-        monkeypatch.setattr(dda.MatchingOutcome, "_dense", refuse)
-        monkeypatch.setattr(dda, "_replay_events", refuse)
+        self._refuse_dense_and_replay(monkeypatch)
         params = topology.params_from_dict(
             {"l_pu": shape[0], "l_su": shape[1], "snr_knowledge": knowledge})
         bench.run_trials(params, bench.ALGO_TAGS, 2)
         # the patches see the package's reads
         outcome, trace = dda.negotiate(dda.market(params, topology.make_realization(params, 0)))
-        with pytest.raises(AssertionError, match="trial path"):
+        with pytest.raises(AssertionError, match="only terms and counts"):
             outcome.m
-        with pytest.raises(AssertionError, match="trial path"):
+        with pytest.raises(AssertionError, match="only terms and counts"):
             trace.events
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("command", ["verify", "oracle"])
+    def test_no_dense_outcome_or_event_replay_on_the_audit_path(self, monkeypatch, capsys,
+                                                                command, seed):
+        # the audits read outcomes through their terms too, and print the
+        # same lines and exit with the same code as without the guard
+        argv = [command, "--seed", str(seed), "--trials", "20"]
+        code = cli.main(argv)
+        printed = capsys.readouterr().out
+        self._refuse_dense_and_replay(monkeypatch)
+        assert cli.main(argv) == code
+        assert capsys.readouterr().out == printed
 
 
 class TestSweep:

@@ -23,7 +23,7 @@ from relaymarket.errors import EngineError
 
 from conftest import assert_outcome_well_formed
 from helpers import (GOLDEN_MARKETS, concede, conceding_user, engine_fingerprint,
-                     handmade_realization, single_pair_scenario)
+                     handmade_realization, single_pair_scenario, without_relay)
 from oracles import (best_contracts_reference, concession_reference,
                      contract_deferred_acceptance, ladder_reference)
 
@@ -939,6 +939,30 @@ class TestContractRule:
             for alt in stable:
                 assert np.all(licensed_utilities(alt, rates) <= mine)
                 assert np.array_equal(alt.m.any(axis=1), matched)
+
+    @pytest.mark.parametrize("af_formula", ["paper", "standard"])
+    def test_a_relay_entering_never_hurts_a_licensed_user(self, af_formula):
+        """Each relay of a seeded 3x4 market taken out in turn, floors
+        kept: with it back in, no licensed user earns less (the proposing
+        side gains when the other side grows; Kelso & Crawford 1982,
+        Hatfield & Milgrom 2005)."""
+        params = topology.params_from_dict(
+            {"l_pu": 3, "l_su": 4, "af_formula": af_formula, "negotiation": "contracts"})
+        gains = 0
+        for seed in range(100):
+            real = topology.make_realization(params, seed)
+            req = radio.requirements_for(params, real.snr)
+            rates = radio.make_pair_rates(params, real)
+            full = verify.pu_utilities(dda.run(params, real, req)[0], rates)
+            for q in range(params.l_su):
+                fewer, smaller = without_relay(params, real, q)
+                smaller_rates = radio.make_pair_rates(fewer, smaller)
+                assert np.array_equal(smaller_rates.pu_coef, np.delete(rates.pu_coef, q, axis=1))
+                assert np.array_equal(smaller_rates.su_coef, np.delete(rates.su_coef, q, axis=1))
+                without = verify.pu_utilities(dda.run(fewer, smaller, req)[0], smaller_rates)
+                assert np.all(without <= full)
+                gains += int(np.any(without < full))
+        assert gains > 200
 
     @pytest.mark.parametrize("scenario", [
         {"l_pu": 2, "l_su": 2, "xi_init": 1.0, "beta_init": 1.0,

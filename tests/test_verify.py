@@ -16,21 +16,15 @@ from relaymarket.verify import GuardError
 
 import test_dda
 from helpers import (GOLDEN_MARKETS, engine_fingerprint, handmade_realization,
-                     single_pair_scenario)
+                     outcome_from_arrays, single_pair_scenario)
 from oracles import (all_injective_matchings, grid_candidates, injective_maps_reference,
                      prefilter_reference, stability_reference)
 
 
 def build_outcome(l_pu, l_su, matches):
     """Hand-built outcome: matches maps l -> (q, xi, beta)."""
-    m = np.zeros((l_pu, l_su), dtype=int)
-    g = np.zeros((l_pu, l_su))
-    b = np.zeros((l_pu, l_su))
-    for l, (q, xi, beta) in matches.items():
-        m[l, q] = 1
-        g[l, q] = xi
-        b[l, q] = beta
-    return MatchingOutcome(m=m, g=g, b=b)
+    return MatchingOutcome(l_pu, l_su,
+                           [(l, q, xi, beta) for l, (q, xi, beta) in matches.items()])
 
 
 def two_by_two():
@@ -150,10 +144,10 @@ def audit_corpus(seeds=None):
         user_0_past = np.zeros(params.l_pu, dtype=int)
         user_0_past[0] = n_beta
         outcomes = [engine_out, random_partner,
-                    MatchingOutcome(m=engine_out.m, g=engine_out.g, b=engine_out.b)]
-        outcomes += [MatchingOutcome(m=engine_out.m, g=engine_out.g, b=engine_out.b,
-                                     final_xi_steps=np.zeros(params.l_pu, dtype=int),
-                                     final_beta_steps=beta_steps)
+                    outcome_from_arrays(engine_out.m, engine_out.g, engine_out.b)]
+        outcomes += [outcome_from_arrays(engine_out.m, engine_out.g, engine_out.b,
+                                         final_xi_steps=np.zeros(params.l_pu, dtype=int),
+                                         final_beta_steps=beta_steps)
                      for beta_steps in (past_grid, user_0_past)]
         for r in range(4):
             k = rng.integers(0, min(params.l_pu, params.l_su) + 1)
@@ -165,8 +159,7 @@ def audit_corpus(seeds=None):
             if r % 2:
                 steps = {"final_xi_steps": rng.integers(0, n_xi, params.l_pu),
                          "final_beta_steps": rng.integers(0, n_beta + 1, params.l_pu)}
-            outcomes.append(MatchingOutcome.from_terms(
-                params.l_pu, params.l_su, terms, **steps))
+            outcomes.append(MatchingOutcome(params.l_pu, params.l_su, terms, **steps))
         for outcome in outcomes:
             yield params, real, req, outcome
 
@@ -345,11 +338,27 @@ class TestStabilityAudit:
         assert rates.pu_coef[l, q] * beta + rates.c_cost * xi > 0.0
         assert rates.su_coef[l, q] * (1.0 - beta) - rates.k_cost * xi > 0.0
 
-    def test_off_grid_terms_rejected(self):
+    @pytest.mark.parametrize("matches, message", [
+        ({0: (0, 0.33, 0.5)}, r"price allocation 0\.33 for pair \(0,0\)"),
+        ({0: (0, 0.5, 0.5), 1: (1, 0.75, 0.4)},
+         r"time-slot allocation 0\.4 for pair \(1,1\)"),
+    ], ids=["price", "time-share"])
+    def test_off_grid_terms_rejected(self, matches, message):
         params, real, req = two_by_two()
-        outcome = build_outcome(2, 2, {0: (0, 0.33, 0.5)})
-        with pytest.raises(ValueError, match="off the concession grid"):
+        outcome = build_outcome(2, 2, matches)
+        with pytest.raises(ValueError, match=message + " is off the concession grid"):
             verify.is_stable(outcome, real, req, params)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (1, 2)])
+    def test_an_outcome_of_another_shape_is_refused(self, shape):
+        # terms alone fit any market at least as large: unguarded, a 1x2
+        # outcome would be audited as if its user were the market's user 0
+        params, real, req = two_by_two()
+        outcome = MatchingOutcome(*shape, [(0, 0, 0.0, 0.25)])
+        for audit in (verify.is_stable, verify.check_weak_pareto):
+            with pytest.raises(ValueError, match=f"a {shape[0]}x{shape[1]} outcome does "
+                                                 "not fit the 2x2 market"):
+                audit(outcome, real, req, params)
 
     def test_describe_mentions_every_finding(self):
         params, real, req = two_by_two()
@@ -370,7 +379,7 @@ class TestStabilityAudit:
         req = radio.requirements_for(default_params, real.snr)
         outcome, _ = dda.run(default_params, real, req)
         assert verify.is_stable(outcome, real, req, default_params).stable
-        stripped = MatchingOutcome(m=outcome.m, g=outcome.g, b=outcome.b)
+        stripped = outcome_from_arrays(outcome.m, outcome.g, outcome.b)
         report = verify.is_stable(stripped, real, req, default_params)
         assert not report.stable
         assert report.blocking_pairs
@@ -418,10 +427,10 @@ class TestGoldenAudit:
             replace(params, negotiation="contracts"), real, req))
         rng = np.random.default_rng(0)
         random_partner, _ = baselines.rmbn(market, rng)
-        bare = MatchingOutcome(m=ladder.m, g=ladder.g, b=ladder.b)
+        bare = outcome_from_arrays(ladder.m, ladder.g, ladder.b)
         k = min(params.l_pu, params.l_su)
         grids = market.grids
-        on_grid = MatchingOutcome.from_terms(
+        on_grid = MatchingOutcome(
             params.l_pu, params.l_su,
             [(int(l), int(q), float(rng.choice(grids.xi_values)),
               float(rng.choice(grids.beta_values)))
@@ -481,7 +490,7 @@ class TestEnumeration:
 
         # same triple with the history stripped: the full-grid audit finds
         # the witness that keeps it out of the enumerated set
-        bare = MatchingOutcome(m=outcome.m, g=outcome.g, b=outcome.b)
+        bare = outcome_from_arrays(outcome.m, outcome.g, outcome.b)
         assert not verify.is_stable(bare, real, req, params).stable
 
     def test_enumerated_outcomes_pass_the_loop_oracle(self):
@@ -500,7 +509,7 @@ class TestEnumeration:
             grids = dda.concession_grids(params)
             rates = radio.make_pair_rates(params, real)
             want = [(m, g, b) for m, g, b in grid_candidates(rates, req, grids)
-                    if stability_reference(MatchingOutcome(m=m, g=g, b=b),
+                    if stability_reference(outcome_from_arrays(m, g, b),
                                            rates, req, grids) == ([], [])]
             got = verify.enumerate_stable_matchings(real, req, params)
             found += len(got)
@@ -518,12 +527,12 @@ class TestEnumeration:
             grids = dda.concession_grids(params)
             rates = radio.make_pair_rates(params, real)
             want = [candidate for candidate in grid_candidates(rates, req, grids)
-                    if stability_reference(MatchingOutcome(*candidate),
+                    if stability_reference(outcome_from_arrays(*candidate),
                                            rates, req, grids) == ([], [])]
             got = verify.enumerate_stable_matchings(real, req, params)
             found += len(got)
             assert list(map(outcome_fingerprint, got)) == [
-                outcome_fingerprint(MatchingOutcome(*c)) for c in want]
+                outcome_fingerprint(outcome_from_arrays(*c)) for c in want]
         assert found > 24
 
     def test_a_full_guard_market_enumerates_in_fixed_blocks(self):
@@ -612,7 +621,7 @@ class TestWeakPareto:
             contracts, _ = dda.run(replace(params, negotiation="contracts"), real, req)
             ladder, _ = dda.run(params, real, req)
             for outcome in (ladder, contracts,
-                            MatchingOutcome(*candidates[len(candidates) // 2])):
+                            outcome_from_arrays(*candidates[len(candidates) // 2])):
                 base = plain_pu_utilities(outcome.m, outcome.g, outcome.b, rates)
                 matched = [l for l in range(params.l_pu) if outcome.m[l].any()]
                 want = next((c for c in candidates if matched and all(
@@ -636,7 +645,7 @@ class TestWeakPareto:
             contracts, _ = dda.run(replace(params, negotiation="contracts"), real, req)
             ladder, _ = dda.run(params, real, req)
             for outcome in (ladder, contracts,
-                            MatchingOutcome(*candidates[len(candidates) // 2])):
+                            outcome_from_arrays(*candidates[len(candidates) // 2])):
                 base = plain_pu_utilities(outcome.m, outcome.g, outcome.b, rates)
                 matched = [l for l in range(params.l_pu) if outcome.m[l].any()]
                 want = next((c for c in candidates if matched and all(
@@ -646,7 +655,7 @@ class TestWeakPareto:
                 if want is not None:
                     fails += 1
                     assert outcome_fingerprint(witness) == outcome_fingerprint(
-                        MatchingOutcome(*want))
+                        outcome_from_arrays(*want))
         assert fails > 5
 
     @pytest.mark.parametrize("knowledge", ["complete", "partial"])
