@@ -24,8 +24,7 @@ sitting out), which is how the random baseline negotiates.
 
 Results are built only when read. negotiate captures no event; its
 trace replays the run on the first read of EngineTrace.events. An
-outcome is its matched terms; it fills the dense m, g and b on the first
-read of one of them.
+outcome is only its shape and matched terms.
 """
 
 from __future__ import annotations
@@ -116,44 +115,21 @@ class MatchingOutcome:
     not yet conceded past. Contract, hand-built and baseline outcomes leave
     them None.
 
-    m (the matching matrix), g (prices) and b (time shares), each [l, q]
-    and zero wherever unmatched, are filled from the terms on the first
-    read of one of them, read-only so they cannot drift from the terms.
+    Raises ValueError unless the terms are a matching of the shape: every
+    index in [0, l_pu) x [0, l_su), no licensed user or relay twice.
     """
 
     def __init__(self, l_pu, l_su, terms, final_xi_steps=None, final_beta_steps=None):
         self.shape = (l_pu, l_su)
         self._terms = tuple(sorted(terms))
+        if self._terms:
+            ls, qs, _, _ = zip(*self._terms)   # ls ascends with the terms
+            if not (0 <= ls[0] and ls[-1] < l_pu and 0 <= min(qs) and max(qs) < l_su
+                    and len(set(ls)) == len(set(qs)) == len(ls)):
+                raise ValueError(f"pairs {list(zip(ls, qs))} are not a matching "
+                                 f"of a {l_pu}x{l_su} market")
         self.final_xi_steps = final_xi_steps
         self.final_beta_steps = final_beta_steps
-
-    def _dense(self):
-        """Set m, g and b from the terms, read-only; returns them."""
-        m = np.zeros(self.shape, dtype=int)
-        g = np.zeros(self.shape)
-        b = np.zeros(self.shape)
-        for l, q, xi, beta in self._terms:
-            m[l, q] = 1
-            g[l, q] = xi
-            b[l, q] = beta
-        m.setflags(write=False)
-        g.setflags(write=False)
-        b.setflags(write=False)
-        self.m, self.g, self.b = m, g, b
-        return m, g, b
-
-    # the first read of one sets all three
-    @functools.cached_property
-    def m(self):
-        return self._dense()[0]
-
-    @functools.cached_property
-    def g(self):
-        return self._dense()[1]
-
-    @functools.cached_property
-    def b(self):
-        return self._dense()[2]
 
     def matched_terms(self):
         """Tuple of the matched (l, q, xi, beta) terms, in row-major order."""

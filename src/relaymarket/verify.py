@@ -149,11 +149,11 @@ def _blocking_pairs(market, u_pu, u_su, open_pairs, xi_lo, beta_lo):
     return found
 
 
-def _check_shape(outcome, params):
-    if outcome.shape != (params.l_pu, params.l_su):
+def _check_shape(outcome, shape):
+    if outcome.shape != shape:
         raise ValueError(
             f"a {outcome.shape[0]}x{outcome.shape[1]} outcome does not fit "
-            f"the {params.l_pu}x{params.l_su} market it is audited on")
+            f"the {shape[0]}x{shape[1]} market it is read on")
 
 
 def is_stable(outcome, realization, requirements, params):
@@ -175,7 +175,7 @@ def is_stable(outcome, realization, requirements, params):
     Raises ValueError when the outcome's shape is not the market's or a
     matched term is off the concession grids.
     """
-    _check_shape(outcome, params)
+    _check_shape(outcome, (params.l_pu, params.l_su))
     market = dda.market(params, realization, requirements)
     rates, requirements, grids = market.rates, market.requirements, market.grids
     terms = outcome.matched_terms()
@@ -340,7 +340,9 @@ def enumerate_stable_matchings(realization, requirements, params):
 def pu_utilities(outcome, rates):
     """Per licensed user utility under an outcome, zero when unmatched: the
     licensed utility of radio.licensed_gain, spelled out on floats read
-    with ndarray.item."""
+    with ndarray.item. Raises ValueError when the outcome's shape is not
+    the rates'."""
+    _check_shape(outcome, rates.pu_coef.shape)
     out = np.zeros(outcome.shape[0])
     for l, q, xi, beta in outcome.matched_terms():
         out[l] = rates.pu_coef.item(l, q) * beta + rates.c_cost * xi
@@ -361,7 +363,7 @@ def check_weak_pareto(outcome, realization, requirements, params):
     only candidate built. Raises ValueError when the outcome's shape is not
     the market's.
     """
-    _check_shape(outcome, params)
+    _check_shape(outcome, (params.l_pu, params.l_su))
     market = dda.market(params, realization, requirements)
     _check_enum_guard(params, market.grids)
     matched = [l for l, _ in outcome.matched_pairs()]

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from relaymarket import radio, topology
@@ -34,14 +33,17 @@ def scenario_at_fixture():
 
 
 def assert_outcome_well_formed(outcome, l_pu, l_su):
-    """Structural checks every matching outcome must satisfy."""
-    assert outcome.m.shape == (l_pu, l_su)
-    assert set(np.unique(outcome.m)) <= {0, 1}
-    assert np.all(outcome.m.sum(axis=0) <= 1)
-    assert np.all(outcome.m.sum(axis=1) <= 1)
-    unmatched = outcome.m == 0
-    assert np.all(outcome.g[unmatched] == 0.0)
-    assert np.all(outcome.b[unmatched] == 0.0)
+    """Structural checks every matching outcome must satisfy: its shape,
+    indices in range, no licensed user or relay matched twice, and terms
+    in row-major order."""
+    assert outcome.shape == (l_pu, l_su)
+    terms = outcome.matched_terms()
+    pairs = outcome.matched_pairs()
+    assert list(terms) == sorted(terms)
+    assert pairs == [(l, q) for l, q, _, _ in terms]
+    assert all(0 <= l < l_pu and 0 <= q < l_su for l, q in pairs)
+    assert len({l for l, _ in pairs}) == len(pairs)
+    assert len({q for _, q in pairs}) == len(pairs)
 
 
 # Verdict lines registered by the acceptance tests; replayed after the run

@@ -141,6 +141,20 @@ def outcome_from_arrays(m, g, b, final_xi_steps=None, final_beta_steps=None):
         final_xi_steps=final_xi_steps, final_beta_steps=final_beta_steps)
 
 
+def dense(outcome):
+    """An outcome's terms as dense arrays m (int64 matching matrix), g
+    (float64 prices) and b (float64 time shares), each [l, q] and zero
+    wherever unmatched: the form the recorded digests hash."""
+    m = np.zeros(outcome.shape, dtype=np.int64)
+    g = np.zeros(outcome.shape)
+    b = np.zeros(outcome.shape)
+    for l, q, xi, beta in outcome.matched_terms():
+        m[l, q] = 1
+        g[l, q] = xi
+        b[l, q] = beta
+    return m, g, b
+
+
 def engine_fingerprint(outcome, trace):
     """Canonical text of one engine run: its events, offers, concession
     counts, final concession steps and m, g, b, with every number as a
@@ -152,12 +166,13 @@ def engine_fingerprint(outcome, trace):
     def hexes(a):
         return [float(v).hex() for v in np.ravel(a)]
 
+    m, g, b = dense(outcome)
     return repr((
         [(kind, int(l), int(q), float(xi).hex(), float(beta).hex(), int(it))
          for kind, l, q, xi, beta, it in trace.events],
         int(trace.offers), ints(trace.puu_counts),
         ints(outcome.final_xi_steps), ints(outcome.final_beta_steps),
-        outcome.m.astype(int).tolist(), hexes(outcome.g), hexes(outcome.b)))
+        m.tolist(), hexes(g), hexes(b)))
 
 
 def discrete_assignment_optimum(market):

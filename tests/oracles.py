@@ -37,19 +37,18 @@ def stability_reference(outcome, rates, requirements, grids):
     u_pu = [0.0] * l_pu
     u_su = [0.0] * l_su
     blocked = []
-    for l in range(l_pu):
-        for q in range(l_su):
-            if outcome.m[l, q] != 1:
-                continue
-            xi, beta = float(outcome.g[l, q]), float(outcome.b[l, q])
-            if pu_coef[l][q] * beta < r_pu[l]:
-                blocked.append(("pu", l, "pu-rate"))
-            if su_coef[l][q] * (1.0 - beta) < r_su:
-                blocked.append(("su", q, "su-rate"))
-            if su_coef[l][q] * (1.0 - beta) - k_cost * xi < 0.0:
-                blocked.append(("su", q, "su-utility"))
-            u_pu[l] = pu_coef[l][q] * beta + c_cost * xi
-            u_su[q] = su_coef[l][q] * (1.0 - beta) - k_cost * xi
+    matched = set()
+    for l, q, xi, beta in sorted(outcome.matched_terms()):
+        xi, beta = float(xi), float(beta)
+        matched.add((l, q))
+        if pu_coef[l][q] * beta < r_pu[l]:
+            blocked.append(("pu", l, "pu-rate"))
+        if su_coef[l][q] * (1.0 - beta) < r_su:
+            blocked.append(("su", q, "su-rate"))
+        if su_coef[l][q] * (1.0 - beta) - k_cost * xi < 0.0:
+            blocked.append(("su", q, "su-utility"))
+        u_pu[l] = pu_coef[l][q] * beta + c_cost * xi
+        u_su[q] = su_coef[l][q] * (1.0 - beta) - k_cost * xi
     out_pu = {idx for side, idx, _ in blocked if side == "pu"}
     out_su = {idx for side, idx, _ in blocked if side == "su"}
     pairs = []
@@ -61,7 +60,7 @@ def stability_reference(outcome, rates, requirements, grids):
             xi_start = int(outcome.final_xi_steps[l])
             beta_start = int(outcome.final_beta_steps[l])
         for q in range(l_su):
-            if q in out_su or outcome.m[l, q] == 1:
+            if q in out_su or (l, q) in matched:
                 continue
             hit = None
             for xi in grids.xi_values[xi_start:].tolist():

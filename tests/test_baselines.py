@@ -38,10 +38,10 @@ def alone(market, l, q):
     partners = np.full(market.params.l_pu, -1)
     partners[l] = q
     out, _ = dda.negotiate(market, partners)
-    if not out.m[l, q]:
-        assert out.m.sum() == 0
+    if not out.matched_terms():
         return None
-    xi, beta = out.g[l, q], out.b[l, q]
+    assert out.matched_pairs() == [(l, q)]
+    [(_, _, xi, beta)] = out.matched_terms()
     return xi, beta, market.rates.pu_coef[l, q] * beta + market.rates.c_cost * xi
 
 
@@ -205,8 +205,8 @@ class TestPairOptimumDiscrete:
 
 
 def total_pu_utility(rates, outcome):
-    return sum(rates.pu_coef[l, q] * outcome.b[l, q] + rates.c_cost * outcome.g[l, q]
-               for l, q in outcome.matched_pairs())
+    return sum(rates.pu_coef[l, q] * beta + rates.c_cost * xi
+               for l, q, xi, beta in outcome.matched_terms())
 
 
 class TestCentralizedAssignment:
@@ -229,7 +229,8 @@ class TestCentralizedAssignment:
         for seed in range(10):
             real, rates, req = rates_and_req(default_params, seed)
             out = baselines.centralized_su_rate(dda.market(default_params, real, req))
-            got = sum(rates.su_coef[l, q] * (1.0 - out.b[l, q]) for l, q in out.matched_pairs())
+            got = sum(rates.su_coef[l, q] * (1.0 - beta)
+                      for l, q, _, beta in out.matched_terms())
             best = 0.0
             for matching in all_injective_matchings(default_params.l_pu,
                                                     default_params.l_su):
@@ -304,7 +305,7 @@ class TestCentralizedAssignment:
 
 def assignment_vector(outcome):
     """Relay per licensed user, -1 unmatched."""
-    assign = [-1] * outcome.m.shape[0]
+    assign = [-1] * outcome.shape[0]
     for l, q in outcome.matched_pairs():
         assign[l] = q
     return assign
@@ -332,20 +333,20 @@ class TestCentralizedRelayRate:
     def test_matched_terms_are_floor_beta_at_zero_price(self, default_params):
         real, rates, req = rates_and_req(default_params, 5)
         out = baselines.centralized_su_rate(dda.market(default_params, real, req))
-        assert out.m.sum() > 0
-        for l, q in out.matched_pairs():
-            assert out.g[l, q] == 0.0
-            assert rates.pu_coef[l, q] * out.b[l, q] == pytest.approx(req.r_pu_req[l])
+        assert out.matched_terms()
+        for l, q, xi, beta in out.matched_terms():
+            assert xi == 0.0
+            assert rates.pu_coef[l, q] * beta == pytest.approx(req.r_pu_req[l])
 
     def test_dominates_negotiated_relay_sum(self, default_params):
         for seed in range(15):
             real, rates, req = rates_and_req(default_params, seed)
             negotiated, _ = dda.run(default_params, real, req)
             central = baselines.centralized_su_rate(dda.market(default_params, real, req))
-            s_c = sum(rates.su_coef[l, q] * (1.0 - central.b[l, q])
-                      for l, q in central.matched_pairs())
-            s_n = sum(rates.su_coef[l, q] * (1.0 - negotiated.b[l, q])
-                      for l, q in negotiated.matched_pairs())
+            s_c = sum(rates.su_coef[l, q] * (1.0 - beta)
+                      for l, q, _, beta in central.matched_terms())
+            s_n = sum(rates.su_coef[l, q] * (1.0 - beta)
+                      for l, q, _, beta in negotiated.matched_terms())
             assert s_c >= s_n - 1e-9
 
 
@@ -358,9 +359,10 @@ class TestRandomBaseline:
             r_pu_req=[0.3], r_su_req=0.2)
         req = radio.requirements_for(params, real.snr)
         out, trace = baselines.rmbn(dda.market(params, real, req), np.random.default_rng(0))
-        assert out.m.tolist() == [[1]]
-        assert out.g[0, 0] == pytest.approx(0.8)
-        assert out.b[0, 0] == pytest.approx(0.9)
+        [(l, q, xi, beta)] = out.matched_terms()
+        assert (l, q) == (0, 0)
+        assert xi == pytest.approx(0.8)
+        assert beta == pytest.approx(0.9)
         assert trace.offers == 1
 
     def test_unworkable_pair_never_cooperates(self):
@@ -370,7 +372,7 @@ class TestRandomBaseline:
             r_pu_req=[0.3], r_su_req=2.5)
         req = radio.requirements_for(params, real.snr)
         out, trace = baselines.rmbn(dda.market(params, real, req), np.random.default_rng(0))
-        assert out.m.sum() == 0
+        assert out.matched_terms() == ()
         assert trace.events[-1][0] == "prune"
 
     def test_bilateral_haggle_equals_engine_on_one_pair(self):
@@ -381,9 +383,9 @@ class TestRandomBaseline:
             engine_out, _ = dda.run(p1, real, req)
             random_out, _ = baselines.rmbn(dda.market(p1, real, req),
                                            np.random.default_rng(seed))
-            assert np.array_equal(engine_out.m, random_out.m)
-            assert np.allclose(engine_out.g, random_out.g)
-            assert np.allclose(engine_out.b, random_out.b)
+            assert engine_out.matched_pairs() == random_out.matched_pairs()
+            assert np.allclose([t[2:] for t in engine_out.matched_terms()],
+                               [t[2:] for t in random_out.matched_terms()])
 
     def test_contract_rule_takes_each_pair_optimum(self):
         params = topology.params_from_dict({"negotiation": "contracts"})
@@ -391,17 +393,18 @@ class TestRandomBaseline:
             market = market_at(params, seed)
             rates, req = market.rates, market.requirements
             out, trace = baselines.rmbn(market, np.random.default_rng(seed))
+            terms = {(l, q): (xi, beta) for l, q, xi, beta in out.matched_terms()}
             feasible = 0
             for l, q in drawn_pairs(params.l_pu, params.l_su, np.random.default_rng(seed)):
                 best = discrete_pair_optimum(
                     rates.pu_coef[l, q], rates.su_coef[l, q], req.r_pu_req[l],
                     req.r_su_req, rates.c_cost, rates.k_cost, market.grids)
-                assert out.m[l, q] == int(best is not None)
+                assert ((l, q) in terms) == (best is not None)
                 if best is not None:
                     feasible += 1
-                    assert (out.g[l, q], out.b[l, q]) == best[1:]
+                    assert terms[l, q] == best[1:]
                     assert alone(market, l, q) == (*best[1:], best[0])
-            assert out.m.sum() == feasible
+            assert len(terms) == feasible
             assert trace.offers == feasible and trace.packets == 2 * feasible
 
     def test_contract_ties_keep_the_longer_time(self):
@@ -414,13 +417,14 @@ class TestRandomBaseline:
         market = dda.market(params, real)
         out, trace = baselines.rmbn(market, np.random.default_rng(0))
         rates = market.rates
-        top = rates.pu_coef[0, 0] * out.b[0, 0] + rates.c_cost * out.g[0, 0]
+        [(_, _, xi, held)] = out.matched_terms()
+        top = rates.pu_coef[0, 0] * held + rates.c_cost * xi
         shorter = [beta for beta in market.grids.beta_values
-                   if beta < out.b[0, 0] and rates.pu_coef[0, 0] * beta >= 0.3
-                   and rates.pu_coef[0, 0] * beta + rates.c_cost * out.g[0, 0] == top]
+                   if beta < held and rates.pu_coef[0, 0] * beta >= 0.3
+                   and rates.pu_coef[0, 0] * beta + rates.c_cost * xi == top]
         assert shorter
-        assert out.g[0, 0] == pytest.approx(0.99)
-        assert out.b[0, 0] == pytest.approx(0.49)
+        assert xi == pytest.approx(0.99)
+        assert held == pytest.approx(0.49)
         assert trace.offers == 1
 
     @pytest.mark.parametrize("overrides, seeds", [
@@ -439,12 +443,8 @@ class TestRandomBaseline:
             pairs = drawn_pairs(params.l_pu, params.l_su, np.random.default_rng(seed))
             matched, offers, conceded = haggle_reference(
                 market.rates, market.requirements, market.grids, pairs)
-            want = dda.MatchingOutcome(
-                params.l_pu, params.l_su,
-                [(l, q, xi, beta) for l, (q, xi, beta) in matched.items()])
-            assert np.array_equal(out.m, want.m)
-            assert np.array_equal(out.g, want.g)
-            assert np.array_equal(out.b, want.b)
+            want = sorted((l, q, xi, beta) for l, (q, xi, beta) in matched.items())
+            assert list(out.matched_terms()) == want
             assert out.final_xi_steps is None and out.final_beta_steps is None
             assert trace.offers == offers
             assert trace.puu_counts.tolist() == conceded
@@ -471,7 +471,7 @@ class TestRandomBaseline:
         market = market_at(default_params, 6)
         a, _ = baselines.rmbn(market, np.random.default_rng(9))
         b, _ = baselines.rmbn(market, np.random.default_rng(9))
-        assert np.array_equal(a.m, b.m)
+        assert a.matched_pairs() == b.matched_pairs()
 
     def test_never_beats_centralized_on_average(self, default_params):
         rng = np.random.default_rng(123)

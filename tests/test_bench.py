@@ -50,10 +50,9 @@ class TestOrderStatistics:
 
 def plain_sums(outcome, rates):
     """Licensed utility, licensed rate and relay rate summed from 0.0 over
-    the matched pairs in matched_pairs order, the algebra restated."""
+    the matched terms in row-major order, the algebra restated."""
     u = r_pu = r_su = 0.0
-    for l, q in outcome.matched_pairs():
-        beta, xi = outcome.b[l, q], outcome.g[l, q]
+    for l, q, xi, beta in outcome.matched_terms():
         u += rates.pu_coef[l, q] * beta + rates.c_cost * xi
         r_pu += rates.pu_coef[l, q] * beta
         r_su += rates.su_coef[l, q] * (1.0 - beta)
@@ -99,8 +98,8 @@ class TestRunTrials:
             stream = np.random.SeedSequence([params.seed, i]).spawn(3)[2]
             outcome, trace = baselines.rmbn(market, np.random.default_rng(stream))
             pairs = outcome.matched_pairs()
-            util.append(sum(market.rates.pu_coef[l, q] * outcome.b[l, q]
-                            + market.rates.c_cost * outcome.g[l, q] for l, q in pairs))
+            util.append(sum(market.rates.pu_coef[l, q] * beta + market.rates.c_cost * xi
+                            for l, q, xi, beta in outcome.matched_terms()))
             packets.append(trace.packets)
             matched += len(pairs)
         assert got.packets.tolist() == packets
@@ -327,11 +326,10 @@ class TestAggregation:
         assert calls == Counter({"mean": 1})
 
     @staticmethod
-    def _refuse_dense_and_replay(monkeypatch):
+    def _refuse_replay(monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("built where only terms and counts are read")
 
-        monkeypatch.setattr(dda.MatchingOutcome, "_dense", refuse)
         monkeypatch.setattr(dda, "_replay_events", refuse)
 
     @pytest.mark.parametrize("knowledge", ["complete", "partial"])
@@ -339,15 +337,15 @@ class TestAggregation:
     def test_no_dense_outcome_or_event_replay_on_the_trial_path(self, monkeypatch,
                                                                 shape, knowledge):
         # run_trials reads outcomes through their terms and traces through
-        # their counts; filling m, g and b or replaying the events is waste
-        self._refuse_dense_and_replay(monkeypatch)
+        # their counts; an outcome has no dense form, and replaying the
+        # events is waste
+        self._refuse_replay(monkeypatch)
         params = topology.params_from_dict(
             {"l_pu": shape[0], "l_su": shape[1], "snr_knowledge": knowledge})
         bench.run_trials(params, bench.ALGO_TAGS, 2)
-        # the patches see the package's reads
+        # the patch sees the package's reads
         outcome, trace = dda.negotiate(dda.market(params, topology.make_realization(params, 0)))
-        with pytest.raises(AssertionError, match="only terms and counts"):
-            outcome.m
+        assert not any(hasattr(outcome, name) for name in ("m", "g", "b", "_dense"))
         with pytest.raises(AssertionError, match="only terms and counts"):
             trace.events
 
@@ -360,7 +358,7 @@ class TestAggregation:
         argv = [command, "--seed", str(seed), "--trials", "20"]
         code = cli.main(argv)
         printed = capsys.readouterr().out
-        self._refuse_dense_and_replay(monkeypatch)
+        self._refuse_replay(monkeypatch)
         assert cli.main(argv) == code
         assert capsys.readouterr().out == printed
 

@@ -22,7 +22,7 @@ from relaymarket import baselines, cli, dda, radio, topology, verify
 from relaymarket.errors import EngineError
 
 from conftest import assert_outcome_well_formed
-from helpers import (GOLDEN_MARKETS, concede, conceding_user, engine_fingerprint,
+from helpers import (GOLDEN_MARKETS, concede, conceding_user, dense, engine_fingerprint,
                      handmade_realization, single_pair_scenario, without_relay)
 from oracles import (best_contracts_reference, concession_reference,
                      contract_deferred_acceptance, ladder_reference)
@@ -156,9 +156,10 @@ class TestSinglePairWalkthrough:
     def test_agreed_terms(self, pair):
         params, real = pair
         outcome, _ = dda.run(params, real)
-        assert outcome.m.tolist() == [[1]]
-        assert outcome.g[0, 0] == pytest.approx(0.8)
-        assert outcome.b[0, 0] == pytest.approx(0.6)
+        [(l, q, xi, beta)] = outcome.matched_terms()
+        assert (l, q) == (0, 0)
+        assert xi == pytest.approx(0.8)
+        assert beta == pytest.approx(0.6)
         assert outcome.final_xi_steps.tolist() == [0]
         assert outcome.final_beta_steps.tolist() == [3]
 
@@ -212,7 +213,7 @@ class TestEngineMechanics:
             gamma_dir=2.5, gamma_relay_hops=(1.0, 1.0), gamma_sr=3.0,
             r_pu_req=[1.5], r_su_req=0.2)
         outcome, trace = dda.run(params, real)
-        assert outcome.m.sum() == 0
+        assert outcome.matched_terms() == ()
         assert trace.events[0][0] == "prune"
         assert trace.offers == 0
 
@@ -242,8 +243,7 @@ class TestEngineMechanics:
             dda.step(state)
         by_hand = dda.finish(state)
         by_run = dda.run(default_params, real, req)
-        assert np.array_equal(by_hand[0].m, by_run[0].m)
-        assert np.array_equal(by_hand[0].g, by_run[0].g)
+        assert by_hand[0].matched_terms() == by_run[0].matched_terms()
         assert by_hand[1].events == by_run[1].events
 
     def test_step_is_a_noop_once_terminal(self, default_params):
@@ -272,12 +272,10 @@ class TestEngineMechanics:
                 solo = np.full(4, -1)
                 solo[l] = partners[l]
                 alone, alone_trace = dda.negotiate(market, solo)
-                assert np.array_equal(out.m[l], alone.m[l])
-                assert np.array_equal(out.g[l], alone.g[l])
-                assert np.array_equal(out.b[l], alone.b[l])
+                assert [t for t in out.matched_terms() if t[0] == l] == list(alone.matched_terms())
                 offers += alone_trace.offers
             assert trace.offers == offers
-            assert out.m[[1, 3]].sum() == 0
+            assert {l for l, _ in out.matched_pairs()} <= {0, 2}
 
     @staticmethod
     def _contest():
@@ -295,7 +293,7 @@ class TestEngineMechanics:
 
     def test_displacement_requeues_the_loser(self):
         outcome, trace = dda.run(*self._contest())
-        assert outcome.m.sum() == 1
+        assert len(outcome.matched_terms()) == 1
         kinds = [e[0] for e in trace.events]
         assert "displace" in kinds or "reject" in kinds
 
@@ -373,8 +371,7 @@ class TestLadderRule:
         events, held, xi_steps, beta_steps = ladder_reference(
             radio.make_pair_rates(params, real), req, dda.concession_grids(params))
         assert trace.events == events
-        assert {q: (l, outcome.g[l, q], outcome.b[l, q])
-                for l, q in outcome.matched_pairs()} == held
+        assert {q: (l, xi, beta) for l, q, xi, beta in outcome.matched_terms()} == held
         assert outcome.final_xi_steps.tolist() == xi_steps
         assert outcome.final_beta_steps.tolist() == beta_steps
 
@@ -419,13 +416,14 @@ class TestLadderRule:
             _, trace = dda.run(params, real, req)
             assert any(q != head[l] for kind, l, q, *_ in trace.events if kind == "offer")
 
-    @pytest.mark.parametrize("floor, relay", [(0.2, 0), (1.5, 1)])
+    @pytest.mark.parametrize("floor, relay", [(0.2, 0), (1.5, 1), (0.99, 0)])
     def test_rounding_tie_keeps_the_smaller_index(self, floor, relay):
         # Licensed slopes are exactly 1 (relay 0) and 2 (relay 1). With a
         # money weight of 1e17 the utilities at the opening offer,
         # slope * 0.99 + 0.99e17, round to the same double, so the old
         # ranking tied them and put relay 0 first whenever it clears the
-        # floor; at floor 1.5 only relay 1 does.
+        # floor; at floor 1.5 only relay 1 does, and at floor 0.99 relay 0's
+        # rate sits exactly on it.
         params = topology.params_from_dict({
             "l_pu": 1, "l_su": 2, "gamma_pu_db": 0.0, "gamma_su_db": 0.0,
             "r_pu_req": [floor], "r_su_req": 0.1,
@@ -530,7 +528,7 @@ class TestGoldenTrace:
 
 class TestOutcomeTerms:
     """Outcomes built from their matched terms (every engine and baseline
-    outcome) against the dense m, g and b the terms describe."""
+    outcome) against the dense m, g and b of helpers.dense."""
 
     # sha256 over helpers.GOLDEN_MARKETS of each outcome's _dense_key, for
     # negotiate, rmbn (rng seeded with the market's seed), centralized and
@@ -550,8 +548,7 @@ class TestOutcomeTerms:
     def _dense_key(outcome):
         steps = [None if a is None else (a.dtype.str, a.tobytes())
                  for a in (outcome.final_xi_steps, outcome.final_beta_steps)]
-        return repr([(a.dtype.str, a.shape, a.tobytes())
-                     for a in (outcome.m, outcome.g, outcome.b)]
+        return repr([(a.dtype.str, a.shape, a.tobytes()) for a in dense(outcome)]
                     + steps + [outcome.matched_pairs()]).encode()
 
     def test_equal_the_recorded_dense_outcomes(self):
@@ -576,11 +573,11 @@ class TestOutcomeTerms:
                     assert all(type(v) is int for pair in pairs for v in pair)
                     assert all(type(xi) is float and type(beta) is float
                                for _, _, xi, beta in terms)
-                    assert outcome.m.dtype.kind == "i"
                     assert_outcome_well_formed(outcome, params.l_pu, params.l_su)
-                    ls, qs = outcome.m.nonzero()
+                    m, g, b = dense(outcome)
+                    ls, qs = m.nonzero()
                     assert list(zip(ls.tolist(), qs.tolist())) == pairs
-                    assert [(outcome.g.item(l, q), outcome.b.item(l, q))
+                    assert [(g.item(l, q), b.item(l, q))
                             for l, q in pairs] == [(xi, beta) for _, _, xi, beta in terms]
                     if kind == "ladder":
                         assert outcome.final_xi_steps.shape == (params.l_pu,)
@@ -589,13 +586,16 @@ class TestOutcomeTerms:
                         assert outcome.final_xi_steps is None
                         assert outcome.final_beta_steps is None
 
-    def test_dense_arrays_are_built_once_and_read_only(self):
-        params = topology.params_from_dict({"l_pu": 4, "l_su": 3})
-        outcome, _ = dda.negotiate(dda.market(params, topology.make_realization(params, 2)))
-        assert outcome.m is outcome.m and outcome.g is outcome.g
-        for a in (outcome.m, outcome.g, outcome.b):
-            with pytest.raises(ValueError, match="read-only"):
-                a[0, 0] = 1
+
+    @pytest.mark.parametrize("pairs", [
+        [(-1, 0)], [(2, 0)], [(0, -1)], [(1, 3)], [(0, 0), (0, 1)], [(0, 0), (1, 0)],
+    ], ids=["user-below", "user-past-end", "relay-below", "relay-past-end", "user-twice",
+            "relay-twice"])
+    def test_terms_must_be_a_matching_of_the_shape(self, pairs):
+        # unguarded, user -1 of a 2x3 outcome would book its utility to
+        # user 1, and a user or relay matched twice would be audited
+        with pytest.raises(ValueError, match=r"pairs \[.*\] are not a matching of a 2x3 market"):
+            dda.MatchingOutcome(2, 3, [(l, q, 0.5, 0.5) for l, q in pairs])
 
 
 class TestOfferLoop:
@@ -742,8 +742,7 @@ class TestContractRule:
 
     @staticmethod
     def _matches(outcome):
-        return {l: (q, outcome.g[l, q], outcome.b[l, q])
-                for l, q in outcome.matched_pairs()}
+        return {l: (q, xi, beta) for l, q, xi, beta in outcome.matched_terms()}
 
     @pytest.fixture(name="contest")
     def contest_fixture(self):
@@ -772,7 +771,7 @@ class TestContractRule:
         params, real = contest
         outcome, trace = dda.run(params, real)
         assert outcome.matched_pairs() == [(1, 0)]
-        assert (outcome.g[1, 0], outcome.b[1, 0]) == (1.0, 0.25)
+        assert outcome.matched_terms() == ((1, 0, 1.0, 0.25),)
         assert outcome.final_xi_steps is None
         assert [(e[0], e[1], e[3], e[4]) for e in trace.events] == [
             ("offer", 0, 1.0, 0.5), ("accept", 0, 1.0, 0.5),
@@ -908,7 +907,7 @@ class TestContractRule:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert outcome.m.any()
+        assert outcome.matched_terms()
         assert peak < 8e6
 
     @pytest.mark.parametrize("knowledge", ["complete", "partial"])
@@ -924,8 +923,8 @@ class TestContractRule:
             **cli.ORACLE_SCENARIO, "l_pu": l_pu, "l_su": l_su, "af_formula": af_formula,
             "snr_knowledge": knowledge, "negotiation": "contracts"})
         def licensed_utilities(outcome, rates):
-            return np.where(outcome.m != 0, rates.pu_coef * outcome.b
-                            + rates.c_cost * outcome.g, 0.0).sum(axis=1)
+            m, g, b = dense(outcome)
+            return np.where(m != 0, rates.pu_coef * b + rates.c_cost * g, 0.0).sum(axis=1)
 
         for seed in range(15):
             real = topology.make_realization(params, seed)
@@ -933,12 +932,12 @@ class TestContractRule:
             rates = radio.make_pair_rates(params, real)
             outcome, _ = dda.run(params, real, req)
             mine = licensed_utilities(outcome, rates)
-            matched = outcome.m.any(axis=1)
+            matched = {l for l, _ in outcome.matched_pairs()}
             stable = verify.enumerate_stable_matchings(real, req, params)
             assert stable
             for alt in stable:
                 assert np.all(licensed_utilities(alt, rates) <= mine)
-                assert np.array_equal(alt.m.any(axis=1), matched)
+                assert {l for l, _ in alt.matched_pairs()} == matched
 
     @pytest.mark.parametrize("af_formula", ["paper", "standard"])
     def test_a_relay_entering_never_hurts_a_licensed_user(self, af_formula):
@@ -1009,8 +1008,7 @@ def test_default_scenario_invariants(default_params):
         outcome, trace = dda.run(default_params, real, req)
 
         assert_outcome_well_formed(outcome, default_params.l_pu, default_params.l_su)
-        for l, q in outcome.matched_pairs():
-            beta, xi = outcome.b[l, q], outcome.g[l, q]
+        for l, q, xi, beta in outcome.matched_terms():
             assert rates.pu_coef[l, q] * beta >= req.r_pu_req[l] - 1e-12
             assert rates.su_coef[l, q] * (1.0 - beta) >= req.r_su_req - 1e-12
             assert rates.su_coef[l, q] * (1.0 - beta) - rates.k_cost * xi >= -1e-12

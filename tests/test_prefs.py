@@ -91,7 +91,7 @@ class TestLicensedSideList:
                                               r_pu_req=[0.7])
         outcome, trace = dda.run(params, real, req)
         assert trace.events == [("prune", 0, -1, 0.99, 0.15, 0)]
-        assert trace.offers == 0 and outcome.m.sum() == 0
+        assert trace.offers == 0 and outcome.matched_terms() == ()
 
     def test_equal_utilities_fall_back_to_index(self):
         params = topology.params_from_dict({

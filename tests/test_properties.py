@@ -134,8 +134,7 @@ class TestEngineInvariants:
         assert_outcome_well_formed(outcome, params.l_pu, params.l_su)
         grids = dda.concession_grids(params)
         rates = radio.make_pair_rates(params, realization)
-        for l, q in outcome.matched_pairs():
-            beta, xi = outcome.b[l, q], outcome.g[l, q]
+        for l, q, xi, beta in outcome.matched_terms():
             assert rates.pu_coef[l, q] * beta >= requirements.r_pu_req[l] - 1e-12
             assert rates.su_coef[l, q] * (1.0 - beta) >= requirements.r_su_req - 1e-12
             assert rates.su_coef[l, q] * (1.0 - beta) - rates.k_cost * xi >= -1e-12

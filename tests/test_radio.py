@@ -369,6 +369,36 @@ class TestBetaInterval:
         assert hi.tolist() == [[0.5, 0.75], [0.875, 0.9375]]
 
 
+class TestTradeHalves:
+    """radio.licensed_gain and radio.relay_gain at exact ties, on slopes of
+    2 and money weights of 1, so every value below is exact: at time share
+    0.25 the licensed rate is 0.5 and the relay rate 1.5."""
+
+    def test_licensed_floor_holds_at_equality(self):
+        rates, req = one_pair(2.0, 2.0, 0.5, 0.1)
+        assert radio.licensed_gain(rates, req, 0, 0, 0.0, 0.25, 0.5)
+
+    def test_relay_floor_holds_at_equality(self):
+        # relay utility 1.5 - 0.5 = 1.0 to spare
+        rates, req = one_pair(2.0, 2.0, 0.1, 1.5)
+        assert radio.relay_gain(rates, req, 0, 0, -np.inf, 0.25, 0.5)
+
+    def test_zero_relay_utility_holds(self):
+        # relay utility 1.5 - 1.5 = 0.0, its floor 1.0 to spare
+        rates, req = one_pair(2.0, 2.0, 0.1, 1.0)
+        assert radio.relay_gain(rates, req, 0, 0, -np.inf, 0.25, 1.5)
+
+    def test_a_bar_equal_to_the_utility_is_refused(self):
+        # both utilities are 1.0 at (0.25, 0.5), both floors to spare; a
+        # bar one ulp lower passes
+        rates, req = one_pair(2.0, 2.0, 0.4, 1.0)
+        below = np.nextafter(1.0, 0.0)
+        assert not radio.licensed_gain(rates, req, 0, 0, 1.0, 0.25, 0.5)
+        assert radio.licensed_gain(rates, req, 0, 0, below, 0.25, 0.5)
+        assert not radio.relay_gain(rates, req, 0, 0, 1.0, 0.25, 0.5)
+        assert radio.relay_gain(rates, req, 0, 0, below, 0.25, 0.5)
+
+
 def test_handmade_realizations_need_unit_gains(default_params):
     with pytest.raises(ValueError):
         handmade_realization(default_params, [1.0, 1.0],

@@ -15,7 +15,7 @@ from relaymarket.dda import MatchingOutcome
 from relaymarket.verify import GuardError
 
 import test_dda
-from helpers import (GOLDEN_MARKETS, engine_fingerprint, handmade_realization,
+from helpers import (GOLDEN_MARKETS, dense, engine_fingerprint, handmade_realization,
                      outcome_from_arrays, single_pair_scenario)
 from oracles import (all_injective_matchings, grid_candidates, injective_maps_reference,
                      prefilter_reference, stability_reference)
@@ -144,10 +144,10 @@ def audit_corpus(seeds=None):
         user_0_past = np.zeros(params.l_pu, dtype=int)
         user_0_past[0] = n_beta
         outcomes = [engine_out, random_partner,
-                    outcome_from_arrays(engine_out.m, engine_out.g, engine_out.b)]
-        outcomes += [outcome_from_arrays(engine_out.m, engine_out.g, engine_out.b,
-                                         final_xi_steps=np.zeros(params.l_pu, dtype=int),
-                                         final_beta_steps=beta_steps)
+                    MatchingOutcome(*engine_out.shape, engine_out.matched_terms())]
+        outcomes += [MatchingOutcome(*engine_out.shape, engine_out.matched_terms(),
+                                     final_xi_steps=np.zeros(params.l_pu, dtype=int),
+                                     final_beta_steps=beta_steps)
                      for beta_steps in (past_grid, user_0_past)]
         for r in range(4):
             k = rng.integers(0, min(params.l_pu, params.l_su) + 1)
@@ -360,6 +360,14 @@ class TestStabilityAudit:
                                                  "not fit the 2x2 market"):
                 audit(outcome, real, req, params)
 
+    def test_utilities_refuse_rates_of_another_shape(self):
+        # unguarded, a 2x2 outcome on 3x3 rates reads as a 2-vector
+        params = topology.params_from_dict({"l_pu": 3, "l_su": 3})
+        rates = radio.make_pair_rates(params, topology.make_realization(params, 0))
+        outcome = MatchingOutcome(2, 2, [(0, 0, 0.5, 0.5)])
+        with pytest.raises(ValueError, match="a 2x2 outcome does not fit the 3x3 market"):
+            verify.pu_utilities(outcome, rates)
+
     def test_describe_mentions_every_finding(self):
         params, real, req = two_by_two()
         report = verify.is_stable(build_outcome(2, 2, {}), real, req, params)
@@ -379,7 +387,7 @@ class TestStabilityAudit:
         req = radio.requirements_for(default_params, real.snr)
         outcome, _ = dda.run(default_params, real, req)
         assert verify.is_stable(outcome, real, req, default_params).stable
-        stripped = outcome_from_arrays(outcome.m, outcome.g, outcome.b)
+        stripped = MatchingOutcome(*outcome.shape, outcome.matched_terms())
         report = verify.is_stable(stripped, real, req, default_params)
         assert not report.stable
         assert report.blocking_pairs
@@ -395,10 +403,10 @@ def audit_fingerprint(report):
 
 
 def outcome_fingerprint(outcome):
-    """Canonical text of one outcome's m, g and b."""
-    return repr((outcome.m.astype(int).tolist(),
-                 [float(v).hex() for v in np.ravel(outcome.g)],
-                 [float(v).hex() for v in np.ravel(outcome.b)]))
+    """Canonical text of one outcome's dense m, g and b."""
+    m, g, b = dense(outcome)
+    return repr((m.tolist(), [float(v).hex() for v in np.ravel(g)],
+                 [float(v).hex() for v in np.ravel(b)]))
 
 
 class TestGoldenAudit:
@@ -427,7 +435,7 @@ class TestGoldenAudit:
             replace(params, negotiation="contracts"), real, req))
         rng = np.random.default_rng(0)
         random_partner, _ = baselines.rmbn(market, rng)
-        bare = outcome_from_arrays(ladder.m, ladder.g, ladder.b)
+        bare = MatchingOutcome(*ladder.shape, ladder.matched_terms())
         k = min(params.l_pu, params.l_su)
         grids = market.grids
         on_grid = MatchingOutcome(
@@ -483,14 +491,14 @@ class TestEnumeration:
 
         stable = verify.enumerate_stable_matchings(real, req, params)
         assert stable
-        hit = any(np.array_equal(s.m, outcome.m)
-                  and np.allclose(s.g, outcome.g)
-                  and np.allclose(s.b, outcome.b) for s in stable)
+        m, g, b = dense(outcome)
+        hit = any(np.array_equal(s_m, m) and np.allclose(s_g, g) and np.allclose(s_b, b)
+                  for s_m, s_g, s_b in map(dense, stable))
         assert not hit
 
         # same triple with the history stripped: the full-grid audit finds
         # the witness that keeps it out of the enumerated set
-        bare = outcome_from_arrays(outcome.m, outcome.g, outcome.b)
+        bare = MatchingOutcome(*outcome.shape, outcome.matched_terms())
         assert not verify.is_stable(bare, real, req, params).stable
 
     def test_enumerated_outcomes_pass_the_loop_oracle(self):
@@ -515,9 +523,7 @@ class TestEnumeration:
             found += len(got)
             assert len(got) == len(want)
             for s, (m, g, b) in zip(got, want):
-                assert s.m.dtype == m.dtype
-                assert np.array_equal(s.m, m)
-                assert np.array_equal(s.g, g) and np.array_equal(s.b, b)
+                assert s.matched_terms() == outcome_from_arrays(m, g, b).matched_terms()
         assert found > 24
 
     def test_matches_the_filtered_candidate_list_at_the_guard_corners(self):
@@ -622,17 +628,15 @@ class TestWeakPareto:
             ladder, _ = dda.run(params, real, req)
             for outcome in (ladder, contracts,
                             outcome_from_arrays(*candidates[len(candidates) // 2])):
-                base = plain_pu_utilities(outcome.m, outcome.g, outcome.b, rates)
-                matched = [l for l in range(params.l_pu) if outcome.m[l].any()]
+                base = plain_pu_utilities(*dense(outcome), rates)
+                matched = [l for l, _ in outcome.matched_pairs()]
                 want = next((c for c in candidates if matched and all(
                     plain_pu_utilities(*c, rates)[l] > base[l] for l in matched)), None)
                 ok, witness = verify.check_weak_pareto(outcome, real, req, params)
                 assert ok == (want is None)
                 if want is not None:
                     fails += 1
-                    assert np.array_equal(witness.m, want[0])
-                    assert np.array_equal(witness.g, want[1])
-                    assert np.array_equal(witness.b, want[2])
+                    assert witness.matched_terms() == outcome_from_arrays(*want).matched_terms()
         assert fails > 5
 
     def test_matches_a_plain_loop_at_the_guard_corners(self):
@@ -646,8 +650,8 @@ class TestWeakPareto:
             ladder, _ = dda.run(params, real, req)
             for outcome in (ladder, contracts,
                             outcome_from_arrays(*candidates[len(candidates) // 2])):
-                base = plain_pu_utilities(outcome.m, outcome.g, outcome.b, rates)
-                matched = [l for l in range(params.l_pu) if outcome.m[l].any()]
+                base = plain_pu_utilities(*dense(outcome), rates)
+                matched = [l for l, _ in outcome.matched_pairs()]
                 want = next((c for c in candidates if matched and all(
                     plain_pu_utilities(*c, rates)[l] > base[l] for l in matched)), None)
                 ok, witness = verify.check_weak_pareto(outcome, real, req, params)
@@ -676,10 +680,10 @@ class TestWeakPareto:
                         baselines.rmbn(market, np.random.default_rng(seed))[0],
                         *verify.enumerate_stable_matchings(real, req, params)]
             for outcome in outcomes:
-                want = verify._utilities(market.rates, outcome.m, outcome.g, outcome.b)[0]
+                want = verify._utilities(market.rates, *dense(outcome))[0]
                 got = verify.pu_utilities(outcome, market.rates)
                 assert [u.hex() for u in got.tolist()] == [u.hex() for u in want.tolist()]
-                checked += outcome.m.any()
+                checked += bool(outcome.matched_terms())
         assert checked > 100
 
     def test_empty_matching_passes_vacuously(self):
