@@ -17,7 +17,7 @@ from .dda import (EngineTrace, Grids, Market, MatchingOutcome, concession_grids,
                   init_state, market, negotiate, run, step)
 from .errors import EngineError, GuardError
 from .radio import (LinkSnrs, PairRates, Requirements, af_relay_snr, beta_interval,
-                    compute_snrs, make_pair_rates, requirements_for)
+                    make_pair_rates, requirements_for)
 from .topology import (ChannelRealization, Placement, ScenarioParams, draw_channels,
                        make_realization, params_from_dict, place_users)
 from .verify import (StabilityReport, check_weak_pareto, complexity_estimates,
@@ -32,7 +32,7 @@ __all__ = [
     "Placement", "Requirements", "ScenarioParams", "StabilityReport",
     "SweepRow", "af_relay_snr",
     "beta_interval", "centralized_pu_optimal", "centralized_su_rate",
-    "check_weak_pareto", "complexity_estimates", "compute_snrs",
+    "check_weak_pareto", "complexity_estimates",
     "concession_grids", "draw_channels", "emit_csv",
     "enumerate_stable_matchings", "init_state", "is_stable",
     "make_pair_rates", "make_realization", "market",

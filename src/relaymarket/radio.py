@@ -38,50 +38,48 @@ def af_relay_snr(gamma_first, gamma_second, formula):
     `formula` selects the closed form: "paper" uses the product-saturation
     form x/(x+1) with x the product of the hop SNRs, "standard" the usual
     g1*g2/(g1+g2+1). Both are supported because they disagree noticeably
-    at high SNR while leaving the negotiation mechanics untouched.
+    at high SNR while leaving the negotiation mechanics untouched. The
+    quotient is taken in place on the fresh numerator.
     """
     g1 = np.asarray(gamma_first, dtype=float)
     g2 = np.asarray(gamma_second, dtype=float)
     if formula == "paper":
-        prod = g1 * g2
-        return prod / (prod + 1.0)
-    if formula == "standard":
-        return g1 * g2 / (g1 + g2 + 1.0)
-    raise ValueError(f"unknown af formula {formula!r}")
+        snr = g1 * g2
+        snr /= snr + 1.0
+    elif formula == "standard":
+        snr = g1 * g2
+        den = g1 + g2
+        den += 1.0
+        snr /= den
+    else:
+        raise ValueError(f"unknown af formula {formula!r}")
+    return snr
 
 
 @dataclass(frozen=True)
 class LinkSnrs:
+    """The SNRs the market reads: the floors (requirements_for) and the
+    rate slopes (make_pair_rates)."""
     gamma_dir: np.ndarray     # [l] direct licensed link
-    gamma_pt_st: np.ndarray   # [l, q] licensed transmitter to relay
-    gamma_st_pr: np.ndarray   # [l, q] relay to licensed receiver
     gamma_relay: np.ndarray   # [l, q] composite relayed-copy SNR
     gamma_sr: np.ndarray      # [q, l] relay pair's own link, per band
 
 
-def compute_snrs(params, realization):
-    """Derive every link SNR from squared fading gains and distances.
+def link_snr(h2, gain, distance, alpha):
+    """gain * h2 / distance ** alpha, the receive SNR of links with squared
+    fading gains h2 at transmit SNR gain, in place: h2 becomes the SNR and
+    distance (which broadcasts against h2) its path loss. The operations
+    are the expression's, in its order, so the SNR is the same bit for bit.
 
-    Rejects non-finite inputs outright; a realization with an infinity in
-    it is a draw-stage bug, not something to propagate.
+    Rejects non-finite inputs outright; a draw with an infinity in it is a
+    draw-stage bug, not something to propagate.
     """
-    fields = (
-        realization.h2_pt_pr, realization.h2_pt_st, realization.h2_st_pr,
-        realization.h2_st_sr, realization.d_pt_pr, realization.d_pt_st,
-        realization.d_st_pr, realization.d_st_sr,
-    )
-    for arr in fields:
-        if not np.isfinite(arr).all():
-            raise ValueError("non-finite channel realization rejected")
-    g_pt = float(db_to_linear(params.gamma_pu_db))
-    g_st = float(db_to_linear(params.gamma_su_db))
-    a = params.alpha
-    gamma_dir = g_pt * realization.h2_pt_pr / realization.d_pt_pr ** a
-    gamma_pt_st = g_pt * realization.h2_pt_st / realization.d_pt_st ** a
-    gamma_st_pr = g_st * realization.h2_st_pr / realization.d_st_pr ** a
-    gamma_relay = af_relay_snr(gamma_pt_st, gamma_st_pr, params.af_formula)
-    gamma_sr = g_st * realization.h2_st_sr / realization.d_st_sr[:, None] ** a
-    return LinkSnrs(gamma_dir, gamma_pt_st, gamma_st_pr, gamma_relay, gamma_sr)
+    if not (np.isfinite(h2).all() and np.isfinite(distance).all()):
+        raise ValueError("non-finite channel realization rejected")
+    h2 *= gain
+    distance **= alpha
+    h2 /= distance
+    return h2
 
 
 # ---------------------------------------------------------------------------

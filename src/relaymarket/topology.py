@@ -57,6 +57,10 @@ class ScenarioParams:
             raise ValueError("delta must lie in (0, xi_init]")
         if not (0.0 < self.epsilon <= self.beta_init):
             raise ValueError("epsilon must lie in (0, beta_init]")
+        for name in ("gamma_pu_db", "gamma_su_db"):
+            if not _finite_positive_power(getattr(self, name)):
+                raise ValueError(f"{name} must give a finite positive linear power, "
+                                 f"got {getattr(self, name)!r} dB")
         if self.alpha <= 0.0 or self.t_frame <= 0.0:
             raise ValueError("alpha and t_frame must be positive")
         if self.capital_c < 0.0 or self.c_bar < 0.0 or self.k_bar < 0.0:
@@ -83,6 +87,15 @@ def _finite_number(value):
     return (not isinstance(value, bool)
             and isinstance(value, (int, float, np.integer, np.floating))
             and math.isfinite(value))
+
+
+def _finite_positive_power(db):
+    """Whether 10 ** (db / 10) is a finite positive float: it overflows
+    above about 3082 dB and underflows to 0 below about -3236 dB."""
+    try:
+        return 10.0 ** (db / 10.0) > 0.0
+    except OverflowError:
+        return False
 
 
 _INT_FIELDS = tuple(f.name for f in fields(ScenarioParams) if f.type == "int")
@@ -126,71 +139,67 @@ def place_users(params, rng):
 def _distance(a, b):
     """Euclidean distance between points [..., 2], broadcast: what
     np.linalg.norm(a - b, axis=-1) gives bit for bit (its sum of squares
-    over two entries is one addition), without the [..., 2] temporaries."""
+    over two entries is one addition), in place on the two differences."""
     dx = a[..., 0] - b[..., 0]
     dy = a[..., 1] - b[..., 1]
-    return np.sqrt(dx * dx + dy * dy)
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 @dataclass
 class ChannelRealization:
     placement: Placement
-    h2_pt_pr: np.ndarray    # [l]
-    h2_pt_st: np.ndarray    # [l, q]
-    h2_st_pr: np.ndarray    # [l, q]
-    h2_st_sr: np.ndarray    # [q, l]
-    d_pt_pr: np.ndarray     # [l]
-    d_pt_st: np.ndarray     # [l, q]
-    d_st_pr: np.ndarray     # [l, q]
-    d_st_sr: np.ndarray     # [q]
-    snr: radio.LinkSnrs | None = None
+    snr: radio.LinkSnrs
     # filled under partial knowledge: per-pair mean log term the licensed
     # side negotiates with when the relay's forward hop is unknown
     partial_mean_log: np.ndarray | None = None
 
 
 def draw_channels(params, placement, rng):
-    """Draw all squared fading gains and derive distances and SNRs.
+    """Draw every link's squared fading gain and keep the SNRs it gives.
 
     Squared gains are -ln(u) with u uniform on (0, 1], i.e. exponential
-    with unit mean. Distances come from _distance, on [l, q] broadcasts for
-    the cross links. Under partial knowledge the realization also gets the
-    per-pair expected log terms from radio.mean_relay_log_terms, with one
-    spawned substream per pair in row-major order, so each estimate is
-    reproducible pair by pair.
+    with unit mean, drawn in the order direct, transmitter-to-relay,
+    relay-to-receiver, relay pair. Each draw becomes its SNR in place
+    (radio.link_snr), over distances from _distance on [l, q] broadcasts
+    for the cross links, and the two hop SNRs are released once they have
+    given the composite relayed SNR. Under partial knowledge the
+    realization also gets the per-pair expected log terms from
+    radio.mean_relay_log_terms, with one spawned substream per pair in
+    row-major order, so each estimate is reproducible pair by pair;
+    spawning draws nothing from rng.
     """
     l_pu, l_su = params.l_pu, params.l_su
+    g_pt = float(radio.db_to_linear(params.gamma_pu_db))
+    g_st = float(radio.db_to_linear(params.gamma_su_db))
+    pt, pr, st = placement.pt_pos, placement.pr_pos, placement.st_pos
 
-    def exp_draw(shape):
-        return -np.log1p(-rng.random(shape))
+    def snr(shape, gain, distance):
+        h2 = rng.random(shape)
+        np.negative(h2, out=h2)
+        np.log1p(h2, out=h2)
+        np.negative(h2, out=h2)
+        return radio.link_snr(h2, gain, distance, params.alpha)
 
-    h2_pt_pr = exp_draw(l_pu)
-    h2_pt_st = exp_draw((l_pu, l_su))
-    h2_st_pr = exp_draw((l_pu, l_su))
-    h2_st_sr = exp_draw((l_su, l_pu))
-
-    d_pt_pr = _distance(placement.pt_pos, placement.pr_pos)
-    d_pt_st = _distance(placement.pt_pos[:, None], placement.st_pos[None])
-    d_st_pr = _distance(placement.pr_pos[:, None], placement.st_pos[None])
-    d_st_sr = _distance(placement.st_pos, placement.sr_pos)
-
-    real = ChannelRealization(
-        placement=placement,
-        h2_pt_pr=h2_pt_pr, h2_pt_st=h2_pt_st, h2_st_pr=h2_st_pr, h2_st_sr=h2_st_sr,
-        d_pt_pr=d_pt_pr, d_pt_st=d_pt_st, d_st_pr=d_st_pr, d_st_sr=d_st_sr,
-    )
-    real.snr = radio.compute_snrs(params, real)
-
+    gamma_dir = snr(l_pu, g_pt, _distance(pt, pr))
+    gamma_pt_st = snr((l_pu, l_su), g_pt, _distance(pt[:, None], st[None]))
+    d_st_pr = _distance(pr[:, None], st[None])
+    partial_mean_log = None
     if params.snr_knowledge == "partial":
-        g_st = float(radio.db_to_linear(params.gamma_su_db))
         # Python-float powers: numpy's array ** differs from them in the last
         # bit on some pairs, and the recorded partial-knowledge digests rest
         # on them
-        path_loss = (real.d_st_pr.astype(object) ** params.alpha).astype(float)
-        real.partial_mean_log = radio.mean_relay_log_terms(
-            real.snr.gamma_dir, real.snr.gamma_pt_st, g_st / path_loss,
-            params.af_formula, rng.spawn(l_pu * l_su))
-    return real
+        forward_gain = g_st / (d_st_pr.astype(object) ** params.alpha).astype(float)
+        partial_mean_log = radio.mean_relay_log_terms(
+            gamma_dir, gamma_pt_st, forward_gain, params.af_formula, rng.spawn(l_pu * l_su))
+    gamma_st_pr = snr((l_pu, l_su), g_st, d_st_pr)
+    del d_st_pr   # its buffer holds the path loss now
+    gamma_sr = snr((l_su, l_pu), g_st, _distance(st, placement.sr_pos)[:, None])
+    gamma_relay = radio.af_relay_snr(gamma_pt_st, gamma_st_pr, params.af_formula)
+    return ChannelRealization(placement, radio.LinkSnrs(gamma_dir, gamma_relay, gamma_sr),
+                              partial_mean_log)
 
 
 def make_realization(params, seed_seq):

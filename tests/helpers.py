@@ -33,11 +33,11 @@ GOLDEN_MARKETS = (
 
 
 def handmade_realization(params, gamma_dir, gamma_pt_st, gamma_st_pr, gamma_sr):
-    """Build a realization whose SNRs equal the given arrays exactly.
-
-    Works by setting every distance to 1 and treating the squared fading
-    gains as the target SNRs; the caller's params must use 0 dB transmit
-    SNRs on both sides so the scaling is the identity.
+    """Build a realization whose direct and relay-pair SNRs equal the given
+    arrays exactly and whose composite relayed SNR is the two given hops
+    composed under params.af_formula. The caller's params must use 0 dB
+    transmit SNRs on both sides, the scaling under which squared fading
+    gains over unit distances are these SNRs.
 
     gamma_sr is indexed [q, l] like the field it fills.
     """
@@ -48,19 +48,11 @@ def handmade_realization(params, gamma_dir, gamma_pt_st, gamma_st_pr, gamma_sr):
     placement = topology.Placement(
         pt_pos=zeros(l_pu), pr_pos=zeros(l_pu),
         st_pos=zeros(l_su), sr_pos=zeros(l_su))
-    real = topology.ChannelRealization(
-        placement=placement,
-        h2_pt_pr=np.asarray(gamma_dir, dtype=float),
-        h2_pt_st=np.asarray(gamma_pt_st, dtype=float),
-        h2_st_pr=np.asarray(gamma_st_pr, dtype=float),
-        h2_st_sr=np.asarray(gamma_sr, dtype=float),
-        d_pt_pr=np.ones(l_pu),
-        d_pt_st=np.ones((l_pu, l_su)),
-        d_st_pr=np.ones((l_pu, l_su)),
-        d_st_sr=np.ones(l_su),
-    )
-    real.snr = radio.compute_snrs(params, real)
-    return real
+    snr = radio.LinkSnrs(
+        gamma_dir=np.array(gamma_dir, dtype=float),
+        gamma_relay=radio.af_relay_snr(gamma_pt_st, gamma_st_pr, params.af_formula),
+        gamma_sr=np.array(gamma_sr, dtype=float))
+    return topology.ChannelRealization(placement=placement, snr=snr)
 
 
 def conceding_user(grid_steps, coef, floor, c_cost, head_coef=None):
@@ -93,10 +85,9 @@ def concede(state, m_xi, m_beta, q=0):
 
 
 def without_relay(params, realization, q):
-    """params and realization with relay q taken out: its column of every
-    [l, q] array and of partial_mean_log, its row of h2_st_sr [q, l], its
-    d_st_sr entry and its positions go, and the SNRs are recomputed from
-    what is left. The floors are the caller's to keep: pass the full
+    """params and realization with relay q taken out: its column of
+    gamma_relay and of partial_mean_log, its row of gamma_sr [q, l] and
+    its positions go. The floors are the caller's to keep: pass the full
     market's requirements on."""
     keep = np.arange(params.l_su) != q
     fewer = replace(params, l_su=params.l_su - 1)
@@ -104,12 +95,10 @@ def without_relay(params, realization, q):
         realization,
         placement=replace(realization.placement, st_pos=realization.placement.st_pos[keep],
                           sr_pos=realization.placement.sr_pos[keep]),
-        h2_pt_st=realization.h2_pt_st[:, keep], h2_st_pr=realization.h2_st_pr[:, keep],
-        h2_st_sr=realization.h2_st_sr[keep], d_pt_st=realization.d_pt_st[:, keep],
-        d_st_pr=realization.d_st_pr[:, keep], d_st_sr=realization.d_st_sr[keep],
+        snr=replace(realization.snr, gamma_relay=realization.snr.gamma_relay[:, keep],
+                    gamma_sr=realization.snr.gamma_sr[keep]),
         partial_mean_log=(None if realization.partial_mean_log is None
                           else realization.partial_mean_log[:, keep]))
-    smaller.snr = radio.compute_snrs(fewer, smaller)
     return fewer, smaller
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -190,30 +191,81 @@ def expected_relay_log_term(gamma_dir, gamma_first_hop, mean_forward_gain, formu
                for lo, hi in zip(cuts, cuts[1:]))
 
 
-def partial_mean_log_reference(realization, params, streams, samples):
+def reference_draw(params, seed):
+    """One trial's placement and channels re-derived with plain numpy from
+    SeedSequence(seed): every intermediate the draw passes through, as a
+    namespace.
+
+    Placement takes the first spawned child: licensed heights, then relay
+    transmitters and receivers, redrawn while a relay pair coincides.
+    Channels take the second: squared gains -log1p(-u) in the order
+    direct, transmitter-to-relay, relay-to-receiver, relay pair. Distances
+    come from np.linalg.norm, each SNR from the link budget g * h2 / d **
+    alpha written out, and the composite relayed SNR from the AF closed
+    form restated.
+    """
+    place_ss, chan_ss = np.random.SeedSequence(seed).spawn(2)
+    l_pu, l_su, alpha = params.l_pu, params.l_su, params.alpha
+    rng = np.random.default_rng(place_ss)
+    while True:
+        y = rng.uniform(-1.0, 1.0, l_pu)
+        st_pos = rng.uniform(-0.5, 0.5, (l_su, 2))
+        sr_pos = rng.uniform(-0.5, 0.5, (l_su, 2))
+        if np.linalg.norm(st_pos - sr_pos, axis=1).min() >= 1e-6:
+            break
+    pt_pos = np.column_stack((np.full(l_pu, -1.0), y))
+    pr_pos = np.column_stack((np.full(l_pu, 1.0), y))
+
+    rng = np.random.default_rng(chan_ss)
+    h2_pt_pr, h2_pt_st, h2_st_pr, h2_st_sr = (
+        -np.log1p(-rng.random(shape)) for shape in (l_pu, (l_pu, l_su), (l_pu, l_su), (l_su, l_pu)))
+    norm = np.linalg.norm
+    d_pt_pr = norm(pt_pos - pr_pos, axis=1)
+    d_pt_st = norm(pt_pos[:, None] - st_pos[None], axis=2)
+    d_st_pr = norm(pr_pos[:, None] - st_pos[None], axis=2)
+    d_st_sr = norm(st_pos - sr_pos, axis=1)
+
+    g_pt = float(10.0 ** (np.asarray(params.gamma_pu_db, dtype=float) / 10.0))
+    g_st = float(10.0 ** (np.asarray(params.gamma_su_db, dtype=float) / 10.0))
+    gamma_pt_st = g_pt * h2_pt_st / d_pt_st ** alpha
+    gamma_st_pr = g_st * h2_st_pr / d_st_pr ** alpha
+    if params.af_formula == "paper":
+        gamma_relay = gamma_pt_st * gamma_st_pr / (gamma_pt_st * gamma_st_pr + 1.0)
+    else:
+        gamma_relay = gamma_pt_st * gamma_st_pr / (gamma_pt_st + gamma_st_pr + 1.0)
+    return SimpleNamespace(
+        pt_pos=pt_pos, pr_pos=pr_pos, st_pos=st_pos, sr_pos=sr_pos,
+        h2_pt_pr=h2_pt_pr, h2_pt_st=h2_pt_st, h2_st_pr=h2_st_pr, h2_st_sr=h2_st_sr,
+        d_pt_pr=d_pt_pr, d_pt_st=d_pt_st, d_st_pr=d_st_pr, d_st_sr=d_st_sr,
+        gamma_dir=g_pt * h2_pt_pr / d_pt_pr ** alpha,
+        gamma_pt_st=gamma_pt_st, gamma_st_pr=gamma_st_pr, gamma_relay=gamma_relay,
+        gamma_sr=g_st * h2_st_sr / d_st_sr[:, None] ** alpha)
+
+
+def partial_mean_log_reference(draw, params, streams, samples):
     """Per-pair expected log terms of a partial-knowledge draw, as plain
     loops over the pairs: [l, q].
 
     Pair (l, q) takes streams[l * l_su + q] and averages log2(1 + gamma_dir
     + AF(gamma_pt_st, gain * h)) over `samples` stratified draws of h ~
     Exp(1), where gain = g_st / d_st_pr ** alpha is taken with a scalar
-    power. The dB conversion and AF are restated; the SNRs are read off the
-    realization.
+    power. The dB conversion and AF are restated; the SNRs and distances
+    are read off draw, a reference_draw.
     """
     g_st = float(10.0 ** (np.asarray(params.gamma_su_db, dtype=float) / 10.0))
-    l_pu, l_su = realization.d_st_pr.shape
+    l_pu, l_su = draw.d_st_pr.shape
     out = np.empty((l_pu, l_su))
     for l in range(l_pu):
         for q in range(l_su):
-            gain = g_st / realization.d_st_pr[l, q] ** params.alpha
+            gain = g_st / draw.d_st_pr[l, q] ** params.alpha
             rng = streams[l * l_su + q]
             u = (np.arange(samples) + rng.random(samples)) / samples
-            g1, g2 = realization.snr.gamma_pt_st[l, q], gain * -np.log1p(-u)
+            g1, g2 = draw.gamma_pt_st[l, q], gain * -np.log1p(-u)
             if params.af_formula == "paper":
                 relayed = g1 * g2 / (g1 * g2 + 1.0)
             else:
                 relayed = g1 * g2 / (g1 + g2 + 1.0)
-            x = realization.snr.gamma_dir[l] + relayed
+            x = draw.gamma_dir[l] + relayed
             out[l, q] = float(np.mean(np.log1p(x) / math.log(2.0)))
     return out
 

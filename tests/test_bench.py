@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -226,6 +227,21 @@ class TestRunTrials:
                     monkeypatch.setattr(module, name, fn)
         bench.run_trials(small_params, algos, 3)
         assert counts == {kind: 3 * n for kind, n in builds.items()}
+
+    def test_a_large_trial_keeps_only_the_snrs_of_its_draw(self):
+        """The tracemalloc peak of one 100x200 trial of dda-complete and
+        rmbn stays under 1.2 MB. When the realization kept every squared
+        gain and distance beside its SNRs, it peaked near 1.95 MB."""
+        params = topology.params_from_dict({"l_pu": 100, "l_su": 200})
+        bench.run_trials(replace(params, seed=1), ("dda-complete", "rmbn"), 1)
+        tracemalloc.start()
+        try:
+            aggs = bench.run_trials(params, ("dda-complete", "rmbn"), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert aggs["dda-complete"].match_pct > 0.0
+        assert peak < 1.2e6, peak
 
     def test_partial_knowledge_tag_runs(self, small_params):
         agg = bench.run_trials(small_params, ["dda-partial"], 5)["dda-partial"]

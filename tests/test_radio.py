@@ -18,7 +18,7 @@ import pytest
 from relaymarket import baselines, radio, topology, verify
 
 from helpers import handmade_realization, single_pair_scenario
-from oracles import expected_relay_log_term, partial_mean_log_reference
+from oracles import expected_relay_log_term, partial_mean_log_reference, reference_draw
 
 
 class TestRelaySnr:
@@ -150,8 +150,8 @@ class TestPairRates:
             p = topology.params_from_dict({"l_pu": l_pu, "l_su": l_su, "t_frame": 0.7,
                                            "snr_knowledge": "partial", "af_formula": formula})
             real = topology.make_realization(p, 5)
-            inputs = [real.partial_mean_log, real.snr.gamma_dir, real.snr.gamma_pt_st,
-                      real.snr.gamma_st_pr, real.snr.gamma_relay, real.snr.gamma_sr]
+            inputs = [real.partial_mean_log, real.snr.gamma_dir, real.snr.gamma_relay,
+                      real.snr.gamma_sr]
             before = [a.copy() for a in inputs]
             for knowledge in ("complete", "partial"):
                 rates = radio.make_pair_rates(replace(p, snr_knowledge=knowledge), real)
@@ -228,7 +228,8 @@ class TestExpectedRate:
             real = topology.make_realization(params, seed)
             chan_ss = np.random.SeedSequence(seed).spawn(2)[1]
             streams = np.random.default_rng(chan_ss).spawn(params.l_pu * params.l_su)
-            want = partial_mean_log_reference(real, params, streams, radio.PARTIAL_SAMPLES)
+            want = partial_mean_log_reference(reference_draw(params, seed), params, streams,
+                                              radio.PARTIAL_SAMPLES)
             assert np.array_equal(real.partial_mean_log, want), seed
 
     @pytest.mark.parametrize("shape, passes", [((2, 6), 1), ((9, 3), 3)])
@@ -236,13 +237,13 @@ class TestExpectedRate:
         # one array pass per PARTIAL_ROWS_PER_BLOCK licensed rows; the
         # default 2x6 market stays one pass
         params = topology.params_from_dict({"l_pu": shape[0], "l_su": shape[1]})
-        real = topology.make_realization(params, 0)
+        draw = reference_draw(params, 0)
         calls = []
         compose = radio.af_relay_snr
         monkeypatch.setattr(radio, "af_relay_snr",
                             lambda *args: calls.append(args[1].shape) or compose(*args))
         radio.mean_relay_log_terms(
-            real.snr.gamma_dir, real.snr.gamma_pt_st, real.d_st_pr, params.af_formula,
+            draw.gamma_dir, draw.gamma_pt_st, draw.d_st_pr, params.af_formula,
             np.random.default_rng(0).spawn(shape[0] * shape[1]))
         assert len(calls) == passes
         assert all(rows <= radio.PARTIAL_ROWS_PER_BLOCK for rows, *_ in calls)
@@ -252,12 +253,12 @@ class TestExpectedRate:
         stays under 32 MB. One pass over [100, 200, PARTIAL_SAMPLES]
         peaked near 290 MB."""
         params = topology.params_from_dict({"l_pu": 100, "l_su": 200})
-        real = topology.make_realization(params, 0)
+        draw = reference_draw(params, 0)
         streams = np.random.default_rng(0).spawn(params.l_pu * params.l_su)
         tracemalloc.start()
         try:
-            got = radio.mean_relay_log_terms(real.snr.gamma_dir, real.snr.gamma_pt_st,
-                                             real.d_st_pr, params.af_formula, streams)
+            got = radio.mean_relay_log_terms(draw.gamma_dir, draw.gamma_pt_st,
+                                             draw.d_st_pr, params.af_formula, streams)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

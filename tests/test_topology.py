@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from relaymarket import dda, radio, topology
 
 from helpers import GOLDEN_MARKETS
+from oracles import reference_draw
 
 
 class TestParams:
@@ -73,6 +75,32 @@ class TestParams:
         with pytest.raises(ValueError, match=name):
             topology.params_from_dict(overrides)
 
+    @pytest.mark.parametrize("overrides", [
+        {"gamma_su_db": 4000.0},
+        {"gamma_pu_db": 4000.0},
+        {"gamma_su_db": -3300.0},
+        {"gamma_pu_db": -3300.0},
+    ])
+    def test_transmit_power_must_be_finite_and_positive(self, overrides):
+        # 10 ** (dB / 10) overflows to inf above about 3082 dB and
+        # underflows to 0 below about -3236 dB; an infinite transmit SNR
+        # used to crash the engine mid-run
+        (name, db), = overrides.items()
+        with pytest.raises(ValueError, match=name):
+            topology.params_from_dict(overrides)
+        # near the edge, exactly the values whose linear power the draw
+        # takes as finite and positive are accepted
+        edge = 3082.547 if db > 0 else -3236.07
+        for value in np.linspace(edge - 0.01, edge + 0.01, 41).tolist():
+            with np.errstate(over="ignore", under="ignore"):
+                power = radio.db_to_linear(value)
+            try:
+                topology.params_from_dict({name: value})
+            except ValueError:
+                assert not 0.0 < power < np.inf, value
+            else:
+                assert 0.0 < power < np.inf, value
+
     def test_python_and_numpy_numbers_accepted(self):
         p = topology.params_from_dict({
             "l_su": np.int64(3), "seed": np.uint32(4), "alpha": np.float32(3.5),
@@ -131,34 +159,35 @@ class TestChannels:
     def test_shapes_and_signs(self, default_params):
         real = topology.make_realization(default_params, 7)
         l, q = default_params.l_pu, default_params.l_su
-        assert real.h2_pt_pr.shape == (l,)
-        assert real.h2_pt_st.shape == (l, q)
-        assert real.h2_st_pr.shape == (l, q)
-        assert real.h2_st_sr.shape == (q, l)
-        for arr in (real.h2_pt_pr, real.h2_pt_st, real.h2_st_pr, real.h2_st_sr):
+        snr = real.snr
+        assert snr.gamma_dir.shape == (l,)
+        assert snr.gamma_relay.shape == (l, q)
+        assert snr.gamma_sr.shape == (q, l)
+        for arr in dataclasses.astuple(snr):
             assert np.all(arr > 0.0)
-        assert np.all(real.d_pt_pr == 2.0)
-        assert real.snr is not None
-        assert real.snr.gamma_sr.shape == (q, l)
+        # the paper form saturates below one
+        assert np.all(snr.gamma_relay < 1.0)
 
     def test_relay_pair_channel_varies_per_band_by_default(self, default_params):
+        # a relay pair's own distance is one for every band, so the bands'
+        # SNRs differ by their fading alone
         real = topology.make_realization(default_params, 11)
         assert default_params.l_pu > 1
-        assert not np.allclose(real.h2_st_sr[:, 0], real.h2_st_sr[:, 1])
+        assert not np.allclose(real.snr.gamma_sr[:, 0], real.snr.gamma_sr[:, 1])
 
     def test_same_seed_reproduces(self, default_params):
         a = topology.make_realization(default_params, 42)
         b = topology.make_realization(default_params, 42)
-        assert np.array_equal(a.h2_pt_st, b.h2_pt_st)
+        assert np.array_equal(a.snr.gamma_relay, b.snr.gamma_relay)
         assert np.array_equal(a.placement.st_pos, b.placement.st_pos)
         c = topology.make_realization(default_params, 43)
-        assert not np.array_equal(a.h2_pt_st, c.h2_pt_st)
+        assert not np.array_equal(a.snr.gamma_relay, c.snr.gamma_relay)
 
     def test_int_seed_equals_seed_sequence(self, default_params):
         a = topology.make_realization(default_params, 5)
         b = topology.make_realization(default_params, np.random.SeedSequence(5))
-        assert np.array_equal(a.h2_st_sr, b.h2_st_sr)
-        assert np.array_equal(a.d_pt_st, b.d_pt_st)
+        assert np.array_equal(a.snr.gamma_sr, b.snr.gamma_sr)
+        assert np.array_equal(a.snr.gamma_relay, b.snr.gamma_relay)
 
     def test_direct_snr_mean_matches_link_budget(self, default_params):
         # 5 dB transmit SNR over a fixed distance-2 path with unit-mean
@@ -181,30 +210,49 @@ class TestChannels:
         real = topology.make_realization(default_params, 3)
         assert real.partial_mean_log is None
 
-    def test_non_finite_gains_rejected(self, default_params):
-        real = topology.make_realization(default_params, 1)
-        real.h2_pt_pr = real.h2_pt_pr.copy()
-        real.h2_pt_pr[0] = np.inf
-        with pytest.raises(ValueError, match="non-finite"):
-            radio.compute_snrs(default_params, real)
+    def test_non_finite_gains_rejected(self):
+        for h2, distance in (([1.0, np.inf], [2.0, 2.0]), ([1.0, 1.0], [2.0, np.nan])):
+            with pytest.raises(ValueError, match="non-finite"):
+                radio.link_snr(np.array(h2), 1.0, np.array(distance), 4.0)
+
+    def test_link_snr_works_in_place(self):
+        h2, distance = np.array([[1.0, 3.0], [0.5, 2.0]]), np.array([[2.0], [0.5]])
+        want = 4.0 * h2 / distance ** 3.0
+        got = radio.link_snr(h2, 4.0, distance, 3.0)
+        assert got is h2 and got.tobytes() == want.tobytes()
+        assert distance.tolist() == [[8.0], [0.125]]
+
+    def test_a_large_draw_keeps_only_the_snrs(self):
+        """The tracemalloc peak of one 100x200 draw stays under 1.2 MB:
+        each fading draw becomes its SNR in place and the hop SNRs go once
+        composed. Keeping every squared gain and distance peaked near
+        1.7 MB."""
+        params = topology.params_from_dict({"l_pu": 100, "l_su": 200})
+        topology.make_realization(params, 1)
+        tracemalloc.start()
+        try:
+            real = topology.make_realization(params, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert real.snr.gamma_relay.shape == (100, 200)
+        assert peak < 1.2e6, peak
 
 
 class TestGoldenRealization:
     """Channel realizations pinned over the seeded markets of
-    helpers.GOLDEN_MARKETS: placement, squared gains, distances, SNRs and
+    helpers.GOLDEN_MARKETS: placement, the three kept SNR arrays and the
     partial-knowledge terms, every entry as a float hex, in one sha256.
     Re-record the digest only for a change declared to alter the draws."""
 
-    DIGEST = "a5a6bf3e74667ac7f0ab13d820d27b7b14ac453350df05a34acd613f58408b1a"
+    DIGEST = "0b172a9647c30d656b8cd6c67b3fc4a8718f65915e178b2bd538580b3832beae"
 
     @staticmethod
     def _arrays(real):
         yield from dataclasses.astuple(real.placement)
-        for field in dataclasses.fields(real):
-            value = getattr(real, field.name)
-            if isinstance(value, np.ndarray):
-                yield value
-        yield from dataclasses.astuple(real.snr)
+        yield real.snr.gamma_dir
+        yield real.snr.gamma_relay
+        yield real.snr.gamma_sr
         if real.partial_mean_log is not None:
             yield real.partial_mean_log
 
@@ -218,16 +266,21 @@ class TestGoldenRealization:
                     digest.update(repr((arr.shape, hexes)).encode())
         assert digest.hexdigest() == self.DIGEST
 
-    @pytest.mark.parametrize("l_pu, l_su", [(2, 6), (25, 50), (100, 200)])
-    def test_distances_equal_linalg_norm(self, l_pu, l_su):
-        params = topology.params_from_dict({"l_pu": l_pu, "l_su": l_su})
-        for seed in range(5):
+    @pytest.mark.parametrize("overrides, seeds",
+                             [*GOLDEN_MARKETS, ({"l_pu": 100, "l_su": 200}, 3)],
+                             ids=lambda v: (str(v) if isinstance(v, int) else
+                                            ",".join(f"{k}={w}" for k, w in v.items())
+                                            or "defaults"))
+    def test_draws_equal_the_reference(self, overrides, seeds):
+        # placement and the kept SNRs bit for bit against the plain-numpy
+        # draw, whose distances are np.linalg.norm's
+        params = topology.params_from_dict(overrides)
+        for seed in range(seeds):
             real = topology.make_realization(params, seed)
-            pl = real.placement
-            norm = np.linalg.norm
-            for got, want in (
-                    (real.d_pt_pr, norm(pl.pt_pos - pl.pr_pos, axis=1)),
-                    (real.d_pt_st, norm(pl.pt_pos[:, None] - pl.st_pos[None], axis=2)),
-                    (real.d_st_pr, norm(pl.pr_pos[:, None] - pl.st_pos[None], axis=2)),
-                    (real.d_st_sr, norm(pl.st_pos - pl.sr_pos, axis=1))):
-                assert got.tobytes() == want.tobytes()
+            want = reference_draw(params, seed)
+            pl, snr = real.placement, real.snr
+            for name in ("pt_pos", "pr_pos", "st_pos", "sr_pos"):
+                assert getattr(pl, name).tobytes() == getattr(want, name).tobytes(), name
+            for name in ("gamma_dir", "gamma_relay", "gamma_sr"):
+                assert getattr(snr, name).tobytes() == getattr(want, name).tobytes(), name
+            assert np.all(want.d_pt_pr == 2.0)
