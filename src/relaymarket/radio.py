@@ -70,12 +70,9 @@ def link_snr(h2, gain, distance, alpha):
     fading gains h2 at transmit SNR gain, in place: h2 becomes the SNR and
     distance (which broadcasts against h2) its path loss. The operations
     are the expression's, in its order, so the SNR is the same bit for bit.
-
-    Rejects non-finite inputs outright; a draw with an infinity in it is a
-    draw-stage bug, not something to propagate.
+    It checks nothing: topology.draw_channels rejects a draw whose kept
+    SNRs are not finite.
     """
-    if not (np.isfinite(h2).all() and np.isfinite(distance).all()):
-        raise ValueError("non-finite channel realization rejected")
     h2 *= gain
     distance **= alpha
     h2 /= distance

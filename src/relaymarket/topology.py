@@ -169,7 +169,8 @@ def draw_channels(params, placement, rng):
     realization also gets the per-pair expected log terms from
     radio.mean_relay_log_terms, with one spawned substream per pair in
     row-major order, so each estimate is reproducible pair by pair;
-    spawning draws nothing from rng.
+    spawning draws nothing from rng. Raises ValueError when a kept array
+    is not finite, as when huge transmit SNRs overflow a hop product.
     """
     l_pu, l_su = params.l_pu, params.l_su
     g_pt = float(radio.db_to_linear(params.gamma_pu_db))
@@ -198,6 +199,9 @@ def draw_channels(params, placement, rng):
     del d_st_pr   # its buffer holds the path loss now
     gamma_sr = snr((l_su, l_pu), g_st, _distance(st, placement.sr_pos)[:, None])
     gamma_relay = radio.af_relay_snr(gamma_pt_st, gamma_st_pr, params.af_formula)
+    if not all(np.isfinite(a).all() for a in (gamma_dir, gamma_relay, gamma_sr, partial_mean_log)
+               if a is not None):
+        raise ValueError("non-finite channel realization rejected")
     return ChannelRealization(placement, radio.LinkSnrs(gamma_dir, gamma_relay, gamma_sr),
                               partial_mean_log)
 

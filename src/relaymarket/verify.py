@@ -19,12 +19,12 @@ price for the survivors' first witnesses, AUDIT_PAIRS survivors at a
 time.
 
 The grid candidates have one order (_candidate_plans). Enumeration needs
-a verdict only: it takes them in blocks of AUDIT_BLOCK stacked m/g/b
-arrays (_candidate_blocks) and tests both halves of a trade over every
-open pair and grid point of a block in one broadcast. The weak-Pareto
-check builds no candidate but its witness: in that order the first
-dominating candidate takes, pair by pair, the first term that improves
-its licensed user.
+a verdict only: it decides a plan's candidates together, one table per
+open pair over its users' term lists, read off the pair's trade frontier
+(its terms' licensed utilities sorted, with the best relay utility from
+each on). The weak-Pareto check builds no candidate but its witness: in
+that order the first dominating candidate takes, pair by pair, the first
+term that improves its licensed user.
 """
 
 from __future__ import annotations
@@ -70,9 +70,6 @@ class StabilityReport:
         return "\n".join(lines)
 
 
-# Candidates per enumerated block. It bounds enumeration's memory: a 3x3
-# market on 6-point grids can have up to 303,589 candidates.
-AUDIT_BLOCK = 256
 # Prefilter survivors per first-witness pass. It bounds an audit's memory:
 # a 100x200 contract outcome keeps about 13,700 pairs.
 AUDIT_PAIRS = 1024
@@ -80,15 +77,6 @@ AUDIT_PAIRS = 1024
 
 def _on_grid(values, grid_values, tol=1e-9):
     return np.abs(grid_values - values[:, None]).min(axis=1) <= tol
-
-
-def _utilities(rates, m, g, b):
-    """Utilities held under outcomes m/g/b [..., l, q], stacked or not:
-    licensed [..., l] and relay [..., q], zero for anyone unmatched."""
-    held = m != 0
-    u_pu = np.where(held, rates.pu_coef * b + rates.c_cost * g, 0.0).sum(axis=-1)
-    u_su = np.where(held, rates.su_coef * (1.0 - b) - rates.k_cost * g, 0.0).sum(axis=-2)
-    return u_pu, u_su
 
 
 def _may_block(market, l, q, u_pu, u_su, xi_lo, beta_lo):
@@ -220,7 +208,7 @@ def is_stable(outcome, realization, requirements, params):
     else:
         xi_lo = np.asarray(outcome.final_xi_steps, dtype=int)
         beta_lo = np.asarray(outcome.final_beta_steps, dtype=int)
-    # the utilities held, zero for anyone unmatched, as _utilities has them
+    # the utilities held, zero for anyone unmatched
     u_pu, u_su = np.zeros(params.l_pu), np.zeros(params.l_su)
     u_pu[ls] = rates.pu_coef[ls, qs] * beta + rates.c_cost * xi
     u_su[qs] = su_held
@@ -277,34 +265,12 @@ def _candidate_plans(market):
     return terms, plans
 
 
-def _candidate_blocks(market):
-    """Every feasible (matching, allocation) on the grids, in
-    _candidate_plans order, as stacked m/g/b arrays [n, l, q] of at most
-    AUDIT_BLOCK candidates each."""
-    terms, plans = _candidate_plans(market)
-    l_pu, l_su = market.rates.pu_coef.shape
-    spans = []   # (first candidate number, matched pairs, term counts)
-    total = 0
-    for pairs in plans:
-        counts = [len(terms[pair][0]) for pair in pairs]
-        spans.append((total, pairs, counts))
-        total += math.prod(counts)
-    for start in range(0, total, AUDIT_BLOCK):
-        stop = min(start + AUDIT_BLOCK, total)
-        m = np.zeros((stop - start, l_pu, l_su), dtype=int)
-        g = np.zeros(m.shape)
-        b = np.zeros(m.shape)
-        for first, pairs, counts in spans:
-            lo, hi = max(first, start), min(first + math.prod(counts), stop)
-            if lo >= hi or not pairs:
-                continue
-            picks = np.unravel_index(np.arange(lo - first, hi - first), counts)
-            rows = slice(lo - start, hi - start)
-            for (l, q), pick in zip(pairs, picks):
-                m[rows, l, q] = 1
-                g[rows, l, q] = terms[l, q][0][pick]
-                b[rows, l, q] = terms[l, q][1][pick]
-        yield m, g, b
+def _term_utilities(rates, l, q, xi, beta):
+    """What pair (l, q) gives each side at terms xi, beta (broadcast):
+    (licensed, relay), in licensed_gain's and relay_gain's spelling."""
+    u_pu = rates.pu_coef[l, q] * beta + rates.c_cost * xi
+    u_su = rates.su_coef[l, q] * (1.0 - beta) - rates.k_cost * xi
+    return u_pu, u_su
 
 
 def enumerate_stable_matchings(realization, requirements, params):
@@ -312,28 +278,50 @@ def enumerate_stable_matchings(realization, requirements, params):
 
     Tiny instances only; stability here is full-grid (candidates carry no
     negotiation history, so every allocation is a potential witness). A
-    candidate is stable when no open pair (m == 0) has a grid point where
-    both halves of a trade hold against the utilities it holds: one
-    [l, q, beta, xi, candidate] broadcast per block, the candidates last
-    so that each operation runs along a block.
+    pair's trades that meet both floors with a nonnegative relay utility
+    are its terms, so its frontier is its terms' licensed utilities sorted
+    with, from each on, the best relay utility: open pair (l, q) blocks iff
+    the frontier past what l holds beats what q holds, the strict tests of
+    licensed_gain and relay_gain. A plan's verdicts are one bool array over
+    its pairs' term lists, in itertools.product order; each open pair ORs
+    in its lookup along l's axis compared along q's, and a trade between
+    two unmatched users drops the whole plan.
     """
     market = dda.market(params, realization, requirements)
     _check_enum_guard(params, market.grids)
-    rates, requirements, grids = market.rates, market.requirements, market.grids
-    ls, qs = np.indices(rates.pu_coef.shape)[..., None, None, None]
-    betas, xis = grids.beta_values[:, None, None], grids.xi_values[:, None]
+    rates = market.rates
+    l_pu, l_su = rates.pu_coef.shape
+    terms, plans = _candidate_plans(market)
+    held, frontier = {}, {}
+    for (l, q), (xi, beta) in terms.items():
+        held[l, q] = ul, ur = _term_utilities(rates, l, q, xi, beta)
+        if len(xi):   # a pair with no terms has no trade to block with
+            order = ul.argsort()
+            best = np.maximum.accumulate(ur[order[::-1]])[::-1]
+            frontier[l, q] = ul[order], np.append(best, -np.inf)
     stable = []
-    for m, g, b in _candidate_blocks(market):
-        u_pu, u_su = _utilities(rates, m, g, b)
-        trade = (radio.licensed_gain(rates, requirements, ls, qs,
-                                     u_pu.T[:, None, None, None], betas, xis)
-                 & radio.relay_gain(rates, requirements, ls, qs,
-                                    u_su.T[:, None, None], betas, xis))
-        blocked = (trade.any(axis=(2, 3)) & (m == 0).transpose(1, 2, 0)).any(axis=(0, 1))
-        for n in (~blocked).nonzero()[0].tolist():
-            l, q = m[n].nonzero()
-            stable.append(MatchingOutcome(*rates.pu_coef.shape, zip(
-                l.tolist(), q.tolist(), g[n, l, q].tolist(), b[n, l, q].tolist())))
+    for pairs in plans:
+        blocked = np.zeros([len(terms[pair][0]) for pair in pairs], dtype=bool)
+        pu_held, su_held = {}, {}   # what each matched user holds, along its pair's axis
+        for k, (l, q) in enumerate(pairs):
+            view = [-1 if axis == k else 1 for axis in range(len(pairs))]
+            pu_held[l], su_held[q] = (u.reshape(view) for u in held[l, q])
+        for (l, q), (ul, best) in frontier.items():
+            if (l, q) in pairs:
+                continue
+            # an unmatched user holds 0.0
+            trade = best[ul.searchsorted(pu_held.get(l, 0.0), side="right")] > su_held.get(q, 0.0)
+            if l in pu_held or q in su_held:
+                blocked |= trade
+            elif trade:   # two unmatched users trade, whatever the plan's terms
+                break
+        else:
+            xs = [terms[pair][0] for pair in pairs]
+            bs = [terms[pair][1] for pair in pairs]
+            for picks in np.argwhere(~blocked).tolist():
+                stable.append(MatchingOutcome(l_pu, l_su, [
+                    (l, q, x.item(t), b.item(t))
+                    for (l, q), x, b, t in zip(pairs, xs, bs, picks)]))
     return stable
 
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from relaymarket import cli
@@ -138,6 +139,19 @@ class TestConfigHandling:
                                 "--algo", algos], capsys)
         assert code == 1
         assert "r_pu_req must list 2 finite positive numbers" in err
+
+    @pytest.mark.parametrize("powers", [
+        {"gamma_pu_db": 1600, "gamma_su_db": 1600},   # nan relayed SNRs crashed the ladder
+        {"gamma_su_db": 3050},                        # inf relay rates reached the CSV
+    ], ids=["relayed-nan", "relay-own-inf"])
+    def test_an_overflowing_draw_exits_one(self, tmp_path, capsys, powers):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(powers))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run_cli(["run", "--config", str(cfg), "--seed", "0",
+                                      "--trials", "3"], capsys)
+        assert code == 1
+        assert "error: non-finite channel realization rejected" in err and out == ""
 
     def test_explicit_floors_change_the_csv(self, tmp_path, capsys):
         # floors set in the config replace the direct-link rates

@@ -210,10 +210,33 @@ class TestChannels:
         real = topology.make_realization(default_params, 3)
         assert real.partial_mean_log is None
 
-    def test_non_finite_gains_rejected(self):
-        for h2, distance in (([1.0, np.inf], [2.0, 2.0]), ([1.0, 1.0], [2.0, np.nan])):
-            with pytest.raises(ValueError, match="non-finite"):
-                radio.link_snr(np.array(h2), 1.0, np.array(distance), 4.0)
+    @pytest.mark.parametrize("knowledge", ["complete", "partial"])
+    @pytest.mark.parametrize("powers", [
+        {"gamma_pu_db": 1600.0, "gamma_su_db": 1600.0},   # hop product: inf/inf relayed SNRs
+        {"gamma_su_db": 3050.0},                          # the relay pair's own link: inf
+    ], ids=["relayed-nan", "relay-own-inf"])
+    def test_an_overflowing_draw_is_rejected(self, powers, knowledge):
+        # each transmit SNR alone is a finite float, so the parameters pass
+        params = topology.params_from_dict({**powers, "snr_knowledge": knowledge})
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="non-finite channel realization rejected"):
+            topology.make_realization(params, 0)
+
+    def test_non_finite_gains_rejected(self, default_params):
+        # an infinite squared gain (u = 1 gives -log1p(-1) = inf) or a nan
+        # distance reaches the kept SNRs, and the draw refuses them
+        class Ones:
+            def random(self, shape):
+                return np.ones(shape)
+
+        placement = topology.place_users(default_params, np.random.default_rng(0))
+        pr_nan = placement.pr_pos.copy()
+        pr_nan[0, 0] = np.nan
+        for rng, where in ((Ones(), placement),
+                           (np.random.default_rng(1), dataclasses.replace(placement, pr_pos=pr_nan))):
+            with np.errstate(divide="ignore", invalid="ignore"), \
+                    pytest.raises(ValueError, match="non-finite channel realization rejected"):
+                topology.draw_channels(default_params, where, rng)
 
     def test_link_snr_works_in_place(self):
         h2, distance = np.array([[1.0, 3.0], [0.5, 2.0]]), np.array([[2.0], [0.5]])

@@ -60,6 +60,29 @@ def tiny_markets():
             yield params, real, radio.requirements_for(params, real.snr)
 
 
+def tie_markets():
+    """Enumerable markets full of exact ties, where a trade frontier's
+    boundary could slip: free money and no relay floor at 2x2 (no term's
+    utility depends on its price), a free relay price at 3x2, partial
+    knowledge at 2x3 and the standard formula at 3x3, both on 6-point
+    grids; then the handmade markets, whose integral slopes tie one
+    pair's licensed utility with another's."""
+    shapes = [(2, 2, 0.5, 0.25, {"c_bar": 0.0, "k_bar": 0.0, "r_su_req": 0.0}, 10),
+              (3, 2, 0.5, 0.25, {"k_bar": 0.0}, 4),
+              (2, 3, 0.2, 0.2, {"snr_knowledge": "partial"}, 4),
+              (3, 3, 0.2, 0.2, {"af_formula": "standard"}, 2)]
+    for l_pu, l_su, delta, epsilon, overrides, seeds in shapes:
+        params = topology.params_from_dict({
+            "l_pu": l_pu, "l_su": l_su, "xi_init": 1.0, "beta_init": 1.0,
+            "delta": delta, "epsilon": epsilon, **overrides})
+        for seed in range(seeds):
+            real = topology.make_realization(params, seed)
+            yield params, real, radio.requirements_for(params, real.snr)
+    yield two_by_two()
+    yield zero_relay_slope(0.0)
+    yield zero_relay_slope(0.1)
+
+
 def corner_markets():
     """Enumerable markets at the guard's corners: 1x3 and 3x1 on 6-point
     grids, 3x3 on 3-point grids, each under both formulas and with partial
@@ -349,6 +372,23 @@ class TestStabilityAudit:
         with pytest.raises(ValueError, match=message + " is off the concession grid"):
             verify.is_stable(outcome, real, req, params)
 
+    def test_terms_within_the_grid_tolerance_are_on_the_grid(self):
+        # exactly 1e-9 from the grid point 0.0 is on the grid; twice that is not
+        params, real, req = two_by_two()
+        verify.is_stable(build_outcome(2, 2, {0: (0, 1e-9, 0.25)}), real, req, params)
+        with pytest.raises(ValueError, match="price allocation 2e-09"):
+            verify.is_stable(build_outcome(2, 2, {0: (0, 2e-9, 0.25)}), real, req, params)
+
+    def test_an_envelope_past_the_price_grid_leaves_no_witness(self):
+        # a licensed user whose price steps ran off the grid has no terms
+        # left on the table, so none of its pairs blocks
+        params, real, req = two_by_two()
+        n_xi = len(dda.concession_grids(params).xi_values)
+        outcome = MatchingOutcome(2, 2, [], final_xi_steps=[n_xi, 0], final_beta_steps=[0, 0])
+        report = verify.is_stable(outcome, real, req, params)
+        assert report.blocking_pairs
+        assert all(l == 1 for l, _, _ in report.blocking_pairs)
+
     @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (1, 2)])
     def test_an_outcome_of_another_shape_is_refused(self, shape):
         # terms alone fit any market at least as large: unguarded, a 1x2
@@ -511,9 +551,10 @@ class TestEnumeration:
 
     def test_matches_the_filtered_candidate_list(self):
         """Completeness and order: the enumeration equals every grid
-        candidate that the plain-loop audit passes, in candidate order."""
+        candidate that the plain-loop audit passes, in candidate order,
+        on the tiny markets and on markets full of ties."""
         found = 0
-        for params, real, req in tiny_markets():
+        for params, real, req in (*tiny_markets(), *tie_markets()):
             grids = dda.concession_grids(params)
             rates = radio.make_pair_rates(params, real)
             want = [(m, g, b) for m, g, b in grid_candidates(rates, req, grids)
@@ -543,8 +584,8 @@ class TestEnumeration:
 
     def test_a_full_guard_market_enumerates_in_fixed_blocks(self):
         """A 3x3 market on 6-point grids (about 36,000 candidates) peaks
-        under 0.75 MB under tracemalloc; deciding each block through the
-        blocking-pair core peaked near 1.0 MB."""
+        under 0.75 MB under tracemalloc: each plan's verdicts are one bool
+        array over its pairs' term lists, at most 36 ** 3 entries."""
         params = topology.params_from_dict({
             "l_pu": 3, "l_su": 3, "xi_init": 1.0, "beta_init": 1.0,
             "delta": 0.2, "epsilon": 0.2})
@@ -665,8 +706,9 @@ class TestWeakPareto:
     @pytest.mark.parametrize("knowledge", ["complete", "partial"])
     @pytest.mark.parametrize("formula", ["paper", "standard"])
     def test_float_and_array_utilities_agree_bit_for_bit(self, formula, knowledge):
-        # the check compares pu_utilities' float loop against _utilities'
-        # arrays with a strict >, so the two spellings must be one value
+        # the check compares pu_utilities' float loop against the per-term
+        # arrays enumeration holds (_term_utilities, licensed_gain's
+        # spelling) with a strict >, so the two spellings must be one value
         params = topology.params_from_dict(
             {**cli.ORACLE_SCENARIO, "af_formula": formula, "snr_knowledge": knowledge})
         checked = 0
@@ -680,11 +722,24 @@ class TestWeakPareto:
                         baselines.rmbn(market, np.random.default_rng(seed))[0],
                         *verify.enumerate_stable_matchings(real, req, params)]
             for outcome in outcomes:
-                want = verify._utilities(market.rates, *dense(outcome))[0]
+                want = np.zeros(params.l_pu)
+                terms = outcome.matched_terms()
+                if terms:
+                    l, q, xi, beta = map(np.array, zip(*terms))
+                    want[l] = verify._term_utilities(market.rates, l, q, xi, beta)[0]
                 got = verify.pu_utilities(outcome, market.rates)
                 assert [u.hex() for u in got.tolist()] == [u.hex() for u in want.tolist()]
-                checked += bool(outcome.matched_terms())
+                checked += bool(terms)
         assert checked > 100
+
+    def test_leaving_a_user_unmatched_does_not_improve_a_zero_utility(self):
+        # a matched user holding exactly 0.0 gains only from a term worth
+        # more; the empty matching, first in candidate order, leaves it at 0.0
+        params, real, req = two_by_two()
+        outcome = build_outcome(2, 2, {0: (0, 0.0, 0.0)})
+        ok, witness = verify.check_weak_pareto(outcome, real, req, params)
+        assert not ok
+        assert 0 in [l for l, _ in witness.matched_pairs()]
 
     def test_empty_matching_passes_vacuously(self):
         params, real, req = two_by_two()
@@ -709,8 +764,7 @@ class TestWeakPareto:
 class TestOracleLoop:
     def test_enumeration_and_weak_pareto_never_reach_the_audit(self, monkeypatch):
         # enumeration needs a verdict per candidate and the weak-Pareto
-        # check one witness; the first-witness audit and the candidate
-        # blocks are waste there
+        # check one witness; the first-witness audit is waste there
         cases = []
         for params, real, req in oracle_markets():
             outcomes = [dda.run(params, real, req)[0],
@@ -726,7 +780,6 @@ class TestOracleLoop:
         stable = 0
         for params, real, req, _ in cases:
             stable += len(verify.enumerate_stable_matchings(real, req, params))
-        monkeypatch.setattr(verify, "_candidate_blocks", refuse)
         fails = 0
         for params, real, req, outcomes in cases:
             for outcome in outcomes:
@@ -736,8 +789,6 @@ class TestOracleLoop:
         params, real, req, outcomes = cases[0]
         with pytest.raises(AssertionError, match="oracle loop"):
             verify.is_stable(outcomes[0], real, req, params)
-        with pytest.raises(AssertionError, match="oracle loop"):
-            verify.enumerate_stable_matchings(real, req, params)
 
 
 def one_pair(r_pu):
