@@ -38,8 +38,8 @@ def pair_optimum_continuous(rates, requirements):
         if k <= 0.0:
             xi = np.ones_like(beta)
         else:
-            xi = np.minimum(1.0, np.maximum(0.0, su * (1.0 - beta) / k))
-        return xi, rates.pu_coef * beta + rates.c_cost * xi
+            xi = np.minimum(1.0, np.maximum(0.0, rates.relay(beta, 0.0)[0] / k))
+        return xi, rates.licensed(beta, xi)[1]
 
     beta = np.where(feasible, lo, 0.0)
     xi, u_pu = at(beta)
@@ -124,9 +124,9 @@ def centralized_su_rate(market):
     rates = market.rates
     lo, hi = radio.beta_interval(rates, market.requirements)
     feasible = lo <= hi
-    beta = np.where(feasible, lo, 0.0)
-    pairs = _max_assignment(rates.su_coef * (1.0 - beta), feasible)
-    return _outcome_from(market, pairs, np.zeros(beta.shape), beta)
+    xi, beta = np.zeros(lo.shape), np.where(feasible, lo, 0.0)
+    pairs = _max_assignment(rates.relay(beta, xi)[0], feasible)
+    return _outcome_from(market, pairs, xi, beta)
 
 
 def rmbn(market, rng):
@@ -138,8 +138,6 @@ def rmbn(market, rng):
     offer ever meets a rival one. The outcome carries no concession steps,
     so stability audits it on the full grid.
     """
-    if (market.requirements.r_pu_req <= 0.0).any():
-        raise ValueError("bilateral negotiation needs positive licensed rate floors")
     l_pu, l_su = market.params.l_pu, market.params.l_su
     if l_pu <= l_su:
         partners = rng.permutation(l_su)[:l_pu]

@@ -74,8 +74,8 @@ def _se(values) -> float:
 
 def _realized_sums(outcome, rates):
     """Sums over the matched terms, in row-major order, of the licensed
-    utility and rate and the relay rate of radio.licensed_gain and
-    relay_gain, spelled out on floats read with ndarray.item."""
+    utility and rate and the relay rate of radio.PairRates.licensed and
+    relay, spelled out on floats read with ndarray.item."""
     u = r_pu = r_su = 0.0
     terms = outcome.matched_terms()
     for l, q, xi, beta in terms:

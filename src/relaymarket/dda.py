@@ -268,7 +268,7 @@ class LadderState(EngineState):
         are thus a prefix of that order, and the smallest index among them
         is the first hit of one row test. The test runs only when rounding
         ties the runner-up to the head and it clears the floor. Rates and
-        utilities are those of radio.licensed_gain, spelled out on floats.
+        utilities are those of radio.PairRates.licensed, spelled out on floats.
         """
         xi = self.xi_terms[self.m_xi[l]]
         beta = self.beta_terms[self.m_beta[l]]
@@ -294,7 +294,8 @@ class LadderState(EngineState):
         both keeps the rate floor with relay q and costs less utility than
         the price cut would. A refused or displaced user offered at a
         positive time share, so m_beta < len(beta_values) here: the time
-        cut reads beta_terms, at most at its 0.0 one past the grid.
+        cut reads beta_terms, at most at its 0.0 one past the grid. Rates
+        and utilities are those of radio.PairRates.licensed, on floats.
         """
         m_x, m_b = self.m_xi[l], self.m_beta[l]
         if m_x >= self.last_positive_xi:
@@ -374,8 +375,7 @@ class ContractState(EngineState):
         s = np.atleast_2d(radio.relay_open_index(rates, self.market.requirements, l, q,
                                                  self.bar[l, q], betas, xis))
         p = self.prefix[l, q]
-        u_pu = np.where(s < p, rates.pu_coef[l, q] * betas.take(s, mode="clip")
-                        + rates.c_cost * xis, -np.inf)
+        u_pu = np.where(s < p, rates.licensed(betas.take(s, mode="clip"), xis, l, q)[1], -np.inf)
         i = u_pu.argmax(axis=1)
         rows = np.arange(len(i))
         q = np.ravel(q)
@@ -439,7 +439,7 @@ def step(state, n=1):
         offers += 1
         if events is not None:
             events.append(("offer", l, q, xi, beta, offers))
-        # radio.relay_gain with the held utility as the bar, spelled out on floats
+        # radio.PairRates.relay and relay_gain's tests, held utility the bar, on floats
         rate_su = su_coef.item(l, q) * (1.0 - beta)
         u_su = rate_su - k_cost * xi
         held = accepted[q]

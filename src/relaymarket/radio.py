@@ -122,7 +122,8 @@ def mean_relay_log_terms(gamma_dir, gamma_first_hop, mean_forward_gain, formula,
 
 @dataclass(frozen=True)
 class PairRates:
-    """Per-pair slopes of rates and utilities in (xi, beta).
+    """Per-pair slopes of rates and utilities in (xi, beta), and the one
+    array spelling of each side of a trade on them: licensed and relay.
 
     pu_coef[l, q] is the licensed rate per unit beta (already including the
     two-phase half), su_coef[l, q] the relay rate per unit (1 - beta).
@@ -133,6 +134,18 @@ class PairRates:
     su_coef: np.ndarray
     c_cost: float   # money slope of the licensed utility
     k_cost: float   # money slope of the relay utility
+
+    def licensed(self, beta, xi, l=slice(None), q=slice(None)):
+        """Licensed (rate, utility) of pairs (l, q), every pair when none is
+        named, at time share beta and price xi. Broadcasts."""
+        rate = self.pu_coef[l, q] * beta
+        return rate, rate + self.c_cost * xi
+
+    def relay(self, beta, xi, l=slice(None), q=slice(None)):
+        """Relay (rate, utility) of pairs (l, q), every pair when none is
+        named, at time share beta and price xi. Broadcasts."""
+        rate = self.su_coef[l, q] * (1.0 - beta)
+        return rate, rate - self.k_cost * xi
 
 
 def make_pair_rates(params, realization):
@@ -162,8 +175,8 @@ def licensed_gain(rates, requirements, l, q, u_pu, beta, xi):
     """The licensed half of a trade: at time share beta and price xi pair
     (l, q) meets the licensed floor and gives more than u_pu. Broadcasts;
     along the falling time grid it holds on a prefix of the indices."""
-    pu_rate = rates.pu_coef[l, q] * beta
-    return (pu_rate >= requirements.r_pu_req[l]) & (pu_rate + rates.c_cost * xi > u_pu)
+    pu_rate, u = rates.licensed(beta, xi, l, q)
+    return (pu_rate >= requirements.r_pu_req[l]) & (u > u_pu)
 
 
 def relay_gain(rates, requirements, l, q, bar, beta, xi):
@@ -172,8 +185,7 @@ def relay_gain(rates, requirements, l, q, bar, beta, xi):
     above bar. Broadcasts; slopes and money weights are at least 0 and
     rounding is monotone, so along the falling time grid it holds on a
     suffix of the indices."""
-    su_rate = rates.su_coef[l, q] * (1.0 - beta)
-    u_su = su_rate - rates.k_cost * xi
+    su_rate, u_su = rates.relay(beta, xi, l, q)
     return (su_rate >= requirements.r_su_req) & (u_su >= 0.0) & (u_su > bar)
 
 

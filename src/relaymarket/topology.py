@@ -169,8 +169,10 @@ def draw_channels(params, placement, rng):
     realization also gets the per-pair expected log terms from
     radio.mean_relay_log_terms, with one spawned substream per pair in
     row-major order, so each estimate is reproducible pair by pair;
-    spawning draws nothing from rng. Raises ValueError when a kept array
-    is not finite, as when huge transmit SNRs overflow a hop product.
+    spawning draws nothing from rng. The arithmetic runs with numpy's
+    overflow, invalid and divide warnings off; a kept array that is not
+    finite, as when huge transmit SNRs overflow a hop product, raises
+    ValueError instead.
     """
     l_pu, l_su = params.l_pu, params.l_su
     g_pt = float(radio.db_to_linear(params.gamma_pu_db))
@@ -184,21 +186,21 @@ def draw_channels(params, placement, rng):
         np.negative(h2, out=h2)
         return radio.link_snr(h2, gain, distance, params.alpha)
 
-    gamma_dir = snr(l_pu, g_pt, _distance(pt, pr))
-    gamma_pt_st = snr((l_pu, l_su), g_pt, _distance(pt[:, None], st[None]))
-    d_st_pr = _distance(pr[:, None], st[None])
-    partial_mean_log = None
-    if params.snr_knowledge == "partial":
-        # Python-float powers: numpy's array ** differs from them in the last
-        # bit on some pairs, and the recorded partial-knowledge digests rest
-        # on them
-        forward_gain = g_st / (d_st_pr.astype(object) ** params.alpha).astype(float)
-        partial_mean_log = radio.mean_relay_log_terms(
-            gamma_dir, gamma_pt_st, forward_gain, params.af_formula, rng.spawn(l_pu * l_su))
-    gamma_st_pr = snr((l_pu, l_su), g_st, d_st_pr)
-    del d_st_pr   # its buffer holds the path loss now
-    gamma_sr = snr((l_su, l_pu), g_st, _distance(st, placement.sr_pos)[:, None])
-    gamma_relay = radio.af_relay_snr(gamma_pt_st, gamma_st_pr, params.af_formula)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        gamma_dir = snr(l_pu, g_pt, _distance(pt, pr))
+        gamma_pt_st = snr((l_pu, l_su), g_pt, _distance(pt[:, None], st[None]))
+        d_st_pr = _distance(pr[:, None], st[None])
+        partial_mean_log = None
+        if params.snr_knowledge == "partial":
+            # Python-float powers: numpy's array ** differs from them in the last bit
+            # on some pairs, and the recorded partial-knowledge digests rest on them
+            forward_gain = g_st / (d_st_pr.astype(object) ** params.alpha).astype(float)
+            partial_mean_log = radio.mean_relay_log_terms(
+                gamma_dir, gamma_pt_st, forward_gain, params.af_formula, rng.spawn(l_pu * l_su))
+        gamma_st_pr = snr((l_pu, l_su), g_st, d_st_pr)
+        del d_st_pr   # its buffer holds the path loss now
+        gamma_sr = snr((l_su, l_pu), g_st, _distance(st, placement.sr_pos)[:, None])
+        gamma_relay = radio.af_relay_snr(gamma_pt_st, gamma_st_pr, params.af_formula)
     if not all(np.isfinite(a).all() for a in (gamma_dir, gamma_relay, gamma_sr, partial_mean_log)
                if a is not None):
         raise ValueError("non-finite channel realization rejected")

@@ -182,11 +182,11 @@ def is_stable(outcome, realization, requirements, params):
                 f"time-slot allocation {beta_term!r} for pair ({l},{q}) "
                 "is off the concession grid")
 
-    # the licensed floor is licensed_gain against minus infinity; the relay
-    # keeps relay_gain's floor and zero-utility tests apart, one reason each
-    pu_ok = radio.licensed_gain(rates, requirements, ls, qs, -np.inf, beta, xi)
-    su_rate = rates.su_coef[ls, qs] * (1.0 - beta)
-    su_held = su_rate - rates.k_cost * xi
+    # each side's rate and held utility, once; the relay keeps relay_gain's
+    # floor and zero-utility tests apart, one reason each
+    pu_rate, pu_held = rates.licensed(beta, xi, ls, qs)
+    su_rate, su_held = rates.relay(beta, xi, ls, qs)
+    pu_ok = pu_rate >= requirements.r_pu_req[ls]
     su_rate_ok = su_rate >= requirements.r_su_req
     su_util_ok = su_held >= 0.0
     blocked = []
@@ -210,7 +210,7 @@ def is_stable(outcome, realization, requirements, params):
         beta_lo = np.asarray(outcome.final_beta_steps, dtype=int)
     # the utilities held, zero for anyone unmatched
     u_pu, u_su = np.zeros(params.l_pu), np.zeros(params.l_su)
-    u_pu[ls] = rates.pu_coef[ls, qs] * beta + rates.c_cost * xi
+    u_pu[ls] = pu_held
     u_su[qs] = su_held
     pairs = [(l, q, (grids.xi_terms[i], grids.beta_terms[j]))
              for l, q, i, j in _blocking_pairs(market, u_pu, u_su, open_pairs, xi_lo, beta_lo)]
@@ -265,14 +265,6 @@ def _candidate_plans(market):
     return terms, plans
 
 
-def _term_utilities(rates, l, q, xi, beta):
-    """What pair (l, q) gives each side at terms xi, beta (broadcast):
-    (licensed, relay), in licensed_gain's and relay_gain's spelling."""
-    u_pu = rates.pu_coef[l, q] * beta + rates.c_cost * xi
-    u_su = rates.su_coef[l, q] * (1.0 - beta) - rates.k_cost * xi
-    return u_pu, u_su
-
-
 def enumerate_stable_matchings(realization, requirements, params):
     """Every stable (matching, allocation) on the grids, by exhaustion.
 
@@ -294,7 +286,7 @@ def enumerate_stable_matchings(realization, requirements, params):
     terms, plans = _candidate_plans(market)
     held, frontier = {}, {}
     for (l, q), (xi, beta) in terms.items():
-        held[l, q] = ul, ur = _term_utilities(rates, l, q, xi, beta)
+        held[l, q] = ul, ur = rates.licensed(beta, xi, l, q)[1], rates.relay(beta, xi, l, q)[1]
         if len(xi):   # a pair with no terms has no trade to block with
             order = ul.argsort()
             best = np.maximum.accumulate(ur[order[::-1]])[::-1]
@@ -327,8 +319,8 @@ def enumerate_stable_matchings(realization, requirements, params):
 
 def pu_utilities(outcome, rates):
     """Per licensed user utility under an outcome, zero when unmatched: the
-    licensed utility of radio.licensed_gain, spelled out on floats read
-    with ndarray.item. Raises ValueError when the outcome's shape is not
+    utility of radio.PairRates.licensed, spelled out on floats read with
+    ndarray.item. Raises ValueError when the outcome's shape is not
     the rates'."""
     _check_shape(outcome, rates.pu_coef.shape)
     out = np.zeros(outcome.shape[0])

@@ -437,6 +437,52 @@ def contract_deferred_acceptance(rates, requirements, grids):
     return {l: (q, xi, beta) for q, (l, xi, beta, _) in held.items()}
 
 
+def relay_proposing_contracts(rates, requirements, grids):
+    """Relay-proposing deferred acceptance, every contract spelled out: the
+    mirror of contract_deferred_acceptance with the sides swapped.
+
+    Each relay ranks every grid contract (l, xi, beta) that meets its own
+    rate floor with nonnegative utility by its utility, ties to the smaller
+    licensed user, then the lower price, then the shorter time, and
+    proposes them one per turn with no knowledge of the licensed users. A
+    licensed user holds an offer when it meets the user's rate floor and
+    is worth strictly more to it than the one held; the refused or
+    displaced relay rejoins the queue. Returns {licensed user: (relay, xi,
+    beta)} for the matched users.
+    """
+    l_pu, l_su = rates.pu_coef.shape
+    ranked = []
+    for q in range(l_su):
+        mine = []
+        for l in range(l_pu):
+            for i, xi in enumerate(grids.xi_values):
+                for j, beta in enumerate(grids.beta_values):
+                    rate = rates.su_coef[l, q] * (1.0 - beta)
+                    u = rate - rates.k_cost * xi
+                    if rate >= requirements.r_su_req and u >= 0.0:
+                        mine.append((-u, l, -i, -j, float(xi), float(beta)))
+        mine.sort()
+        ranked.append([(l, xi, beta) for _, l, _, _, xi, beta in mine])
+    next_pick = [0] * l_su
+    held = {}   # licensed user -> (relay, xi, beta, licensed utility)
+    queue = list(range(l_su))
+    while queue:
+        q = queue.pop(0)
+        if next_pick[q] == len(ranked[q]):
+            continue
+        l, xi, beta = ranked[q][next_pick[q]]
+        next_pick[q] += 1
+        rate = rates.pu_coef[l, q] * beta
+        u = rate + rates.c_cost * xi
+        if rate >= requirements.r_pu_req[l] and (l not in held or u > held[l][3]):
+            if l in held:
+                queue.append(held[l][0])
+            held[l] = (q, xi, beta, u)
+        else:
+            queue.append(q)
+    return {l: (q, xi, beta) for l, (q, xi, beta, _) in held.items()}
+
+
 def open_contract_utilities(market, bar, l):
     """User l's licensed utility of every grid contract with each relay,
     minus infinity where closed, as one full-grid broadcast: [relays,

@@ -455,13 +455,21 @@ class TestRandomBaseline:
             single_pair_scenario(
                 gamma_dir=2.5, gamma_relay_hops=(1.0, 1.0), gamma_sr=3.0,
                 r_pu_req=[0.0], r_su_req=0.2, negotiation=rule)
-        # a direct-rate floor is 0 on a zero fading draw; rmbn refuses it
+        # a direct-rate floor is 0 on a zero fading draw; rmbn runs the
+        # engine on it, which the ladder refuses and the contract rule runs
         params, real = single_pair_scenario(
             gamma_dir=2.5, gamma_relay_hops=(1.0, 1.0), gamma_sr=3.0,
             r_pu_req=[0.5], r_su_req=0.2, negotiation=rule)
         req = radio.Requirements(r_pu_req=np.array([0.0]), r_su_req=0.2)
-        with pytest.raises(ValueError, match="positive licensed rate floors"):
-            baselines.rmbn(dda.market(params, real, req), np.random.default_rng(0))
+        market = dda.market(params, real, req)
+        if rule == "ladder":
+            with pytest.raises(ValueError, match="needs positive licensed rate floors"):
+                baselines.rmbn(market, np.random.default_rng(0))
+        else:
+            outcome, trace = baselines.rmbn(market, np.random.default_rng(0))
+            want, want_trace = dda.negotiate(market, np.array([0]))
+            assert outcome.matched_terms() == want.matched_terms() == ((0, 0, 0.99, 0.49),)
+            assert trace.offers == want_trace.offers == 1
 
     def test_packet_count_is_two_per_offer(self, default_params):
         _, trace = baselines.rmbn(market_at(default_params, 6), np.random.default_rng(1))

@@ -8,7 +8,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from relaymarket import cli
@@ -144,12 +143,12 @@ class TestConfigHandling:
         {"gamma_pu_db": 1600, "gamma_su_db": 1600},   # nan relayed SNRs crashed the ladder
         {"gamma_su_db": 3050},                        # inf relay rates reached the CSV
     ], ids=["relayed-nan", "relay-own-inf"])
+    @pytest.mark.filterwarnings("error")   # the clean error alone, no numpy warning first
     def test_an_overflowing_draw_exits_one(self, tmp_path, capsys, powers):
         cfg = tmp_path / "scenario.json"
         cfg.write_text(json.dumps(powers))
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, out, err = run_cli(["run", "--config", str(cfg), "--seed", "0",
-                                      "--trials", "3"], capsys)
+        code, out, err = run_cli(["run", "--config", str(cfg), "--seed", "0",
+                                  "--trials", "3"], capsys)
         assert code == 1
         assert "error: non-finite channel realization rejected" in err and out == ""
 

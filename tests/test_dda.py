@@ -25,7 +25,7 @@ from conftest import assert_outcome_well_formed
 from helpers import (GOLDEN_MARKETS, concede, conceding_user, dense, engine_fingerprint,
                      handmade_realization, single_pair_scenario, without_relay)
 from oracles import (best_contracts_reference, concession_reference,
-                     contract_deferred_acceptance, ladder_reference)
+                     contract_deferred_acceptance, ladder_reference, relay_proposing_contracts)
 
 
 class TestGrids:
@@ -44,6 +44,13 @@ class TestGrids:
         # 0.99 is not a multiple of 0.05, so the grid floors at 0.04
         assert grids.xi_values[-1] == pytest.approx(0.04)
         assert grids.last_positive_xi == len(grids.xi_values) - 1
+
+    def test_a_price_at_the_tolerance_is_not_positive(self):
+        # 2e-12 - 1e-12 is 1e-12 exactly, which counts as a zero price
+        p = topology.params_from_dict({"xi_init": 2e-12, "delta": 1e-12})
+        grids = dda.concession_grids(p)
+        assert grids.xi_terms == (2e-12, 1e-12, 0.0)
+        assert grids.last_positive_xi == 0
 
     def test_time_value_past_the_grid_is_zero(self):
         p = topology.params_from_dict(
@@ -93,6 +100,13 @@ class TestConcessionRule:
     def test_rate_floor_forces_price_cut(self):
         # one more time cut would land at 0.8 which is under the 0.85 floor
         assert concede(conceding_user(self.STEPS, 1.0, 0.85, 1.0), 0, 0) == (1, 0)
+
+    def test_a_time_cut_onto_the_floor_cuts_the_price(self):
+        # the time cut from 0.9 lands exactly on the 0.8 floor; the rate would
+        # still meet it, but only a time cut that stays above the floor is
+        # taken (time alone would be the cheaper cut here: 1.5 against 1.6)
+        assert 0.9 - 0.1 == 0.8
+        assert concede(conceding_user(self.STEPS, 1.0, 0.8, 1.0), 0, 0) == (1, 0)
 
     def test_cheaper_coordinate_gives_way_otherwise(self):
         # time cut costs coef*0.1 = 0.1, price cut costs c*0.2 = 0.2
@@ -173,6 +187,18 @@ class TestSinglePairWalkthrough:
             ("offer", 0.7), ("reject", 0.7), ("puu", 0.6),
             ("offer", 0.6), ("accept", 0.6),
         ]
+
+    def test_relay_rate_exactly_at_its_floor_is_accepted(self):
+        # the relay floor set to the relay's rate at the fourth offer, bit for
+        # bit: that offer is still the one accepted
+        steps = {"xi_init": 0.8, "beta_init": 0.9, "delta": 0.2, "epsilon": 0.1,
+                 "r_pu_req": [0.3]}
+        params, real = single_pair_scenario(2.5, (1.0, 1.0), 3.0, r_su_req=0.2, **steps)
+        beta = dda.concession_grids(params).beta_terms[3]
+        floor = radio.make_pair_rates(params, real).relay(beta, 0.8)[0].item()
+        params, real = single_pair_scenario(2.5, (1.0, 1.0), 3.0, r_su_req=floor, **steps)
+        outcome, trace = dda.run(params, real)
+        assert outcome.matched_terms() == ((0, 0, 0.8, beta),) and trace.offers == 4
 
     def test_message_accounting(self, pair):
         params, real = pair
@@ -441,6 +467,33 @@ class TestLadderRule:
         _, trace = dda.run(params, real, req)
         assert trace.events[0][:3] == ("offer", 0, relay)
         self._assert_equals_reference(params, real, req)
+
+    TIE_MARKET_DIGEST = "096793f2c621f9952cd1c0e82aece0e375d1b655be548faea5c08e3004781ee8"
+
+    def test_golden_rounding_tie_market(self):
+        """A seeded market built for rounding ties: the default 2x6 market
+        at c_bar 1e16, seed 0. Offers go past the head to a tied relay, and
+        on some of that relay's refusals its slope and the head's lead to
+        different steps, so a refusal that read the head's slope changes
+        the pinned trace."""
+        params = topology.params_from_dict({"c_bar": 1e16})
+        real = topology.make_realization(params, 0)
+        market = dda.market(params, real)
+        outcome, trace = dda.negotiate(market)
+        opening, grids = dda.init_state(market), market.grids
+        steps, differ = {}, 0
+        for kind, l, q, xi, beta, _ in trace.events:
+            step = grids.xi_terms.index(xi), grids.beta_terms.index(beta)
+            if kind == "puu" and q != opening.head[l]:
+                differ += step != concession_reference(
+                    *steps[l], opening.head_slope[l], opening.floors[l],
+                    market.rates.c_cost, grids)
+            if kind in ("offer", "puu"):
+                steps[l] = step
+        assert differ > 0
+        assert hashlib.sha256(engine_fingerprint(outcome, trace).encode()).hexdigest() \
+            == self.TIE_MARKET_DIGEST
+        self._assert_equals_reference(params, real, market.requirements)
 
     def test_exact_three_way_top_tie_walks_past_the_runner_up(self):
         # relays 1, 2 and 4 share the top licensed slope exactly and relay 3
@@ -938,6 +991,42 @@ class TestContractRule:
             for alt in stable:
                 assert np.all(licensed_utilities(alt, rates) <= mine)
                 assert {l for l, _ in alt.matched_pairs()} == matched
+
+    @pytest.mark.parametrize("knowledge", ["complete", "partial"])
+    @pytest.mark.parametrize("af_formula", ["paper", "standard"])
+    def test_relay_proposing_is_the_other_end_of_the_stable_set(self, af_formula, knowledge):
+        """Against tests/oracles.relay_proposing_contracts on seeded 3x4 to
+        6x8 markets: every licensed user weakly prefers the contract rule's
+        outcome and every relay the relay-proposing one (polarization), both
+        match the same users (rural hospitals), and the relay-proposing
+        outcome is stable on the full grid (Gale & Shapley 1962; Roth &
+        Sotomayor 1990; Hatfield & Milgrom 2005)."""
+        def utilities(outcome, rates):
+            u_pu, u_su = np.zeros(outcome.shape[0]), np.zeros(outcome.shape[1])
+            for l, q, xi, beta in outcome.matched_terms():
+                u_pu[l], u_su[q] = rates.licensed(beta, xi, l, q)[1], rates.relay(beta, xi, l, q)[1]
+            return u_pu, u_su
+
+        differ = 0
+        for l_pu, l_su in [(3, 4), (4, 6), (6, 8)]:
+            params = topology.params_from_dict({
+                "l_pu": l_pu, "l_su": l_su, "af_formula": af_formula,
+                "snr_knowledge": knowledge, "negotiation": "contracts"})
+            for seed in range(5):
+                real = topology.make_realization(params, seed)
+                market = dda.market(params, real)
+                mine, _ = dda.negotiate(market)
+                theirs = dda.MatchingOutcome(l_pu, l_su, [
+                    (l, q, xi, beta) for l, (q, xi, beta) in relay_proposing_contracts(
+                        market.rates, market.requirements, market.grids).items()])
+                (pu_mine, su_mine), (pu_theirs, su_theirs) = (
+                    utilities(outcome, market.rates) for outcome in (mine, theirs))
+                assert np.all(pu_mine >= pu_theirs) and np.all(su_theirs >= su_mine)
+                assert ({l for l, _ in mine.matched_pairs()} == {l for l, _ in theirs.matched_pairs()}
+                        and {q for _, q in mine.matched_pairs()} == {q for _, q in theirs.matched_pairs()})
+                assert verify.is_stable(theirs, real, market.requirements, params).stable
+                differ += mine.matched_terms() != theirs.matched_terms()
+        assert differ > 0
 
     @pytest.mark.parametrize("af_formula", ["paper", "standard"])
     def test_a_relay_entering_never_hurts_a_licensed_user(self, af_formula):

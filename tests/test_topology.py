@@ -215,13 +215,14 @@ class TestChannels:
         {"gamma_pu_db": 1600.0, "gamma_su_db": 1600.0},   # hop product: inf/inf relayed SNRs
         {"gamma_su_db": 3050.0},                          # the relay pair's own link: inf
     ], ids=["relayed-nan", "relay-own-inf"])
+    @pytest.mark.filterwarnings("error")   # rejected without a numpy warning
     def test_an_overflowing_draw_is_rejected(self, powers, knowledge):
         # each transmit SNR alone is a finite float, so the parameters pass
         params = topology.params_from_dict({**powers, "snr_knowledge": knowledge})
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(ValueError, match="non-finite channel realization rejected"):
+        with pytest.raises(ValueError, match="non-finite channel realization rejected"):
             topology.make_realization(params, 0)
 
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_gains_rejected(self, default_params):
         # an infinite squared gain (u = 1 gives -log1p(-1) = inf) or a nan
         # distance reaches the kept SNRs, and the draw refuses them
@@ -234,8 +235,7 @@ class TestChannels:
         pr_nan[0, 0] = np.nan
         for rng, where in ((Ones(), placement),
                            (np.random.default_rng(1), dataclasses.replace(placement, pr_pos=pr_nan))):
-            with np.errstate(divide="ignore", invalid="ignore"), \
-                    pytest.raises(ValueError, match="non-finite channel realization rejected"):
+            with pytest.raises(ValueError, match="non-finite channel realization rejected"):
                 topology.draw_channels(default_params, where, rng)
 
     def test_link_snr_works_in_place(self):

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from relaymarket import baselines, cli, dda, radio, topology, verify
+from relaymarket import baselines, bench, cli, dda, radio, topology, verify
 from relaymarket.dda import MatchingOutcome
 from relaymarket.verify import GuardError
 
@@ -706,31 +706,43 @@ class TestWeakPareto:
     @pytest.mark.parametrize("knowledge", ["complete", "partial"])
     @pytest.mark.parametrize("formula", ["paper", "standard"])
     def test_float_and_array_utilities_agree_bit_for_bit(self, formula, knowledge):
-        # the check compares pu_utilities' float loop against the per-term
-        # arrays enumeration holds (_term_utilities, licensed_gain's
-        # spelling) with a strict >, so the two spellings must be one value
-        params = topology.params_from_dict(
-            {**cli.ORACLE_SCENARIO, "af_formula": formula, "snr_knowledge": knowledge})
+        # the float loops (pu_utilities, bench._realized_sums) spell out
+        # PairRates.licensed and relay, which enumeration and the audit
+        # compare them against with strict tests, so each float must be the
+        # method's value bit for bit, sums taken in the same order
         checked = 0
-        for seed in range(15):
-            real = topology.make_realization(params, seed)
-            req = radio.requirements_for(params, real.snr)
-            market = dda.market(params, real, req)
-            outcomes = [dda.negotiate(market)[0],
-                        dda.negotiate(replace(market, params=replace(
-                            params, negotiation="contracts")))[0],
-                        baselines.rmbn(market, np.random.default_rng(seed))[0],
-                        *verify.enumerate_stable_matchings(real, req, params)]
-            for outcome in outcomes:
-                want = np.zeros(params.l_pu)
-                terms = outcome.matched_terms()
-                if terms:
-                    l, q, xi, beta = map(np.array, zip(*terms))
-                    want[l] = verify._term_utilities(market.rates, l, q, xi, beta)[0]
-                got = verify.pu_utilities(outcome, market.rates)
-                assert [u.hex() for u in got.tolist()] == [u.hex() for u in want.tolist()]
-                checked += bool(terms)
-        assert checked > 100
+        for c_bar in (1.0, 1e15):
+            params = topology.params_from_dict(
+                {**cli.ORACLE_SCENARIO, "af_formula": formula, "snr_knowledge": knowledge,
+                 "c_bar": c_bar})
+            for seed in range(15):
+                real = topology.make_realization(params, seed)
+                req = radio.requirements_for(params, real.snr)
+                market = dda.market(params, real, req)
+                rates = market.rates
+                outcomes = [dda.negotiate(market)[0],
+                            dda.negotiate(replace(market, params=replace(
+                                params, negotiation="contracts")))[0],
+                            baselines.rmbn(market, np.random.default_rng(seed))[0],
+                            *verify.enumerate_stable_matchings(real, req, params)]
+                for outcome in outcomes:
+                    want = np.zeros(params.l_pu)
+                    sums = [0.0, 0.0, 0.0]
+                    terms = outcome.matched_terms()
+                    if terms:
+                        l, q, xi, beta = map(np.array, zip(*terms))
+                        pu_rate, want[l] = rates.licensed(beta, xi, l, q)
+                        su_rate, _ = rates.relay(beta, xi, l, q)
+                        for column in zip(want[l].tolist(), pu_rate.tolist(),
+                                          su_rate.tolist()):
+                            sums = [total + x for total, x in zip(sums, column)]
+                    got = verify.pu_utilities(outcome, rates)
+                    assert [u.hex() for u in got.tolist()] == [u.hex() for u in want.tolist()]
+                    *got_sums, count = bench._realized_sums(outcome, rates)
+                    assert [x.hex() for x in got_sums] == [x.hex() for x in sums]
+                    assert count == len(terms)
+                    checked += bool(terms)
+        assert checked > 200
 
     def test_leaving_a_user_unmatched_does_not_improve_a_zero_utility(self):
         # a matched user holding exactly 0.0 gains only from a term worth
