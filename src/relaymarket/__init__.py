@@ -16,8 +16,8 @@ from .bench import (AggregateMetrics, SweepRow, emit_csv, p90, run_trials,
 from .dda import (EngineTrace, Grids, Market, MatchingOutcome, concession_grids,
                   init_state, market, negotiate, run, step)
 from .errors import EngineError, GuardError
-from .radio import (LinkSnrs, PairRates, Requirements, af_relay_snr, beta_interval,
-                    make_pair_rates, requirements_for)
+from .radio import (PairRates, Requirements, af_relay_snr, beta_interval, make_pair_rates,
+                    requirements_for)
 from .topology import (ChannelRealization, Placement, ScenarioParams, draw_channels,
                        make_realization, params_from_dict, place_users)
 from .verify import (StabilityReport, check_weak_pareto, complexity_estimates,
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggregateMetrics", "ChannelRealization", "EngineError", "EngineTrace", "Grids",
-    "GuardError", "LinkSnrs", "Market", "MatchingOutcome", "PairRates",
+    "GuardError", "Market", "MatchingOutcome", "PairRates",
     "Placement", "Requirements", "ScenarioParams", "StabilityReport",
     "SweepRow", "af_relay_snr",
     "beta_interval", "centralized_pu_optimal", "centralized_su_rate",

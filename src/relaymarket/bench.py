@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import baselines, dda, radio, topology
+from . import baselines, dda, topology
 
 ALGO_TAGS = ("dda-complete", "dda-partial", "centralized", "centralized-su", "rmbn")
 
@@ -130,9 +130,7 @@ def run_trials(params, algos, n_trials):
         rmbn_ss, = ss.spawn(1)   # the third child, after placement and channels
         complete = dda.market(complete_params, realization)
         if wants_partial:
-            negotiated = dda.Market(partial_params, complete.requirements,
-                                    radio.make_pair_rates(partial_params, realization),
-                                    complete.grids)
+            negotiated = dda.market(partial_params, realization, complete.requirements)
         for a, algo in enumerate(algos):
             market = negotiated if algo in partial else complete
             packets = iterations = 0
@@ -197,7 +195,7 @@ def _apply_axis(params, axis, value):
     if axis == "gamma_su_db":
         return replace(params, gamma_su_db=value)
     if axis == "l_su":
-        if int(value) != value:
+        if not float(value).is_integer():
             raise ValueError(f"l_su sweep value {value!r} is not an integer")
         return replace(params, l_su=int(value))
     raise ValueError(f"unknown sweep axis {axis!r}; valid: {SWEEP_AXES}")

@@ -94,7 +94,7 @@ def _load_params(args, extra=None):
 def _instance(params, trial):
     realization = topology.make_realization(
         params, np.random.SeedSequence([params.seed, trial]))
-    requirements = radio.requirements_for(params, realization.snr)
+    requirements = radio.requirements_for(params, realization)
     return realization, requirements
 
 

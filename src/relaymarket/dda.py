@@ -100,7 +100,7 @@ class Market:
 def market(params, realization, requirements=None):
     """The market of one realization; floors default to radio.requirements_for."""
     if requirements is None:
-        requirements = radio.requirements_for(params, realization.snr)
+        requirements = radio.requirements_for(params, realization)
     return Market(params, requirements, radio.make_pair_rates(params, realization),
                   concession_grids(params))
 

@@ -1,9 +1,7 @@
 """Link SNRs, rates, utilities, and per-pair rate floors.
 
 Index conventions: per-pair matrices are [l, q] with l the licensed (PU)
-pair and q the relay (SU) pair, except LinkSnrs.gamma_sr which keeps the
-[q, l] orientation of the underlying channel draw (relay q's own receiver,
-one entry per licensed band l).
+pair and q the relay (SU) pair.
 """
 
 from __future__ import annotations
@@ -54,15 +52,6 @@ def af_relay_snr(gamma_first, gamma_second, formula):
     else:
         raise ValueError(f"unknown af formula {formula!r}")
     return snr
-
-
-@dataclass(frozen=True)
-class LinkSnrs:
-    """The SNRs the market reads: the floors (requirements_for) and the
-    rate slopes (make_pair_rates)."""
-    gamma_dir: np.ndarray     # [l] direct licensed link
-    gamma_relay: np.ndarray   # [l, q] composite relayed-copy SNR
-    gamma_sr: np.ndarray      # [q, l] relay pair's own link, per band
 
 
 def link_snr(h2, gain, distance, alpha):
@@ -150,18 +139,17 @@ class PairRates:
 
 def make_pair_rates(params, realization):
     """Rate and utility slopes of every pair under params.snr_knowledge."""
-    snrs = realization.snr
     if params.snr_knowledge == "complete":
         # 0.5 * t_frame * log2_1p(gamma_dir + gamma_relay), each operation in
         # its order, in place on the one fresh [l, q] array the sum makes
-        pu_coef = snrs.gamma_dir[:, None] + snrs.gamma_relay
+        pu_coef = realization.gamma_dir[:, None] + realization.gamma_relay
         log2_1p(pu_coef, out=pu_coef)
         pu_coef *= 0.5 * params.t_frame
     elif realization.partial_mean_log is None:
         raise ValueError("realization carries no partial-knowledge rate estimates")
     else:
         pu_coef = 0.5 * params.t_frame * realization.partial_mean_log
-    su_coef = log2_1p(snrs.gamma_sr.T)
+    su_coef = log2_1p(realization.gamma_sr)
     su_coef *= params.t_frame
     return PairRates(
         pu_coef=pu_coef,
@@ -244,12 +232,12 @@ class Requirements:
     r_su_req: float
 
 
-def requirements_for(params, snrs):
+def requirements_for(params, realization):
     """Rate floors for one realization. Licensed floors are params.r_pu_req
     when set and otherwise the rate each pair already gets over its direct
     link, so relaying must not hurt."""
     if params.r_pu_req is None:
-        floors = params.t_frame * log2_1p(snrs.gamma_dir)
+        floors = params.t_frame * log2_1p(realization.gamma_dir)
     else:   # ScenarioParams checked one finite positive floor per pair
         floors = params.r_pu_req
     return Requirements(r_pu_req=np.asarray(floors, dtype=float),

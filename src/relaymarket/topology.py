@@ -150,8 +150,11 @@ def _distance(a, b):
 
 @dataclass
 class ChannelRealization:
+    """One trial's draw: its placement and the SNRs the floors and rates read."""
     placement: Placement
-    snr: radio.LinkSnrs
+    gamma_dir: np.ndarray     # [l] direct licensed link
+    gamma_relay: np.ndarray   # [l, q] composite relayed-copy SNR
+    gamma_sr: np.ndarray      # [l, q] relay pair q's own link in band l
     # filled under partial knowledge: per-pair mean log term the licensed
     # side negotiates with when the relay's forward hop is unknown
     partial_mean_log: np.ndarray | None = None
@@ -199,13 +202,13 @@ def draw_channels(params, placement, rng):
                 gamma_dir, gamma_pt_st, forward_gain, params.af_formula, rng.spawn(l_pu * l_su))
         gamma_st_pr = snr((l_pu, l_su), g_st, d_st_pr)
         del d_st_pr   # its buffer holds the path loss now
-        gamma_sr = snr((l_su, l_pu), g_st, _distance(st, placement.sr_pos)[:, None])
+        # drawn [q, l], one relay pair's bands per row, and kept as its [l, q] view
+        gamma_sr = snr((l_su, l_pu), g_st, _distance(st, placement.sr_pos)[:, None]).T
         gamma_relay = radio.af_relay_snr(gamma_pt_st, gamma_st_pr, params.af_formula)
     if not all(np.isfinite(a).all() for a in (gamma_dir, gamma_relay, gamma_sr, partial_mean_log)
                if a is not None):
         raise ValueError("non-finite channel realization rejected")
-    return ChannelRealization(placement, radio.LinkSnrs(gamma_dir, gamma_relay, gamma_sr),
-                              partial_mean_log)
+    return ChannelRealization(placement, gamma_dir, gamma_relay, gamma_sr, partial_mean_log)
 
 
 def make_realization(params, seed_seq):

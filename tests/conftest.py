@@ -23,7 +23,7 @@ def tiny_params_fixture():
 def scenario(params, seed):
     """Realization plus its rate floors, the way the engine consumes them."""
     real = topology.make_realization(params, seed)
-    req = radio.requirements_for(params, real.snr)
+    req = radio.requirements_for(params, real)
     return real, req
 
 

@@ -39,7 +39,7 @@ def handmade_realization(params, gamma_dir, gamma_pt_st, gamma_st_pr, gamma_sr):
     transmit SNRs on both sides, the scaling under which squared fading
     gains over unit distances are these SNRs.
 
-    gamma_sr is indexed [q, l] like the field it fills.
+    gamma_sr is indexed [l, q] like the field it fills.
     """
     if params.gamma_pu_db != 0.0 or params.gamma_su_db != 0.0:
         raise ValueError("handmade realizations need 0 dB transmit SNRs")
@@ -48,11 +48,11 @@ def handmade_realization(params, gamma_dir, gamma_pt_st, gamma_st_pr, gamma_sr):
     placement = topology.Placement(
         pt_pos=zeros(l_pu), pr_pos=zeros(l_pu),
         st_pos=zeros(l_su), sr_pos=zeros(l_su))
-    snr = radio.LinkSnrs(
+    return topology.ChannelRealization(
+        placement=placement,
         gamma_dir=np.array(gamma_dir, dtype=float),
         gamma_relay=radio.af_relay_snr(gamma_pt_st, gamma_st_pr, params.af_formula),
         gamma_sr=np.array(gamma_sr, dtype=float))
-    return topology.ChannelRealization(placement=placement, snr=snr)
 
 
 def conceding_user(grid_steps, coef, floor, c_cost, head_coef=None):
@@ -65,7 +65,7 @@ def conceding_user(grid_steps, coef, floor, c_cost, head_coef=None):
     params = topology.params_from_dict(
         {"l_pu": 1, "l_su": 2, "gamma_pu_db": 0.0, "gamma_su_db": 0.0, **grid_steps})
     real = handmade_realization(params, gamma_dir=[1.0], gamma_pt_st=[[1.0, 1.0]],
-                                gamma_st_pr=[[1.0, 1.0]], gamma_sr=[[1.0], [1.0]])
+                                gamma_st_pr=[[1.0, 1.0]], gamma_sr=[[1.0, 1.0]])
     state = dda.init_state(dda.market(params, real))
     assert state.head == [0] and state.runner_up == [1]
     head_coef = coef if head_coef is None else head_coef
@@ -86,17 +86,17 @@ def concede(state, m_xi, m_beta, q=0):
 
 def without_relay(params, realization, q):
     """params and realization with relay q taken out: its column of
-    gamma_relay and of partial_mean_log, its row of gamma_sr [q, l] and
-    its positions go. The floors are the caller's to keep: pass the full
-    market's requirements on."""
+    gamma_relay, gamma_sr and partial_mean_log and its positions go. The
+    floors are the caller's to keep: pass the full market's requirements
+    on."""
     keep = np.arange(params.l_su) != q
     fewer = replace(params, l_su=params.l_su - 1)
     smaller = replace(
         realization,
         placement=replace(realization.placement, st_pos=realization.placement.st_pos[keep],
                           sr_pos=realization.placement.sr_pos[keep]),
-        snr=replace(realization.snr, gamma_relay=realization.snr.gamma_relay[:, keep],
-                    gamma_sr=realization.snr.gamma_sr[keep]),
+        gamma_relay=realization.gamma_relay[:, keep],
+        gamma_sr=realization.gamma_sr[:, keep],
         partial_mean_log=(None if realization.partial_mean_log is None
                           else realization.partial_mean_log[:, keep]))
     return fewer, smaller

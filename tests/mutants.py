@@ -13,8 +13,11 @@ functions) is one site, and each site gives one mutant: < and <=, > and
 >=, == and !=, is and is not, in and not in swap. A mutant is the
 module's ast.unparse with that one swap, written into a copy of the
 repository; the tests then run there under pytest -x with a timeout of TIMEOUT seconds. A
-failing or timed-out run kills the mutant. A control run of the
-unmutated ast.unparse must pass first. The survivors and the kill ratio
+failing or timed-out run kills the mutant. Every run starts without the
+copy's hypothesis example database and with the fixed HYPOTHESIS_SEED, so
+a property test draws the same examples for every mutant and a verdict
+repeats from one census to the next. A control run of the unmutated
+ast.unparse must pass first. The survivors and the kill ratio
 are printed at the end. Standard library only; pytest does not collect
 this file.
 """
@@ -33,6 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT = 300.0   # seconds per pytest run; a slower mutant counts as killed
+HYPOTHESIS_SEED = 0
 SWAPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
          ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is,
          ast.In: ast.NotIn, ast.NotIn: ast.In}
@@ -52,11 +56,14 @@ def sites(tree, functions):
 
 
 def run_tests(copy, pytest_args):
-    """'passed', 'failed' or 'timeout' for one pytest -x run in the copy."""
+    """'passed', 'failed' or 'timeout' for one pytest -x run in the copy,
+    from a fresh hypothesis database and the fixed seed."""
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    shutil.rmtree(copy / ".hypothesis", ignore_errors=True)
     try:
         done = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                               *pytest_args], cwd=copy, env=env, timeout=TIMEOUT,
+                               f"--hypothesis-seed={HYPOTHESIS_SEED}", *pytest_args],
+                              cwd=copy, env=env, timeout=TIMEOUT,
                               stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     except subprocess.TimeoutExpired:
         return "timeout"

@@ -202,7 +202,8 @@ def reference_draw(params, seed):
     direct, transmitter-to-relay, relay-to-receiver, relay pair. Distances
     come from np.linalg.norm, each SNR from the link budget g * h2 / d **
     alpha written out, and the composite relayed SNR from the AF closed
-    form restated.
+    form restated. The relay pairs' gains come [q, l], one pair's bands per
+    row; their SNRs gamma_sr are returned [l, q], like every pair array.
     """
     place_ss, chan_ss = np.random.SeedSequence(seed).spawn(2)
     l_pu, l_su, alpha = params.l_pu, params.l_su, params.alpha
@@ -239,7 +240,7 @@ def reference_draw(params, seed):
         d_pt_pr=d_pt_pr, d_pt_st=d_pt_st, d_st_pr=d_st_pr, d_st_sr=d_st_sr,
         gamma_dir=g_pt * h2_pt_pr / d_pt_pr ** alpha,
         gamma_pt_st=gamma_pt_st, gamma_st_pr=gamma_st_pr, gamma_relay=gamma_relay,
-        gamma_sr=g_st * h2_st_sr / d_st_sr[:, None] ** alpha)
+        gamma_sr=(g_st * h2_st_sr / d_st_sr[:, None] ** alpha).T)
 
 
 def partial_mean_log_reference(draw, params, streams, samples):

@@ -59,7 +59,7 @@ def _mixed_suite(af_formula):
             **CONTRACTS,
         })
         real = topology.make_realization(params, i)
-        req = radio.requirements_for(params, real.snr)
+        req = radio.requirements_for(params, real)
         outcome, trace = dda.run(params, real, req)
         rows.append((params, real, req, outcome, trace))
     return rows
@@ -96,7 +96,7 @@ def _tiny_suite(af_formula):
     max_gap = 0.0
     for seed in range(N_TINY):
         real = topology.make_realization(params, seed)
-        req = radio.requirements_for(params, real.snr)
+        req = radio.requirements_for(params, real)
         outcome, _ = dda.run(params, real, req)
         rates = radio.make_pair_rates(params, real)
         mine = verify.pu_utilities(outcome, rates)
@@ -279,7 +279,7 @@ def test_11_analytic_pair_optimizer_matches_lattice_search():
     seed = 0
     while checked < 500:
         real = topology.make_realization(params, seed)
-        req = radio.requirements_for(params, real.snr)
+        req = radio.requirements_for(params, real)
         rates = radio.make_pair_rates(params, real)
         feasible, xi, beta, u_pu = baselines.pair_optimum_continuous(rates, req)
         for l in range(params.l_pu):

@@ -18,13 +18,13 @@ from oracles import (all_injective_matchings, assignment_reference, discrete_pai
 def rates_and_req(params, seed):
     real = topology.make_realization(params, seed)
     rates = radio.make_pair_rates(params, real)
-    req = radio.requirements_for(params, real.snr)
+    req = radio.requirements_for(params, real)
     return real, rates, req
 
 
 def market_at(params, seed):
     real = topology.make_realization(params, seed)
-    return dda.market(params, real, radio.requirements_for(params, real.snr))
+    return dda.market(params, real, radio.requirements_for(params, real))
 
 
 def contracts(market):
@@ -87,7 +87,7 @@ class TestPairOptimumContinuous:
             gamma_dir=2.5, gamma_relay_hops=(1.0, 1.0), gamma_sr=3.0,
             r_pu_req=[5.0], r_su_req=0.2)
         rates = radio.make_pair_rates(params, real)
-        req = radio.requirements_for(params, real.snr)
+        req = radio.requirements_for(params, real)
         feasible, xi, beta, u_pu = baselines.pair_optimum_continuous(rates, req)
         assert not feasible[0, 0]
         assert (xi[0, 0], beta[0, 0], u_pu[0, 0]) == (0.0, 0.0, -math.inf)
@@ -100,7 +100,7 @@ class TestPairOptimumContinuous:
             gamma_dir=2.5, gamma_relay_hops=(1.0, 1.0), gamma_sr=3.0,
             r_pu_req=[0.3], r_su_req=0.2)
         rates = radio.make_pair_rates(params, real)
-        req = radio.requirements_for(params, real.snr)
+        req = radio.requirements_for(params, real)
         _, xi, beta, u_pu = baselines.pair_optimum_continuous(rates, req)
         assert beta[0, 0] == pytest.approx(0.5)
         assert xi[0, 0] == pytest.approx(1.0)
@@ -187,7 +187,7 @@ class TestPairOptimumDiscrete:
             gamma_dir=1.5, gamma_relay_hops=(3.0, 4.0), gamma_sr=6.0,
             r_pu_req=[0.3], r_su_req=0.2)
         rates = radio.make_pair_rates(params, real)
-        req = radio.requirements_for(params, real.snr)
+        req = radio.requirements_for(params, real)
         cont_u = baselines.pair_optimum_continuous(rates, req)[3][0, 0]
         gaps = []
         for step in (0.2, 0.05, 0.01):
@@ -357,7 +357,7 @@ class TestRandomBaseline:
             gamma_dir=2.5, gamma_relay_hops=(1.0, 1.0), gamma_sr=511.0,
             xi_init=0.8, beta_init=0.9, delta=0.2, epsilon=0.1,
             r_pu_req=[0.3], r_su_req=0.2)
-        req = radio.requirements_for(params, real.snr)
+        req = radio.requirements_for(params, real)
         out, trace = baselines.rmbn(dda.market(params, real, req), np.random.default_rng(0))
         [(l, q, xi, beta)] = out.matched_terms()
         assert (l, q) == (0, 0)
@@ -370,7 +370,7 @@ class TestRandomBaseline:
         params, real = single_pair_scenario(
             gamma_dir=2.5, gamma_relay_hops=(1.0, 1.0), gamma_sr=3.0,
             r_pu_req=[0.3], r_su_req=2.5)
-        req = radio.requirements_for(params, real.snr)
+        req = radio.requirements_for(params, real)
         out, trace = baselines.rmbn(dda.market(params, real, req), np.random.default_rng(0))
         assert out.matched_terms() == ()
         assert trace.events[-1][0] == "prune"
@@ -379,7 +379,7 @@ class TestRandomBaseline:
         for seed in range(25):
             p1 = topology.params_from_dict({"l_pu": 1, "l_su": 1})
             real = topology.make_realization(p1, seed)
-            req = radio.requirements_for(p1, real.snr)
+            req = radio.requirements_for(p1, real)
             engine_out, _ = dda.run(p1, real, req)
             random_out, _ = baselines.rmbn(dda.market(p1, real, req),
                                            np.random.default_rng(seed))

@@ -203,10 +203,12 @@ class TestRunTrials:
             for field in fields(want):
                 assert np.array_equal(getattr(got, field.name), getattr(want, field.name))
 
+    # each market asks concession_grids once; its cache hands both markets
+    # of a trial the one Grids
     @pytest.mark.parametrize("algos, builds", [
         (("dda-complete", "centralized", "centralized-su", "rmbn"),
          {"complete": 1, "grids": 1}),
-        (bench.ALGO_TAGS, {"complete": 1, "partial": 1, "grids": 1}),
+        (bench.ALGO_TAGS, {"complete": 1, "partial": 1, "grids": 2}),
     ])
     def test_one_market_per_trial(self, small_params, monkeypatch, algos, builds):
         counts = Counter()

@@ -187,6 +187,14 @@ class TestSweepCommand:
         assert lines[1].split(",")[2] == "epsilon"
         assert lines[2].split(",")[3] == "0.8"
 
+    @pytest.mark.parametrize("value", ["inf", "1e400", "nan", "2.5"])
+    def test_a_non_integer_relay_count_exits_one(self, value, capsys):
+        code, out, err = run_cli(["sweep", "--trials", "2", "--axis", "l_su",
+                                  "--values", value], capsys)
+        assert code == 1
+        assert f"error: l_su sweep value {float(value)!r} is not an integer" in err
+        assert "Traceback" not in err and out == ""
+
 
 class TestVerifyCommand:
     def test_clean_run_summarizes_ok(self, capsys):

@@ -263,7 +263,7 @@ class TestEngineMechanics:
 
     def test_stepping_matches_run(self, default_params):
         real = topology.make_realization(default_params, 17)
-        req = radio.requirements_for(default_params, real.snr)
+        req = radio.requirements_for(default_params, real)
         state = dda.init_state(dda.market(default_params, real, req))
         while state.queue:
             dda.step(state)
@@ -274,7 +274,7 @@ class TestEngineMechanics:
 
     def test_step_is_a_noop_once_terminal(self, default_params):
         real = topology.make_realization(default_params, 17)
-        req = radio.requirements_for(default_params, real.snr)
+        req = radio.requirements_for(default_params, real)
         state = dda.init_state(dda.market(default_params, real, req))
         while state.queue:
             dda.step(state)
@@ -314,7 +314,7 @@ class TestEngineMechanics:
         real = handmade_realization(
             params, gamma_dir=[2.5, 2.5],
             gamma_pt_st=[[1.0], [1.0]], gamma_st_pr=[[1.0], [1.0]],
-            gamma_sr=[[3.0, 7.0]])
+            gamma_sr=[[3.0], [7.0]])
         return params, real
 
     def test_displacement_requeues_the_loser(self):
@@ -409,7 +409,7 @@ class TestLadderRule:
         for seed in range(40):
             real = topology.make_realization(params, seed)
             self._assert_equals_reference(
-                params, real, radio.requirements_for(params, real.snr))
+                params, real, radio.requirements_for(params, real))
 
     def test_equals_rebuilt_list_reference_on_mixed_markets(self):
         for i in range(60):
@@ -421,7 +421,7 @@ class TestLadderRule:
             })
             real = topology.make_realization(params, i)
             self._assert_equals_reference(
-                params, real, radio.requirements_for(params, real.snr))
+                params, real, radio.requirements_for(params, real))
 
     @pytest.mark.parametrize("knowledge, c_bar", [
         pytest.param("complete", 1.0, id="complete"),
@@ -433,7 +433,7 @@ class TestLadderRule:
         params = topology.params_from_dict(
             {"l_pu": 25, "l_su": 50, "snr_knowledge": knowledge, "c_bar": c_bar})
         real = topology.make_realization(params, 5)
-        req = radio.requirements_for(params, real.snr)
+        req = radio.requirements_for(params, real)
         self._assert_equals_reference(params, real, req)
         if c_bar > 1.0:
             # a heavy money weight ties utilities by rounding, so the row
@@ -458,12 +458,12 @@ class TestLadderRule:
         real = handmade_realization(
             params, gamma_dir=[0.0],
             gamma_pt_st=[[4.0, 20.0]], gamma_st_pr=[[15.0, 63.0]],
-            gamma_sr=[[3.0], [3.0]])
+            gamma_sr=[[3.0, 3.0]])
         rates = radio.make_pair_rates(params, real)
         assert rates.pu_coef.tolist() == [[1.0, 2.0]]
         money = rates.c_cost * 0.99
         assert rates.pu_coef[0, 0] * 0.99 + money == rates.pu_coef[0, 1] * 0.99 + money
-        req = radio.requirements_for(params, real.snr)
+        req = radio.requirements_for(params, real)
         _, trace = dda.run(params, real, req)
         assert trace.events[0][:3] == ("offer", 0, relay)
         self._assert_equals_reference(params, real, req)
@@ -506,10 +506,10 @@ class TestLadderRule:
         hops = [[2.0, 4.0, 4.0, 3.0, 4.0]] * 2
         real = handmade_realization(
             params, gamma_dir=[1.0, 1.0], gamma_pt_st=hops, gamma_st_pr=hops,
-            gamma_sr=[[3.0, 3.0], [3.0, 8.0], [3.0, 3.0], [3.0, 3.0], [3.0, 3.0]])
+            gamma_sr=[[3.0, 3.0, 3.0, 3.0, 3.0], [3.0, 8.0, 3.0, 3.0, 3.0]])
         coef = radio.make_pair_rates(params, real).pu_coef
         assert coef[0, 1] == coef[0, 2] == coef[0, 4] > coef[0, 3] > coef[0, 0]
-        req = radio.requirements_for(params, real.snr)
+        req = radio.requirements_for(params, real)
         _, trace = dda.run(params, real, req)
         offers = [e[2] for e in trace.events if e[0] == "offer"]
         assert len(offers) > 2 and set(offers) == {1}
@@ -529,13 +529,13 @@ class TestLadderRule:
         real = handmade_realization(
             params, gamma_dir=[0.0, 0.0],
             gamma_pt_st=[[1.0, 3.0, 7.0, 15.0, 0.001]] * 2,
-            gamma_st_pr=[[9.0] * 5] * 2, gamma_sr=[[3.0, 8.0]] * 5)
+            gamma_st_pr=[[9.0] * 5] * 2, gamma_sr=[[3.0] * 5, [8.0] * 5])
         rates = radio.make_pair_rates(params, real)
         coef = rates.pu_coef[0]
         assert coef[3] > coef[2] > coef[1] > coef[0] > coef[4]
         assert len({rates.pu_coef[0, q] * 1e-17 + rates.c_cost * 0.99 for q in range(5)}) == 1
         assert coef[4] * 1e-17 < 1e-18 < coef[0] * 1e-17
-        req = radio.requirements_for(params, real.snr)
+        req = radio.requirements_for(params, real)
         _, trace = dda.run(params, real, req)
         offers = [e[2] for e in trace.events if e[0] == "offer"]
         assert len(offers) > 2 and set(offers) == {0}
@@ -810,7 +810,7 @@ class TestContractRule:
         real = handmade_realization(
             params, gamma_dir=[2.5, 2.5],
             gamma_pt_st=[[1.0], [1.0]], gamma_st_pr=[[1.0], [1.0]],
-            gamma_sr=[[3.0, 15.0]])
+            gamma_sr=[[3.0], [15.0]])
         return params, real
 
     def test_two_users_compete_for_one_relay(self, contest):
@@ -839,7 +839,7 @@ class TestContractRule:
         ]
         assert trace.offers == 5 and trace.packets == 10
         assert trace.puu_counts.tolist() == [2, 2]
-        req = radio.requirements_for(params, real.snr)
+        req = radio.requirements_for(params, real)
         assert verify.is_stable(outcome, real, req, params).stable
 
     @pytest.mark.parametrize("overrides", [{}, {"l_pu": 3, "l_su": 3}, {"l_pu": 6, "l_su": 2}])
@@ -981,7 +981,7 @@ class TestContractRule:
 
         for seed in range(15):
             real = topology.make_realization(params, seed)
-            req = radio.requirements_for(params, real.snr)
+            req = radio.requirements_for(params, real)
             rates = radio.make_pair_rates(params, real)
             outcome, _ = dda.run(params, real, req)
             mine = licensed_utilities(outcome, rates)
@@ -1039,7 +1039,7 @@ class TestContractRule:
         gains = 0
         for seed in range(100):
             real = topology.make_realization(params, seed)
-            req = radio.requirements_for(params, real.snr)
+            req = radio.requirements_for(params, real)
             rates = radio.make_pair_rates(params, real)
             full = verify.pu_utilities(dda.run(params, real, req)[0], rates)
             for q in range(params.l_su):
@@ -1062,7 +1062,7 @@ class TestContractRule:
         contracts the same market hurts no one."""
         params = topology.params_from_dict({"l_pu": 3, "l_su": 4, "seed": 3})
         real = topology.make_realization(params, params.seed)
-        req = radio.requirements_for(params, real.snr)
+        req = radio.requirements_for(params, real)
         fewer, smaller = without_relay(params, real, 1)
         utilities = {}
         for negotiation in ("ladder", "contracts"):
@@ -1094,7 +1094,7 @@ class TestContractRule:
         grids = dda.concession_grids(params)
         for seed in range(40):
             real = topology.make_realization(params, seed)
-            req = radio.requirements_for(params, real.snr)
+            req = radio.requirements_for(params, real)
             outcome, _ = dda.run(params, real, req)
             rates = radio.make_pair_rates(params, real)
             assert self._matches(outcome) == contract_deferred_acceptance(
@@ -1109,7 +1109,7 @@ class TestContractRule:
                 "negotiation": "contracts",
             })
             real = topology.make_realization(params, i)
-            req = radio.requirements_for(params, real.snr)
+            req = radio.requirements_for(params, real)
             outcome, trace = dda.run(params, real, req)
             rates = radio.make_pair_rates(params, real)
             assert self._matches(outcome) == contract_deferred_acceptance(
@@ -1123,7 +1123,7 @@ def test_default_scenario_invariants(default_params):
     grids = dda.concession_grids(default_params)
     for seed in range(30):
         real = topology.make_realization(default_params, seed)
-        req = radio.requirements_for(default_params, real.snr)
+        req = radio.requirements_for(default_params, real)
         rates = radio.make_pair_rates(default_params, real)
         outcome, trace = dda.run(default_params, real, req)
 

@@ -38,9 +38,9 @@ def three_relay_setup(**overrides):
         gamma_dir=[0.0],
         gamma_pt_st=first,
         gamma_st_pr=second,
-        gamma_sr=[[3.0], [15.0], [255.0]],
+        gamma_sr=[[3.0, 15.0, 255.0]],
     )
-    return params, real, radio.requirements_for(params, real.snr)
+    return params, real, radio.requirements_for(params, real)
 
 
 def two_user_contest(gamma_sr, **overrides):
@@ -55,7 +55,7 @@ def two_user_contest(gamma_sr, **overrides):
     real = handmade_realization(
         params, gamma_dir=[2.5, 2.5],
         gamma_pt_st=[[1.0], [1.0]], gamma_st_pr=[[1.0], [1.0]],
-        gamma_sr=[gamma_sr])
+        gamma_sr=[[g] for g in gamma_sr])
     return params, real
 
 
@@ -69,7 +69,7 @@ def market_draws(default_params):
     for params in (default_params, partial):
         for seed in range(10):
             real = topology.make_realization(params, seed)
-            yield params, real, radio.requirements_for(params, real.snr)
+            yield params, real, radio.requirements_for(params, real)
 
 
 class TestLicensedSideList:
@@ -101,7 +101,7 @@ class TestLicensedSideList:
         real = handmade_realization(
             params, gamma_dir=[1.0],
             gamma_pt_st=[[2.0, 2.0]], gamma_st_pr=[[5.0, 5.0]],
-            gamma_sr=[[1.0], [9.0]])
+            gamma_sr=[[1.0, 9.0]])
         # equal licensed slopes; relay 1 would pay more, but the licensed
         # side ranks by its own utility alone
         assert first_event(params, real)[:3] == ("offer", 0, 0)
@@ -200,8 +200,8 @@ class TestChallengeRule:
         real = handmade_realization(
             params, gamma_dir=[2.5, 2.5],
             gamma_pt_st=[[1.0], [1.0]], gamma_st_pr=[[1.0], [1.0]],
-            gamma_sr=[[15.0, 3.0]])
-        req = radio.requirements_for(params, real.snr)
+            gamma_sr=[[15.0], [3.0]])
+        req = radio.requirements_for(params, real)
         state = dda.init_state(dda.market(params, real, req))
         rates = state.market.rates
         su_rate = rates.su_coef[:, 0] * (1.0 - 0.8)

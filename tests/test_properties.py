@@ -128,7 +128,7 @@ class TestEngineInvariants:
     @given(small_scenarios())
     def test_runs_are_well_formed_bounded_and_stable(self, params):
         realization = topology.make_realization(params, params.seed)
-        requirements = radio.requirements_for(params, realization.snr)
+        requirements = radio.requirements_for(params, realization)
         outcome, trace = dda.run(params, realization, requirements)
 
         assert_outcome_well_formed(outcome, params.l_pu, params.l_su)

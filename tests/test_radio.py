@@ -55,7 +55,7 @@ class TestRatesOnHandmadeChannels:
 
     def test_composite_snr(self, pair):
         _, real = pair
-        assert real.snr.gamma_relay[0, 0] == pytest.approx(10.0 / 11.0)
+        assert real.gamma_relay[0, 0] == pytest.approx(10.0 / 11.0)
 
     def test_licensed_rate(self, pair):
         params, real = pair
@@ -91,7 +91,7 @@ class TestRatesOnHandmadeChannels:
         # the default licensed floor is T log2(1 + 1)
         params, real = single_pair_scenario(
             gamma_dir=1.0, gamma_relay_hops=(2.0, 5.0), gamma_sr=3.0)
-        req = radio.requirements_for(params, real.snr)
+        req = radio.requirements_for(params, real)
         assert req.r_pu_req[0] == pytest.approx(1.0)
 
     def test_money_weights_scale_utilities(self):
@@ -107,29 +107,28 @@ class TestRatesOnHandmadeChannels:
 
 class TestPairRates:
     def test_slopes_reproduce_pointwise_rates(self, default_params):
-        # the closed forms restated from the SNRs, gamma_sr read as [q, l]
+        # the closed forms restated from the SNRs
         real = topology.make_realization(default_params, 9)
         rates = radio.make_pair_rates(default_params, real)
-        snr = real.snr
         for l in range(default_params.l_pu):
             for q in range(default_params.l_su):
                 for beta in (0.2, 0.7, 0.99):
                     assert rates.pu_coef[l, q] * beta == pytest.approx(
-                        0.5 * beta * np.log2(1 + snr.gamma_dir[l] + snr.gamma_relay[l, q]))
+                        0.5 * beta * np.log2(1 + real.gamma_dir[l] + real.gamma_relay[l, q]))
                     assert rates.su_coef[l, q] * (1.0 - beta) == pytest.approx(
-                        (1 - beta) * np.log2(1 + snr.gamma_sr[q, l]))
+                        (1 - beta) * np.log2(1 + real.gamma_sr[l, q]))
 
-    def test_relay_slopes_read_gamma_sr_as_relay_by_band(self):
-        # relay 0 sees SNR 3 in band 0 and 15 in band 1; relay 1 sees 255
-        # and 1: su_coef[l, q] must be log2(1 + gamma_sr[q, l])
+    def test_relay_slopes_read_gamma_sr_as_band_by_relay(self):
+        # band 0 gives relays 0, 1 and 2 the SNRs 3, 15 and 255, band 1
+        # gives them 1, 7 and 31: su_coef[l, q] must be log2(1 + gamma_sr[l, q])
         params = topology.params_from_dict({
-            "l_pu": 2, "l_su": 2, "gamma_pu_db": 0.0, "gamma_su_db": 0.0,
+            "l_pu": 2, "l_su": 3, "gamma_pu_db": 0.0, "gamma_su_db": 0.0,
             "r_pu_req": [0.1, 0.1]})
         real = handmade_realization(
-            params, gamma_dir=[1.0, 1.0], gamma_pt_st=np.ones((2, 2)),
-            gamma_st_pr=np.ones((2, 2)), gamma_sr=[[3.0, 15.0], [255.0, 1.0]])
+            params, gamma_dir=[1.0, 1.0], gamma_pt_st=np.ones((2, 3)),
+            gamma_st_pr=np.ones((2, 3)), gamma_sr=[[3.0, 15.0, 255.0], [1.0, 7.0, 31.0]])
         rates = radio.make_pair_rates(params, real)
-        assert rates.su_coef.tolist() == [[2.0, 8.0], [4.0, 1.0]]
+        assert rates.su_coef.tolist() == [[2.0, 4.0, 8.0], [1.0, 3.0, 5.0]]
 
     def test_partial_mode_needs_precomputed_terms(self, default_params):
         real = topology.make_realization(default_params, 9)
@@ -150,8 +149,7 @@ class TestPairRates:
             p = topology.params_from_dict({"l_pu": l_pu, "l_su": l_su, "t_frame": 0.7,
                                            "snr_knowledge": "partial", "af_formula": formula})
             real = topology.make_realization(p, 5)
-            inputs = [real.partial_mean_log, real.snr.gamma_dir, real.snr.gamma_relay,
-                      real.snr.gamma_sr]
+            inputs = [real.partial_mean_log, real.gamma_dir, real.gamma_relay, real.gamma_sr]
             before = [a.copy() for a in inputs]
             for knowledge in ("complete", "partial"):
                 rates = radio.make_pair_rates(replace(p, snr_knowledge=knowledge), real)
@@ -160,12 +158,11 @@ class TestPairRates:
                     assert not np.shares_memory(a, rates.pu_coef)
                     assert not np.shares_memory(a, rates.su_coef)
                 # the slopes restated out of place, bit for bit
-                snr = real.snr
-                log_term = (np.log1p(snr.gamma_dir[:, None] + snr.gamma_relay) / math.log(2.0)
+                log_term = (np.log1p(real.gamma_dir[:, None] + real.gamma_relay) / math.log(2.0)
                             if knowledge == "complete" else real.partial_mean_log)
                 assert rates.pu_coef.tobytes() == (0.5 * 0.7 * log_term).tobytes()
                 assert rates.su_coef.tobytes() == (
-                    0.7 * (np.log1p(snr.gamma_sr.T) / math.log(2.0))).tobytes()
+                    0.7 * (np.log1p(real.gamma_sr) / math.log(2.0))).tobytes()
 
     def test_partial_slope_close_to_complete_on_average(self):
         # expectation over the forward hop should track the realized slope
@@ -269,16 +266,16 @@ class TestExpectedRate:
 class TestRequirements:
     def test_default_floor_is_the_unassisted_rate(self, default_params):
         real = topology.make_realization(default_params, 2)
-        req = radio.requirements_for(default_params, real.snr)
+        req = radio.requirements_for(default_params, real)
         for l in range(default_params.l_pu):
             assert req.r_pu_req[l] == pytest.approx(
-                np.log2(1 + real.snr.gamma_dir[l]))
+                np.log2(1 + real.gamma_dir[l]))
         assert req.r_su_req == 0.1
 
     def test_explicit_floors_pass_through(self):
         p = topology.params_from_dict({"r_pu_req": [0.4, 0.6]})
         real = topology.make_realization(p, 2)
-        req = radio.requirements_for(p, real.snr)
+        req = radio.requirements_for(p, real)
         assert np.array_equal(req.r_pu_req, [0.4, 0.6])
 
     def test_explicit_floor_shape_checked(self):
@@ -294,7 +291,7 @@ class TestThresholds:
             gamma_dir=2.5, gamma_relay_hops=(1.0, 1.0), gamma_sr=3.0,
             r_pu_req=[0.3], r_su_req=0.2)
         rates = radio.make_pair_rates(params, real)
-        req = radio.requirements_for(params, real.snr)
+        req = radio.requirements_for(params, real)
         # slopes are exactly 1 and 2, so the box is exact
         lo, hi = radio.beta_interval(rates, req)
         assert (lo[0, 0], hi[0, 0]) == (pytest.approx(0.3), pytest.approx(0.9))
@@ -310,7 +307,7 @@ class TestThresholds:
             gamma_dir=2.5, gamma_relay_hops=(1.0, 1.0), gamma_sr=3.0,
             r_pu_req=[1.3], r_su_req=0.2)
         rates = radio.make_pair_rates(params, real)
-        req = radio.requirements_for(params, real.snr)
+        req = radio.requirements_for(params, real)
         lo, hi = radio.beta_interval(rates, req)
         assert lo[0, 0] > hi[0, 0]
         feasible, _, _, _ = baselines.pair_optimum_continuous(rates, req)
@@ -321,7 +318,7 @@ class TestThresholds:
         # the concession bounds read the matrix's row minima
         real = topology.make_realization(default_params, 13)
         rates = radio.make_pair_rates(default_params, real)
-        req = radio.requirements_for(default_params, real.snr)
+        req = radio.requirements_for(default_params, real)
         lo, hi = radio.beta_interval(rates, req)
         assert lo.shape == hi.shape == (default_params.l_pu, default_params.l_su)
         for l in range(default_params.l_pu):

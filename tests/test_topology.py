@@ -154,40 +154,65 @@ class TestPlacement:
             gaps = np.linalg.norm(pl.st_pos - pl.sr_pos, axis=1)
             assert np.min(gaps) >= 1e-6
 
+    def test_a_relay_pair_exactly_at_the_separation_floor_is_kept(self):
+        # scripted draws: the first relay pair lies 1e-6 apart and is kept,
+        # the second lies closer and is redrawn as the third
+        params = topology.params_from_dict({"l_pu": 1, "l_su": 1})
+
+        class Scripted:
+            def __init__(self, draws):
+                self.draws = iter(draws)
+
+            def uniform(self, lo, hi, shape):
+                return np.reshape(next(self.draws), shape)
+
+        pl = topology.place_users(params, Scripted([[0.0], [[0.0, 0.0]], [[1e-6, 0.0]]]))
+        assert pl.sr_pos.tolist() == [[1e-6, 0.0]]
+        pl = topology.place_users(params, Scripted([[0.0], [[0.0, 0.0]], [[5e-7, 0.0]],
+                                                    [0.0], [[0.0, 0.0]], [[0.5, 0.0]]]))
+        assert pl.sr_pos.tolist() == [[0.5, 0.0]]
+
 
 class TestChannels:
     def test_shapes_and_signs(self, default_params):
         real = topology.make_realization(default_params, 7)
         l, q = default_params.l_pu, default_params.l_su
-        snr = real.snr
-        assert snr.gamma_dir.shape == (l,)
-        assert snr.gamma_relay.shape == (l, q)
-        assert snr.gamma_sr.shape == (q, l)
-        for arr in dataclasses.astuple(snr):
+        assert real.gamma_dir.shape == (l,)
+        assert real.gamma_relay.shape == real.gamma_sr.shape == (l, q)
+        for arr in (real.gamma_dir, real.gamma_relay, real.gamma_sr):
             assert np.all(arr > 0.0)
         # the paper form saturates below one
-        assert np.all(snr.gamma_relay < 1.0)
+        assert np.all(real.gamma_relay < 1.0)
+        # every per-pair array is [l, q], whatever the shape and knowledge mode
+        for l, q in ((3, 5), (6, 2)):
+            for knowledge in ("complete", "partial"):
+                real = topology.make_realization(topology.params_from_dict(
+                    {"l_pu": l, "l_su": q, "snr_knowledge": knowledge}), 7)
+                pairs = [real.gamma_relay, real.gamma_sr]
+                if knowledge == "partial":
+                    pairs.append(real.partial_mean_log)
+                assert [a.shape for a in pairs] == [(l, q)] * len(pairs)
 
     def test_relay_pair_channel_varies_per_band_by_default(self, default_params):
         # a relay pair's own distance is one for every band, so the bands'
         # SNRs differ by their fading alone
         real = topology.make_realization(default_params, 11)
         assert default_params.l_pu > 1
-        assert not np.allclose(real.snr.gamma_sr[:, 0], real.snr.gamma_sr[:, 1])
+        assert not np.allclose(real.gamma_sr[0], real.gamma_sr[1])
 
     def test_same_seed_reproduces(self, default_params):
         a = topology.make_realization(default_params, 42)
         b = topology.make_realization(default_params, 42)
-        assert np.array_equal(a.snr.gamma_relay, b.snr.gamma_relay)
+        assert np.array_equal(a.gamma_relay, b.gamma_relay)
         assert np.array_equal(a.placement.st_pos, b.placement.st_pos)
         c = topology.make_realization(default_params, 43)
-        assert not np.array_equal(a.snr.gamma_relay, c.snr.gamma_relay)
+        assert not np.array_equal(a.gamma_relay, c.gamma_relay)
 
     def test_int_seed_equals_seed_sequence(self, default_params):
         a = topology.make_realization(default_params, 5)
         b = topology.make_realization(default_params, np.random.SeedSequence(5))
-        assert np.array_equal(a.snr.gamma_sr, b.snr.gamma_sr)
-        assert np.array_equal(a.snr.gamma_relay, b.snr.gamma_relay)
+        assert np.array_equal(a.gamma_sr, b.gamma_sr)
+        assert np.array_equal(a.gamma_relay, b.gamma_relay)
 
     def test_direct_snr_mean_matches_link_budget(self, default_params):
         # 5 dB transmit SNR over a fixed distance-2 path with unit-mean
@@ -196,7 +221,7 @@ class TestChannels:
         draws = []
         for s in range(400):
             real = topology.make_realization(default_params, s)
-            draws.extend(real.snr.gamma_dir.tolist())
+            draws.extend(real.gamma_dir.tolist())
         assert np.mean(draws) == pytest.approx(expected, rel=0.1)
 
     def test_partial_mode_precomputes_expected_terms(self):
@@ -258,7 +283,7 @@ class TestChannels:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert real.snr.gamma_relay.shape == (100, 200)
+        assert real.gamma_relay.shape == (100, 200)
         assert peak < 1.2e6, peak
 
 
@@ -273,9 +298,9 @@ class TestGoldenRealization:
     @staticmethod
     def _arrays(real):
         yield from dataclasses.astuple(real.placement)
-        yield real.snr.gamma_dir
-        yield real.snr.gamma_relay
-        yield real.snr.gamma_sr
+        yield real.gamma_dir
+        yield real.gamma_relay
+        yield real.gamma_sr.T   # the draw's [q, l] order, which the digest was recorded in
         if real.partial_mean_log is not None:
             yield real.partial_mean_log
 
@@ -301,9 +326,9 @@ class TestGoldenRealization:
         for seed in range(seeds):
             real = topology.make_realization(params, seed)
             want = reference_draw(params, seed)
-            pl, snr = real.placement, real.snr
+            pl = real.placement
             for name in ("pt_pos", "pr_pos", "st_pos", "sr_pos"):
                 assert getattr(pl, name).tobytes() == getattr(want, name).tobytes(), name
             for name in ("gamma_dir", "gamma_relay", "gamma_sr"):
-                assert getattr(snr, name).tobytes() == getattr(want, name).tobytes(), name
+                assert getattr(real, name).tobytes() == getattr(want, name).tobytes(), name
             assert np.all(want.d_pt_pr == 2.0)

@@ -40,8 +40,8 @@ def two_by_two():
         params, gamma_dir=[0.0, 0.0],
         gamma_pt_st=[[4.0, 20.0], [4.0, 20.0]],
         gamma_st_pr=[[15.0, 63.0], [15.0, 63.0]],
-        gamma_sr=[[3.0, 3.0], [15.0, 15.0]])
-    req = radio.requirements_for(params, real.snr)
+        gamma_sr=[[3.0, 15.0], [3.0, 15.0]])
+    req = radio.requirements_for(params, real)
     return params, real, req
 
 
@@ -57,7 +57,7 @@ def tiny_markets():
             "delta": 0.5, "epsilon": 0.25, **overrides})
         for seed in range(4):
             real = topology.make_realization(params, seed)
-            yield params, real, radio.requirements_for(params, real.snr)
+            yield params, real, radio.requirements_for(params, real)
 
 
 def tie_markets():
@@ -77,7 +77,7 @@ def tie_markets():
             "delta": delta, "epsilon": epsilon, **overrides})
         for seed in range(seeds):
             real = topology.make_realization(params, seed)
-            yield params, real, radio.requirements_for(params, real.snr)
+            yield params, real, radio.requirements_for(params, real)
     yield two_by_two()
     yield zero_relay_slope(0.0)
     yield zero_relay_slope(0.1)
@@ -96,7 +96,7 @@ def corner_markets():
                 "delta": step, "epsilon": step, **overrides})
             for seed in range(2):
                 real = topology.make_realization(params, seed)
-                yield params, real, radio.requirements_for(params, real.snr)
+                yield params, real, radio.requirements_for(params, real)
 
 
 def oracle_markets():
@@ -135,8 +135,8 @@ def zero_relay_slope(r_su):
         params, gamma_dir=[0.0, 0.0],
         gamma_pt_st=[[4.0, 20.0, 9.0], [4.0, 20.0, 9.0]],
         gamma_st_pr=[[15.0, 63.0, 9.0], [15.0, 63.0, 9.0]],
-        gamma_sr=[[3.0, 3.0], [15.0, 15.0], [0.0, 0.0]])
-    return params, real, radio.requirements_for(params, real.snr)
+        gamma_sr=[[3.0, 15.0, 0.0], [3.0, 15.0, 0.0]])
+    return params, real, radio.requirements_for(params, real)
 
 
 def audit_corpus(seeds=None):
@@ -155,7 +155,7 @@ def audit_corpus(seeds=None):
         params = topology.params_from_dict(overrides)
         for seed in range(count if seeds is None else min(count, seeds)):
             real = topology.make_realization(params, seed)
-            markets.append((params, real, radio.requirements_for(params, real.snr), seed))
+            markets.append((params, real, radio.requirements_for(params, real), seed))
     markets += [(*zero_relay_slope(r_su), 0) for r_su in (0.0, 0.1)]
     for params, real, req, seed in markets:
         grids = dda.concession_grids(params)
@@ -201,7 +201,7 @@ class TestStabilityAudit:
     def test_engine_outcomes_audit_clean(self, default_params):
         for seed in range(30):
             real = topology.make_realization(default_params, seed)
-            req = radio.requirements_for(default_params, real.snr)
+            req = radio.requirements_for(default_params, real)
             outcome, _ = dda.run(default_params, real, req)
             report = verify.is_stable(outcome, real, req, default_params)
             assert report.stable, report.describe()
@@ -302,7 +302,7 @@ class TestStabilityAudit:
         [pairs x time grid] prefilter broadcast peaks near 12 MB here."""
         params = topology.params_from_dict({"l_pu": 100, "l_su": 200})
         real = topology.make_realization(params, 0)
-        req = radio.requirements_for(params, real.snr)
+        req = radio.requirements_for(params, real)
         outcome, _ = dda.run(params, real, req)
         tracemalloc.start()
         try:
@@ -320,7 +320,7 @@ class TestStabilityAudit:
         params = topology.params_from_dict(
             {"l_pu": 100, "l_su": 200, "negotiation": "contracts"})
         real = topology.make_realization(params, 0)
-        req = radio.requirements_for(params, real.snr)
+        req = radio.requirements_for(params, real)
         outcome, _ = dda.run(params, real, req)
         seen = self.check_every_prefilter(monkeypatch)
         verify.is_stable(outcome, real, req, params)
@@ -424,7 +424,7 @@ class TestStabilityAudit:
         negotiation already conceded past are not offers anyone can still
         make, and the audit must honor that."""
         real = topology.make_realization(default_params, 0)
-        req = radio.requirements_for(default_params, real.snr)
+        req = radio.requirements_for(default_params, real)
         outcome, _ = dda.run(default_params, real, req)
         assert verify.is_stable(outcome, real, req, default_params).stable
         stripped = MatchingOutcome(*outcome.shape, outcome.matched_terms())
@@ -497,7 +497,7 @@ class TestGoldenAudit:
             params = topology.params_from_dict(overrides)
             for seed in range(seeds):
                 real = topology.make_realization(params, seed)
-                self._audit(digest, params, real, radio.requirements_for(params, real.snr))
+                self._audit(digest, params, real, radio.requirements_for(params, real))
         oracle = topology.params_from_dict(cli.ORACLE_SCENARIO)
         enumerable = [*tiny_markets(), *((oracle, *cli._instance(oracle, i))
                                          for i in range(12))]
@@ -590,7 +590,7 @@ class TestEnumeration:
             "l_pu": 3, "l_su": 3, "xi_init": 1.0, "beta_init": 1.0,
             "delta": 0.2, "epsilon": 0.2})
         real = topology.make_realization(params, 1)
-        req = radio.requirements_for(params, real.snr)
+        req = radio.requirements_for(params, real)
         tracemalloc.start()
         try:
             stable = verify.enumerate_stable_matchings(real, req, params)
@@ -605,14 +605,14 @@ class TestEnumeration:
             "l_pu": 2, "l_su": 4,
             "xi_init": 1.0, "beta_init": 1.0, "delta": 0.25, "epsilon": 0.25})
         real = topology.make_realization(p, 0)
-        req = radio.requirements_for(p, real.snr)
+        req = radio.requirements_for(p, real)
         with pytest.raises(GuardError, match="sides"):
             verify.enumerate_stable_matchings(real, req, p)
 
     def test_grid_guard(self, default_params):
         # default 0.05 steps put twenty points on each axis
         real = topology.make_realization(default_params, 0)
-        req = radio.requirements_for(default_params, real.snr)
+        req = radio.requirements_for(default_params, real)
         small = topology.params_from_dict({"l_pu": 2, "l_su": 2})
         with pytest.raises(GuardError, match="grid"):
             verify.enumerate_stable_matchings(real, req, small)
@@ -628,7 +628,7 @@ class TestWeakPareto:
         seen_fail = False
         for seed in range(10):
             real = topology.make_realization(tiny_params, seed)
-            req = radio.requirements_for(tiny_params, real.snr)
+            req = radio.requirements_for(tiny_params, real)
             outcome, _ = dda.run(tiny_params, real, req)
             ok, witness = verify.check_weak_pareto(outcome, real, req, tiny_params)
             if ok:
@@ -648,7 +648,7 @@ class TestWeakPareto:
         # licensed users chase the same relay, and the loser's ladder burns
         # past the terms its alternative partner would have taken.
         real = topology.make_realization(tiny_params, 0)
-        req = radio.requirements_for(tiny_params, real.snr)
+        req = radio.requirements_for(tiny_params, real)
         outcome, _ = dda.run(tiny_params, real, req)
         ok, witness = verify.check_weak_pareto(outcome, real, req, tiny_params)
         assert not ok
@@ -717,7 +717,7 @@ class TestWeakPareto:
                  "c_bar": c_bar})
             for seed in range(15):
                 real = topology.make_realization(params, seed)
-                req = radio.requirements_for(params, real.snr)
+                req = radio.requirements_for(params, real)
                 market = dda.market(params, real, req)
                 rates = market.rates
                 outcomes = [dda.negotiate(market)[0],
@@ -829,7 +829,7 @@ class TestBounds:
 
     def test_per_user_bounds_are_integers_with_slack(self, default_params):
         real = topology.make_realization(default_params, 2)
-        req = radio.requirements_for(default_params, real.snr)
+        req = radio.requirements_for(default_params, real)
         bounds = verify.per_pu_puu_bounds(default_params, real, req)
         assert bounds.shape == (default_params.l_pu,)
         assert bounds.dtype.kind == "i"
@@ -842,7 +842,7 @@ class TestBounds:
 
     def test_packet_bound_is_the_largest_user_ceiling_per_round(self, default_params):
         real = topology.make_realization(default_params, 2)
-        req = radio.requirements_for(default_params, real.snr)
+        req = radio.requirements_for(default_params, real)
         # 2 + max(2, 6) messages a round, for the largest user's concession
         # steps down to its lowest working time share, rounded up, plus one
         p = default_params
@@ -866,7 +866,7 @@ class TestBounds:
     def test_negotiated_runs_respect_the_bounds(self, default_params):
         for seed in range(20):
             real = topology.make_realization(default_params, seed)
-            req = radio.requirements_for(default_params, real.snr)
+            req = radio.requirements_for(default_params, real)
             _, trace = dda.run(default_params, real, req)
             bounds = verify.per_pu_puu_bounds(default_params, real, req)
             assert np.all(trace.puu_counts <= bounds)
