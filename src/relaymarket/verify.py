@@ -3,9 +3,9 @@
 Covers matching stability (no blocked individual, no blocking pair),
 dominance over enumerated stable matchings, weak Pareto optimality,
 the concession-count and packet-count ceilings, and closed-form
-scaling estimates. Enumerative checks are guarded to tiny instances;
-everything here is a pure function of an outcome plus the scenario, and
-each check builds the draw's dda.Market (rates, floors, grids) on entry.
+scaling estimates. Enumeration is guarded to tiny instances; everything
+here is a pure function of an outcome plus the scenario, and each check
+builds the draw's dda.Market (rates, floors, grids) on entry.
 
 A pair blocks where radio.licensed_gain and radio.relay_gain (its bar
 the relay's held utility) both hold. is_stable alone needs each blocking
@@ -18,13 +18,12 @@ best price, to drop pairs that cannot block (_may_block), then one per
 price for the survivors' first witnesses, AUDIT_PAIRS survivors at a
 time.
 
-The grid candidates have one order (_candidate_plans). Enumeration needs
-a verdict only: it decides a plan's candidates together, one table per
-open pair over its users' term lists, read off the pair's trade frontier
-(its terms' licensed utilities sorted, with the best relay utility from
-each on). The weak-Pareto check builds no candidate but its witness: in
-that order the first dominating candidate takes, pair by pair, the first
-term that improves its licensed user.
+Enumeration needs a verdict only: it decides a plan's candidates
+together, one table per open pair over its users' term lists, read off
+the pair's trade frontier (its terms' licensed utilities sorted, with
+the best relay utility from each on). The weak-Pareto check walks no
+plan: whether an alternative dominates is one bipartite matching, which
+baselines._max_assignment decides at any size.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dda, radio
+from . import baselines, dda, radio
 from .dda import MatchingOutcome
 from .errors import GuardError
 
@@ -237,62 +236,44 @@ def _injective_maps(l_pu, l_su):
             yield assign
 
 
-def _candidate_plans(market):
-    """The one order of the grid candidates: (terms, plans).
-
-    terms[l, q] holds pair (l, q)'s individually acceptable grid terms as
-    (xi values, beta values) arrays, time share falling, then price, so
-    no candidate has a blocked individual. plans lists each assignment's
-    matched pairs in _injective_maps order, skipping any assignment with
-    a pair that has no terms. A plan's candidates vary like
-    itertools.product over its pairs' term lists, in licensed order.
-    """
-    rates, requirements, grids = market.rates, market.requirements, market.grids
-    l_pu, l_su = rates.pu_coef.shape
-    ls, qs = np.indices((l_pu, l_su))[..., None, None]
-    betas, xis = grids.beta_values[:, None], grids.xi_values
-    ok = (radio.licensed_gain(rates, requirements, ls, qs, -np.inf, betas, xis)
-          & radio.relay_gain(rates, requirements, ls, qs, -np.inf, betas, xis))
-    terms = {}
-    for l, q in np.ndindex(l_pu, l_su):
-        j, i = ok[l, q].nonzero()
-        terms[l, q] = (grids.xi_values[i], grids.beta_values[j])
-    plans = []
-    for assign in _injective_maps(l_pu, l_su):
-        pairs = [(l, q) for l, q in enumerate(assign) if q >= 0]
-        if all(len(terms[pair][0]) for pair in pairs):
-            plans.append(pairs)
-    return terms, plans
-
-
 def enumerate_stable_matchings(realization, requirements, params):
     """Every stable (matching, allocation) on the grids, by exhaustion.
 
     Tiny instances only; stability here is full-grid (candidates carry no
     negotiation history, so every allocation is a potential witness). A
-    pair's trades that meet both floors with a nonnegative relay utility
-    are its terms, so its frontier is its terms' licensed utilities sorted
-    with, from each on, the best relay utility: open pair (l, q) blocks iff
-    the frontier past what l holds beats what q holds, the strict tests of
-    licensed_gain and relay_gain. A plan's verdicts are one bool array over
-    its pairs' term lists, in itertools.product order; each open pair ORs
-    in its lookup along l's axis compared along q's, and a trade between
-    two unmatched users drops the whole plan.
+    pair's terms are its grid trades that meet both floors with a
+    nonnegative relay utility, time share falling, then price; plans run
+    in _injective_maps order, and a plan's candidates in itertools.product
+    order over its pairs' term lists. A pair's frontier is its terms'
+    licensed utilities sorted with, from each on, the best relay utility:
+    open pair (l, q) blocks iff the frontier past what l holds beats what
+    q holds, the strict tests of licensed_gain and relay_gain. A plan's
+    verdicts are one bool array over its pairs' term lists; each open pair
+    ORs in its lookup along l's axis compared along q's, and a trade
+    between two unmatched users drops the whole plan.
     """
     market = dda.market(params, realization, requirements)
     _check_enum_guard(params, market.grids)
-    rates = market.rates
+    rates, grids = market.rates, market.grids
     l_pu, l_su = rates.pu_coef.shape
-    terms, plans = _candidate_plans(market)
-    held, frontier = {}, {}
-    for (l, q), (xi, beta) in terms.items():
+    ls, qs = np.indices((l_pu, l_su))[..., None, None]
+    betas, xis = grids.beta_values[:, None], grids.xi_values
+    ok = (radio.licensed_gain(rates, market.requirements, ls, qs, -np.inf, betas, xis)
+          & radio.relay_gain(rates, market.requirements, ls, qs, -np.inf, betas, xis))
+    terms, held, frontier = {}, {}, {}
+    for l, q in np.ndindex(l_pu, l_su):
+        j, i = ok[l, q].nonzero()
+        terms[l, q] = xi, beta = grids.xi_values[i], grids.beta_values[j]
         held[l, q] = ul, ur = rates.licensed(beta, xi, l, q)[1], rates.relay(beta, xi, l, q)[1]
         if len(xi):   # a pair with no terms has no trade to block with
             order = ul.argsort()
             best = np.maximum.accumulate(ur[order[::-1]])[::-1]
             frontier[l, q] = ul[order], np.append(best, -np.inf)
     stable = []
-    for pairs in plans:
+    for assign in _injective_maps(l_pu, l_su):
+        pairs = [(l, q) for l, q in enumerate(assign) if q >= 0]
+        if not all(len(terms[pair][0]) for pair in pairs):
+            continue
         blocked = np.zeros([len(terms[pair][0]) for pair in pairs], dtype=bool)
         pu_held, su_held = {}, {}   # what each matched user holds, along its pair's axis
         for k, (l, q) in enumerate(pairs):
@@ -332,39 +313,50 @@ def pu_utilities(outcome, rates):
 def check_weak_pareto(outcome, realization, requirements, params):
     """No feasible alternative strictly improves every matched licensed user.
 
-    Quantifies over the users the outcome actually matched; an empty
-    matching passes vacuously. Returns (True, None) or (False, witness
-    outcome) with the first strictly-dominating alternative in
-    _candidate_plans order. A plan dominates when every matched user has
-    a pair in it with a term worth more than the user's base (a user the
-    plan leaves unmatched holds 0.0); as candidates run in lexicographic
-    order, its first dominating candidate takes the first such term for
-    each matched user and the first term for everyone else, and it is the
-    only candidate built. Raises ValueError when the outcome's shape is not
-    the market's.
+    Quantifies over the users the outcome matched; an empty matching
+    passes vacuously, and a user holding less than 0.0 gains by going
+    unmatched. Each pair picks its terms on its own, so an alternative
+    dominates iff the other matched users each get a relay of their own
+    with an acceptable grid term worth more than they hold: one covering
+    matching, which baselines._max_assignment finds. Returns (True, None)
+    or (False, witness outcome), the first dominating candidate in
+    enumeration order: each of those users in turn on the lowest relay
+    that leaves the rest coverable, at its first improving term, and
+    everyone else unmatched. Raises ValueError when the outcome's shape is
+    not the market's.
     """
     _check_shape(outcome, (params.l_pu, params.l_su))
     market = dda.market(params, realization, requirements)
-    _check_enum_guard(params, market.grids)
     matched = [l for l, _ in outcome.matched_pairs()]
     if not matched:
         return True, None
-    rates = market.rates
+    rates, grids = market.rates, market.grids
     base = pu_utilities(outcome, rates).tolist()
-    terms, plans = _candidate_plans(market)
-    first = {}   # pair -> index of the first term its user takes, None if none
-    for (l, q), (xi, beta) in terms.items():
-        bar = base[l] if l in matched else -np.inf
-        better = radio.licensed_gain(rates, market.requirements, l, q, bar, beta, xi).nonzero()[0]
-        first[l, q] = int(better[0]) if len(better) else None
-    for pairs in plans:
-        held = {l for l, _ in pairs}
-        if (all(first[pair] is not None for pair in pairs)
-                and all(l in held or 0.0 > base[l] for l in matched)):
-            return False, MatchingOutcome(*rates.pu_coef.shape, [
-                (l, q, terms[l, q][0].item(first[l, q]), terms[l, q][1].item(first[l, q]))
-                for l, q in pairs])
-    return True, None
+    users = [l for l in matched if not 0.0 > base[l]]
+    qs = np.arange(params.l_su)[:, None, None]
+    betas, xis = grids.beta_values[:, None], grids.xi_values
+    edges = np.zeros((len(users), params.l_su), dtype=bool)
+    first = np.zeros(edges.shape, dtype=int)   # each edge's first improving term, [beta, xi] flat
+    for k, l in enumerate(users):
+        hit = (radio.licensed_gain(rates, market.requirements, l, qs, base[l], betas, xis)
+               & radio.relay_gain(rates, market.requirements, l, qs, -np.inf, betas, xis))
+        edges[k], first[k] = hit.any(axis=(1, 2)), hit.reshape(params.l_su, -1).argmax(axis=1)
+
+    def covered(k, free):   # users k on each get a free relay of their own
+        ok = edges[k:] & free
+        return not len(ok) or len(baselines._max_assignment(ok * 1.0, ok)) == len(ok)
+
+    free = np.ones(params.l_su, dtype=bool)
+    if not covered(0, free):
+        return True, None
+    terms = []
+    for k, l in enumerate(users):
+        q = next(q for q in (edges[k] & free).nonzero()[0].tolist()
+                 if covered(k + 1, free & (np.arange(params.l_su) != q)))
+        free[q] = False
+        j, i = divmod(first.item(k, q), len(grids.xi_values))
+        terms.append((l, q, grids.xi_values.item(i), grids.beta_values.item(j)))
+    return False, MatchingOutcome(params.l_pu, params.l_su, terms)
 
 
 def _concession_budgets(params, realization, requirements):

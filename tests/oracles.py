@@ -143,6 +143,41 @@ def grid_candidates(rates, requirements, grids):
     return found
 
 
+def weak_pareto_reference(outcome, rates, requirements, grids):
+    """The first alternative that strictly improves every matched licensed
+    user, as (l, q, xi, beta) terms, or None when there is none.
+
+    A user holding less than 0.0 is improved by being left unmatched, so
+    only the others need a pair. Per such user and relay, a plain float
+    loop finds the first grid term, time share falling, then price, that
+    meets both floors with a nonnegative relay utility and pays the user
+    more than it holds. The users' relays then run over
+    itertools.permutations, whose lexicographic order is the order of the
+    assignments with every other user unmatched.
+    """
+    l_su = rates.pu_coef.shape[1]
+    held = {l: rates.pu_coef[l, q] * beta + rates.c_cost * xi
+            for l, q, xi, beta in outcome.matched_terms()}
+    if not held:
+        return None
+    users = [l for l in sorted(held) if held[l] >= 0.0]
+    first = {}
+    for l in users:
+        for q in range(l_su):
+            first[l, q] = next((
+                (xi, beta)
+                for beta in grids.beta_values.tolist()
+                for xi in grids.xi_values.tolist()
+                if rates.pu_coef[l, q] * beta >= requirements.r_pu_req[l]
+                and rates.su_coef[l, q] * (1.0 - beta) >= requirements.r_su_req
+                and rates.su_coef[l, q] * (1.0 - beta) - rates.k_cost * xi >= 0.0
+                and rates.pu_coef[l, q] * beta + rates.c_cost * xi > held[l]), None)
+    for relays in itertools.permutations(range(l_su), len(users)):
+        if all(first[l, q] is not None for l, q in zip(users, relays)):
+            return [(l, q, *first[l, q]) for l, q in zip(users, relays)]
+    return None
+
+
 def lp_pair_optimum(coef, su_coef, pu_floor, su_floor, c_cost, k_cost):
     """Best licensed utility for one pair as a linear program in (xi, beta).
 

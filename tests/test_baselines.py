@@ -122,6 +122,9 @@ class TestPairOptimumContinuous:
         ((1.0, 0.0), (1.0, 1.0), (0.3, 0.0), (True, 0.0, 1.0, 1.0)),
         # zero relay slope, positive floor: unreachable
         ((1.0, 0.0), (1.0, 1.0), (0.3, 0.2), (False, 0.0, 0.0, -math.inf)),
+        # zero relay slope and a free relay price: the price is still pinned
+        # at 1, though the relay's rate over k is 0/0
+        ((1.0, 0.0), (1.0, 0.0), (0.3, 0.0), (True, 1.0, 1.0, 2.0)),
     ])
     def test_edge_cases_by_hand(self, slopes, money, floors, want):
         rates = radio.PairRates(pu_coef=np.array([[slopes[0]]]),
@@ -302,6 +305,14 @@ class TestCentralizedAssignment:
         assert baselines._max_assignment(values, feasible) == [(0, 1)]
         assert baselines._max_assignment(np.zeros((2, 3)), np.ones((2, 3), dtype=bool)) == []
 
+    def test_a_square_market_takes_licensed_users_as_rows(self):
+        # like a wide market: licensed 0, with no positive pair, takes relay
+        # 0 at zero cost as it joins, so licensed 1 ends on relay 1; solved
+        # from the relay side, the tie goes the other way
+        values = np.array([[0.0, 0.0], [1.0, 1.0]])
+        assert baselines._max_assignment(values, values > 0.0) == [(1, 1)]
+        assert baselines._max_assignment(values.T, values.T > 0.0) == [(0, 1)]
+
 
 def assignment_vector(outcome):
     """Relay per licensed user, -1 unmatched."""
@@ -330,6 +341,18 @@ CENTRALIZED = [(baselines.centralized_pu_optimal, pu_values),
 
 
 class TestCentralizedRelayRate:
+    def test_a_one_point_time_interval_is_feasible(self):
+        # floors 1 and 2 on slopes 2 and 4 leave beta = 0.5 alone
+        params, real = single_pair_scenario(
+            gamma_dir=2.5, gamma_relay_hops=(1.0, 1.0), gamma_sr=3.0)
+        market = replace(
+            dda.market(params, real),
+            rates=radio.PairRates(pu_coef=np.array([[2.0]]), su_coef=np.array([[4.0]]),
+                                  c_cost=1.0, k_cost=1.0),
+            requirements=radio.Requirements(r_pu_req=np.array([1.0]), r_su_req=2.0))
+        out = baselines.centralized_su_rate(market)
+        assert out.matched_terms() == ((0, 0, 0.0, 0.5),)
+
     def test_matched_terms_are_floor_beta_at_zero_price(self, default_params):
         real, rates, req = rates_and_req(default_params, 5)
         out = baselines.centralized_su_rate(dda.market(default_params, real, req))

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from relaymarket import cli
+from relaymarket import cli, topology
 from relaymarket.bench import CSV_COLUMNS
 
 
@@ -193,6 +193,20 @@ class TestSweepCommand:
                                   "--values", value], capsys)
         assert code == 1
         assert f"error: l_su sweep value {float(value)!r} is not an integer" in err
+        assert "Traceback" not in err and out == ""
+
+    def test_a_market_too_large_to_place_exits_one(self, monkeypatch, capsys):
+        # numpy's allocation error subclasses MemoryError; the stand-in for
+        # placing a billion relays raises it without allocating
+        def refuse(params, rng):
+            raise MemoryError(f"Unable to allocate 14.9 GiB for an array with shape "
+                              f"({params.l_su}, 2) and data type float64")
+
+        monkeypatch.setattr(topology, "place_users", refuse)
+        code, out, err = run_cli(["sweep", "--trials", "1", "--axis", "l_su",
+                                  "--values", "1e9"], capsys)
+        assert code == 1
+        assert "error: Unable to allocate 14.9 GiB" in err
         assert "Traceback" not in err and out == ""
 
 

@@ -18,7 +18,7 @@ import test_dda
 from helpers import (GOLDEN_MARKETS, dense, engine_fingerprint, handmade_realization,
                      outcome_from_arrays, single_pair_scenario)
 from oracles import (all_injective_matchings, grid_candidates, injective_maps_reference,
-                     prefilter_reference, stability_reference)
+                     prefilter_reference, stability_reference, weak_pareto_reference)
 
 
 def build_outcome(l_pu, l_su, matches):
@@ -83,13 +83,17 @@ def tie_markets():
     yield zero_relay_slope(0.1)
 
 
-def corner_markets():
-    """Enumerable markets at the guard's corners: 1x3 and 3x1 on 6-point
-    grids, 3x3 on 3-point grids, each under both formulas and with partial
-    knowledge, two seeds each."""
+# (l_pu, l_su, grid step) at the enumeration guard's corners: 1x3 and 3x1
+# on 6-point grids, 3x3 on 3-point grids
+GUARD_CORNERS = ((1, 3, 0.2), (3, 1, 0.2), (3, 3, 0.5))
+
+
+def corner_markets(shapes=GUARD_CORNERS):
+    """Markets of the given (l_pu, l_su, grid step) shapes, each under both
+    formulas and with partial knowledge, two seeds each."""
     variants = [{}, {"af_formula": "standard"}, {"snr_knowledge": "partial"},
                 {"snr_knowledge": "partial", "af_formula": "standard"}]
-    for l_pu, l_su, step in [(1, 3, 0.2), (3, 1, 0.2), (3, 3, 0.5)]:
+    for l_pu, l_su, step in shapes:
         for overrides in variants:
             params = topology.params_from_dict({
                 "l_pu": l_pu, "l_su": l_su, "xi_init": 1.0, "beta_init": 1.0,
@@ -681,9 +685,10 @@ class TestWeakPareto:
         assert fails > 5
 
     def test_matches_a_plain_loop_at_the_guard_corners(self):
-        """The same verdicts and witnesses on 1x3, 3x1 and 3x3 markets."""
+        """The same verdicts and witnesses on 1x3, 3x1 and 3x3 markets, and
+        past the enumeration guard on 3x4 and 4x3 markets on 3-point grids."""
         fails = 0
-        for params, real, req in corner_markets():
+        for params, real, req in corner_markets((*GUARD_CORNERS, (3, 4, 0.5), (4, 3, 0.5))):
             grids = dda.concession_grids(params)
             rates = radio.make_pair_rates(params, real)
             candidates = grid_candidates(rates, req, grids)
@@ -702,6 +707,35 @@ class TestWeakPareto:
                     assert outcome_fingerprint(witness) == outcome_fingerprint(
                         outcome_from_arrays(*want))
         assert fails > 5
+
+    def test_matches_the_reference_past_the_enumeration_guard(self):
+        """No market is too large to check: on default-grid 2x6 and 5x8
+        markets under both rules and both formulas, the verdicts and
+        witnesses of weak_pareto_reference, for the engine's outcome, the
+        same outcome with its first matched user unmatched, and with that
+        user at a price that leaves it below 0.0."""
+        fails = negative = 0
+        for l_pu, l_su in [(2, 6), (5, 8)]:
+            for formula in ("paper", "standard"):
+                params = topology.params_from_dict(
+                    {"l_pu": l_pu, "l_su": l_su, "af_formula": formula})
+                for seed in range(3):
+                    real = topology.make_realization(params, seed)
+                    req = radio.requirements_for(params, real)
+                    market = dda.market(params, real, req)
+                    for rule in ("ladder", "contracts"):
+                        outcome, _ = dda.run(replace(params, negotiation=rule), real, req)
+                        (l, q, _, beta), *rest = outcome.matched_terms()
+                        below_zero = MatchingOutcome(l_pu, l_su, [(l, q, -1e3, beta), *rest])
+                        negative += verify.pu_utilities(below_zero, market.rates)[l] < 0.0
+                        for case in (outcome, MatchingOutcome(l_pu, l_su, rest), below_zero):
+                            want = weak_pareto_reference(case, market.rates, req, market.grids)
+                            ok, witness = verify.check_weak_pareto(case, real, req, params)
+                            assert ok == (want is None)
+                            if want is not None:
+                                fails += 1
+                                assert witness.matched_terms() == tuple(want)
+        assert negative == 24 and fails > 20
 
     @pytest.mark.parametrize("knowledge", ["complete", "partial"])
     @pytest.mark.parametrize("formula", ["paper", "standard"])
