@@ -137,18 +137,24 @@ class PairRates:
         return rate, rate - self.k_cost * xi
 
 
-def make_pair_rates(params, realization):
-    """Rate and utility slopes of every pair under params.snr_knowledge."""
+def licensed_slopes(params, realization):
+    """PairRates.pu_coef [l, q]: the licensed rate per unit time share under
+    params.snr_knowledge."""
     if params.snr_knowledge == "complete":
         # 0.5 * t_frame * log2_1p(gamma_dir + gamma_relay), each operation in
         # its order, in place on the one fresh [l, q] array the sum makes
         pu_coef = realization.gamma_dir[:, None] + realization.gamma_relay
         log2_1p(pu_coef, out=pu_coef)
         pu_coef *= 0.5 * params.t_frame
-    elif realization.partial_mean_log is None:
+        return pu_coef
+    if realization.partial_mean_log is None:
         raise ValueError("realization carries no partial-knowledge rate estimates")
-    else:
-        pu_coef = 0.5 * params.t_frame * realization.partial_mean_log
+    return 0.5 * params.t_frame * realization.partial_mean_log
+
+
+def make_pair_rates(params, realization):
+    """Rate and utility slopes of every pair under params.snr_knowledge."""
+    pu_coef = licensed_slopes(params, realization)
     su_coef = log2_1p(realization.gamma_sr)
     su_coef *= params.t_frame
     return PairRates(
@@ -206,21 +212,29 @@ def relay_open_index(rates, requirements, l, q, bar, betas, xi):
     return j
 
 
+def licensed_floor_share(r_pu, coef):
+    """The smallest time share at which licensed slope coef meets floor
+    r_pu, at least 0: r_pu / coef for a positive slope. A zero slope meets
+    its floor everywhere when the floor is not positive (0) and nowhere
+    otherwise (inf). Broadcasts."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lo = np.where(coef > 0.0, r_pu / coef, np.where(r_pu <= 0.0, 0.0, np.inf))
+    return np.maximum(lo, 0.0)
+
+
 def beta_interval(rates, requirements):
     """Feasible time shares of every pair: (lo, hi), both [l, q].
 
-    beta in [lo, hi] meets the licensed floor (pu_coef * beta) and the
-    relay floor (su_coef * (1 - beta)) inside [0, 1]; lo > hi when no
-    beta does. A zero slope meets its floor everywhere when the floor is
-    not positive and nowhere otherwise.
+    beta in [lo, hi] meets the licensed floor (pu_coef * beta, lo by
+    licensed_floor_share) and the relay floor (su_coef * (1 - beta))
+    inside [0, 1]; lo > hi when no beta does. A zero slope meets its floor
+    everywhere when the floor is not positive and nowhere otherwise.
     """
-    coef, su = rates.pu_coef, rates.su_coef
-    r_pu = requirements.r_pu_req[:, None]
-    r_su = requirements.r_su_req
+    su, r_su = rates.su_coef, requirements.r_su_req
     with np.errstate(divide="ignore", invalid="ignore"):
-        lo = np.where(coef > 0.0, r_pu / coef, np.where(r_pu <= 0.0, 0.0, np.inf))
         hi = np.where(su > 0.0, 1.0 - r_su / su, 1.0 if r_su <= 0.0 else -np.inf)
-    return np.maximum(lo, 0.0), np.minimum(hi, 1.0)
+    return (licensed_floor_share(requirements.r_pu_req[:, None], rates.pu_coef),
+            np.minimum(hi, 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,11 @@ Covers matching stability (no blocked individual, no blocking pair),
 dominance over enumerated stable matchings, weak Pareto optimality,
 the concession-count and packet-count ceilings, and closed-form
 scaling estimates. Enumeration is guarded to tiny instances; everything
-here is a pure function of an outcome plus the scenario, and each check
-builds the draw's dda.Market (rates, floors, grids) on entry.
+here is a pure function of an outcome plus the scenario. Each outcome
+check builds the draw's dda.Market (rates, floors, grids) on entry; the
+two bounds read only the licensed slopes and floors, since their time
+floor is the lower end of radio.beta_interval at each row's steepest
+slope.
 
 A pair blocks where radio.licensed_gain and radio.relay_gain (its bar
 the relay's held utility) both hold. is_stable alone needs each blocking
@@ -13,10 +16,12 @@ pair's first witness, so only it runs the array core, _blocking_pairs.
 At a fixed price a pair blocks from the start of the relay's suffix of
 the falling time grid (radio.relay_open_index) to the end of the
 licensed prefix, so the core reads one time index per pair and price and
-never builds a pair's whole grid: first one per pair, at each side's
-best price, to drop pairs that cannot block (_may_block), then one per
-price for the survivors' first witnesses, AUDIT_PAIRS survivors at a
-time.
+never builds a pair's whole grid. The prefilter (_may_block) first
+drops the pairs whose licensed half fails at the top of the envelope,
+which is every pair of a ladder outcome audited in its envelope, then
+reads one index per survivor, at each side's best price, to drop pairs
+that cannot block; then one per price for the last survivors' first
+witnesses, AUDIT_PAIRS survivors at a time.
 
 Enumeration needs a verdict only: it decides a plan's candidates
 together, one table per open pair over its users' term lists, read off
@@ -80,7 +85,8 @@ def _on_grid(values, grid_values, tol=1e-9):
 
 def _may_block(market, l, q, u_pu, u_su, xi_lo, beta_lo):
     """Indices of the pairs (l, q) [k] that may block, given the utilities
-    held and each envelope's first steps xi_lo, beta_lo [k].
+    held and each envelope's first steps xi_lo, beta_lo [k], all inside
+    the grids.
 
     The licensed utility rises with the price and the relay's falls
     (c_cost, k_cost >= 0), so a pair can block only at a time share where
@@ -88,14 +94,30 @@ def _may_block(market, l, q, u_pu, u_su, xi_lo, beta_lo):
     user's envelope for one, the bottom of the grid for the other. That
     happens at or past beta_lo iff the licensed half holds at
     j* = max(start of the relay's suffix, beta_lo).
+
+    A first stage tests the licensed half at the envelope's top point
+    (beta_lo, xi_lo) alone. licensed_gain holds on a prefix of the falling
+    time grid, so a pair that passes at j* >= beta_lo passes there too:
+    the stage drops no pair the test at j* keeps, and only its survivors
+    locate a relay suffix. An engine ladder outcome audited in its
+    envelope loses every pair here, so its audit locates no relay suffix
+    at all: each user offers its envelope's top point only, to its
+    steepest relay, so it either holds that point there, which no other
+    relay beats, or left because that relay misses its floor there, which
+    every other relay then misses too.
     """
     rates, requirements = market.rates, market.requirements
     xis, betas = market.grids.xi_values, market.grids.beta_values
-    j_star = np.maximum(radio.relay_open_index(rates, requirements, l, q, u_su,
+    top = radio.licensed_gain(rates, requirements, l, q, u_pu,
+                              betas[beta_lo], xis[xi_lo]).nonzero()[0]
+    if not len(top):
+        return top
+    l, q, u_pu, xi_lo, beta_lo = l[top], q[top], u_pu[top], xi_lo[top], beta_lo[top]
+    j_star = np.maximum(radio.relay_open_index(rates, requirements, l, q, u_su[top],
                                                betas, xis[-1]), beta_lo)
     licensed = radio.licensed_gain(rates, requirements, l, q, u_pu,
                                    betas.take(j_star, mode="clip"), xis[xi_lo])
-    return ((j_star < len(betas)) & licensed).nonzero()[0]
+    return top[(j_star < len(betas)) & licensed]
 
 
 def _blocking_pairs(market, u_pu, u_su, open_pairs, xi_lo, beta_lo):
@@ -362,10 +384,21 @@ def check_weak_pareto(outcome, realization, requirements, params):
 def _concession_budgets(params, realization, requirements):
     """Per licensed user, price steps plus time steps down to the smallest
     time share any of its pairs can still work at, capped at the opening
-    time share: [l]."""
-    market = dda.market(params, realization, requirements)
-    floors = radio.beta_interval(market.rates, market.requirements)[0].min(axis=1)
-    floors = np.minimum(floors, params.beta_init)
+    time share: [l].
+
+    That share is the row minimum of radio.beta_interval's lower end, read
+    off the licensed slopes alone. Division by a positive slope is
+    monotone under round-to-nearest, so the minimum is the end at the
+    row's largest slope; zero slopes and zero floors follow
+    radio.licensed_floor_share, beta_interval's own rule. A row of zero
+    slopes under a positive floor works nowhere and counts the opening
+    share.
+    """
+    if requirements is None:
+        requirements = radio.requirements_for(params, realization)
+    steepest = radio.licensed_slopes(params, realization).max(axis=1)
+    floors = np.minimum(radio.licensed_floor_share(requirements.r_pu_req, steepest),
+                        params.beta_init)
     return params.xi_init / params.delta + (params.beta_init - floors) / params.epsilon
 
 

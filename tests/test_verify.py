@@ -253,6 +253,58 @@ class TestStabilityAudit:
         assert seen["calls"] > 400
         assert 0 < seen["kept"] < seen["pairs"]
 
+    def test_envelope_audits_locate_no_relay_suffix(self, monkeypatch):
+        """A ladder outcome audited in its envelope fails the prefilter's
+        licensed-only first stage on every pair, so its audit locates no
+        relay suffix, at 2x2 (the oracle scenario), 2x6 and 25x50. The
+        same matchings stripped of their steps, and contract outcomes,
+        locate some."""
+        locate = radio.relay_open_index
+        calls = {}
+
+        def counted(*args):
+            calls[kind] = calls.get(kind, 0) + 1
+            return locate(*args)
+
+        monkeypatch.setattr(radio, "relay_open_index", counted)
+        for overrides in (cli.ORACLE_SCENARIO, {}, {"l_pu": 25, "l_su": 50}):
+            calls.clear()
+            for rule in ("ladder", "contracts"):
+                params = topology.params_from_dict({**overrides, "negotiation": rule})
+                for seed in range(4):
+                    real = topology.make_realization(params, seed)
+                    req = radio.requirements_for(params, real)
+                    kind = "engine"
+                    outcome, _ = dda.run(params, real, req)
+                    stripped = MatchingOutcome(*outcome.shape, outcome.matched_terms())
+                    for kind, audited in ((rule, outcome), ("stripped", stripped)):
+                        verify.is_stable(audited, real, req, params)
+            assert "ladder" not in calls, overrides
+            assert calls["stripped"] > 0 and calls["contracts"] > 0, overrides
+
+    def test_a_licensed_tie_at_the_envelope_top_is_dropped(self, monkeypatch):
+        """A pair whose licensed utility at the envelope's top point equals
+        what its user holds fails the strict licensed half there, as
+        prefilter_reference drops it, and locates no relay suffix. One ulp
+        less held keeps it."""
+        params, real, req = two_by_two()
+        market = dda.market(params, real, req)
+        l, q, xi_lo, beta_lo = (np.array([k]) for k in (0, 1, 1, 2))
+        held = market.rates.licensed(market.grids.beta_values[beta_lo],
+                                     market.grids.xi_values[xi_lo], l, q)[1]
+        u_su = np.zeros(1)
+
+        def refuse(*args):
+            raise AssertionError("located a relay suffix")
+
+        for u_pu, want in ((held, []), (np.nextafter(held, -np.inf), [0])):
+            assert prefilter_reference(market.rates, req, market.grids, l, q, u_pu, u_su,
+                                       xi_lo, beta_lo).tolist() == want
+            if not want:
+                monkeypatch.setattr(radio, "relay_open_index", refuse)
+            assert verify._may_block(market, l, q, u_pu, u_su, xi_lo, beta_lo).tolist() == want
+            monkeypatch.undo()
+
     @staticmethod
     def contract_runs():
         """Fingerprints of the contract runs of every other market of
@@ -874,17 +926,47 @@ class TestBounds:
         # round of slack: 2 packets a round for 6 rounds
         assert verify.packet_bound(p, real) == 12.0
 
-    def test_packet_bound_is_the_largest_user_ceiling_per_round(self, default_params):
+    def test_packet_bound_is_the_largest_user_ceiling_per_round(self):
+        """On the default market, under partial knowledge, the standard
+        formula and a two-unit frame, with a zero floor, and with a licensed
+        user whose slopes are all zero (its floor clamps to beta_init)."""
+        cases = []
+        for overrides in ({}, {"snr_knowledge": "partial"}, {"af_formula": "standard"},
+                          {"t_frame": 2.0}):
+            p = topology.params_from_dict(overrides)
+            real = topology.make_realization(p, 2)
+            cases.append((p, real, radio.requirements_for(p, real)))
+        p, real, req = cases[0]
+        cases.append((p, real, radio.Requirements(np.zeros(p.l_pu), req.r_su_req)))
+        deaf = replace(real, gamma_dir=np.array([0.0, real.gamma_dir[1]]),
+                       gamma_relay=real.gamma_relay * [[0.0], [1.0]])
+        cases.append((p, deaf, req))
+        for p, real, req in cases:
+            # 2 + max(2, 6) messages a round, for the largest user's concession
+            # steps down to its lowest working time share, rounded up, plus one
+            lo, _ = radio.beta_interval(radio.make_pair_rates(p, real), req)
+            floors = np.clip(lo.min(axis=1), 0.0, p.beta_init)
+            ceilings = [math.ceil(p.xi_init / p.delta + (p.beta_init - f) / p.epsilon) + 1
+                        for f in floors]
+            assert verify.per_pu_puu_bounds(p, real, req).tolist() == ceilings
+            assert verify.packet_bound(p, real, req) == 8 * max(ceilings)
+        assert floors[0] == p.beta_init > floors[1]
+
+    def test_bounds_need_no_market(self, default_params, monkeypatch):
+        """The bounds read the licensed slopes and floors alone, with the
+        floors given or defaulted."""
         real = topology.make_realization(default_params, 2)
         req = radio.requirements_for(default_params, real)
-        # 2 + max(2, 6) messages a round, for the largest user's concession
-        # steps down to its lowest working time share, rounded up, plus one
-        p = default_params
-        lo, _ = radio.beta_interval(radio.make_pair_rates(p, real), req)
-        floors = np.clip(lo.min(axis=1), 0.0, p.beta_init)
-        rounds = max(math.ceil(p.xi_init / p.delta + (p.beta_init - f) / p.epsilon) + 1
-                     for f in floors)
-        assert verify.packet_bound(p, real, req) == 8 * rounds
+        want = (verify.per_pu_puu_bounds(default_params, real, req).tolist(),
+                verify.packet_bound(default_params, real, req))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a bound built a market")
+
+        monkeypatch.setattr(dda, "market", refuse)
+        for floors in (req, None):
+            assert (verify.per_pu_puu_bounds(default_params, real, floors).tolist(),
+                    verify.packet_bound(default_params, real, floors)) == want
 
     def test_bounds_without_a_market_name_the_missing_argument(self, default_params):
         for bound in (verify.packet_bound, verify.per_pu_puu_bounds):
