@@ -68,7 +68,7 @@ def _max_assignment(values, feasible):
     flip = values.shape[0] > values.shape[1]
     cost = np.where(feasible & (values > 0.0), -values, 0.0)
     cost = (cost.T if flip else cost).tolist()
-    n_col = len(cost[0])
+    n_col = max(values.shape)   # the rows are the smaller side
     u, v = [0.0] * len(cost), [0.0] * n_col
     col_of, row_of = [-1] * len(cost), [-1] * n_col
     for row in range(len(cost)):

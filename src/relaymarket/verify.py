@@ -27,8 +27,8 @@ Enumeration needs a verdict only: it decides a plan's candidates
 together, one table per open pair over its users' term lists, read off
 the pair's trade frontier (its terms' licensed utilities sorted, with
 the best relay utility from each on). The weak-Pareto check walks no
-plan: whether an alternative dominates is one bipartite matching, which
-baselines._max_assignment decides at any size.
+plan: whether an alternative dominates is one bipartite matching at any
+size, baselines._max_assignment's, and that matching is the witness.
 """
 
 from __future__ import annotations
@@ -181,10 +181,20 @@ def is_stable(outcome, realization, requirements, params):
     over that region the engine's offer order rules witnesses out.
     Outcomes without concession states are searched over the full grid.
 
-    Raises ValueError when the outcome's shape is not the market's or a
+    Raises ValueError when the outcome's shape is not the market's, its
+    concession steps are not both absent or both l_pu integers >= 0, or a
     matched term is off the concession grids.
     """
     _check_shape(outcome, (params.l_pu, params.l_su))
+    # each user's first steps still on the table, zero without a
+    # negotiation history; a -1 would wrap to the grid's end
+    raw = outcome.final_xi_steps, outcome.final_beta_steps
+    if raw[0] is None and raw[1] is None:
+        raw = np.zeros((2, params.l_pu), dtype=int)
+    xi_lo, beta_lo = steps = [np.asarray(s) for s in raw]
+    if any(s.shape != (params.l_pu,) or s.dtype.kind != "i" or s.min() < 0 for s in steps):
+        raise ValueError(f"concession steps {raw!r} are not both absent or both "
+                         f"{params.l_pu} integers >= 0")
     market = dda.market(params, realization, requirements)
     rates, requirements, grids = market.rates, market.requirements, market.grids
     terms = outcome.matched_terms()
@@ -224,11 +234,6 @@ def is_stable(outcome, realization, requirements, params):
         if not (rate_fine and util_fine):
             open_pairs[:, q] = False
 
-    if outcome.final_xi_steps is None:
-        xi_lo = beta_lo = np.zeros(params.l_pu, dtype=int)
-    else:
-        xi_lo = np.asarray(outcome.final_xi_steps, dtype=int)
-        beta_lo = np.asarray(outcome.final_beta_steps, dtype=int)
     # the utilities held, zero for anyone unmatched
     u_pu, u_su = np.zeros(params.l_pu), np.zeros(params.l_su)
     u_pu[ls] = pu_held
@@ -341,20 +346,18 @@ def check_weak_pareto(outcome, realization, requirements, params):
     dominates iff the other matched users each get a relay of their own
     with an acceptable grid term worth more than they hold: one covering
     matching, which baselines._max_assignment finds. Returns (True, None)
-    or (False, witness outcome), the first dominating candidate in
-    enumeration order: each of those users in turn on the lowest relay
-    that leaves the rest coverable, at its first improving term, and
-    everyone else unmatched. Raises ValueError when the outcome's shape is
-    not the market's.
+    or (False, witness outcome): that matching, each pair at its first
+    improving term (time share falling, then price), everyone else
+    unmatched. Raises ValueError when the outcome's shape is not the
+    market's.
     """
     _check_shape(outcome, (params.l_pu, params.l_su))
-    market = dda.market(params, realization, requirements)
-    matched = [l for l, _ in outcome.matched_pairs()]
-    if not matched:
+    if not outcome.matched_terms():
         return True, None
+    market = dda.market(params, realization, requirements)
     rates, grids = market.rates, market.grids
     base = pu_utilities(outcome, rates).tolist()
-    users = [l for l in matched if not 0.0 > base[l]]
+    users = [l for l, _ in outcome.matched_pairs() if not 0.0 > base[l]]
     qs = np.arange(params.l_su)[:, None, None]
     betas, xis = grids.beta_values[:, None], grids.xi_values
     edges = np.zeros((len(users), params.l_su), dtype=bool)
@@ -364,20 +367,13 @@ def check_weak_pareto(outcome, realization, requirements, params):
                & radio.relay_gain(rates, market.requirements, l, qs, -np.inf, betas, xis))
         edges[k], first[k] = hit.any(axis=(1, 2)), hit.reshape(params.l_su, -1).argmax(axis=1)
 
-    def covered(k, free):   # users k on each get a free relay of their own
-        ok = edges[k:] & free
-        return not len(ok) or len(baselines._max_assignment(ok * 1.0, ok)) == len(ok)
-
-    free = np.ones(params.l_su, dtype=bool)
-    if not covered(0, free):
+    pairs = baselines._max_assignment(edges * 1.0, edges)
+    if len(pairs) < len(users):
         return True, None
     terms = []
-    for k, l in enumerate(users):
-        q = next(q for q in (edges[k] & free).nonzero()[0].tolist()
-                 if covered(k + 1, free & (np.arange(params.l_su) != q)))
-        free[q] = False
+    for k, q in pairs:
         j, i = divmod(first.item(k, q), len(grids.xi_values))
-        terms.append((l, q, grids.xi_values.item(i), grids.beta_values.item(j)))
+        terms.append((users[k], q, grids.xi_values.item(i), grids.beta_values.item(j)))
     return False, MatchingOutcome(params.l_pu, params.l_su, terms)
 
 

@@ -102,6 +102,25 @@ def without_relay(params, realization, q):
     return fewer, smaller
 
 
+def without_licensed(params, realization, l):
+    """params (without explicit floors) and realization with licensed user
+    l taken out: its row of gamma_dir, gamma_relay, gamma_sr and
+    partial_mean_log and its positions go. The floors are the caller's to
+    keep: pass the full market's requirements on without row l."""
+    keep = np.arange(params.l_pu) != l
+    fewer = replace(params, l_pu=params.l_pu - 1)
+    smaller = replace(
+        realization,
+        placement=replace(realization.placement, pt_pos=realization.placement.pt_pos[keep],
+                          pr_pos=realization.placement.pr_pos[keep]),
+        gamma_dir=realization.gamma_dir[keep],
+        gamma_relay=realization.gamma_relay[keep],
+        gamma_sr=realization.gamma_sr[keep],
+        partial_mean_log=(None if realization.partial_mean_log is None
+                          else realization.partial_mean_log[keep]))
+    return fewer, smaller
+
+
 def single_pair_scenario(gamma_dir, gamma_relay_hops, gamma_sr, **overrides):
     """One licensed pair, one relay pair, 0 dB gains. The licensed floor is
     the direct-link rate unless r_pu_req is passed."""

@@ -143,26 +143,18 @@ def grid_candidates(rates, requirements, grids):
     return found
 
 
-def weak_pareto_reference(outcome, rates, requirements, grids):
-    """The first alternative that strictly improves every matched licensed
-    user, as (l, q, xi, beta) terms, or None when there is none.
-
-    A user holding less than 0.0 is improved by being left unmatched, so
-    only the others need a pair. Per such user and relay, a plain float
-    loop finds the first grid term, time share falling, then price, that
-    meets both floors with a nonnegative relay utility and pays the user
-    more than it holds. The users' relays then run over
-    itertools.permutations, whose lexicographic order is the order of the
-    assignments with every other user unmatched.
+def first_improving_terms(outcome, rates, requirements, grids):
+    """Per matched licensed user holding at least 0.0 and per relay, the
+    first grid term, time share falling, then price, that meets both floors
+    with a nonnegative relay utility and pays the user more than it holds:
+    {(l, q): (xi, beta) or None}, by a plain float loop. A user holding
+    less than 0.0 is improved by being left unmatched, so it has no entry.
     """
     l_su = rates.pu_coef.shape[1]
     held = {l: rates.pu_coef[l, q] * beta + rates.c_cost * xi
             for l, q, xi, beta in outcome.matched_terms()}
-    if not held:
-        return None
-    users = [l for l in sorted(held) if held[l] >= 0.0]
     first = {}
-    for l in users:
+    for l in [l for l in sorted(held) if held[l] >= 0.0]:
         for q in range(l_su):
             first[l, q] = next((
                 (xi, beta)
@@ -172,7 +164,23 @@ def weak_pareto_reference(outcome, rates, requirements, grids):
                 and rates.su_coef[l, q] * (1.0 - beta) >= requirements.r_su_req
                 and rates.su_coef[l, q] * (1.0 - beta) - rates.k_cost * xi >= 0.0
                 and rates.pu_coef[l, q] * beta + rates.c_cost * xi > held[l]), None)
-    for relays in itertools.permutations(range(l_su), len(users)):
+    return first
+
+
+def weak_pareto_reference(outcome, rates, requirements, grids):
+    """The first alternative that strictly improves every matched licensed
+    user, as (l, q, xi, beta) terms, or None when there is none.
+
+    The users that need a pair are those of first_improving_terms, each at
+    its pair's first improving term. Their relays run over
+    itertools.permutations, whose lexicographic order is the order of the
+    assignments with every other user unmatched.
+    """
+    if not outcome.matched_terms():
+        return None
+    first = first_improving_terms(outcome, rates, requirements, grids)
+    users = sorted({l for l, _ in first})
+    for relays in itertools.permutations(range(rates.pu_coef.shape[1]), len(users)):
         if all(first[l, q] is not None for l, q in zip(users, relays)):
             return [(l, q, *first[l, q]) for l, q in zip(users, relays)]
     return None

@@ -305,6 +305,10 @@ class TestCentralizedAssignment:
         assert baselines._max_assignment(values, feasible) == [(0, 1)]
         assert baselines._max_assignment(np.zeros((2, 3)), np.ones((2, 3), dtype=bool)) == []
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_an_empty_side_matches_no_one(self, shape):
+        assert baselines._max_assignment(np.ones(shape), np.ones(shape, dtype=bool)) == []
+
     def test_a_square_market_takes_licensed_users_as_rows(self):
         # like a wide market: licensed 0, with no positive pair, takes relay
         # 0 at zero cost as it joins, so licensed 1 ends on relay 1; solved

@@ -40,6 +40,11 @@ class TestOrderStatistics:
             sample = rng.integers(0, 50, size=rng.integers(1, 40))
             assert p90(sample) in sample.astype(float)
 
+    def test_se_needs_two_values(self):
+        # sqrt(2) / sqrt(2): a pair has a spread, a single value none
+        assert bench._se([1.0, 3.0]) == 1.0
+        assert bench._se([2.0]) == 0.0
+
     def test_packet_cdf_monotone_with_exact_endpoints(self, small_params):
         agg = bench.run_trials(small_params, ["dda-complete"], 40)["dda-complete"]
         grid = np.linspace(0, agg.packets.max(), 25)

@@ -8,9 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from relaymarket import cli, topology
+from relaymarket import cli, dda, topology, verify
 from relaymarket.bench import CSV_COLUMNS
 
 
@@ -218,6 +219,25 @@ class TestVerifyCommand:
         assert "concession bound: 20/20 ok" in out
         assert "packet bound: 20/20 ok" in out
 
+    @pytest.mark.parametrize("slack, ok", [(0, "5/5"), (-1, "0/5")])
+    def test_a_bound_is_a_ceiling(self, monkeypatch, capsys, slack, ok):
+        # a run that uses its whole budget is within it; one more is over
+        run, traces = dda.run, []
+
+        def run_and_keep(*args):
+            outcome, trace = run(*args)
+            traces.append(trace)
+            return outcome, trace
+
+        monkeypatch.setattr(dda, "run", run_and_keep)
+        monkeypatch.setattr(verify, "per_pu_puu_bounds",
+                            lambda *args: traces[-1].puu_counts + slack)
+        monkeypatch.setattr(verify, "packet_bound",
+                            lambda *args: float(traces[-1].packets + slack))
+        _, out, _ = run_cli(["verify", "--seed", "5", "--trials", "5"], capsys)
+        assert f"concession bound: {ok} ok" in out
+        assert f"packet bound: {ok} ok" in out
+
     def test_af_formula_flag_accepted(self, capsys):
         code, out, _ = run_cli(
             ["verify", "--seed", "5", "--trials", "10",
@@ -274,6 +294,16 @@ class TestOracleCommand:
         code, out, _ = run_cli(["oracle", "--seed", "0", "--trials", "3"], capsys)
         assert code == 2
         assert "does better" in out
+
+    @pytest.mark.parametrize("gap, ok", [(1e-9, True), (3e-9, False)])
+    def test_dominance_needs_a_gain_past_the_tolerance(self, monkeypatch, capsys, gap, ok):
+        # every licensed user holds 1.0 under the engine's outcome (the one
+        # with concession steps) and 1.0 + gap in each enumerated one; only
+        # a gain past the 1e-9 tolerance is a violation
+        monkeypatch.setattr(verify, "pu_utilities", lambda outcome, rates: np.full(
+            outcome.shape[0], 1.0 if outcome.final_xi_steps is not None else 1.0 + gap))
+        _, out, _ = run_cli(["oracle", "--seed", "4", "--trials", "3"], capsys)
+        assert ("stable-matching dominance: ok" in out) is ok
 
     def test_enumeration_guard_exits_three(self, tmp_path, capsys):
         cfg = tmp_path / "wide.json"

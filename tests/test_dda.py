@@ -23,9 +23,18 @@ from relaymarket.errors import EngineError
 
 from conftest import assert_outcome_well_formed
 from helpers import (GOLDEN_MARKETS, concede, conceding_user, dense, engine_fingerprint,
-                     handmade_realization, single_pair_scenario, without_relay)
+                     handmade_realization, single_pair_scenario, without_licensed,
+                     without_relay)
 from oracles import (best_contracts_reference, concession_reference,
                      contract_deferred_acceptance, ladder_reference, relay_proposing_contracts)
+
+
+def pair_utilities(outcome, rates):
+    """Each side's utility under an outcome, zero when unmatched: [l], [q]."""
+    u_pu, u_su = np.zeros(outcome.shape[0]), np.zeros(outcome.shape[1])
+    for l, q, xi, beta in outcome.matched_terms():
+        u_pu[l], u_su[q] = rates.licensed(beta, xi, l, q)[1], rates.relay(beta, xi, l, q)[1]
+    return u_pu, u_su
 
 
 class TestGrids:
@@ -1001,12 +1010,6 @@ class TestContractRule:
         match the same users (rural hospitals), and the relay-proposing
         outcome is stable on the full grid (Gale & Shapley 1962; Roth &
         Sotomayor 1990; Hatfield & Milgrom 2005)."""
-        def utilities(outcome, rates):
-            u_pu, u_su = np.zeros(outcome.shape[0]), np.zeros(outcome.shape[1])
-            for l, q, xi, beta in outcome.matched_terms():
-                u_pu[l], u_su[q] = rates.licensed(beta, xi, l, q)[1], rates.relay(beta, xi, l, q)[1]
-            return u_pu, u_su
-
         differ = 0
         for l_pu, l_su in [(3, 4), (4, 6), (6, 8)]:
             params = topology.params_from_dict({
@@ -1020,7 +1023,7 @@ class TestContractRule:
                     (l, q, xi, beta) for l, (q, xi, beta) in relay_proposing_contracts(
                         market.rates, market.requirements, market.grids).items()])
                 (pu_mine, su_mine), (pu_theirs, su_theirs) = (
-                    utilities(outcome, market.rates) for outcome in (mine, theirs))
+                    pair_utilities(outcome, market.rates) for outcome in (mine, theirs))
                 assert np.all(pu_mine >= pu_theirs) and np.all(su_theirs >= su_mine)
                 assert ({l for l, _ in mine.matched_pairs()} == {l for l, _ in theirs.matched_pairs()}
                         and {q for _, q in mine.matched_pairs()} == {q for _, q in theirs.matched_pairs()})
@@ -1051,6 +1054,38 @@ class TestContractRule:
                 assert np.all(without <= full)
                 gains += int(np.any(without < full))
         assert gains > 200
+
+    @pytest.mark.parametrize("knowledge", ["complete", "partial"])
+    @pytest.mark.parametrize("af_formula", ["paper", "standard"])
+    def test_a_licensed_user_entering_never_helps_a_rival_or_hurts_a_relay(
+            self, af_formula, knowledge):
+        """Each licensed user of a seeded 3x4 market taken out in turn, the
+        others' floors kept: with it back in, no other licensed user earns
+        more and no relay holds less (the proposing side loses and the other
+        side gains when the proposing side grows; Kelso & Crawford 1982,
+        Crawford 1991)."""
+        params = topology.params_from_dict(
+            {"l_pu": 3, "l_su": 4, "af_formula": af_formula, "snr_knowledge": knowledge,
+             "negotiation": "contracts"})
+        losses = gains = 0
+        for seed in range(100):
+            real = topology.make_realization(params, seed)
+            req = radio.requirements_for(params, real)
+            rates = radio.make_pair_rates(params, real)
+            pu_full, su_full = pair_utilities(dda.run(params, real, req)[0], rates)
+            for l in range(params.l_pu):
+                fewer, smaller = without_licensed(params, real, l)
+                smaller_rates = radio.make_pair_rates(fewer, smaller)
+                assert np.array_equal(smaller_rates.pu_coef, np.delete(rates.pu_coef, l, axis=0))
+                assert np.array_equal(smaller_rates.su_coef, np.delete(rates.su_coef, l, axis=0))
+                smaller_req = replace(req, r_pu_req=np.delete(req.r_pu_req, l))
+                pu_without, su_without = pair_utilities(
+                    dda.run(fewer, smaller, smaller_req)[0], smaller_rates)
+                others = np.delete(pu_full, l)
+                assert np.all(others <= pu_without) and np.all(su_full >= su_without)
+                losses += int(np.any(others < pu_without))
+                gains += int(np.any(su_full > su_without))
+        assert losses > 100 and gains > 250
 
     def test_a_relay_entering_can_hurt_a_licensed_user_under_the_ladder(self):
         """The property above is the contract rule's: on seeded 3x4 ladder

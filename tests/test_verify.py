@@ -17,8 +17,9 @@ from relaymarket.verify import GuardError
 import test_dda
 from helpers import (GOLDEN_MARKETS, dense, engine_fingerprint, handmade_realization,
                      outcome_from_arrays, single_pair_scenario)
-from oracles import (all_injective_matchings, grid_candidates, injective_maps_reference,
-                     prefilter_reference, stability_reference, weak_pareto_reference)
+from oracles import (all_injective_matchings, first_improving_terms, grid_candidates,
+                     injective_maps_reference, prefilter_reference, stability_reference,
+                     weak_pareto_reference)
 
 
 def build_outcome(l_pu, l_su, matches):
@@ -445,6 +446,24 @@ class TestStabilityAudit:
         assert report.blocking_pairs
         assert all(l == 1 for l, _, _ in report.blocking_pairs)
 
+    @pytest.mark.parametrize("xi_steps, beta_steps", [
+        ([-1, -1], [-1, -1]), ([0], [0]), ([0, 0, 0], [0, 0, 0]), ([1.5, 2.5], [1.5, 2.5]),
+        ([0, 0], None), (None, [0, 0])],
+        ids=["negative", "short", "long", "fractional", "xi-only", "beta-only"])
+    def test_malformed_concession_steps_are_refused(self, default_params, xi_steps,
+                                                    beta_steps):
+        # a -1 wraps to the grid's last point: unguarded, it hides the
+        # blocking pairs that steps of 0 show
+        real = topology.make_realization(default_params, 2)
+        req = radio.requirements_for(default_params, real)
+        terms = dda.run(default_params, real, req)[0].matched_terms()
+        zero = MatchingOutcome(2, 6, terms, final_xi_steps=[0, 0], final_beta_steps=[0, 0])
+        assert verify.is_stable(zero, real, req, default_params).blocking_pairs
+        bad = MatchingOutcome(2, 6, terms, final_xi_steps=xi_steps, final_beta_steps=beta_steps)
+        with pytest.raises(ValueError, match="concession steps .* are not both absent or "
+                                             "both 2 integers >= 0"):
+            verify.is_stable(bad, real, req, default_params)
+
     @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (1, 2)])
     def test_an_outcome_of_another_shape_is_refused(self, shape):
         # terms alone fit any market at least as large: unguarded, a 1x2
@@ -674,6 +693,19 @@ class TestEnumeration:
             verify.enumerate_stable_matchings(real, req, small)
 
 
+def assert_covering_witness(witness, outcome, rates, requirements, grids):
+    """A dominated outcome's witness is a covering matching: its users are
+    exactly the matched users holding at least 0.0, its relays are
+    distinct, and each term is its pair's first improving grid term
+    (oracles.first_improving_terms); everyone else is unmatched."""
+    first = first_improving_terms(outcome, rates, requirements, grids)
+    terms = witness.matched_terms()
+    assert [l for l, *_ in terms] == sorted({l for l, _ in first})
+    relays = [q for _, q, *_ in terms]
+    assert len(set(relays)) == len(relays)
+    assert all(first[l, q] == (xi, beta) for l, q, xi, beta in terms)
+
+
 class TestWeakPareto:
     def test_verdicts_come_with_coherent_witnesses(self, tiny_params):
         # Engine outcomes fail this check on a sizable share of coarse-grid
@@ -714,8 +746,9 @@ class TestWeakPareto:
         assert verify.pu_utilities(witness, rates)[1] > 1.38
 
     def test_matches_a_plain_loop_over_the_candidates(self):
-        """Same verdict and same witness as the first grid candidate, in
-        candidate order, that strictly improves every matched licensed user."""
+        """Same verdict as the first grid candidate, in candidate order, that
+        strictly improves every matched licensed user, and a covering
+        witness wherever one exists."""
         fails = 0
         for params, real, req in tiny_markets():
             grids = dda.concession_grids(params)
@@ -733,12 +766,13 @@ class TestWeakPareto:
                 assert ok == (want is None)
                 if want is not None:
                     fails += 1
-                    assert witness.matched_terms() == outcome_from_arrays(*want).matched_terms()
+                    assert_covering_witness(witness, outcome, rates, req, grids)
         assert fails > 5
 
     def test_matches_a_plain_loop_at_the_guard_corners(self):
-        """The same verdicts and witnesses on 1x3, 3x1 and 3x3 markets, and
-        past the enumeration guard on 3x4 and 4x3 markets on 3-point grids."""
+        """The same verdicts and covering witnesses on 1x3, 3x1 and 3x3
+        markets, and past the enumeration guard on 3x4 and 4x3 markets on
+        3-point grids."""
         fails = 0
         for params, real, req in corner_markets((*GUARD_CORNERS, (3, 4, 0.5), (4, 3, 0.5))):
             grids = dda.concession_grids(params)
@@ -756,16 +790,15 @@ class TestWeakPareto:
                 assert ok == (want is None)
                 if want is not None:
                     fails += 1
-                    assert outcome_fingerprint(witness) == outcome_fingerprint(
-                        outcome_from_arrays(*want))
+                    assert_covering_witness(witness, outcome, rates, req, grids)
         assert fails > 5
 
     def test_matches_the_reference_past_the_enumeration_guard(self):
         """No market is too large to check: on default-grid 2x6 and 5x8
-        markets under both rules and both formulas, the verdicts and
-        witnesses of weak_pareto_reference, for the engine's outcome, the
-        same outcome with its first matched user unmatched, and with that
-        user at a price that leaves it below 0.0."""
+        markets under both rules and both formulas, the verdicts of
+        weak_pareto_reference and covering witnesses, for the engine's
+        outcome, the same outcome with its first matched user unmatched, and
+        with that user at a price that leaves it below 0.0."""
         fails = negative = 0
         for l_pu, l_su in [(2, 6), (5, 8)]:
             for formula in ("paper", "standard"):
@@ -786,7 +819,8 @@ class TestWeakPareto:
                             assert ok == (want is None)
                             if want is not None:
                                 fails += 1
-                                assert witness.matched_terms() == tuple(want)
+                                assert_covering_witness(witness, case, market.rates, req,
+                                                        market.grids)
         assert negative == 24 and fails > 20
 
     @pytest.mark.parametrize("knowledge", ["complete", "partial"])
@@ -829,6 +863,20 @@ class TestWeakPareto:
                     assert count == len(terms)
                     checked += bool(terms)
         assert checked > 200
+
+    def test_one_check_solves_one_matching(self, monkeypatch):
+        # the covering matching that decides the verdict is the witness, so
+        # a dominated 25x50 outcome costs one assignment, not one per user
+        params = topology.params_from_dict({"l_pu": 25, "l_su": 50, "af_formula": "standard"})
+        real = topology.make_realization(params, 3)
+        req = radio.requirements_for(params, real)
+        outcome, _ = dda.run(params, real, req)
+        solve, calls = baselines._max_assignment, []
+        monkeypatch.setattr(baselines, "_max_assignment",
+                            lambda *args: calls.append(args) or solve(*args))
+        ok, _ = verify.check_weak_pareto(outcome, real, req, params)
+        assert not ok and len(outcome.matched_pairs()) > 1
+        assert len(calls) == 1
 
     def test_leaving_a_user_unmatched_does_not_improve_a_zero_utility(self):
         # a matched user holding exactly 0.0 gains only from a term worth
