@@ -215,9 +215,11 @@ def make_realization(params, seed_seq):
     """Placement plus channels from one seed; accepts an int or SeedSequence.
 
     Trial i of a run with master seed s is built from
-    SeedSequence([s, i]). Placement and channels take its first two spawned
-    children, so a caller needing another stream for the same trial (the
-    random baseline) spawns the next one from the same sequence.
+    SeedSequence([s, i]). Placement and channels take the next two
+    children it spawns, the first two of a fresh sequence, so one sequence
+    passed twice gives two different draws. A caller needing another
+    stream for the same trial (the random baseline) spawns the next one
+    from the same sequence.
     """
     if isinstance(seed_seq, (int, np.integer)):
         seed_seq = np.random.SeedSequence(seed_seq)

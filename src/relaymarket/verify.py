@@ -16,12 +16,10 @@ pair's first witness, so only it runs the array core, _blocking_pairs.
 At a fixed price a pair blocks from the start of the relay's suffix of
 the falling time grid (radio.relay_open_index) to the end of the
 licensed prefix, so the core reads one time index per pair and price and
-never builds a pair's whole grid. The prefilter (_may_block) first
-drops the pairs whose licensed half fails at the top of the envelope,
-which is every pair of a ladder outcome audited in its envelope, then
-reads one index per survivor, at each side's best price, to drop pairs
-that cannot block; then one per price for the last survivors' first
-witnesses, AUDIT_PAIRS survivors at a time.
+never builds a pair's whole grid. A prefilter first drops the pairs
+whose licensed half fails at the top of the envelope, which is every
+pair of an engine ladder outcome audited in its envelope; only the
+survivors locate a relay suffix, AUDIT_PAIRS of them at a time.
 
 Enumeration needs a verdict only: it decides a plan's candidates
 together, one table per open pair over its users' term lists, read off
@@ -75,49 +73,12 @@ class StabilityReport:
 
 
 # Prefilter survivors per first-witness pass. It bounds an audit's memory:
-# a 100x200 contract outcome keeps about 13,700 pairs.
+# a 100x200 contract outcome keeps about 16,500 pairs.
 AUDIT_PAIRS = 1024
 
 
 def _on_grid(values, grid_values, tol=1e-9):
     return np.abs(grid_values - values[:, None]).min(axis=1) <= tol
-
-
-def _may_block(market, l, q, u_pu, u_su, xi_lo, beta_lo):
-    """Indices of the pairs (l, q) [k] that may block, given the utilities
-    held and each envelope's first steps xi_lo, beta_lo [k], all inside
-    the grids.
-
-    The licensed utility rises with the price and the relay's falls
-    (c_cost, k_cost >= 0), so a pair can block only at a time share where
-    each side gains at the price it likes best: the top of the licensed
-    user's envelope for one, the bottom of the grid for the other. That
-    happens at or past beta_lo iff the licensed half holds at
-    j* = max(start of the relay's suffix, beta_lo).
-
-    A first stage tests the licensed half at the envelope's top point
-    (beta_lo, xi_lo) alone. licensed_gain holds on a prefix of the falling
-    time grid, so a pair that passes at j* >= beta_lo passes there too:
-    the stage drops no pair the test at j* keeps, and only its survivors
-    locate a relay suffix. An engine ladder outcome audited in its
-    envelope loses every pair here, so its audit locates no relay suffix
-    at all: each user offers its envelope's top point only, to its
-    steepest relay, so it either holds that point there, which no other
-    relay beats, or left because that relay misses its floor there, which
-    every other relay then misses too.
-    """
-    rates, requirements = market.rates, market.requirements
-    xis, betas = market.grids.xi_values, market.grids.beta_values
-    top = radio.licensed_gain(rates, requirements, l, q, u_pu,
-                              betas[beta_lo], xis[xi_lo]).nonzero()[0]
-    if not len(top):
-        return top
-    l, q, u_pu, xi_lo, beta_lo = l[top], q[top], u_pu[top], xi_lo[top], beta_lo[top]
-    j_star = np.maximum(radio.relay_open_index(rates, requirements, l, q, u_su[top],
-                                               betas, xis[-1]), beta_lo)
-    licensed = radio.licensed_gain(rates, requirements, l, q, u_pu,
-                                   betas.take(j_star, mode="clip"), xis[xi_lo])
-    return top[(j_star < len(betas)) & licensed]
 
 
 def _blocking_pairs(market, u_pu, u_su, open_pairs, xi_lo, beta_lo):
@@ -129,27 +90,35 @@ def _blocking_pairs(market, u_pu, u_su, open_pairs, xi_lo, beta_lo):
     i, j) tuples of Python ints in (l, q) order: the pair's first witness
     in xi-major grid order is (xi_values[i], beta_values[j]).
 
-    The first witness is at the first i >= xi_lo where the licensed half
-    holds at j = max(start of the relay's suffix at price i, beta_lo). The
-    relay half's zero-utility test changes no verdict here, since every
-    open pair's relay holds at least 0.
+    The licensed utility rises with the price (c_cost >= 0) and
+    licensed_gain holds on a prefix of the falling time grid, so a pair
+    whose licensed half fails at its envelope's top point (xi_lo,
+    beta_lo) blocks nowhere in it: the prefilter drops it. An engine
+    ladder outcome audited in its envelope loses every pair here: each
+    user offers its envelope's top point only, to its steepest relay, so
+    it either holds that point there, which no other relay beats, or left
+    because that relay misses its floor there, which every other relay
+    then misses too.
+
+    Each survivor's first witness is at the first i >= xi_lo where the
+    licensed half holds at j = max(start of the relay's suffix at price
+    i, beta_lo). The relay half's zero-utility test changes no verdict
+    here, since every open pair's relay holds at least 0.
     """
     rates, requirements = market.rates, market.requirements
     xis, betas = market.grids.xi_values, market.grids.beta_values
     n_xi, n_beta = len(xis), len(betas)
     ll, qq = (open_pairs & (xi_lo < n_xi)[:, None] & (beta_lo < n_beta)[:, None]).nonzero()
-    u_pu, u_su = u_pu[ll], u_su[qq]
-    xi_lo, beta_lo = xi_lo[ll], beta_lo[ll]
-
-    survivors = _may_block(market, ll, qq, u_pu, u_su, xi_lo, beta_lo)
+    survivors = radio.licensed_gain(rates, requirements, ll, qq, u_pu[ll],
+                                    betas[beta_lo[ll]], xis[xi_lo[ll]]).nonzero()[0]
     found = []
     for lo in range(0, len(survivors), AUDIT_PAIRS):
         k = survivors[lo:lo + AUDIT_PAIRS, None]
         l, q = ll[k], qq[k]
-        j = np.maximum(radio.relay_open_index(rates, requirements, l, q, u_su[k],
-                                              betas, xis), beta_lo[k])
-        hit = ((j < n_beta) & (np.arange(n_xi) >= xi_lo[k])
-               & radio.licensed_gain(rates, requirements, l, q, u_pu[k],
+        j = np.maximum(radio.relay_open_index(rates, requirements, l, q, u_su[q],
+                                              betas, xis), beta_lo[l])
+        hit = ((j < n_beta) & (np.arange(n_xi) >= xi_lo[l])
+               & radio.licensed_gain(rates, requirements, l, q, u_pu[l],
                                      betas.take(j, mode="clip"), xis))
         rows = hit.any(axis=1).nonzero()[0]
         i = hit[rows].argmax(axis=1)
@@ -191,7 +160,12 @@ def is_stable(outcome, realization, requirements, params):
     raw = outcome.final_xi_steps, outcome.final_beta_steps
     if raw[0] is None and raw[1] is None:
         raw = np.zeros((2, params.l_pu), dtype=int)
-    xi_lo, beta_lo = steps = [np.asarray(s) for s in raw]
+    steps = [np.asarray(s) for s in raw]
+    # unsigned steps as int: np.maximum of int64 and uint64 is float64, and
+    # a uint64 past int64's range wraps below 0, refused with the negatives
+    if all(s.shape == (params.l_pu,) and s.dtype.kind in "iu" for s in steps):
+        steps = [s.astype(int) for s in steps]
+    xi_lo, beta_lo = steps
     if any(s.shape != (params.l_pu,) or s.dtype.kind != "i" or s.min() < 0 for s in steps):
         raise ValueError(f"concession steps {raw!r} are not both absent or both "
                          f"{params.l_pu} integers >= 0")

@@ -83,28 +83,6 @@ def stability_reference(outcome, rates, requirements, grids):
     return blocked, pairs
 
 
-def prefilter_reference(rates, requirements, grids, l, q, u_pu, u_su, xi_lo, beta_lo):
-    """Indices of the pairs (l, q) [k] that pass the blocking-pair
-    prefilter, as a [pairs x time grid] broadcast.
-
-    A pair passes when some time share at or past beta_lo meets both
-    rate floors, beats u_pu at the top of the licensed user's envelope
-    (price xi_values[xi_lo]) and beats u_su at the grid's lowest price:
-    the whole-grid statement that verify._may_block's index lookup must
-    reproduce.
-    """
-    xis, betas = grids.xi_values, grids.beta_values
-    l, q = l[:, None], q[:, None]
-    pu_rate = rates.pu_coef[l, q] * betas
-    su_rate = rates.su_coef[l, q] * (1.0 - betas)
-    maybe = ((pu_rate >= requirements.r_pu_req[l])
-             & (su_rate >= requirements.r_su_req)
-             & (pu_rate + rates.c_cost * xis[xi_lo, None] > u_pu[:, None])
-             & (su_rate - rates.k_cost * xis[-1] > u_su[:, None])
-             & (np.arange(len(betas)) >= beta_lo[:, None])).any(axis=1)
-    return np.flatnonzero(maybe)
-
-
 def grid_candidates(rates, requirements, grids):
     """Every feasible (matching, allocation) on the grids as (m, g, b).
 

@@ -11,7 +11,8 @@ from relaymarket import bench, dda, radio, topology, verify
 
 from conftest import assert_outcome_well_formed
 from helpers import concede, conceding_user
-from oracles import concession_reference
+from oracles import concession_reference, relay_proposing_contracts
+from test_dda import pair_utilities
 
 snr_values = st.floats(min_value=1e-6, max_value=1e6,
                        allow_nan=False, allow_infinity=False)
@@ -147,3 +148,41 @@ class TestEngineInvariants:
                                                     requirements)
         assert verify.is_stable(outcome, realization, requirements,
                                 params).stable
+
+
+@st.composite
+def contract_markets(draw):
+    return topology.params_from_dict({
+        "l_pu": draw(st.integers(min_value=1, max_value=6)),
+        "l_su": draw(st.integers(min_value=1, max_value=8)),
+        "seed": draw(st.integers(min_value=0, max_value=10_000)),
+        "af_formula": draw(st.sampled_from(["paper", "standard"])),
+        "snr_knowledge": draw(st.sampled_from(["complete", "partial"])),
+        "negotiation": "contracts",
+    })
+
+
+class TestContractStableSet:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(contract_markets())
+    def test_relay_proposing_is_the_other_end_of_the_stable_set(self, params):
+        """Against tests/oracles.relay_proposing_contracts: every licensed
+        user weakly prefers the contract rule's outcome and every relay the
+        relay-proposing one (polarization), both match the same users
+        (rural hospitals), and the audit finds the relay-proposing outcome
+        stable on the full grid, its open pairs past the licensed-only
+        prefilter (Roth & Sotomayor 1990; Hatfield & Milgrom 2005)."""
+        real = topology.make_realization(params, params.seed)
+        market = dda.market(params, real)
+        mine, _ = dda.negotiate(market)
+        theirs = dda.MatchingOutcome(params.l_pu, params.l_su, [
+            (l, q, xi, beta) for l, (q, xi, beta) in relay_proposing_contracts(
+                market.rates, market.requirements, market.grids).items()])
+        (pu_mine, su_mine), (pu_theirs, su_theirs) = (
+            pair_utilities(outcome, market.rates) for outcome in (mine, theirs))
+        assert np.all(pu_mine >= pu_theirs) and np.all(su_theirs >= su_mine)
+        for side in (0, 1):
+            assert ({pair[side] for pair in mine.matched_pairs()}
+                    == {pair[side] for pair in theirs.matched_pairs()})
+        assert verify.is_stable(theirs, real, market.requirements, params).stable
+

@@ -18,7 +18,7 @@ import test_dda
 from helpers import (GOLDEN_MARKETS, dense, engine_fingerprint, handmade_realization,
                      outcome_from_arrays, single_pair_scenario)
 from oracles import (all_injective_matchings, first_improving_terms, grid_candidates,
-                     injective_maps_reference, prefilter_reference, stability_reference,
+                     injective_maps_reference, stability_reference,
                      weak_pareto_reference)
 
 
@@ -224,36 +224,6 @@ class TestStabilityAudit:
             seen_pairs += bool(report.blocking_pairs)
         assert seen_blocked > 20 and seen_pairs > 20
 
-    @staticmethod
-    def check_every_prefilter(monkeypatch):
-        """Make every verify._may_block call assert that it keeps exactly
-        the pairs oracles.prefilter_reference keeps; returns call counts."""
-        may_block = verify._may_block
-        seen = {"calls": 0, "pairs": 0, "kept": 0}
-
-        def checked(market, l, q, u_pu, u_su, xi_lo, beta_lo):
-            got = may_block(market, l, q, u_pu, u_su, xi_lo, beta_lo)
-            want = prefilter_reference(market.rates, market.requirements, market.grids,
-                                       l, q, u_pu, u_su, xi_lo, beta_lo)
-            assert np.array_equal(got, want)
-            seen["calls"] += 1
-            seen["pairs"] += len(l)
-            seen["kept"] += len(got)
-            return got
-
-        monkeypatch.setattr(verify, "_may_block", checked)
-        return seen
-
-    def test_prefilter_equals_the_grid_broadcast(self, monkeypatch):
-        """The index lookup keeps exactly the pairs the [pairs x grid]
-        broadcast keeps, on every audit of the audit corpus (enumeration
-        runs no prefilter)."""
-        seen = self.check_every_prefilter(monkeypatch)
-        for params, real, req, outcome in audit_corpus():
-            verify.is_stable(outcome, real, req, params)
-        assert seen["calls"] > 400
-        assert 0 < seen["kept"] < seen["pairs"]
-
     def test_envelope_audits_locate_no_relay_suffix(self, monkeypatch):
         """A ladder outcome audited in its envelope fails the prefilter's
         licensed-only first stage on every pair, so its audit locates no
@@ -285,26 +255,30 @@ class TestStabilityAudit:
 
     def test_a_licensed_tie_at_the_envelope_top_is_dropped(self, monkeypatch):
         """A pair whose licensed utility at the envelope's top point equals
-        what its user holds fails the strict licensed half there, as
-        prefilter_reference drops it, and locates no relay suffix. One ulp
-        less held keeps it."""
+        what its user holds fails the strict licensed half there: the
+        prefilter drops it, so it yields no pair and locates no relay
+        suffix. One ulp less held reaches the relay suffix and blocks at
+        that top point."""
         params, real, req = two_by_two()
         market = dda.market(params, real, req)
-        l, q, xi_lo, beta_lo = (np.array([k]) for k in (0, 1, 1, 2))
-        held = market.rates.licensed(market.grids.beta_values[beta_lo],
-                                     market.grids.xi_values[xi_lo], l, q)[1]
-        u_su = np.zeros(1)
+        xi_lo, beta_lo = np.array([1, 0]), np.array([2, 0])
+        held = market.rates.licensed(market.grids.beta_values[2],
+                                     market.grids.xi_values[1], 0, 1)[1]
+        open_pairs = np.zeros((2, 2), dtype=bool)
+        open_pairs[0, 1] = True
+        locate = radio.relay_open_index
+        calls = []
 
-        def refuse(*args):
-            raise AssertionError("located a relay suffix")
+        def counted(*args):
+            calls.append(args)
+            return locate(*args)
 
-        for u_pu, want in ((held, []), (np.nextafter(held, -np.inf), [0])):
-            assert prefilter_reference(market.rates, req, market.grids, l, q, u_pu, u_su,
-                                       xi_lo, beta_lo).tolist() == want
-            if not want:
-                monkeypatch.setattr(radio, "relay_open_index", refuse)
-            assert verify._may_block(market, l, q, u_pu, u_su, xi_lo, beta_lo).tolist() == want
-            monkeypatch.undo()
+        monkeypatch.setattr(radio, "relay_open_index", counted)
+        for u_pu, want in ((held, []), (np.nextafter(held, -np.inf), [(0, 1, 1, 2)])):
+            calls.clear()
+            assert verify._blocking_pairs(market, np.array([u_pu, 0.0]), np.zeros(2),
+                                          open_pairs, xi_lo, beta_lo) == want
+            assert len(calls) == len(want)
 
     @staticmethod
     def contract_runs():
@@ -328,8 +302,8 @@ class TestStabilityAudit:
     def test_a_wrong_guess_costs_time_never_a_verdict(self, monkeypatch, guess):
         """With the threshold guess replaced by the first index, one past
         the last or a random index, the exact fallback rebuilds every
-        relay suffix: the prefilter, the reports and the contract rule's
-        runs and caps stay the same. Enumeration reads no relay suffix
+        relay suffix: the reports and the contract rule's runs and caps
+        stay the same. Enumeration reads no relay suffix
         (TestOracleLoop.test_enumeration_and_weak_pareto_never_reach_the_audit),
         so it is not rerun here."""
         corpus = list(audit_corpus(seeds=1))
@@ -349,7 +323,6 @@ class TestStabilityAudit:
                     "random": rng.integers(0, n_beta + 1, shape)}[guess]
 
         monkeypatch.setattr(radio, "_relay_open_guess", wrong)
-        self.check_every_prefilter(monkeypatch)
         got = audit()
         assert got == want
         assert any(fp != audit_fingerprint(verify.StabilityReport()) for fp in got[0])
@@ -373,15 +346,22 @@ class TestStabilityAudit:
     def test_one_contract_audit_allocates_no_pairs_by_grid_array(self, monkeypatch):
         """The same 6 MB bound on a 100x200 contract outcome, whose
         prefilter keeps thousands of pairs: the first-witness pass takes
-        AUDIT_PAIRS of them at a time. All at once it peaks near 18.5 MB."""
+        AUDIT_PAIRS of them at a time. All at once it peaks near 21.5 MB."""
         params = topology.params_from_dict(
             {"l_pu": 100, "l_su": 200, "negotiation": "contracts"})
         real = topology.make_realization(params, 0)
         req = radio.requirements_for(params, real)
         outcome, _ = dda.run(params, real, req)
-        seen = self.check_every_prefilter(monkeypatch)
+        locate = radio.relay_open_index
+        rows = []
+
+        def counted(rates, requirements, l, q, *args):
+            rows.append(len(l))
+            return locate(rates, requirements, l, q, *args)
+
+        monkeypatch.setattr(radio, "relay_open_index", counted)
         verify.is_stable(outcome, real, req, params)
-        assert seen["kept"] > 4 * verify.AUDIT_PAIRS
+        assert sum(rows) > 4 * verify.AUDIT_PAIRS
         monkeypatch.undo()
         tracemalloc.start()
         try:
@@ -400,6 +380,16 @@ class TestStabilityAudit:
         outcome = build_outcome(2, 2, {0: (0, 0.0, 1.0)})
         report = verify.is_stable(outcome, real, req, params)
         assert ("su", 0, "su-rate") in report.blocked_individuals
+
+    def test_a_licensed_rate_at_its_floor_meets_it(self):
+        # licensed slope 1.0 at beta 0.25 earns exactly a floor of 0.25
+        params, real, _ = two_by_two()
+        req = radio.Requirements(r_pu_req=np.array([0.25, 0.25]), r_su_req=0.1)
+        report = verify.is_stable(build_outcome(2, 2, {0: (0, 0.5, 0.25)}), real, req, params)
+        assert ("pu", 0, "pu-rate") not in report.blocked_individuals
+        req = radio.Requirements(r_pu_req=np.array([0.26, 0.25]), r_su_req=0.1)
+        report = verify.is_stable(build_outcome(2, 2, {0: (0, 0.5, 0.25)}), real, req, params)
+        assert ("pu", 0, "pu-rate") in report.blocked_individuals
 
     def test_negative_relay_utility_flags_the_individual(self):
         params, real, req = two_by_two()
@@ -448,8 +438,10 @@ class TestStabilityAudit:
 
     @pytest.mark.parametrize("xi_steps, beta_steps", [
         ([-1, -1], [-1, -1]), ([0], [0]), ([0, 0, 0], [0, 0, 0]), ([1.5, 2.5], [1.5, 2.5]),
-        ([0, 0], None), (None, [0, 0])],
-        ids=["negative", "short", "long", "fractional", "xi-only", "beta-only"])
+        ([0, 0], None), (None, [0, 0]), ([True, False], [True, False]),
+        (np.array([2**64 - 1, 0], dtype=np.uint64), [0, 0])],
+        ids=["negative", "short", "long", "fractional", "xi-only", "beta-only", "bool",
+             "past-int64"])
     def test_malformed_concession_steps_are_refused(self, default_params, xi_steps,
                                                     beta_steps):
         # a -1 wraps to the grid's last point: unguarded, it hides the
@@ -463,6 +455,26 @@ class TestStabilityAudit:
         with pytest.raises(ValueError, match="concession steps .* are not both absent or "
                                              "both 2 integers >= 0"):
             verify.is_stable(bad, real, req, default_params)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint64, np.int32])
+    def test_unsigned_and_narrow_steps_audit_as_int64(self, default_params, dtype):
+        # np.maximum of int64 and uint64 steps is float64, which no grid
+        # takes as an index: the audit reads every integer kind as int
+        real = topology.make_realization(default_params, 2)
+        req = radio.requirements_for(default_params, real)
+        outcome = dda.run(default_params, real, req)[0]
+        steps = [np.asarray(s, dtype=np.int64)
+                 for s in (outcome.final_xi_steps, outcome.final_beta_steps)]
+        cast = MatchingOutcome(2, 6, outcome.matched_terms(),
+                               *(s.astype(dtype) for s in steps))
+        want = verify.is_stable(MatchingOutcome(2, 6, outcome.matched_terms(), *steps),
+                                real, req, default_params)
+        got = verify.is_stable(cast, real, req, default_params)
+        assert (got.blocked_individuals, got.blocking_pairs) == (
+            want.blocked_individuals, want.blocking_pairs)
+        # the same matching on the full grid blocks, so the steps are read
+        assert verify.is_stable(MatchingOutcome(2, 6, outcome.matched_terms()),
+                                real, req, default_params).blocking_pairs
 
     @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (1, 2)])
     def test_an_outcome_of_another_shape_is_refused(self, shape):
@@ -921,7 +933,6 @@ class TestOracleLoop:
             raise AssertionError("reached from the oracle loop")
 
         monkeypatch.setattr(verify, "_blocking_pairs", refuse)
-        monkeypatch.setattr(verify, "_may_block", refuse)
         monkeypatch.setattr(radio, "relay_open_index", refuse)
         stable = 0
         for params, real, req, _ in cases:
