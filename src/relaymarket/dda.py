@@ -189,15 +189,24 @@ class EngineState:
     concede step by step; final_steps() gives the outcome's concession
     steps; cap bounds the offers. partners is the partners array the run
     was opened with, which a trace replays from.
+
+    Raises ValueError unless partners is None or an integer array of shape
+    (l_pu,) with entries in [-1, l_su). Two users may share a relay.
     """
 
     def __init__(self, market, partners):
-        l_pu = market.params.l_pu
+        l_pu, l_su = market.params.l_pu, market.params.l_su
+        if partners is not None and not (
+                isinstance(partners, np.ndarray) and partners.dtype.kind in "iu"
+                and partners.shape == (l_pu,)
+                and -1 <= partners.min() and partners.max() < l_su):
+            raise ValueError(f"partners {partners!r} is not an integer array of "
+                             f"{l_pu} relays in [-1, {l_su})")
         self.market = market
         self.partners = partners
         self.queue = deque(range(l_pu) if partners is None
                            else (partners >= 0).nonzero()[0].tolist())
-        self.accepted = [None] * market.params.l_su   # per relay: (l, xi, beta, u_su) held
+        self.accepted = [None] * l_su   # per relay: (l, xi, beta, u_su) held
         self.puu_counts = [0] * l_pu
         self.offers = self.accepts = self.displacements = self.prunes = 0
         self.events = []
@@ -333,15 +342,14 @@ class ContractState(EngineState):
     The next offer is the best over relays, ties to the smaller index; a
     user with none open exits.
 
-    At price i the open contracts run along the time grid from s(i), the
-    start of the relay's suffix (radio.relay_open_index), to the end of
-    the licensed floor's prefix, p. The licensed utility falls along the
-    grid, so the best at price i is (i, s(i)) when s(i) < p, and
-    _best_open takes the best over prices. Bars and held utilities only
-    rise, so a refusal recomputes that one relay, and a contract once
-    closed stays closed. Each offer closes its contract when refused or
-    displaced, so cap, the count of contracts open at the start (the sum
-    of max(0, p - s(i)) over pairs and prices), bounds the offers.
+    The best open contract at price i is (i, s(i)), the best trade the
+    relay takes (radio.open_trades), and _best_open takes the best over
+    prices. Bars and held utilities only rise, so a refusal recomputes
+    that one relay, and a contract once closed stays closed. Each offer
+    closes its contract when refused or displaced, so cap, the count of
+    contracts open at the start, bounds the offers: at price i they run
+    from s(i) to the end of the licensed floor's prefix p, so cap sums
+    max(0, p - s(i)) over pairs and prices.
 
     Only the relay-side slopes enter the bars, and those are instantaneous
     in both knowledge modes. The outcome carries no concession steps, so
@@ -356,32 +364,27 @@ class ContractState(EngineState):
             self.bar[partners[:, None] != np.arange(l_su)] = np.inf
         self.best_u = np.full((l_pu, l_su), -np.inf)
         self.best_k = np.zeros((l_pu, l_su), dtype=int)
-        self.prefix = np.zeros((l_pu, l_su), dtype=int)   # p of every pair
         self.cap = 0
         for l in range(l_pu):
             q = (self.bar[l] < np.inf).nonzero()[0][:, None]   # a barred relay has none open
-            # any utility beats minus infinity, so only the licensed floor counts
-            self.prefix[l, q] = radio.licensed_gain(
-                market.rates, market.requirements, l, q, -np.inf,
-                market.grids.beta_values, 0.0).sum(axis=1, keepdims=True)
-            s, p = self._best_open(l, q)
-            self.cap += int(np.maximum(p - s, 0).sum())
+            # p, the licensed floor's prefix: any utility beats minus infinity
+            p = radio.licensed_gain(market.rates, market.requirements, l, q, -np.inf,
+                                    market.grids.beta_values, 0.0).sum(axis=1, keepdims=True)
+            self.cap += int(np.maximum(p - self._best_open(l, q), 0).sum())
 
     def _best_open(self, l, q):
         """Set best_u and best_k of user l with relay q, or with a column of
-        relays q [r, 1], from the bars; returns s [r, n_xi] and p."""
+        relays q [r, 1], from the bars; returns s, [n_xi] or [r, n_xi]."""
         rates, grids = self.market.rates, self.market.grids
         xis, betas = grids.xi_values, grids.beta_values
-        s = np.atleast_2d(radio.relay_open_index(rates, self.market.requirements, l, q,
-                                                 self.bar[l, q], betas, xis))
-        p = self.prefix[l, q]
-        u_pu = np.where(s < p, rates.licensed(betas.take(s, mode="clip"), xis, l, q)[1], -np.inf)
-        i = u_pu.argmax(axis=1)
-        rows = np.arange(len(i))
-        q = np.ravel(q)
-        self.best_u[l, q] = u_pu[rows, i]
-        self.best_k[l, q] = i * len(betas) + s[rows, i]
-        return s, p
+        s, u_pu = radio.open_trades(rates, self.market.requirements, l, q,
+                                    self.bar[l, q], betas, xis, 0)
+        i = u_pu.argmax(axis=-1)
+        # one relay's best price is i itself, a column's is i along its rows
+        at, q = ((np.arange(len(q)), i), q[:, 0]) if np.ndim(q) else (i, q)
+        self.best_u[l, q] = u_pu[at]
+        self.best_k[l, q] = i * len(betas) + s[at]
+        return s
 
     def offer(self, l):
         q = int(self.best_u[l].argmax())
@@ -496,12 +499,13 @@ def run(params, realization, requirements=None):
 def negotiate(market, partners=None):
     """Run the market's negotiation rule to termination. partners, when
     given, is an int array holding each licensed user's one relay, -1 for
-    a user that sits out. The run builds no event; the trace replays it
-    when its events are read.
+    a user that sits out; two users may name the same relay. The run
+    builds no event; the trace replays it when its events are read.
 
-    Raises EngineError once the offers pass the rule's bound, state.cap
-    (see LadderState and ContractState), rather than trusting the theory
-    to end the run.
+    Raises ValueError on malformed partners (see EngineState), and
+    EngineError once the offers pass the rule's bound, state.cap (see
+    LadderState and ContractState), rather than trusting the theory to
+    end the run.
     """
     state = init_state(market, partners)
     state.events = None

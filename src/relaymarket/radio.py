@@ -184,20 +184,29 @@ def relay_gain(rates, requirements, l, q, bar, beta, xi):
 
 
 def _relay_open_guess(rates, requirements, l, q, bar, betas, xi):
-    """relay_open_index up to rounding: the beta_interval hi rule with the
-    relay floor raised to what the bar and a zero utility ask. A wrong
-    guess (zero slope, exact tie) costs time only."""
+    """open_trades' first relay-open index up to rounding: the first time
+    share at most relay_ceiling_share of the relay floor raised to what
+    the bar and a zero utility ask. A wrong guess (an exact tie) costs
+    time only."""
     floor = np.maximum(requirements.r_su_req, rates.k_cost * xi + np.maximum(bar, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (1.0 - betas).searchsorted(floor / rates.su_coef[l, q])
+    return (-betas).searchsorted(-relay_ceiling_share(floor, rates.su_coef[l, q]))
 
 
-def relay_open_index(rates, requirements, l, q, bar, betas, xi):
-    """Per row of l, q, bar and xi, broadcast together, the first index of
-    the falling time grid betas where relay_gain holds, len(betas) if none.
+def open_trades(rates, requirements, l, q, bar, betas, xi, lo):
+    """The best trade the relay takes, per row of l, q, bar, xi and lo
+    broadcast together: (j, u) on the falling time grid betas.
 
-    A guess j is exact iff relay_gain holds at j and not at j - 1; only the
-    rows that fail this check are recomputed over the whole grid.
+    relay_gain holds on a suffix of the grid, the licensed floor on a
+    prefix, and the licensed utility falls along it. So from time index lo
+    on, the trades that relay_gain and the licensed floor both pass run
+    from j, the first index >= lo where relay_gain holds (len(betas) if
+    none), to the end of the floor's prefix, and the best of them for the
+    licensed side is at j. u is its licensed utility, minus infinity where
+    j is len(betas) or the floor misses at j.
+
+    The first relay-open index is guessed (_relay_open_guess); a guess j
+    is exact iff relay_gain holds at j and not at j - 1, and only the rows
+    that fail this check are recomputed over the whole grid.
     """
     n_beta = len(betas)
     j = _relay_open_guess(rates, requirements, l, q, bar, betas, xi)
@@ -206,10 +215,13 @@ def relay_open_index(rates, requirements, l, q, bar, betas, xi):
                             betas.take(np.add.outer((-1, 0), j), mode="clip"), xi)
     miss = ((before & (j > 0)) | ~(at | (j == n_beta))).nonzero()
     if len(miss[0]):
-        l, q, bar, xi = (np.broadcast_to(a, j.shape)[miss][:, None] for a in (l, q, bar, xi))
-        full = relay_gain(rates, requirements, l, q, bar, betas, xi)
+        ml, mq, mbar, mxi = (np.broadcast_to(a, j.shape)[miss][:, None]
+                             for a in (l, q, bar, xi))
+        full = relay_gain(rates, requirements, ml, mq, mbar, betas, mxi)
         j[miss] = np.where(full.any(axis=1), full.argmax(axis=1), n_beta)
-    return j
+    j = np.maximum(j, lo)
+    pu_rate, u = rates.licensed(betas.take(j, mode="clip"), xi, l, q)
+    return j, np.where((j < n_beta) & (pu_rate >= requirements.r_pu_req[l]), u, -np.inf)
 
 
 def licensed_floor_share(r_pu, coef):
@@ -222,19 +234,25 @@ def licensed_floor_share(r_pu, coef):
     return np.maximum(lo, 0.0)
 
 
+def relay_ceiling_share(r_su, coef):
+    """The largest time share at which relay slope coef meets floor r_su,
+    at most 1, the twin of licensed_floor_share: 1 - r_su / coef for a
+    positive slope. A zero slope meets its floor everywhere when the floor
+    is not positive (1: fmin drops the nan of 0 / 0) and nowhere otherwise
+    (-inf). Broadcasts."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.fmin(1.0 - r_su / coef, 1.0)
+
+
 def beta_interval(rates, requirements):
     """Feasible time shares of every pair: (lo, hi), both [l, q].
 
     beta in [lo, hi] meets the licensed floor (pu_coef * beta, lo by
-    licensed_floor_share) and the relay floor (su_coef * (1 - beta))
-    inside [0, 1]; lo > hi when no beta does. A zero slope meets its floor
-    everywhere when the floor is not positive and nowhere otherwise.
+    licensed_floor_share) and the relay floor (su_coef * (1 - beta), hi
+    by relay_ceiling_share) inside [0, 1]; lo > hi when no beta does.
     """
-    su, r_su = rates.su_coef, requirements.r_su_req
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hi = np.where(su > 0.0, 1.0 - r_su / su, 1.0 if r_su <= 0.0 else -np.inf)
     return (licensed_floor_share(requirements.r_pu_req[:, None], rates.pu_coef),
-            np.minimum(hi, 1.0))
+            relay_ceiling_share(requirements.r_su_req, rates.su_coef))
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,12 @@ slope.
 
 A pair blocks where radio.licensed_gain and radio.relay_gain (its bar
 the relay's held utility) both hold. is_stable alone needs each blocking
-pair's first witness, so only it runs the array core, _blocking_pairs.
-At a fixed price a pair blocks from the start of the relay's suffix of
-the falling time grid (radio.relay_open_index) to the end of the
-licensed prefix, so the core reads one time index per pair and price and
-never builds a pair's whole grid. A prefilter first drops the pairs
-whose licensed half fails at the top of the envelope, which is every
-pair of an engine ladder outcome audited in its envelope; only the
-survivors locate a relay suffix, AUDIT_PAIRS of them at a time.
+pair's first witness, so only it runs the array core, _blocking_pairs,
+which reads each pair's best trade per price from radio.open_trades and
+never builds a pair's whole grid. A prefilter first drops the pairs whose
+licensed half fails at the top of the envelope, which is every pair of
+an engine ladder outcome audited in its envelope; only the survivors
+reach open_trades, AUDIT_PAIRS of them at a time.
 
 Enumeration needs a verdict only: it decides a plan's candidates
 together, one table per open pair over its users' term lists, read off
@@ -101,9 +99,9 @@ def _blocking_pairs(market, u_pu, u_su, open_pairs, xi_lo, beta_lo):
     then misses too.
 
     Each survivor's first witness is at the first i >= xi_lo where the
-    licensed half holds at j = max(start of the relay's suffix at price
-    i, beta_lo). The relay half's zero-utility test changes no verdict
-    here, since every open pair's relay holds at least 0.
+    best trade its relay takes from beta_lo on (radio.open_trades) gives
+    l more than it holds. The relay half's zero-utility test changes no
+    verdict here, since every open pair's relay holds at least 0.
     """
     rates, requirements = market.rates, market.requirements
     xis, betas = market.grids.xi_values, market.grids.beta_values
@@ -115,11 +113,8 @@ def _blocking_pairs(market, u_pu, u_su, open_pairs, xi_lo, beta_lo):
     for lo in range(0, len(survivors), AUDIT_PAIRS):
         k = survivors[lo:lo + AUDIT_PAIRS, None]
         l, q = ll[k], qq[k]
-        j = np.maximum(radio.relay_open_index(rates, requirements, l, q, u_su[q],
-                                              betas, xis), beta_lo[l])
-        hit = ((j < n_beta) & (np.arange(n_xi) >= xi_lo[l])
-               & radio.licensed_gain(rates, requirements, l, q, u_pu[l],
-                                     betas.take(j, mode="clip"), xis))
+        j, u = radio.open_trades(rates, requirements, l, q, u_su[q], betas, xis, beta_lo[l])
+        hit = (u > u_pu[l]) & (np.arange(n_xi) >= xi_lo[l])
         rows = hit.any(axis=1).nonzero()[0]
         i = hit[rows].argmax(axis=1)
         found += zip(l[rows, 0].tolist(), q[rows, 0].tolist(), i.tolist(),
@@ -351,10 +346,11 @@ def check_weak_pareto(outcome, realization, requirements, params):
     return False, MatchingOutcome(params.l_pu, params.l_su, terms)
 
 
-def _concession_budgets(params, realization, requirements):
-    """Per licensed user, price steps plus time steps down to the smallest
-    time share any of its pairs can still work at, capped at the opening
-    time share: [l].
+def per_pu_puu_bounds(params, realization, requirements=None):
+    """Per licensed user ceiling on concession invocations (integer): its
+    price steps plus its time steps down to the smallest time share any of
+    its pairs can still work at, capped at the opening time share, rounded
+    up, plus one.
 
     That share is the row minimum of radio.beta_interval's lower end, read
     off the licensed slopes alone. Division by a positive slope is
@@ -369,13 +365,8 @@ def _concession_budgets(params, realization, requirements):
     steepest = radio.licensed_slopes(params, realization).max(axis=1)
     floors = np.minimum(radio.licensed_floor_share(requirements.r_pu_req, steepest),
                         params.beta_init)
-    return params.xi_init / params.delta + (params.beta_init - floors) / params.epsilon
-
-
-def per_pu_puu_bounds(params, realization, requirements=None):
-    """Per licensed user ceiling on concession invocations (integer): the
-    price and time budget rounded up, plus one."""
-    return np.ceil(_concession_budgets(params, realization, requirements)).astype(int) + 1
+    budgets = params.xi_init / params.delta + (params.beta_init - floors) / params.epsilon
+    return np.ceil(budgets).astype(int) + 1
 
 
 def packet_bound(params, realization, requirements=None):

@@ -505,6 +505,25 @@ def relay_proposing_contracts(rates, requirements, grids):
     return {l: (q, xi, beta) for l, (q, xi, beta, _) in held.items()}
 
 
+def open_trades_reference(rates, requirements, betas, l, q, bar, xi, lo):
+    """The best trade pair (l, q)'s relay takes at price xi from time index
+    lo on, by a plain scan of the falling time grid betas: (j, u). j is
+    the first index >= lo where the relay meets its floor and keeps a
+    nonnegative utility above bar, len(betas) if none; u is the licensed
+    utility there, minus infinity where j is len(betas) or the licensed
+    floor misses at j."""
+    for j in range(lo, len(betas)):
+        beta = float(betas[j])
+        su_rate = float(rates.su_coef[l, q]) * (1.0 - beta)
+        u_su = su_rate - rates.k_cost * xi
+        if su_rate >= requirements.r_su_req and u_su >= 0.0 and u_su > bar:
+            pu_rate = float(rates.pu_coef[l, q]) * beta
+            if pu_rate >= float(requirements.r_pu_req[l]):
+                return j, pu_rate + rates.c_cost * xi
+            return j, -math.inf
+    return len(betas), -math.inf
+
+
 def open_contract_utilities(market, bar, l):
     """User l's licensed utility of every grid contract with each relay,
     minus infinity where closed, as one full-grid broadcast: [relays,

@@ -312,6 +312,27 @@ class TestEngineMechanics:
             assert trace.offers == offers
             assert {l for l, _ in out.matched_pairs()} <= {0, 2}
 
+    @pytest.mark.parametrize("rule", ["ladder", "contracts"])
+    @pytest.mark.parametrize("partners", [
+        np.array([7, 1]), np.array([0]), np.array([1.0, 2.0]), np.array([-2, 1]),
+        np.array([True, False]), [0, 1], np.array([[0, 1]])],
+        ids=["past-the-relays", "short", "float", "below-minus-one", "bool", "list", "2d"])
+    def test_malformed_partners_are_refused(self, rule, partners):
+        params = topology.params_from_dict({"negotiation": rule})
+        market = dda.market(params, topology.make_realization(params, 0))
+        with pytest.raises(ValueError, match="not an integer array of 2 relays"):
+            dda.negotiate(market, partners)
+
+    @pytest.mark.parametrize("rule", ["ladder", "contracts"])
+    def test_partners_may_share_a_relay_and_be_unsigned(self, rule):
+        params = topology.params_from_dict({"negotiation": rule})
+        market = dda.market(params, topology.make_realization(params, 0))
+        shared = dda.negotiate(market, np.array([5, 5]))[0]
+        assert {q for _, q in shared.matched_pairs()} <= {5}
+        want = engine_fingerprint(*dda.negotiate(market, np.array([3, 0])))
+        for dtype in (np.uint8, np.int32):
+            assert engine_fingerprint(*dda.negotiate(market, np.array([3, 0], dtype=dtype))) == want
+
     @staticmethod
     def _contest():
         # both licensed pairs want the lone relay; exactly one ends matched

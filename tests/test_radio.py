@@ -15,10 +15,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from relaymarket import baselines, radio, topology, verify
+from relaymarket import baselines, dda, radio, topology, verify
 
 from helpers import handmade_realization, single_pair_scenario
-from oracles import expected_relay_log_term, partial_mean_log_reference, reference_draw
+from oracles import (expected_relay_log_term, open_trades_reference,
+                     partial_mean_log_reference, reference_draw)
 
 
 class TestRelaySnr:
@@ -395,6 +396,86 @@ class TestTradeHalves:
         assert radio.licensed_gain(rates, req, 0, 0, below, 0.25, 0.5)
         assert not radio.relay_gain(rates, req, 0, 0, 1.0, 0.25, 0.5)
         assert radio.relay_gain(rates, req, 0, 0, below, 0.25, 0.5)
+
+
+class TestOpenTrades:
+    """radio.open_trades, the best trade a relay takes per price."""
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"af_formula": "standard"}, {"snr_knowledge": "partial"},
+        {"af_formula": "standard", "snr_knowledge": "partial"}])
+    def test_agrees_with_plain_scan(self, overrides):
+        """Row by row against tests/oracles.open_trades_reference, every
+        pair of 2x6 markets under bars of minus infinity, 0, a relay
+        utility some grid trade ties and plus infinity, from the first,
+        a middle and one past the last time index."""
+        params = topology.params_from_dict(overrides)
+        grids = dda.concession_grids(params)
+        betas, xis = grids.beta_values, grids.xi_values
+        n = len(betas)
+        kinds = set()
+        for seed in range(3):
+            real = topology.make_realization(params, seed)
+            rates, req = radio.make_pair_rates(params, real), radio.requirements_for(params, real)
+            rows = [(l, q, bar, lo) for l, q in np.ndindex(params.l_pu, params.l_su)
+                    for bar in (-np.inf, 0.0, rates.relay(betas[n // 2], xis[2], l, q)[1], np.inf)
+                    for lo in (0, n // 2, n)]
+            l, q, bar, lo = (np.array(column)[:, None] for column in zip(*rows))
+            j, u = radio.open_trades(rates, req, l, q, bar, betas, xis, lo)
+            assert j.shape == u.shape == (len(rows), len(xis))
+            for r, (l, q, bar, lo) in enumerate(rows):
+                for i, xi in enumerate(grids.xi_terms):
+                    want = open_trades_reference(rates, req, betas, l, q, bar, xi, lo)
+                    assert (j[r, i], u[r, i]) == want, (seed, l, q, bar, lo, i)
+                    kinds.add((want[0] == n, want[1] == -np.inf))
+        # trades the licensed floor takes, trades it misses, and none at all
+        assert kinds == {(False, False), (False, True), (True, True)}
+
+    def test_a_licensed_rate_at_its_floor_meets_it(self):
+        """Licensed slope 1 at time share 0.5 (index 2 of the quarter grid)
+        earns exactly a floor of 0.5; the relay takes every time share at
+        price 0.0, so from lo 2 the trade is there. One ulp more floor
+        misses it."""
+        for r_pu, want in ((0.5, 0.5), (np.nextafter(0.5, 1.0), -np.inf)):
+            params, real = single_pair_scenario(
+                gamma_dir=2.5, gamma_relay_hops=(1.0, 1.0), gamma_sr=3.0,
+                r_pu_req=[r_pu], r_su_req=0.0,
+                xi_init=1.0, delta=0.25, beta_init=1.0, epsilon=0.25)
+            market = dda.market(params, real)
+            j, u = radio.open_trades(market.rates, market.requirements, 0, 0, -np.inf,
+                                     market.grids.beta_values, np.array([0.0]), 2)
+            assert (j.tolist(), u.tolist()) == ([2], [want])
+
+    def test_a_zero_relay_slope_is_guessed_exactly(self, monkeypatch):
+        """Relay slope 0 under a relay floor of 0: the relay takes every
+        time share at price 0.0 (utility 0 above a bar of minus infinity)
+        and none at a positive price. The guess is exact, time index 0 and
+        one past the grid, so open_trades makes one relay_gain call and
+        recomputes no row."""
+        params, real = single_pair_scenario(
+            gamma_dir=2.5, gamma_relay_hops=(1.0, 1.0), gamma_sr=0.0,
+            r_pu_req=[0.3], r_su_req=0.0,
+            xi_init=1.0, delta=0.25, beta_init=1.0, epsilon=0.25)
+        market = dda.market(params, real)
+        rates, req, grids = market.rates, market.requirements, market.grids
+        betas, xis = grids.beta_values, grids.xi_values
+        assert rates.su_coef[0, 0] == 0.0 and rates.k_cost > 0.0
+        assert xis.tolist() == [1.0, 0.75, 0.5, 0.25, 0.0]
+        n = len(betas)
+        guess = radio._relay_open_guess(rates, req, 0, 0, -np.inf, betas, xis)
+        assert guess.tolist() == [n, n, n, n, 0]
+        gain, calls = radio.relay_gain, []
+
+        def counted(*args):
+            calls.append(args)
+            return gain(*args)
+
+        monkeypatch.setattr(radio, "relay_gain", counted)
+        j, u = radio.open_trades(rates, req, 0, 0, -np.inf, betas, xis, 0)
+        assert len(calls) == 1
+        assert j.tolist() == [n, n, n, n, 0]
+        # licensed slope 1 at time share 1.0 and price 0.0
+        assert u.tolist() == [-np.inf] * 4 + [1.0]
 
 
 def test_handmade_realizations_need_unit_gains(default_params):

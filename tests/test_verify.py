@@ -230,14 +230,14 @@ class TestStabilityAudit:
         relay suffix, at 2x2 (the oracle scenario), 2x6 and 25x50. The
         same matchings stripped of their steps, and contract outcomes,
         locate some."""
-        locate = radio.relay_open_index
+        locate = radio.open_trades
         calls = {}
 
         def counted(*args):
             calls[kind] = calls.get(kind, 0) + 1
             return locate(*args)
 
-        monkeypatch.setattr(radio, "relay_open_index", counted)
+        monkeypatch.setattr(radio, "open_trades", counted)
         for overrides in (cli.ORACLE_SCENARIO, {}, {"l_pu": 25, "l_su": 50}):
             calls.clear()
             for rule in ("ladder", "contracts"):
@@ -266,14 +266,14 @@ class TestStabilityAudit:
                                      market.grids.xi_values[1], 0, 1)[1]
         open_pairs = np.zeros((2, 2), dtype=bool)
         open_pairs[0, 1] = True
-        locate = radio.relay_open_index
+        locate = radio.open_trades
         calls = []
 
         def counted(*args):
             calls.append(args)
             return locate(*args)
 
-        monkeypatch.setattr(radio, "relay_open_index", counted)
+        monkeypatch.setattr(radio, "open_trades", counted)
         for u_pu, want in ((held, []), (np.nextafter(held, -np.inf), [(0, 1, 1, 2)])):
             calls.clear()
             assert verify._blocking_pairs(market, np.array([u_pu, 0.0]), np.zeros(2),
@@ -352,14 +352,14 @@ class TestStabilityAudit:
         real = topology.make_realization(params, 0)
         req = radio.requirements_for(params, real)
         outcome, _ = dda.run(params, real, req)
-        locate = radio.relay_open_index
+        locate = radio.open_trades
         rows = []
 
         def counted(rates, requirements, l, q, *args):
             rows.append(len(l))
             return locate(rates, requirements, l, q, *args)
 
-        monkeypatch.setattr(radio, "relay_open_index", counted)
+        monkeypatch.setattr(radio, "open_trades", counted)
         verify.is_stable(outcome, real, req, params)
         assert sum(rows) > 4 * verify.AUDIT_PAIRS
         monkeypatch.undo()
@@ -933,7 +933,7 @@ class TestOracleLoop:
             raise AssertionError("reached from the oracle loop")
 
         monkeypatch.setattr(verify, "_blocking_pairs", refuse)
-        monkeypatch.setattr(radio, "relay_open_index", refuse)
+        monkeypatch.setattr(radio, "open_trades", refuse)
         stable = 0
         for params, real, req, _ in cases:
             stable += len(verify.enumerate_stable_matchings(real, req, params))
