@@ -209,12 +209,13 @@ def open_trades(rates, requirements, l, q, bar, betas, xi, lo):
     that fail this check are recomputed over the whole grid.
     """
     n_beta = len(betas)
-    j = _relay_open_guess(rates, requirements, l, q, bar, betas, xi)
+    # an array even when every row argument is a scalar, so the misses can be written back
+    j = np.asarray(_relay_open_guess(rates, requirements, l, q, bar, betas, xi))
     # j - 1 and j in one call; indices clipped into the grid at either end are masked
     before, at = relay_gain(rates, requirements, l, q, bar,
                             betas.take(np.add.outer((-1, 0), j), mode="clip"), xi)
-    miss = ((before & (j > 0)) | ~(at | (j == n_beta))).nonzero()
-    if len(miss[0]):
+    miss = (before & (j > 0)) | ~(at | (j == n_beta))
+    if miss.any():
         ml, mq, mbar, mxi = (np.broadcast_to(a, j.shape)[miss][:, None]
                              for a in (l, q, bar, xi))
         full = relay_gain(rates, requirements, ml, mq, mbar, betas, mxi)

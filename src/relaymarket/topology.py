@@ -9,6 +9,7 @@ unit-mean exponentials, redrawn fresh per trial and constant within it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -170,9 +171,12 @@ def draw_channels(params, placement, rng):
     for the cross links, and the two hop SNRs are released once they have
     given the composite relayed SNR. Under partial knowledge the
     realization also gets the per-pair expected log terms from
-    radio.mean_relay_log_terms, with one spawned substream per pair in
-    row-major order, so each estimate is reproducible pair by pair;
-    spawning draws nothing from rng. The arithmetic runs with numpy's
+    radio.mean_relay_log_terms, with one substream per pair in row-major
+    order, so each estimate is reproducible pair by pair. The substreams
+    are the generators rng.spawn would give, derived by spawn_generators
+    from rng's seed sequence in one array pass; this draws nothing from
+    rng and, unlike rng.spawn, leaves the sequence's spawn counter (which
+    only numpy can write) where it was. The arithmetic runs with numpy's
     overflow, invalid and divide warnings off; a kept array that is not
     finite, as when huge transmit SNRs overflow a hop product, raises
     ValueError instead.
@@ -199,7 +203,8 @@ def draw_channels(params, placement, rng):
             # on some pairs, and the recorded partial-knowledge digests rest on them
             forward_gain = g_st / (d_st_pr.astype(object) ** params.alpha).astype(float)
             partial_mean_log = radio.mean_relay_log_terms(
-                gamma_dir, gamma_pt_st, forward_gain, params.af_formula, rng.spawn(l_pu * l_su))
+                gamma_dir, gamma_pt_st, forward_gain, params.af_formula,
+                spawn_generators(rng, l_pu * l_su))
         gamma_st_pr = snr((l_pu, l_su), g_st, d_st_pr)
         del d_st_pr   # its buffer holds the path loss now
         # drawn [q, l], one relay pair's bands per row, and kept as its [l, q] view
@@ -209,6 +214,115 @@ def draw_channels(params, placement, rng):
                if a is not None):
         raise ValueError("non-finite channel realization rejected")
     return ChannelRealization(placement, gamma_dir, gamma_relay, gamma_sr, partial_mean_log)
+
+
+# numpy's SeedSequence hash constants (NEP 19 keeps its algorithm stable)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875   # mixing entropy into the pool
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED   # generate_state
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# generate_state's running constants over PCG64's eight seed words
+_STATE_CONSTS = np.array([_INIT_B * _MULT_B ** k & _MASK32 for k in range(9)], dtype=np.uint32)
+
+
+def spawn_generators(rng, n):
+    """rng.spawn(n) as the same generators bit for bit, without building
+    its n child SeedSequences. rng must be a PCG64 generator on a
+    SeedSequence (TypeError otherwise); its spawn counter is read, not
+    advanced. The children draw as rng.spawn's do but cannot spawn.
+
+    SeedSequence hashes a child's words (rng's entropy, zero-padded to the
+    pool size, its spawn key, then the child index) into a pool, and
+    generate_state hashes the pool into PCG64's four-word seed. Only the
+    last word differs between children, so the hash of the shared words
+    runs once on Python ints and the rest as uint32 arrays [n, ...].
+    """
+    bit_generator = rng.bit_generator
+    seq = bit_generator.seed_seq
+    if not (isinstance(bit_generator, np.random.PCG64)
+            and isinstance(seq, np.random.SeedSequence)):
+        raise TypeError("spawn_generators needs a PCG64 generator on a SeedSequence, "
+                        f"got {type(bit_generator).__name__} on {type(seq).__name__}")
+    first = seq.n_children_spawned
+    if first + n > _MASK32:
+        # numpy counts child indices in a uint32 that never reaches a stop of 2**32
+        raise ValueError("rng.spawn gives no child index past 2**32 - 2")
+    size = seq.pool_size
+    words = _uint32_words(seq.entropy)
+    words += [0] * (size - len(words)) + _uint32_words(seq.spawn_key)
+    # len(words) + 1 words hashed into each of size pool words, the first
+    # size of them straight in: one constant per hash and one to follow
+    c = [_INIT_A]
+    for _ in range((len(words) + 1) * size):
+        c.append(c[-1] * _MULT_A & _MASK32)
+    pool = [_hash(w, c[k], c[k + 1]) for k, w in enumerate(words[:size])]
+    k = size
+    for src in range(size):
+        for dst in range(size):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], c[k], c[k + 1]))
+                k += 1
+    for w in words[size:]:
+        for dst in range(size):
+            pool[dst] = _mix(pool[dst], _hash(w, c[k], c[k + 1]))
+            k += 1
+    # offset from 0, not arange(first, first + n): a uint32 stop of 2**32 never ends
+    index = np.arange(n, dtype=np.uint32)[:, None] + np.uint32(first)
+    c = np.array(c[k:], dtype=np.uint32)
+    pools = _mix(np.array(pool, dtype=np.uint32), _hash(index, c[:-1], c[1:]))
+    # generate_state(4, uint64): eight words cycling over the pool
+    state = _hash(pools.take(np.arange(8) % size, axis=1), _STATE_CONSTS[:-1], _STATE_CONSTS[1:])
+    seeds = state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    seeded = _seeded_state()
+    return [np.random.Generator(np.random.PCG64(seeded(row))) for row in seeds]
+
+
+def _uint32_words(value):
+    """SeedSequence's words of an entropy or spawn key: an int's 32-bit
+    words, least significant first (0 is one word; a string is read as a
+    decimal or 0x-prefixed hex int), or a sequence's items' words in
+    order."""
+    if isinstance(value, str):
+        value = int(value, 16) if value.startswith("0x") else int(value)
+    if isinstance(value, (int, np.integer)):
+        value = int(value)
+        words = [value & _MASK32]
+        while value > _MASK32:
+            value >>= 32
+            words.append(value & _MASK32)
+        return words
+    return [w for item in value for w in _uint32_words(item)]
+
+
+def _hash(value, const, mult):
+    """SeedSequence's hash of a word under the running constant const,
+    mult being the constant after it. Ints or uint32 arrays."""
+    value = (value ^ const) * mult & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of pool word x with hashed word y. Ints or
+    uint32 arrays."""
+    value = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return value ^ value >> 16
+
+
+@functools.cache
+def _seeded_state():
+    """The seed sequence that hands PCG64 one precomputed state. Built on
+    first use: numpy.random.bit_generator loads Cython runtime modules,
+    which import relaymarket leaves out."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeededState(ISeedSequence):
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return SeededState
 
 
 def make_realization(params, seed_seq):

@@ -431,6 +431,39 @@ class TestOpenTrades:
         # trades the licensed floor takes, trades it misses, and none at all
         assert kinds == {(False, False), (False, True), (True, True)}
 
+    @pytest.mark.parametrize("guess", [None, 0, "past-last"])
+    def test_scalar_rows_give_0d_trades(self, guess, monkeypatch):
+        """One pair at one price from one time index, every row argument a
+        scalar: 0-d (j, u) equal to the plain scan over every pair, price
+        and lo of a 2x6 market, also with the guess patched to the first
+        index or one past the grid, so that wrong guesses are recomputed."""
+        params = topology.params_from_dict({})
+        grids = dda.concession_grids(params)
+        betas, n = grids.beta_values, len(grids.beta_values)
+        real = topology.make_realization(params, 0)
+        rates, req = radio.make_pair_rates(params, real), radio.requirements_for(params, real)
+        if guess is not None:
+            wrong = np.intp(n if guess == "past-last" else guess)
+            monkeypatch.setattr(radio, "_relay_open_guess", lambda *args: wrong)
+        gain, calls = radio.relay_gain, []
+        monkeypatch.setattr(radio, "relay_gain", lambda *args: calls.append(1) or gain(*args))
+        kinds, trades = set(), 0
+        for l, q in np.ndindex(params.l_pu, params.l_su):
+            for bar in (-np.inf, rates.relay(betas[n // 2], grids.xi_terms[2], l, q)[1], np.inf):
+                for xi in grids.xi_terms:
+                    for lo in (0, n // 2):
+                        j, u = radio.open_trades(rates, req, l, q, bar, betas, xi, lo)
+                        trades += 1
+                        assert np.ndim(j) == np.ndim(u) == 0
+                        want = open_trades_reference(rates, req, betas, l, q, bar, xi, lo)
+                        assert (j, u) == want, (l, q, bar, xi, lo)
+                        kinds.add((want[0] == n, want[1] == -np.inf))
+        assert kinds == {(False, False), (False, True), (True, True)}
+        # one relay_gain call per trade, and a second for each recomputed
+        # guess: the patched guesses miss, and the tie bar makes the real
+        # guess miss on some rows too
+        assert trades < len(calls) <= 2 * trades
+
     def test_a_licensed_rate_at_its_floor_meets_it(self):
         """Licensed slope 1 at time share 0.5 (index 2 of the quarter grid)
         earns exactly a floor of 0.5; the relay takes every time share at

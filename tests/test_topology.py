@@ -287,6 +287,72 @@ class TestChannels:
         assert peak < 1.2e6, peak
 
 
+class TestSpawnGenerators:
+    """topology.spawn_generators against numpy's own rng.spawn."""
+
+    @staticmethod
+    def _pair(seq_args):
+        # two generators on equal seed sequences: one for numpy, one for the helper
+        return [np.random.default_rng(np.random.SeedSequence(**seq_args)) for _ in range(2)]
+
+    @staticmethod
+    def _assert_same_children(got, want):
+        assert len(got) == len(want)
+        assert all(type(g) is np.random.Generator for g in got)
+        first = np.array([g.random(3) for g in got]), np.array([w.random(3) for w in want])
+        assert first[0].tobytes() == first[1].tobytes()
+        # a 64-bit draw after a 53-bit one: the whole state, not just its top bits
+        assert [g.integers(2**63) for g in got] == [w.integers(2**63) for w in want]
+
+    @pytest.mark.parametrize("n", [1, 12, 1250])
+    @pytest.mark.parametrize("seq_args", [
+        {"entropy": 0}, {"entropy": 7}, {"entropy": [3, 1]}, {"entropy": [11, 4999]},
+        {"entropy": 2**32 + 5}, {"entropy": [2**64 + 3, 2]}, {"entropy": [3, 1], "spawn_key": (1,)},
+        {"entropy": list(range(9)), "spawn_key": (2**40, 0)}, {"entropy": 5, "pool_size": 6},
+        {"entropy": ["5", "0x1f"]}, {"entropy": [2**32 - 1, 5], "spawn_key": (2**32 - 1,)},
+        {"entropy": None}],
+        ids=["0", "7", "seed-i", "seed-i-large", "2-words", "3-words", "trial-channels",
+             "long-entropy-2-word-key", "pool-6", "int-strings", "one-word-maxima", "os-entropy"])
+    def test_children_equal_numpy_spawn(self, seq_args, n):
+        if seq_args["entropy"] is None:
+            seq_args = {"entropy": np.random.SeedSequence().entropy}
+        ours, theirs = self._pair(seq_args)
+        self._assert_same_children(topology.spawn_generators(ours, n), theirs.spawn(n))
+
+    def test_children_of_a_parent_that_has_spawned(self):
+        ours, theirs = self._pair({"entropy": [3, 1], "spawn_key": (1,)})
+        ours.spawn(5)
+        theirs.spawn(5)
+        self._assert_same_children(topology.spawn_generators(ours, 12), theirs.spawn(12))
+
+    def test_the_spawn_counter_is_not_advanced(self):
+        rng = np.random.default_rng(4)
+        first = topology.spawn_generators(rng, 3)
+        assert rng.bit_generator.seed_seq.n_children_spawned == 0
+        again = topology.spawn_generators(rng, 3)
+        self._assert_same_children(first, again)
+        assert topology.spawn_generators(rng, 0) == []
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.PCG64DXSM,
+                                               np.random.Philox, np.random.SFC64])
+    def test_other_bit_generators_are_refused(self, bit_generator):
+        with pytest.raises(TypeError, match="PCG64 generator on a SeedSequence"):
+            topology.spawn_generators(np.random.Generator(bit_generator(0)), 2)
+
+    def test_a_pcg64_without_a_seed_sequence_is_refused(self):
+        parent = topology.spawn_generators(np.random.default_rng(0), 1)[0]
+        with pytest.raises(TypeError, match="PCG64 generator on a SeedSequence"):
+            topology.spawn_generators(parent, 2)
+
+    def test_child_indices_past_numpys_last_are_refused(self):
+        """numpy's spawn loops without end once a child index would be
+        2**32 - 1, so the last child both give is 2**32 - 2."""
+        rng, theirs = self._pair({"entropy": 0, "n_children_spawned": 2**32 - 2})
+        self._assert_same_children(topology.spawn_generators(rng, 1), theirs.spawn(1))
+        with pytest.raises(ValueError, match="no child index past 2\\*\\*32 - 2"):
+            topology.spawn_generators(rng, 2)
+
+
 class TestGoldenRealization:
     """Channel realizations pinned over the seeded markets of
     helpers.GOLDEN_MARKETS: placement, the three kept SNR arrays and the
