@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -51,7 +52,8 @@ def build_parser():
     p_run.add_argument("--algo", default="dda-complete",
                        help="comma-separated algorithm tags")
     p_run.add_argument("--out", default="-", help="CSV path ('-' for stdout)")
-    p_run.add_argument("--trace", help="write trial 0's engine events as JSONL")
+    p_run.add_argument("--trace", help="write trial 0's engine events as JSONL, as the "
+                       "first dda-* tag in --algo negotiated them")
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="sweep one axis and emit aggregates")
@@ -101,12 +103,18 @@ def _instance(params, trial):
 def _cmd_run(args):
     params = _load_params(args)
     algos = [a for a in args.algo.split(",") if a]
+    traced = next((a for a in algos if a in ("dda-complete", "dda-partial")), None)
+    if args.trace and traced is None:
+        raise ValueError("--trace needs dda-complete or dda-partial in --algo")
     aggs = bench.run_trials(params, algos, args.trials)
     rows = [bench.SweepRow(scenario_id=bench.scenario_id(params), algo=algo,
                            axis_name="none", axis_value=0.0, agg=aggs[algo])
             for algo in algos]
     bench.emit_csv(rows, args.out)
     if args.trace:
+        # trial 0 as run_trials negotiated it for the traced tag: its
+        # knowledge mode is the tag's, whatever the scenario's
+        params = replace(params, snr_knowledge=traced.removeprefix("dda-"))
         _, trace = dda.run(params, *_instance(params, 0))
         with open(args.trace, "w") as fp:
             trace.to_jsonl(fp)

@@ -231,11 +231,12 @@ def spawn_generators(rng, n):
     SeedSequence (TypeError otherwise); its spawn counter is read, not
     advanced. The children draw as rng.spawn's do but cannot spawn.
 
-    SeedSequence hashes a child's words (rng's entropy, zero-padded to the
-    pool size, its spawn key, then the child index) into a pool, and
-    generate_state hashes the pool into PCG64's four-word seed. Only the
-    last word differs between children, so the hash of the shared words
-    runs once on Python ints and the rest as uint32 arrays [n, ...].
+    A child's words are rng's entropy, zero-padded to the pool size, its
+    spawn key, then the child index. SeedSequence hashes them into the
+    pool word by word, pool_size hashes per word with the cross-mix
+    counted in, so a child's pool is rng's own seq.pool mixed with the
+    index, and only that mix and generate_state (the pool hashed into
+    PCG64's four-word seed) run here, as uint32 arrays [n, ...].
     """
     bit_generator = rng.bit_generator
     seq = bit_generator.seed_seq
@@ -248,28 +249,14 @@ def spawn_generators(rng, n):
         # numpy counts child indices in a uint32 that never reaches a stop of 2**32
         raise ValueError("rng.spawn gives no child index past 2**32 - 2")
     size = seq.pool_size
-    words = _uint32_words(seq.entropy)
-    words += [0] * (size - len(words)) + _uint32_words(seq.spawn_key)
-    # len(words) + 1 words hashed into each of size pool words, the first
-    # size of them straight in: one constant per hash and one to follow
-    c = [_INIT_A]
-    for _ in range((len(words) + 1) * size):
-        c.append(c[-1] * _MULT_A & _MASK32)
-    pool = [_hash(w, c[k], c[k + 1]) for k, w in enumerate(words[:size])]
-    k = size
-    for src in range(size):
-        for dst in range(size):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], c[k], c[k + 1]))
-                k += 1
-    for w in words[size:]:
-        for dst in range(size):
-            pool[dst] = _mix(pool[dst], _hash(w, c[k], c[k + 1]))
-            k += 1
+    # the index is hashed from hash number words * size on: one constant
+    # per pool word and one to follow
+    start = (max(size, _word_count(seq.entropy)) + _word_count(seq.spawn_key)) * size
+    c = np.array([_INIT_A * pow(_MULT_A, start + k, 2**32) & _MASK32 for k in range(size + 1)],
+                 dtype=np.uint32)
     # offset from 0, not arange(first, first + n): a uint32 stop of 2**32 never ends
     index = np.arange(n, dtype=np.uint32)[:, None] + np.uint32(first)
-    c = np.array(c[k:], dtype=np.uint32)
-    pools = _mix(np.array(pool, dtype=np.uint32), _hash(index, c[:-1], c[1:]))
+    pools = _mix(seq.pool, _hash(index, c[:-1], c[1:]))
     # generate_state(4, uint64): eight words cycling over the pool
     state = _hash(pools.take(np.arange(8) % size, axis=1), _STATE_CONSTS[:-1], _STATE_CONSTS[1:])
     seeds = state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
@@ -277,34 +264,28 @@ def spawn_generators(rng, n):
     return [np.random.Generator(np.random.PCG64(seeded(row))) for row in seeds]
 
 
-def _uint32_words(value):
-    """SeedSequence's words of an entropy or spawn key: an int's 32-bit
-    words, least significant first (0 is one word; a string is read as a
-    decimal or 0x-prefixed hex int), or a sequence's items' words in
-    order."""
+def _word_count(value):
+    """How many 32-bit words SeedSequence reads from an entropy or spawn
+    key: an int's words (0 is one word; a string is read as a decimal or
+    0x-prefixed hex int), or the sum over a sequence's items."""
     if isinstance(value, str):
         value = int(value, 16) if value.startswith("0x") else int(value)
     if isinstance(value, (int, np.integer)):
-        value = int(value)
-        words = [value & _MASK32]
-        while value > _MASK32:
-            value >>= 32
-            words.append(value & _MASK32)
-        return words
-    return [w for item in value for w in _uint32_words(item)]
+        return max(1, (int(value).bit_length() + 31) // 32)
+    return sum(map(_word_count, value))
 
 
 def _hash(value, const, mult):
     """SeedSequence's hash of a word under the running constant const,
-    mult being the constant after it. Ints or uint32 arrays."""
-    value = (value ^ const) * mult & _MASK32
+    mult being the constant after it, on uint32 arrays."""
+    value = (value ^ const) * mult
     return value ^ value >> 16
 
 
 def _mix(x, y):
-    """SeedSequence's mix of pool word x with hashed word y. Ints or
-    uint32 arrays."""
-    value = (_MIX_L * x - _MIX_R * y) & _MASK32
+    """SeedSequence's mix of pool word x with hashed word y, on uint32
+    arrays."""
+    value = _MIX_L * x - _MIX_R * y
     return value ^ value >> 16
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
@@ -41,6 +42,36 @@ class TestRunCommand:
         events = [json.loads(row) for row in trace.read_text().splitlines()]
         assert events
         assert set(events[0]) == {"kind", "pu", "su", "xi", "beta", "iteration"}
+
+    @pytest.mark.parametrize("scenario", ["complete", "partial"])
+    def test_trace_follows_the_first_dda_tag(self, scenario, tmp_path, capsys):
+        """The trace is trial 0 as the CSV's first dda-* tag negotiated it,
+        under that tag's knowledge mode, whatever the scenario's."""
+        config, path = tmp_path / "scenario.json", tmp_path / "events.jsonl"
+        config.write_text(json.dumps({"snr_knowledge": scenario}))
+        traces = []
+        for algos, mode in (("dda-partial", "partial"),
+                            ("rmbn,dda-complete,dda-partial", "complete")):
+            code, _, _ = run_cli(["run", "--config", str(config), "--seed", "3", "--trials", "1",
+                                  "--algo", algos, "--out", str(tmp_path / "agg.csv"),
+                                  "--trace", str(path)], capsys)
+            assert code == 0
+            params = topology.ScenarioParams(seed=3, snr_knowledge=mode)
+            realization = topology.make_realization(params, np.random.SeedSequence([3, 0]))
+            _, trace = dda.negotiate(dda.market(params, realization))
+            want = io.StringIO()
+            trace.to_jsonl(want)
+            assert path.read_text() == want.getvalue(), algos
+            traces.append(want.getvalue())
+        assert traces[0] != traces[1]
+
+    def test_trace_without_a_dda_tag_exits_one(self, tmp_path, capsys):
+        trace = tmp_path / "events.jsonl"
+        code, out, err = run_cli(["run", "--seed", "3", "--trials", "1",
+                                  "--algo", "centralized", "--trace", str(trace)], capsys)
+        assert code == 1
+        assert "dda-complete" in err and "dda-partial" in err
+        assert out == "" and not trace.exists()
 
     def test_stdout_default(self, capsys):
         code, out, _ = run_cli(["run", "--seed", "1", "--trials", "2"], capsys)

@@ -310,9 +310,16 @@ class TestSpawnGenerators:
         {"entropy": 2**32 + 5}, {"entropy": [2**64 + 3, 2]}, {"entropy": [3, 1], "spawn_key": (1,)},
         {"entropy": list(range(9)), "spawn_key": (2**40, 0)}, {"entropy": 5, "pool_size": 6},
         {"entropy": ["5", "0x1f"]}, {"entropy": [2**32 - 1, 5], "spawn_key": (2**32 - 1,)},
-        {"entropy": None}],
+        {"entropy": None}, {"entropy": np.array([7, 2**32 - 1, 0], dtype=np.uint32)},
+        {"entropy": np.array([2**40 + 9, 3, 2**64 - 1], dtype=np.uint64)},
+        {"entropy": [], "spawn_key": (4,)}, {"entropy": list(range(1, 8))},
+        {"entropy": 2**200 - 12345, "pool_size": 8, "spawn_key": (5,)},
+        {"entropy": 9, "spawn_key": (2**32, 2**63 + 1)},
+        {"entropy": ["0x123456789ab", "98765432109876543210"]}],
         ids=["0", "7", "seed-i", "seed-i-large", "2-words", "3-words", "trial-channels",
-             "long-entropy-2-word-key", "pool-6", "int-strings", "one-word-maxima", "os-entropy"])
+             "long-entropy-2-word-key", "pool-6", "int-strings", "one-word-maxima", "os-entropy",
+             "uint32-array", "uint64-array", "empty-entropy-keyed", "7-words",
+             "200-bit-pool-8-keyed", "2-word-key-items", "multi-word-strings"])
     def test_children_equal_numpy_spawn(self, seq_args, n):
         if seq_args["entropy"] is None:
             seq_args = {"entropy": np.random.SeedSequence().entropy}
